@@ -1,10 +1,13 @@
 """Geometry of the fixed-TT-rank manifold: tangent spaces, projection, retraction.
 
-The tangent space at a left-orthogonal TT tensor ``T = [T_1, ..., T_n]`` is
-parametrized by gauge-fixed variation cores ``X_k`` (``L(X_k)^T L(T_k) = 0``
-for k < n); the represented ambient tensor is the sum over k of the chains
-``[T_1, ..., X_k, ..., T_n]``.  Projection of a sparse ambient tensor costs
-``O(n d^2 r^2)`` per entry plus one cached r-by-r solve per cut.
+A foot point ``T`` is held in mixed-canonical form: its left-orthogonal cores
+``U_1, ..., U_{n-1}`` (the last core ``U_n`` carries the norm) and the
+right-orthogonal cores ``V_2, ..., V_n`` of one right-to-left sweep.  The
+tangent space is parametrized by gauge-fixed variation cores ``X_k``
+(``L(X_k)^T L(U_k) = 0`` for k < n); the represented ambient tensor is the
+sum over k of the chains ``[U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n]``.
+With orthonormal right parts, projecting a sparse ambient tensor costs
+``O(n d^2 r^2)`` per entry and needs no linear solve.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import tt
-from .tt import TtTensor, TtError, fold_left, left_unfold
+from .tt import TtTensor, fold_left, fold_right, left_unfold, right_unfold
 
-# Rank-deficiency rejection threshold: smallest/largest right-part singular
-# value below this ratio means the foot point is off-manifold.
+# Rank-deficiency rejection threshold: smallest/largest separation singular
+# value below this ratio at any cut means the foot point is off-manifold.
 DEGENERATE_TOL = 1e-12
 
 
@@ -78,13 +80,21 @@ class SparseTensor:
 
 
 class TangentVector:
-    """First-order variation of a TT tensor at a left-orthogonal foot point."""
+    """First-order variation of a TT tensor at a left-orthogonal foot point.
 
-    __slots__ = ("base", "variation_cores")
+    ``X_k`` enters the chain ``[U_1, ..., X_k, R_{k+1}, ..., R_n]`` of the
+    cores ``U`` of ``base`` and ``right_cores`` ``R`` (default: ``U``).
+    """
 
-    def __init__(self, base: TtTensor, variation_cores):
+    __slots__ = ("base", "variation_cores", "right_cores")
+
+    def __init__(self, base: TtTensor, variation_cores, right_cores=None):
         if len(variation_cores) != base.n:
             raise ManifoldError("need one variation core per site")
+        if right_cores is None:
+            right_cores = base.cores
+        elif [c.shape for c in right_cores] != [c.shape for c in base.cores]:
+            raise ManifoldError("right cores must match the base core shapes")
         vcs = []
         for c, bc in zip(variation_cores, base.cores):
             c = np.asarray(c, dtype=np.float64)
@@ -93,6 +103,7 @@ class TangentVector:
             vcs.append(c)
         self.base = base
         self.variation_cores = vcs
+        self.right_cores = tuple(right_cores)
 
     def gauge_residual(self) -> float:
         """Max violation of ``L(X_k)^T L(T_k) = 0`` over k < n."""
@@ -104,9 +115,6 @@ class TangentVector:
 
     def norm(self) -> float:
         return tt.tt_norm(tangent_to_tt(self))
-
-    def scaled(self, alpha: float) -> "TangentVector":
-        return TangentVector(self.base, [alpha * c for c in self.variation_cores])
 
 
 def manifold_dim(mode_dims, ranks) -> int:
@@ -131,78 +139,87 @@ def _require_left_orthogonal(base: TtTensor):
 
 
 class TangentGeometry:
-    """Per-foot-point caches for tangent projection.
+    """Mixed-canonical form of a foot point, for tangent projection.
 
-    Precomputes the right-part Gram matrices ``H_k = T^{>=k} T^{>=k,T}`` and
-    their Cholesky factors once; they are reused across all entries of a
-    minibatch (the caches are foot-point-constant and immutable).
+    Keeps the left-orthogonal cores ``U_k`` of the foot point and builds its
+    right-orthogonal cores ``V_k`` by one right-to-left sweep of thin SVDs, so
+    ``T = U^{<=k} S_k V^{>k}`` at every cut k and projection needs no solve.
+    ``singular_values[k-1]`` are those of ``S_k``, the separation singular
+    values of cut k; sigma_r / sigma_1 below ``DEGENERATE_TOL`` rejects the
+    foot point as off-manifold.
     """
 
     def __init__(self, base: TtTensor):
         _require_left_orthogonal(base)
         self.base = base
         n = base.n
-        # right_grams[k] = T^{>=k} T^{>=k,T} for sites k = 1..n+1 (1-based).
-        grams = [None] * (n + 2)
-        grams[n + 1] = np.ones((1, 1))
-        for k in range(n, 0, -1):
-            c = base.cores[k - 1]
-            grams[k] = np.einsum("amb,bc,dmc->ad", c, grams[k + 1], c, optimize=True)
-        self.right_grams = grams
-        self.chol = [None] * (n + 2)
-        for k in range(2, n + 1):
-            h = grams[k]
-            w = np.linalg.eigvalsh(h)
-            if w[0] <= 0.0 or np.sqrt(max(w[0], 0.0) / w[-1]) < DEGENERATE_TOL:
+        right = list(base.cores)
+        self.singular_values = [None] * (n - 1)
+        cur = base.cores[-1]
+        for k in range(n - 1, 0, -1):
+            # T = U^{<=k} cur V^{>k+1}; the thin SVD u diag(s) vh of cur's
+            # right unfolding gives V_{k+1} = vh and S_k = u diag(s).
+            r0, m, r1 = cur.shape
+            u, s, vh = np.linalg.svd(right_unfold(cur), full_matrices=False)
+            ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
+            if s.shape[0] < r0 or not ratio >= DEGENERATE_TOL:
                 raise ManifoldError(
-                    "rank-deficient foot point: right-part Gram at cut "
-                    f"{k - 1} is singular"
+                    f"rank-deficient foot point: separation at cut {k} is singular "
+                    f"(sigma_r/sigma_1 = {ratio:.3g})"
                 )
-            self.chol[k] = cho_factor(h)
-        # Projectors are applied as X -= L(T_k) (L(T_k)^T X).
+            self.singular_values[k - 1] = s
+            right[k] = fold_right(vh, m, r1)
+            prev = base.cores[k - 1]
+            cur = (prev.reshape(-1, r0) @ (u * s)).reshape(prev.shape)
+        right[0] = cur
+        # right_cores = [U_1 S_1, V_2, ..., V_n] is the foot point right-orthogonalized.
+        self.right_cores = tuple(right)
+        # Mode-major copies (m, r0, r1) so a batch gathers (B, r0, r1) slices.
+        self._left_slices = [np.ascontiguousarray(c.transpose(1, 0, 2)) for c in base.cores]
+        self._right_slices = [np.ascontiguousarray(c.transpose(1, 0, 2)) for c in right]
+        # Projectors are applied as X -= L(U_k) (L(U_k)^T X).
         self.left_unfolds = [left_unfold(c) for c in base.cores]
 
-    def project_batch(self, idx: np.ndarray, values: np.ndarray) -> TangentVector:
-        """Project ``sum_b values[b] * e_{idx[b]}`` onto the tangent space."""
+    def left_chain(self, idx: np.ndarray) -> list:
+        """Rows ``U^{<=k}[idx_1..idx_k, :]``, k = 0..n, each of shape (B, r_k).
+
+        The last one, of shape (B, 1), holds the foot point's entries at idx.
+        """
+        idx = np.asarray(idx, dtype=np.int64)
+        lefts = [np.ones((idx.shape[0], 1))]
+        for k in range(self.base.n):
+            sl = self._left_slices[k][idx[:, k]]
+            lefts.append(np.matmul(lefts[k][:, None, :], sl)[:, 0, :])
+        return lefts
+
+    def project_batch(self, idx: np.ndarray, values: np.ndarray, lefts=None) -> TangentVector:
+        """Project ``sum_b values[b] * e_{idx[b]}``; ``lefts`` is ``left_chain(idx)``."""
         base = self.base
         n = base.n
         idx = np.asarray(idx, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         bsz = idx.shape[0]
-
-        # Left chain vectors v_k(b) = row (idx_1..idx_k) of T^{<=k}.
-        lefts = [np.ones((bsz, 1))]
-        for k in range(n - 1):
-            sl = base.cores[k][:, idx[:, k], :]
-            lefts.append(np.einsum("bi,ibj->bj", lefts[k], sl, optimize=True))
-        # Right chain vectors w_k(b) = column (idx_k..idx_n) of T^{>=k}.
-        rights = [None] * (n + 2)
-        rights[n + 1] = np.ones((bsz, 1))
-        for k in range(n, 0, -1):
-            sl = base.cores[k - 1][:, idx[:, k - 1], :]
-            rights[k] = np.einsum("ibj,bj->bi", sl, rights[k + 1], optimize=True)
-
-        vcores = []
-        for k in range(n):
-            m = base.mode_dims[k]
-            r0, _, r1 = base.cores[k].shape
-            if k < n - 1:
-                # Solve against the right Gram, then scatter the rank-one
-                # contributions over the physical index.
-                s = cho_solve(self.chol[k + 2], rights[k + 2].T).T  # (B, r1)
-                contrib = values[:, None, None] * lefts[k][:, :, None] * s[:, None, :]
-            else:
-                contrib = values[:, None, None] * lefts[k][:, :, None] * np.ones((bsz, 1, 1))
-            raw = np.zeros((m, r0, r1))
-            np.add.at(raw, idx[:, k], contrib)
-            xk = np.ascontiguousarray(np.moveaxis(raw, 0, 1))  # (r0, m, r1)
+        if lefts is None:
+            lefts = self.left_chain(idx)
+        rows = np.arange(bsz)
+        # right = rows V^{>k}[:, idx_{k+1}..idx_n] of the right parts, (B, r_k).
+        right = np.ones((bsz, 1))
+        vcores = [None] * n
+        for k in range(n - 1, -1, -1):
+            r0, m, r1 = base.cores[k].shape
+            # One GEMM scatters every rank-one term l_b (x) e_{idx_k[b]} (x) w_b.
+            onehot = np.zeros((bsz, m, r1))
+            onehot[rows, idx[:, k]] = right
+            weighted = values[:, None] * lefts[k]
+            xk = (weighted.T @ onehot.reshape(bsz, m * r1)).reshape(r0, m, r1)
             if k < n - 1:
                 lu = left_unfold(xk)
                 lt = self.left_unfolds[k]
-                lu = lu - lt @ (lt.T @ lu)
-                xk = fold_left(lu, r0, m)
-            vcores.append(xk)
-        return TangentVector(base, vcores)
+                xk = fold_left(lu - lt @ (lt.T @ lu), r0, m)
+            vcores[k] = xk
+            if k:
+                right = np.matmul(self._right_slices[k][idx[:, k]], right[:, :, None])[:, :, 0]
+        return TangentVector(base, vcores, self.right_cores)
 
     def project_sparse(self, g: SparseTensor) -> TangentVector:
         if g.mode_dims != self.base.mode_dims:
@@ -217,33 +234,27 @@ class TangentGeometry:
             raise ManifoldError(f"dense shape {x.shape} != {base.mode_dims}")
         if x.size > tt.DENSE_CAP:
             raise ManifoldError("dense input above size cap")
-        lefts = [np.ones((1, 1))]
-        for k in range(1, n):
-            lefts.append(tt.left_part(base, k))
-        rights = [None] * (n + 2)
-        rights[n + 1] = np.ones((1, 1))
-        for k in range(n, 1, -1):
-            rights[k] = tt.right_part(base, k - 1)
-
+        # rights[k] = V^{>k}, of shape (r_k, prod(dims[k+1:])), orthonormal rows.
+        rights = [np.ones((1, 1))] * n
+        for k in range(n - 2, -1, -1):
+            c = self.right_cores[k + 1]
+            rights[k] = np.tensordot(c, rights[k + 1], axes=(2, 0)).reshape(
+                c.shape[0], -1, order="F"
+            )
         vcores = []
         flat = x.reshape(-1, order="F")
         for k in range(n):
             m = base.mode_dims[k]
-            r0, _, r1 = base.cores[k].shape
-            dl = int(np.prod(base.mode_dims[:k], dtype=int))
-            sep = flat.reshape(dl, -1, order="F")  # rows (s_1..s_k-1 ... ) below
+            r0 = base.cores[k].shape[0]
+            sep = flat.reshape(int(np.prod(base.mode_dims[:k], dtype=int)), -1, order="F")
             # Contract the left environment, regroup rows as (r_{k-1}, m).
-            m1 = lefts[k].T @ sep if k > 0 else sep
-            m1 = m1.reshape(r0 * m, -1, order="F")
+            m1 = tt.left_part(base, k).T @ sep if k > 0 else sep
+            m2 = m1.reshape(r0 * m, -1, order="F") @ rights[k].T
             if k < n - 1:
-                m2 = m1 @ rights[k + 2].T
-                m2 = cho_solve(self.chol[k + 2], m2.T).T
                 lt = self.left_unfolds[k]
                 m2 = m2 - lt @ (lt.T @ m2)
-            else:
-                m2 = m1
             vcores.append(fold_left(m2, r0, m))
-        return TangentVector(base, vcores)
+        return TangentVector(base, vcores, self.right_cores)
 
 
 def project_tangent_sparse(base: TtTensor, g: SparseTensor) -> TangentVector:
@@ -254,55 +265,35 @@ def project_tangent_dense(base: TtTensor, x: np.ndarray) -> TangentVector:
     return TangentGeometry(base).project_dense(x)
 
 
-def tangent_to_tt(v: TangentVector) -> TtTensor:
-    """Exact TT form of the ambient tangent tensor (ranks at most 2r).
-
-    Stacked-core construction: interior cores hold ``[[T_k, X_k], [0, T_k]]``
-    blocks; the boundary cores are trimmed to a row/column of blocks.
-    """
-    base = v.base
+def _chain_sum_cores(base: TtTensor, xcores, right_cores) -> list:
+    """``[U_1, X_1]``, ``[[U_k, X_k], [0, R_k]]``, ``[X_n; R_n]``: sum of the chains."""
     n = base.n
-    if n == 0:
-        raise ManifoldError("empty base")
-    cores = []
-    for k in range(n):
+    cores = [np.concatenate([base.cores[0], xcores[0]], axis=2)]
+    for k in range(1, n - 1):
         tk = base.cores[k]
-        xk = v.variation_cores[k]
         r0, m, r1 = tk.shape
-        if k == 0:
-            c = np.concatenate([tk, xk], axis=2)
-        elif k == n - 1:
-            c = np.concatenate([xk, tk], axis=0)
-        else:
-            c = np.zeros((2 * r0, m, 2 * r1))
-            c[:r0, :, :r1] = tk
-            c[:r0, :, r1:] = xk
-            c[r0:, :, r1:] = tk
+        c = np.zeros((2 * r0, m, 2 * r1))
+        c[:r0, :, :r1] = tk
+        c[:r0, :, r1:] = xcores[k]
+        c[r0:, :, r1:] = right_cores[k]
         cores.append(c)
-    return TtTensor(cores)
+    cores.append(np.concatenate([xcores[-1], right_cores[-1]], axis=0))
+    return cores
+
+
+def tangent_to_tt(v: TangentVector) -> TtTensor:
+    """Exact TT form of the ambient tangent tensor (ranks at most 2r)."""
+    return TtTensor(_chain_sum_cores(v.base, v.variation_cores, v.right_cores))
 
 
 def tangent_step(base: TtTensor, v: TangentVector, eta: float) -> TtTensor:
     """TT representation of ``base - eta * ambient(v)``, ranks at most 2r."""
     if v.base.mode_dims != base.mode_dims or v.base.ranks != base.ranks:
         raise ManifoldError("tangent vector base mismatch")
-    n = base.n
-    cores = []
-    for k in range(n):
-        tk = base.cores[k]
-        xk = -eta * v.variation_cores[k]
-        r0, m, r1 = tk.shape
-        if k == 0:
-            c = np.concatenate([tk, xk], axis=2)
-        elif k == n - 1:
-            c = np.concatenate([xk + tk, tk], axis=0)
-        else:
-            c = np.zeros((2 * r0, m, 2 * r1))
-            c[:r0, :, :r1] = tk
-            c[:r0, :, r1:] = xk
-            c[r0:, :, r1:] = tk
-        cores.append(c)
-    return TtTensor(cores)
+    xcores = [-eta * c for c in v.variation_cores]
+    # The base enters through the last core: [U_1 ... U_{n-1}] U_n.
+    xcores[-1] = xcores[-1] + base.cores[-1]
+    return TtTensor(_chain_sum_cores(base, xcores, v.right_cores))
 
 
 def trim(t: TtTensor, xi: float) -> TtTensor:

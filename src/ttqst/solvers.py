@@ -157,7 +157,7 @@ def _as_batch_arrays(batch, mode_dims):
 
 
 class _IterateState:
-    """Left-orthogonal iterate plus its tangent-geometry caches."""
+    """Left-orthogonal iterate plus its mixed-canonical tangent geometry."""
 
     __slots__ = ("t", "geom", "scale")
 
@@ -167,10 +167,11 @@ class _IterateState:
         self.scale = float(np.sqrt(t.size))
 
     def step(self, idx, y_scaled, eta, trim_nu, ranks):
-        entries = tt.tt_entries(self.t, idx)
-        resid = self.scale * entries - y_scaled
+        # The iterate's entries come off the projection's own left chain.
+        lefts = self.geom.left_chain(idx)
+        resid = self.scale * lefts[-1][:, 0] - y_scaled
         values = resid * (self.scale / idx.shape[0])
-        grad = self.geom.project_batch(idx, values)
+        grad = self.geom.project_batch(idx, values, lefts)
         stepped = manifold.tangent_step(self.t, grad, eta)
         trim_xi = None
         if trim_nu is not None:
@@ -216,7 +217,9 @@ class _TraceLogger:
         if self.psi is not None:
             fid = mpo.fidelity(self.psi, mpo.coeff_to_mpo(state.t, self.basis))
         wall = (time.perf_counter() - self.t0) * 1e3
-        self.trace.append(it, samples, rel, fid, wall, tt.lambda_min(state.t))
+        # The geometry's sweep already holds every cut's separation spectrum.
+        lam = float(min(s[-1] for s in state.geom.singular_values))
+        self.trace.append(it, samples, rel, fid, wall, lam)
         return rel
 
 
@@ -263,14 +266,14 @@ def _offline_step(state, idx, y, eta, cfg, chunk=65536):
     vcores = None
     for lo in range(0, total, chunk):
         sl = slice(lo, min(lo + chunk, total))
-        entries = tt.tt_entries(state.t, idx[sl])
-        values = (scale * entries - scale * y[sl]) * (scale / total)
-        part = state.geom.project_batch(idx[sl], values)
+        lefts = state.geom.left_chain(idx[sl])
+        values = (scale * lefts[-1][:, 0] - scale * y[sl]) * (scale / total)
+        part = state.geom.project_batch(idx[sl], values, lefts)
         if vcores is None:
             vcores = part.variation_cores
         else:
             vcores = [a + b for a, b in zip(vcores, part.variation_cores)]
-    grad = manifold.TangentVector(state.t, vcores)
+    grad = manifold.TangentVector(state.t, vcores, state.geom.right_cores)
     stepped = manifold.tangent_step(state.t, grad, eta)
     trim_xi = None
     if cfg.trim_nu is not None:

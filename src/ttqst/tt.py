@@ -148,8 +148,8 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     v = t.cores[0][0, idx[:, 0], :]  # (B, r1)
     for k in range(1, t.n):
-        sl = t.cores[k][:, idx[:, k], :]  # (r, B, r')
-        v = np.einsum("bi,ibj->bj", v, sl, optimize=True)
+        sl = t.cores[k].transpose(1, 0, 2)[idx[:, k]]  # (B, r, r')
+        v = np.matmul(v[:, None, :], sl)[:, 0, :]
     return v[:, 0]
 
 
@@ -182,7 +182,8 @@ def tt_inner(a: TtTensor, b: TtTensor) -> float:
         raise TtError(f"mode dims differ: {a.mode_dims} vs {b.mode_dims}")
     env = np.ones((1, 1))
     for ca, cb in zip(a.cores, b.cores):
-        env = np.einsum("ab,amc,bmd->cd", env, ca, cb, optimize=True)
+        half = env.T @ ca.reshape(ca.shape[0], -1)  # (rb, m * rc)
+        env = half.reshape(-1, ca.shape[2]).T @ cb.reshape(-1, cb.shape[2])
     return float(env[0, 0])
 
 
@@ -260,11 +261,12 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
 
 def right_orthogonalize(t: TtTensor) -> TtTensor:
     """Sweep QR right-to-left; cores 2..n become right-orthogonal."""
-    cores = [np.array(c) for c in t.cores]
+    cores = list(t.cores)
     for k in range(t.n - 1, 0, -1):
         q, r = np.linalg.qr(right_unfold(cores[k]).T)
         cores[k] = fold_right(q.T, cores[k].shape[1], cores[k].shape[2])
-        cores[k - 1] = np.tensordot(cores[k - 1], r.T, axes=(2, 0))
+        prev = cores[k - 1]
+        cores[k - 1] = (prev.reshape(-1, prev.shape[2]) @ r.T).reshape(prev.shape[:2] + (-1,))
     ortho = [UNKNOWN] + [RIGHT] * (t.n - 1)
     return TtTensor(cores, ortho)
 
@@ -393,12 +395,13 @@ def _truncate_factor(mat: np.ndarray, r: int):
     Returns ``(u, c)`` with ``u`` of shape ``(rows, r)`` orthonormal and
     ``c = u.T @ mat`` where singular values below ``RANK_TOL * s1`` have been
     zeroed, so ``u @ c`` equals the best rank-r approximation of ``mat``.
-    When r exceeds the numerical rank, u is completed with orthonormal
-    columns from the full SVD basis and the matching rows of c are zero,
-    keeping the output rank exactly as requested.
+    When r exceeds the numerical rank, the extra columns of u are singular
+    vectors of (numerically) zero singular values, or, when r exceeds the
+    column count, columns of the full SVD basis; the matching rows of c are
+    zero, keeping the output rank exactly as requested.
     """
-    u_full, s, vh = np.linalg.svd(mat, full_matrices=True)
-    u = u_full[:, :r]
+    u, s, vh = np.linalg.svd(mat, full_matrices=r > min(mat.shape))
+    u = u[:, :r]
     p = min(r, s.shape[0])
     if s.shape[0] and s[0] > 0.0:
         s = np.where(s < RANK_TOL * s[0], 0.0, s)
@@ -447,14 +450,14 @@ def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
         prev = ranks[k - 1] if k else 1
         if r > prev * t.mode_dims[k]:
             raise TtError(f"rank {r} at cut {k + 1} infeasible for the sweep")
-    tr = right_orthogonalize(t)
-    cores = [np.array(c) for c in tr.cores]
+    cores = right_orthogonalize(t).cores
     out = []
     cur = cores[0]
     for k in range(n - 1):
         u, c = _truncate_factor(left_unfold(cur), ranks[k])
         out.append(fold_left(u, cur.shape[0], cur.shape[1]))
-        cur = np.tensordot(c, cores[k + 1], axes=(1, 0))
+        nxt = cores[k + 1]
+        cur = (c @ nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     out.append(cur)
     return TtTensor(out, [LEFT] * (n - 1) + [UNKNOWN])
 

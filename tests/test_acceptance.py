@@ -191,6 +191,7 @@ def test_criterion_05_tangent_projection_oracle():
                f"residual orthogonality {worst_orth:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_orgd_linear_convergence():
     start = time.perf_counter()
     # Random target, pinned configuration.
@@ -246,6 +247,7 @@ def test_criterion_06_orgd_linear_convergence():
                f"{elapsed:.0f}s total")
 
 
+@pytest.mark.slow
 def test_criterion_07_quadratic_iteration_scaling():
     alpha, batch, target = 4e-3, 50, 1e-3
     mean_iters = []
@@ -270,6 +272,7 @@ def test_criterion_07_quadratic_iteration_scaling():
     _report(7, f"iterations {dict(zip(ns, mean_iters))}, exponent {exponent:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_08_noise_floor_ordering():
     def floor_of(alpha, shots, seed):
         psi = states.random_mps(6, 2, 2, seed=seed)

@@ -152,6 +152,62 @@ def test_degenerate_base_rejected():
         manifold.TangentGeometry(base)
 
 
+def test_degenerate_interior_cut_named():
+    rng = np.random.default_rng(20)
+    shapes = ((1, 4, 2), (2, 4, 2), (2, 4, 2), (2, 4, 1))
+    cores = [rng.standard_normal(s) for s in shapes]
+    # A rank-one left unfolding of core 2 leaves cut 2 with separation rank 1
+    # while cuts 1 and 3 keep rank 2.
+    cores[1] = np.einsum("as,b->asb", rng.standard_normal((2, 4)), rng.standard_normal(2))
+    base = tt.left_orthogonalize(tt.TtTensor(cores))
+    with pytest.raises(manifold.ManifoldError, match="cut 2 "):
+        manifold.TangentGeometry(base)
+
+
+@pytest.mark.parametrize(
+    "dims, ranks",
+    [
+        ((4, 4), (3,)),  # n = 2
+        ((4, 4, 4, 4), (1, 1, 1)),  # rank 1
+        ((9, 9, 9), (3, 4)),  # d = 3 qudits
+        ((4, 4, 4, 4), (4, 16, 4)),  # ranks at the feasibility bound
+    ],
+)
+def test_projection_edge_cases_match_oracle(dims, ranks):
+    rng = np.random.default_rng(21)
+    base = tt.left_orthogonalize(tt.random_tt(dims, ranks, rng))
+    proj, _ = dense_tangent_projector(base)
+    geom = manifold.TangentGeometry(base)
+    idx = np.column_stack([rng.integers(0, m, size=6) for m in dims])
+    g = manifold.SparseTensor(dims, indices=idx, values=rng.standard_normal(6))
+    x = rng.standard_normal(dims)
+    for v, src in ((geom.project_sparse(g), g.to_dense()), (geom.project_dense(x), x)):
+        want = proj @ src.reshape(-1, order="F")
+        np.testing.assert_allclose(ambient(v), want, atol=1e-9)
+        assert v.gauge_residual() <= 1e-12
+
+
+def test_right_cores_are_right_orthogonal():
+    rng = np.random.default_rng(22)
+    base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    for c in geom.right_cores[1:]:
+        r = tt.right_unfold(c)
+        np.testing.assert_allclose(r @ r.T, np.eye(c.shape[0]), atol=1e-12)
+    np.testing.assert_allclose(
+        tt.tt_dense(tt.TtTensor(geom.right_cores)), tt.tt_dense(base), atol=1e-12
+    )
+
+
+def test_foot_point_entries_from_left_chain():
+    rng = np.random.default_rng(23)
+    base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    idx = rng.integers(0, 4, size=(9, 4))
+    got = geom.left_chain(idx)[-1][:, 0]
+    np.testing.assert_allclose(got, tt.tt_entries(base, idx), atol=1e-13)
+
+
 def test_non_orthogonal_base_rejected():
     rng = np.random.default_rng(10)
     base = tt.random_tt((4, 4, 4), (2, 2), rng)

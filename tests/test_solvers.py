@@ -105,6 +105,19 @@ def test_orgd_run_converges_and_reports():
         assert tt.is_left_orthogonal(out.cores[k])
 
 
+def test_trace_lambda_min_matches_separation_spectra():
+    psi = states.random_mps(6, 2, 2, seed=3)
+    tstar = states.pure_state_coeff(psi)
+    t0 = warm_start(tstar, tstar.ranks, 0.1, 5)
+    stream = meas.make_stream(tstar, meas.ExactSource(), seed=6)
+    cfg = solvers.SolverConfig(
+        ranks=tstar.ranks, max_iters=100, batch_size=20, alpha=1e-2, log_every=50
+    )
+    out, trace = solvers.orgd_run(t0, stream, cfg)
+    assert trace.lambda_min[0] == pytest.approx(tt.lambda_min(t0), rel=1e-12)
+    assert trace.lambda_min[-1] == pytest.approx(tt.lambda_min(out), rel=1e-12)
+
+
 def test_orgd_log_linear_decay():
     psi = states.random_mps(6, 2, 2, seed=4)
     tstar = states.pure_state_coeff(psi)

@@ -246,6 +246,18 @@ def test_ttsvd_pads_rank_deficient():
         assert tt.is_left_orthogonal(out.cores[k])
 
 
+def test_ttsvd_dense_pads_above_numerical_rank():
+    # Numerical ranks (1, 2, 1), requested (3, 4, 3): every cut keeps the
+    # thin SVD basis, and no cut needs the full one.
+    rng = np.random.default_rng(21)
+    x = tt.tt_dense(random_tt(rng, dims=(4, 4, 4, 4), ranks=(1, 2, 1)))
+    out = tt.ttsvd(x, (3, 4, 3))
+    assert out.ranks == (3, 4, 3)
+    for k in range(out.n - 1):
+        assert tt.is_left_orthogonal(out.cores[k])
+    assert np.linalg.norm(tt.tt_dense(out) - x) <= 1e-12 * np.linalg.norm(x)
+
+
 def test_ttsvd_infeasible_ranks():
     rng = np.random.default_rng(20)
     x = rng.standard_normal((4, 4, 4))
