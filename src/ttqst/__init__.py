@@ -8,8 +8,6 @@ from .manifold import (  # noqa: F401
     TangentGeometry,
     TangentVector,
     manifold_dim,
-    project_tangent_dense,
-    project_tangent_sparse,
     retract,
     tangent_step,
     tangent_to_tt,
@@ -46,6 +44,7 @@ from .serialize import read_ttc1, read_ttr1, write_ttc1, write_ttr1  # noqa: F40
 from .solvers import (  # noqa: F401
     InitConfig,
     InitError,
+    NonFiniteError,
     RunTrace,
     SolverConfig,
     SolverError,

@@ -113,9 +113,6 @@ class TangentVector:
             worst = max(worst, float(np.max(np.abs(g))) if g.size else 0.0)
         return worst
 
-    def norm(self) -> float:
-        return tt.tt_norm(tangent_to_tt(self))
-
 
 def manifold_dim(mode_dims, ranks) -> int:
     """Dimension of the fixed-rank manifold: sum m_k r_{k-1} r_k - sum r_k^2."""
@@ -160,7 +157,7 @@ class TangentGeometry:
             # T = U^{<=k} cur V^{>k+1}; the thin SVD u diag(s) vh of cur's
             # right unfolding gives V_{k+1} = vh and S_k = u diag(s).
             r0, m, r1 = cur.shape
-            u, s, vh = np.linalg.svd(right_unfold(cur), full_matrices=False)
+            u, s, vh = tt._svd(right_unfold(cur))
             ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
             if s.shape[0] < r0 or not ratio >= DEGENERATE_TOL:
                 raise ManifoldError(
@@ -255,14 +252,6 @@ class TangentGeometry:
                 m2 = m2 - lt @ (lt.T @ m2)
             vcores.append(fold_left(m2, r0, m))
         return TangentVector(base, vcores, self.right_cores)
-
-
-def project_tangent_sparse(base: TtTensor, g: SparseTensor) -> TangentVector:
-    return TangentGeometry(base).project_sparse(g)
-
-
-def project_tangent_dense(base: TtTensor, x: np.ndarray) -> TangentVector:
-    return TangentGeometry(base).project_dense(x)
 
 
 def _chain_sum_cores(base: TtTensor, xcores, right_cores) -> list:

@@ -29,6 +29,27 @@ class InitError(SolverError):
     """Spectral initialization failure (usually: not enough samples)."""
 
 
+class NonFiniteError(SolverError):
+    """A step produced non-finite values, usually from a divergent step size.
+
+    ``core`` is the first stepped core holding a non-finite entry.  The run
+    loops fill in ``iteration`` and ``last_iterate``, the last finite iterate.
+    """
+
+    def __init__(self, core: int):
+        super().__init__(core)
+        self.core = core
+        self.iteration = None
+        self.last_iterate = None
+
+    def __str__(self):
+        at = "" if self.iteration is None else f" at iteration {self.iteration}"
+        return (
+            f"step produced non-finite values{at} in core {self.core} "
+            "(step size too large?)"
+        )
+
+
 @dataclass
 class SolverConfig:
     """Online/offline RGD settings.
@@ -172,7 +193,15 @@ class _IterateState:
         resid = self.scale * lefts[-1][:, 0] - y_scaled
         values = resid * (self.scale / idx.shape[0])
         grad = self.geom.project_batch(idx, values, lefts)
+        return self.advance(grad, eta, trim_nu, ranks)
+
+    def advance(self, grad, eta, trim_nu, ranks):
+        """Step along ``-grad``, check the step is finite, trim if asked, retract."""
         stepped = manifold.tangent_step(self.t, grad, eta)
+        cores = stepped.cores
+        # One check over all cores; naming the core is for the failure path only.
+        if not np.isfinite(np.concatenate(cores, axis=None)).all():
+            raise NonFiniteError(next(k for k, c in enumerate(cores) if not np.isfinite(c).all()))
         trim_xi = None
         if trim_nu is not None:
             trim_xi = (10.0 * tt.tt_norm(stepped) / (9.0 * self.scale)) * trim_nu
@@ -238,7 +267,11 @@ def orgd_run(
     rel = logger.log(0, 0, state)
     for it in range(1, cfg.max_iters + 1):
         idx, y = stream.draw_batch(cfg.batch_size)
-        state = state.step(idx, state.scale * y, eta, cfg.trim_nu, cfg.ranks)
+        try:
+            state = state.step(idx, state.scale * y, eta, cfg.trim_nu, cfg.ranks)
+        except NonFiniteError as exc:
+            exc.iteration, exc.last_iterate = it, state.t
+            raise
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             rel = logger.log(it, it * cfg.batch_size, state)
             if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
@@ -274,11 +307,7 @@ def _offline_step(state, idx, y, eta, cfg, chunk=65536):
         else:
             vcores = [a + b for a, b in zip(vcores, part.variation_cores)]
     grad = manifold.TangentVector(state.t, vcores, state.geom.right_cores)
-    stepped = manifold.tangent_step(state.t, grad, eta)
-    trim_xi = None
-    if cfg.trim_nu is not None:
-        trim_xi = (10.0 * tt.tt_norm(stepped) / (9.0 * scale)) * cfg.trim_nu
-    return _IterateState(manifold.retract(stepped, cfg.ranks, trim_xi=trim_xi))
+    return state.advance(grad, eta, cfg.trim_nu, cfg.ranks)
 
 
 def rgd_offline_run(
@@ -295,7 +324,11 @@ def rgd_offline_run(
     logger = _TraceLogger(cfg, ground_truth, pure_target)
     rel = logger.log(0, 0, state)
     for it in range(1, cfg.max_iters + 1):
-        state = _offline_step(state, idx, y, eta, cfg)
+        try:
+            state = _offline_step(state, idx, y, eta, cfg)
+        except NonFiniteError as exc:
+            exc.iteration, exc.last_iterate = it, state.t
+            raise
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             rel = logger.log(it, idx.shape[0], state)
             if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
@@ -337,9 +370,11 @@ def rsgd_run(
         for b in range(nbatches):
             sl = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             it += 1
-            state = state.step(
-                idx[sl], state.scale * y[sl], eta, cfg.trim_nu, cfg.ranks
-            )
+            try:
+                state = state.step(idx[sl], state.scale * y[sl], eta, cfg.trim_nu, cfg.ranks)
+            except NonFiniteError as exc:
+                exc.iteration, exc.last_iterate = it, state.t
+                raise
             if it % cfg.log_every == 0:
                 logger.log(it, it * cfg.batch_size, state)
                 logged_at = it

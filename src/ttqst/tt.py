@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.linalg import lapack
 
 # Size caps for dense materialization.  Anything above DENSE_CAP entries is
 # never densified; separation factors above PART_CAP entries are not built.
@@ -31,6 +32,41 @@ RANK_TOL = 1e-13
 
 class TtError(ValueError):
     """Raised for invalid tensor-train inputs (shapes, ranks, indices)."""
+
+
+def _qr(a: np.ndarray):
+    """Thin QR ``a = q @ r`` of a real matrix by LAPACK ``dgeqrf`` + ``dorgqr``.
+
+    The factorizations on the TT hot path are of core-sized matrices, where
+    numpy's wrapper costs several times the LAPACK call itself.  ``q`` has
+    ``min(a.shape)`` orthonormal columns; ``r = q.T @ a`` (upper triangular
+    up to rounding).  Raises ``LinAlgError`` on a LAPACK error or a
+    non-finite ``a`` (``dgeqrf`` passes NaN through silently; ``r`` picks it
+    up from any non-finite entry).
+    """
+    qr, tau, _, info = lapack.dgeqrf(a)
+    if info == 0:
+        q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"QR failed (LAPACK info {info})")
+    r = q.T @ a
+    if not np.isfinite(r).all():
+        raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+    return q, r
+
+
+def _svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
+    """SVD by LAPACK ``dgesdd``; returns ``(u, s, vh)``, or ``s`` alone.
+
+    Same factorization and arguments as numpy's ``svd``, without numpy's
+    per-call overhead.  Raises ``LinAlgError`` when ``dgesdd`` reports an
+    error: no convergence, or NaN input (``info = -4``).  Input with ``inf``
+    entries is not detected by LAPACK; callers check finiteness upstream.
+    """
+    u, s, vh, info = lapack.dgesdd(a, compute_uv=compute_uv, full_matrices=full_matrices)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info {info})")
+    return (u, s, vh) if compute_uv else s
 
 
 def _as_core(a) -> np.ndarray:
@@ -250,9 +286,9 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
     preserved whenever ``r_k <= r_{k-1} * m_k`` (always true for tensors
     produced by this module); otherwise the rank shrinks to the QR width.
     """
-    cores = [np.array(c) for c in t.cores]
+    cores = list(t.cores)
     for k in range(t.n - 1):
-        q, r = np.linalg.qr(left_unfold(cores[k]))
+        q, r = _qr(left_unfold(cores[k]))
         cores[k] = fold_left(q, cores[k].shape[0], cores[k].shape[1])
         cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
     ortho = [LEFT] * (t.n - 1) + [UNKNOWN]
@@ -261,14 +297,23 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
 
 def right_orthogonalize(t: TtTensor) -> TtTensor:
     """Sweep QR right-to-left; cores 2..n become right-orthogonal."""
-    cores = list(t.cores)
-    for k in range(t.n - 1, 0, -1):
-        q, r = np.linalg.qr(right_unfold(cores[k]).T)
-        cores[k] = fold_right(q.T, cores[k].shape[1], cores[k].shape[2])
+    ortho = [UNKNOWN] + [RIGHT] * (t.n - 1)
+    return TtTensor(_right_orthogonalize_cores(list(t.cores)), ortho)
+
+
+def _right_orthogonalize_cores(cores: list) -> list:
+    """Right-to-left QR sweep over a list of cores, in place; returns the list.
+
+    QR is invariant under row permutations, so each core is unfolded in C
+    order, where the reshapes of a C-contiguous core are views.
+    """
+    for k in range(len(cores) - 1, 0, -1):
+        r0, m, r1 = cores[k].shape
+        q, r = _qr(cores[k].reshape(r0, m * r1).T)
+        cores[k] = q.T.reshape(-1, m, r1)
         prev = cores[k - 1]
         cores[k - 1] = (prev.reshape(-1, prev.shape[2]) @ r.T).reshape(prev.shape[:2] + (-1,))
-    ortho = [UNKNOWN] + [RIGHT] * (t.n - 1)
-    return TtTensor(cores, ortho)
+    return cores
 
 
 def is_left_orthogonal(core: np.ndarray, tol: float = ORTHO_TOL) -> bool:
@@ -322,19 +367,18 @@ class SeparationSpectrum:
 def separation_spectra(t: TtTensor) -> list[SeparationSpectrum]:
     """Singular values of every separation, computed in TT form.
 
-    One left-orthogonalization followed by a right-to-left sweep; at each
-    step the spectrum of the current cut is the SVD of a core-sized matrix.
+    One left-orthogonalization followed by a right-to-left sweep of thin
+    SVDs ``u diag(s) vh`` of core-sized matrices: ``s`` is the spectrum of the
+    current cut and ``u diag(s)`` moves into the previous core.  ``vh`` is the
+    right-orthogonal core, which no later cut reads, so it is not stored.
     """
-    tl = left_orthogonalize(t)
-    cores = [np.array(c) for c in tl.cores]
+    cores = list(left_orthogonalize(t).cores)
     spectra: list[SeparationSpectrum] = [None] * (t.n - 1)
     for k in range(t.n - 1, 0, -1):
-        ru = right_unfold(cores[k])
-        s = np.linalg.svd(ru, compute_uv=False)
+        u, s, _ = _svd(right_unfold(cores[k]))
         spectra[k - 1] = SeparationSpectrum(k, s)
-        q, r = np.linalg.qr(ru.T)
-        cores[k] = fold_right(q.T, cores[k].shape[1], cores[k].shape[2])
-        cores[k - 1] = np.tensordot(cores[k - 1], r.T, axes=(2, 0))
+        prev = cores[k - 1]
+        cores[k - 1] = (prev.reshape(-1, prev.shape[2]) @ (u * s)).reshape(prev.shape[:2] + (-1,))
     return spectra
 
 
@@ -400,14 +444,14 @@ def _truncate_factor(mat: np.ndarray, r: int):
     column count, columns of the full SVD basis; the matching rows of c are
     zero, keeping the output rank exactly as requested.
     """
-    u, s, vh = np.linalg.svd(mat, full_matrices=r > min(mat.shape))
-    u = u[:, :r]
-    p = min(r, s.shape[0])
-    if s.shape[0] and s[0] > 0.0:
-        s = np.where(s < RANK_TOL * s[0], 0.0, s)
+    width = min(mat.shape)
+    u, s, vh = _svd(mat, full_matrices=r > width)
+    s[s < RANK_TOL * s[0]] = 0.0
+    if r <= width:
+        return u[:, :r], s[:r, None] * vh[:r]
     c = np.zeros((r, mat.shape[1]))
-    c[:p] = s[:p, None] * vh[:p]
-    return u, c
+    c[:width] = s[:, None] * vh[:width]
+    return u[:, :r], c
 
 
 def ttsvd(x, ranks) -> TtTensor:
@@ -450,12 +494,15 @@ def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
         prev = ranks[k - 1] if k else 1
         if r > prev * t.mode_dims[k]:
             raise TtError(f"rank {r} at cut {k + 1} infeasible for the sweep")
-    cores = right_orthogonalize(t).cores
+    cores = _right_orthogonalize_cores(list(t.cores))
     out = []
     cur = cores[0]
     for k in range(n - 1):
-        u, c = _truncate_factor(left_unfold(cur), ranks[k])
-        out.append(fold_left(u, cur.shape[0], cur.shape[1]))
+        # C-order unfoldings, as in the right sweep: the SVD's u only
+        # inherits the row permutation, which the C-order fold undoes.
+        r0, m, _ = cur.shape
+        u, c = _truncate_factor(cur.reshape(r0 * m, -1), ranks[k])
+        out.append(u.reshape(r0, m, -1))
         nxt = cores[k + 1]
         cur = (c @ nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     out.append(cur)
@@ -562,11 +609,6 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
         per_cut=per_cut,
         linf_is_bound=linf_is_bound,
     )
-
-
-def tt_linf_dense(t: TtTensor) -> float:
-    """Exact max-abs entry via dense scan (below the cap only)."""
-    return float(np.max(np.abs(tt_dense(t))))
 
 
 def tt_relative_error(t: TtTensor, ref: TtTensor) -> float:

@@ -300,6 +300,16 @@ def test_criterion_08_noise_floor_ordering():
                f"{ {k: f'{v:.2e}' for k, v in floors.items()} }")
 
 
+def _fastest_of(repeats, run):
+    """Fastest wall time of ``repeats`` calls; steadier than one on a shared host."""
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_criterion_09_per_iteration_cost_scaling():
     o_times, f_times = [], []
     ns = list(range(6, 13))
@@ -307,23 +317,23 @@ def test_criterion_09_per_iteration_cost_scaling():
         psi = states.random_mps(n, 2, 2, seed=1)
         tstar = states.pure_state_coeff(psi)
         t0 = warm_start(tstar, tstar.ranks, 0.1, 1)
-        stream = meas.make_stream(tstar, meas.ExactSource(), seed=2)
         cfg = solvers.SolverConfig(
             ranks=tstar.ranks, max_iters=60, batch_size=20, alpha=4e-3,
             log_every=10**9,
         )
-        start = time.perf_counter()
-        solvers.orgd_run(t0, stream, cfg)
-        o_times.append((time.perf_counter() - start) / 60)
 
+        def online():
+            solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
+
+        o_times.append(_fastest_of(3, online) / 60)
+
+        stream = meas.make_stream(tstar, meas.ExactSource(), seed=2)
         dataset = solvers.collect_dataset(stream, 100 * 2**n)
         cfgf = solvers.SolverConfig(
             ranks=tstar.ranks, max_iters=3, batch_size=1, alpha=4e-3,
             log_every=10**9,
         )
-        start = time.perf_counter()
-        solvers.rgd_offline_run(t0, dataset, cfgf)
-        f_times.append((time.perf_counter() - start) / 3)
+        f_times.append(_fastest_of(3, lambda: solvers.rgd_offline_run(t0, dataset, cfgf)) / 3)
     po = np.polyfit(np.log(ns), np.log(o_times), 1)[0]
     pf = np.polyfit(np.log(ns), np.log(f_times), 1)[0]
     assert po <= 1.5

@@ -238,6 +238,13 @@ def test_exit_codes(tmp_path):
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
 
 
+def test_divergent_run_exits_numeric_with_iteration(tmp_path, capsys):
+    plan_path, _ = base_plan(tmp_path, alpha=5.0, stop_rel_error=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+    assert "non-finite values at iteration" in capsys.readouterr().err
+
+
 def test_unknown_source_rejected(tmp_path):
     plan_path, plan = base_plan(tmp_path)
     plan["measurement"] = {"source": "telepathy"}

@@ -360,3 +360,38 @@ def test_config_validation():
         solvers.SolverConfig(ranks=(2,), max_iters=1, alpha=1e-3, batch_size=0)
     cfg = solvers.SolverConfig(ranks=(2,), max_iters=1, alpha=2e-3, batch_size=10)
     assert abs(cfg.resolve_eta(4) - 2e-3 * 10 / 16) < 1e-18
+
+
+def test_divergent_online_run_raises_located_non_finite_error():
+    # The alpha=5 probe: entries blow up over a few hundred rounds.
+    tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=1))
+    t0 = tt.left_orthogonalize(tstar)
+    cfg = solvers.SolverConfig(
+        ranks=tstar.ranks, max_iters=2000, batch_size=20, alpha=5.0, log_every=10**9
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(solvers.NonFiniteError) as info:
+            solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
+    exc = info.value
+    assert 1 < exc.iteration < cfg.max_iters
+    assert f"iteration {exc.iteration} in core {exc.core}" in str(exc)
+    assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
+    # The last finite iterate is the one a run stopped one round earlier returns.
+    cfg.max_iters = exc.iteration - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _ = solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
+    for a, b in zip(out.cores, exc.last_iterate.cores):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_divergent_offline_run_raises_located_non_finite_error(small_target):
+    tstar = tt.left_orthogonalize(small_target)
+    rng = np.random.default_rng(13)
+    idx = rng.integers(0, 4, size=(40, 3))
+    y = 1.5 * tt.tt_entries(tstar, idx)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=5, eta=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(solvers.NonFiniteError) as info:
+            solvers.rgd_offline_run(tstar, (idx, y), cfg)
+    assert info.value.iteration == 2
+    assert all(np.isfinite(c).all() for c in info.value.last_iterate.cores)

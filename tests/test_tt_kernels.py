@@ -1,0 +1,132 @@
+"""Property tests for the LAPACK QR/SVD kernels and the TT-path retraction.
+
+The references are numpy's own factorizations; the retraction reference is
+the right-orthogonalization + truncated-SVD sweep written with ``np.linalg``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ttqst import manifold, tt
+
+PROPS = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_dim=10):
+    """Random tall, wide or square matrices, some rank-deficient, at varied scales."""
+    m = draw(st.integers(1, max_dim))
+    k = draw(st.integers(1, max_dim))
+    rank = draw(st.integers(0, min(m, k)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rng = np.random.default_rng(seed)
+    if rank == min(m, k):
+        a = rng.standard_normal((m, k))
+    else:
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, k))
+    return scale * a
+
+
+def orthonormality_error(q):
+    return float(np.max(np.abs(q.T @ q - np.eye(q.shape[1]))))
+
+
+@PROPS
+@given(matrices())
+@example(np.arange(1.0, 8.0).reshape(1, 7))
+@example(np.arange(1.0, 8.0).reshape(7, 1))
+@example(np.zeros((3, 5)))
+def test_qr_orthonormal_and_reproduces(a):
+    q, r = tt._qr(a)
+    assert q.shape == (a.shape[0], min(a.shape))
+    assert r.shape == (min(a.shape), a.shape[1])
+    assert orthonormality_error(q) <= 1e-13
+    assert np.linalg.norm(a - q @ r) <= 1e-13 * np.linalg.norm(a)
+
+
+@PROPS
+@given(matrices())
+@example(np.arange(1.0, 8.0).reshape(1, 7))
+@example(np.arange(1.0, 8.0).reshape(7, 1))
+def test_svd_matches_numpy(a):
+    u, s, vh = tt._svd(a)
+    want = np.linalg.svd(a, compute_uv=False)
+    np.testing.assert_allclose(s, want, rtol=0, atol=1e-12 * want[0])
+    np.testing.assert_allclose(tt._svd(a, compute_uv=False), s, rtol=0, atol=1e-12 * want[0])
+    assert np.linalg.norm(a - (u * s) @ vh) <= 1e-13 * np.linalg.norm(a)
+
+
+@PROPS
+@given(matrices())
+def test_svd_full_matrices_bases_orthonormal(a):
+    u, s, vh = tt._svd(a, full_matrices=True)
+    assert u.shape == (a.shape[0],) * 2 and vh.shape == (a.shape[1],) * 2
+    assert orthonormality_error(u) <= 1e-13
+    assert orthonormality_error(vh.T) <= 1e-13
+
+
+@PROPS
+@given(matrices(), st.data())
+def test_truncate_factor_padding_keeps_u_orthonormal(a, data):
+    rows, cols = a.shape
+    r = data.draw(st.integers(1, rows))
+    u, c = tt._truncate_factor(a, r)
+    assert u.shape == (rows, r) and c.shape == (r, cols)
+    assert orthonormality_error(u) <= 1e-13
+    if r >= min(a.shape):
+        assert np.linalg.norm(a - u @ c) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("kernel", [tt._qr, tt._svd])
+def test_kernels_raise_on_nan(kernel):
+    for shape in [(6, 3), (3, 6), (4, 4)]:
+        a = np.ones(shape)
+        a[1, -1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            kernel(a)
+
+
+def reference_ttsvd(t, ranks):
+    """The TT-path TTSVD written with np.linalg: QR sweep right-to-left, then
+    truncated SVDs left-to-right on first-index-fastest unfoldings."""
+    cores = list(t.cores)
+    for k in range(t.n - 1, 0, -1):
+        r0, m, r1 = cores[k].shape
+        q, r = np.linalg.qr(cores[k].reshape(r0, m * r1, order="F").T)
+        cores[k] = q.T.reshape(-1, m, r1, order="F")
+        cores[k - 1] = np.tensordot(cores[k - 1], r.T, axes=(2, 0))
+    out = []
+    cur = cores[0]
+    for k in range(t.n - 1):
+        r0, m, r1 = cur.shape
+        u, s, vh = np.linalg.svd(cur.reshape(r0 * m, r1, order="F"), full_matrices=False)
+        out.append(u[:, : ranks[k]].reshape(r0, m, ranks[k], order="F"))
+        cur = np.tensordot(s[: ranks[k], None] * vh[: ranks[k]], cores[k + 1], axes=(1, 0))
+    out.append(cur)
+    return tt.TtTensor(out)
+
+
+@PROPS
+@given(
+    n=st.integers(2, 5),
+    m=st.sampled_from([2, 4, 9]),
+    rank=st.integers(1, 3),
+    eta=st.sampled_from([1e-3, 1e-2, 1e-1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ttsvd_of_tangent_step_matches_numpy_reference(n, m, rank, eta, seed):
+    rng = np.random.default_rng(seed)
+    dims = (m,) * n
+    ranks = tuple(min(rank, m**k, m ** (n - k)) for k in range(1, n))
+    base = tt.left_orthogonalize(tt.random_tt(dims, ranks, rng))
+    base = tt.tt_scale(1.0 / tt.tt_norm(base), base)
+    geom = manifold.TangentGeometry(base)
+    idx = rng.integers(0, m, size=(5, n))
+    stepped = manifold.tangent_step(base, geom.project_batch(idx, rng.standard_normal(5)), eta)
+    got = tt.ttsvd(stepped, ranks)
+    want = reference_ttsvd(stepped, ranks)
+    assert got.ranks == ranks
+    assert tt.tt_distance(got, want) <= 1e-12 * tt.tt_norm(want)
