@@ -4,14 +4,12 @@ __version__ = "0.1.0"
 
 from .manifold import (  # noqa: F401
     ManifoldError,
-    SparseTensor,
     TangentGeometry,
     TangentVector,
     manifold_dim,
     retract,
     tangent_step,
     tangent_to_tt,
-    trim,
 )
 from .measurement import (  # noqa: F401
     ExactSource,
@@ -21,7 +19,6 @@ from .measurement import (  # noqa: F401
     ShotSource,
     exact_expectation,
     make_stream,
-    next_batch,
     sample_shots_qubit,
 )
 from .mpo import (  # noqa: F401
@@ -48,6 +45,7 @@ from .solvers import (  # noqa: F401
     RunTrace,
     SolverConfig,
     SolverError,
+    StepError,
     orgd_run,
     orgd_step,
     rgd_offline_run,
@@ -65,7 +63,6 @@ from .tt import (  # noqa: F401
     left_orthogonalize,
     left_part,
     right_part,
-    separation_singular_values,
     tt_axpy,
     tt_dense,
     tt_distance,

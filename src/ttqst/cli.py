@@ -250,7 +250,7 @@ def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
     if algorithm == "orgd":
         out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target, pure_target=psi)
     else:
-        idx, y = solvers.collect_dataset(stream, dataset_size)
+        idx, y = stream.draw_batch(dataset_size)
         if algorithm == "rgd":
             out, trace = solvers.rgd_offline_run(t0, (idx, y), cfg, ground_truth=target,
                                                  pure_target=psi)

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import tt
-from .tt import TtTensor, fold_left, fold_right, left_unfold, right_unfold
+from .tt import TtTensor, fold_left, left_unfold
 
 # Rank-deficiency rejection threshold: smallest/largest separation singular
 # value below this ratio at any cut means the foot point is off-manifold.
@@ -25,58 +25,14 @@ DEGENERATE_TOL = 1e-12
 
 
 class ManifoldError(ValueError):
-    """Raised for invalid tangent-space inputs (degenerate bases, shapes)."""
+    """Raised for invalid tangent-space inputs (degenerate bases, shapes).
 
-
-class SparseTensor:
-    """Sparse n-mode tensor as (multi-index, value) pairs.
-
-    Duplicate indices are summed on construction.
+    ``cut`` names the singular separation of a degenerate foot point.
     """
 
-    __slots__ = ("mode_dims", "indices", "values")
-
-    def __init__(self, mode_dims, entries=None, indices=None, values=None):
-        self.mode_dims = tuple(int(m) for m in mode_dims)
-        if entries is not None:
-            indices = np.asarray([e[0] for e in entries], dtype=np.int64)
-            values = np.asarray([e[1] for e in entries], dtype=np.float64)
-        else:
-            indices = np.asarray(indices, dtype=np.int64)
-            values = np.asarray(values, dtype=np.float64)
-        if indices.ndim != 2 or indices.shape[1] != len(self.mode_dims):
-            raise ManifoldError(f"index array must be (N, {len(self.mode_dims)})")
-        if indices.shape[0] != values.shape[0]:
-            raise ManifoldError("index/value count mismatch")
-        for k, m in enumerate(self.mode_dims):
-            col = indices[:, k]
-            if col.size and (col.min() < 0 or col.max() >= m):
-                raise ManifoldError(f"index out of range in mode {k}")
-        # Sum duplicates to keep the representation canonical.
-        if indices.shape[0] > 1:
-            order = np.lexsort(indices.T[::-1])
-            indices = indices[order]
-            values = values[order]
-            keep = np.ones(indices.shape[0], dtype=bool)
-            keep[1:] = np.any(indices[1:] != indices[:-1], axis=1)
-            group = np.cumsum(keep) - 1
-            summed = np.zeros(int(group[-1]) + 1)
-            np.add.at(summed, group, values)
-            indices = indices[keep]
-            values = summed
-        self.indices = indices
-        self.values = values
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        if int(np.prod(self.mode_dims)) > tt.DENSE_CAP:
-            raise ManifoldError("sparse tensor too large to densify")
-        x = np.zeros(self.mode_dims)
-        np.add.at(x, tuple(self.indices.T), self.values)
-        return x
+    def __init__(self, message, cut=None):
+        super().__init__(message)
+        self.cut = cut
 
 
 class TangentVector:
@@ -149,26 +105,16 @@ class TangentGeometry:
     def __init__(self, base: TtTensor):
         _require_left_orthogonal(base)
         self.base = base
-        n = base.n
-        right = list(base.cores)
-        self.singular_values = [None] * (n - 1)
-        cur = base.cores[-1]
-        for k in range(n - 1, 0, -1):
-            # T = U^{<=k} cur V^{>k+1}; the thin SVD u diag(s) vh of cur's
-            # right unfolding gives V_{k+1} = vh and S_k = u diag(s).
-            r0, m, r1 = cur.shape
-            u, s, vh = tt._svd(right_unfold(cur))
+        right, self.singular_values = tt.right_svd_sweep(base.cores)
+        for k in range(base.n - 1, 0, -1):
+            s = self.singular_values[k - 1]
             ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
-            if s.shape[0] < r0 or not ratio >= DEGENERATE_TOL:
+            if s.shape[0] < base.ranks[k - 1] or not ratio >= DEGENERATE_TOL:
                 raise ManifoldError(
                     f"rank-deficient foot point: separation at cut {k} is singular "
-                    f"(sigma_r/sigma_1 = {ratio:.3g})"
+                    f"(sigma_r/sigma_1 = {ratio:.3g})",
+                    cut=k,
                 )
-            self.singular_values[k - 1] = s
-            right[k] = fold_right(vh, m, r1)
-            prev = base.cores[k - 1]
-            cur = (prev.reshape(-1, r0) @ (u * s)).reshape(prev.shape)
-        right[0] = cur
         # right_cores = [U_1 S_1, V_2, ..., V_n] is the foot point right-orthogonalized.
         self.right_cores = tuple(right)
         # Mode-major copies (m, r0, r1) so a batch gathers (B, r0, r1) slices.
@@ -190,7 +136,10 @@ class TangentGeometry:
         return lefts
 
     def project_batch(self, idx: np.ndarray, values: np.ndarray, lefts=None) -> TangentVector:
-        """Project ``sum_b values[b] * e_{idx[b]}``; ``lefts`` is ``left_chain(idx)``."""
+        """Project ``sum_b values[b] * e_{idx[b]}``; ``lefts`` is ``left_chain(idx)``.
+
+        Repeated rows of ``idx`` add up, as in the sum.
+        """
         base = self.base
         n = base.n
         idx = np.asarray(idx, dtype=np.int64)
@@ -217,11 +166,6 @@ class TangentGeometry:
             if k:
                 right = np.matmul(self._right_slices[k][idx[:, k]], right[:, :, None])[:, :, 0]
         return TangentVector(base, vcores, self.right_cores)
-
-    def project_sparse(self, g: SparseTensor) -> TangentVector:
-        if g.mode_dims != self.base.mode_dims:
-            raise ManifoldError("sparse tensor shape mismatch")
-        return self.project_batch(g.indices, g.values)
 
     def project_dense(self, x: np.ndarray) -> TangentVector:
         base = self.base
@@ -256,18 +200,9 @@ class TangentGeometry:
 
 def _chain_sum_cores(base: TtTensor, xcores, right_cores) -> list:
     """``[U_1, X_1]``, ``[[U_k, X_k], [0, R_k]]``, ``[X_n; R_n]``: sum of the chains."""
-    n = base.n
-    cores = [np.concatenate([base.cores[0], xcores[0]], axis=2)]
-    for k in range(1, n - 1):
-        tk = base.cores[k]
-        r0, m, r1 = tk.shape
-        c = np.zeros((2 * r0, m, 2 * r1))
-        c[:r0, :, :r1] = tk
-        c[:r0, :, r1:] = xcores[k]
-        c[r0:, :, r1:] = right_cores[k]
-        cores.append(c)
-    cores.append(np.concatenate([xcores[-1], right_cores[-1]], axis=0))
-    return cores
+    return tt._stack_chains(
+        [*base.cores[:-1], xcores[-1]], [xcores[0], *right_cores[1:]], xcores
+    )
 
 
 def tangent_to_tt(v: TangentVector) -> TtTensor:
@@ -285,27 +220,13 @@ def tangent_step(base: TtTensor, v: TangentVector, eta: float) -> TtTensor:
     return TtTensor(_chain_sum_cores(base, xcores, v.right_cores))
 
 
-def trim(t: TtTensor, xi: float) -> TtTensor:
-    """Entrywise clip to ``[-xi, xi]`` preserving sign.
-
-    Dense below the size cap; above the cap trimming is skipped with a
-    warning (in practice the online solver behaves identically without it).
-    """
-    if xi < 0:
-        raise ManifoldError("trim threshold must be nonnegative")
-    if t.size > tt.DENSE_CAP:
-        warnings.warn(
-            f"trim skipped: {t.size} entries above dense cap {tt.DENSE_CAP}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return t
-    x = np.clip(tt.tt_dense(t), -xi, xi)
-    return tt.tt_from_dense(x)
-
-
 def retract(t_plus: TtTensor, ranks, trim_xi: float | None = None) -> TtTensor:
-    """Retraction onto the rank-``ranks`` manifold: optional trim, then TTSVD."""
+    """Retraction onto the rank-``ranks`` manifold: optional trim, then TTSVD.
+
+    With ``trim_xi`` set, the tensor is first clipped entrywise to
+    ``[-trim_xi, trim_xi]`` (sign kept) in dense form; above the dense size cap
+    the trim is skipped with a warning.
+    """
     ranks = tuple(int(r) for r in ranks)
     if any(rp < r for rp, r in zip(t_plus.ranks, ranks)):
         raise ManifoldError(f"input ranks {t_plus.ranks} below target {ranks}")

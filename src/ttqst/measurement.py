@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tt
-from .manifold import SparseTensor
 from .tt import TtTensor
 
 RNG_ALGORITHM = "philox4x64"
@@ -153,18 +152,6 @@ class MeasurementStream:
 
 def make_stream(t_star: TtTensor, source, seed: int) -> MeasurementStream:
     return MeasurementStream(t_star, source, seed)
-
-
-def next_batch(stream: MeasurementStream, batch_size: int):
-    """Batch of ``(scaled indicator SparseTensor, scaled value Y)`` pairs."""
-    idx, y = stream.draw_batch(batch_size)
-    out = []
-    for b in range(batch_size):
-        e = SparseTensor(
-            stream.mode_dims, indices=idx[b : b + 1], values=[stream.scale]
-        )
-        out.append((e, stream.scale * y[b]))
-    return out
 
 
 def write_log(path, records, n: int):

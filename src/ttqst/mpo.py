@@ -336,31 +336,15 @@ def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
     return Mpo(cores)
 
 
-def _stacked_chain_norm(chains) -> float:
-    """Frobenius norm of a sum of complex core chains, cancellation-safe.
+def _stacked_chain_norm(a, b) -> float:
+    """Frobenius norm of the sum of two complex core chains, cancellation-safe.
 
     The chains are stacked block-diagonally and left-orthogonalized; QR
     performs the cancellation backward-stably, so tiny norms of differences
     of near-equal chains are resolved to absolute accuracy O(eps * scale).
     """
-    n = len(chains[0])
-    cores = []
-    for k in range(n):
-        blocks = [c[k] for c in chains]
-        if k == 0:
-            cores.append(np.concatenate(blocks, axis=2))
-        elif k == n - 1:
-            cores.append(np.concatenate(blocks, axis=0))
-        else:
-            r0 = sum(b.shape[0] for b in blocks)
-            r1 = sum(b.shape[2] for b in blocks)
-            c = np.zeros((r0, blocks[0].shape[1], r1), dtype=np.complex128)
-            i0 = j0 = 0
-            for b in blocks:
-                c[i0 : i0 + b.shape[0], :, j0 : j0 + b.shape[2]] = b
-                i0 += b.shape[0]
-                j0 += b.shape[2]
-            cores.append(c)
+    cores = tt._stack_chains(a, b)
+    n = len(cores)
     cur = None
     for k in range(n - 1):
         c = cores[k] if cur is None else np.tensordot(cur, cores[k], axes=(1, 0))
@@ -377,7 +361,7 @@ def _hermitian_defect(m: Mpo) -> float:
         _swap_conj(c).reshape(c.shape[0], -1, c.shape[3], order="F") for c in m.cores
     ]
     adj[-1] = -adj[-1]
-    return _stacked_chain_norm([flat, adj])
+    return _stacked_chain_norm(flat, adj)
 
 
 def _hermitian_decompose_mpo(m: Mpo, ranks) -> Mpo:
@@ -437,10 +421,7 @@ def mpo_to_coeff(m: Mpo, basis: LocalBasis) -> TtTensor:
             raise MpoError("coefficient core has imaginary residue above tolerance")
         real = t.real
         cores.append(real)
-        lu = real.reshape(-1, real.shape[2])
-        g = lu.T @ lu
-        is_lo = np.max(np.abs(g - np.eye(g.shape[0]))) <= 1e-12
-        flags.append(tt.LEFT if is_lo else tt.UNKNOWN)
+        flags.append(tt.LEFT if tt.is_left_orthogonal(real) else tt.UNKNOWN)
     flags[-1] = tt.UNKNOWN
     return TtTensor(cores, flags)
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import manifold, measurement, mpo, tt
-from .manifold import SparseTensor, TangentGeometry
+from .manifold import TangentGeometry
 from .measurement import MeasurementStream
 from .tt import TtTensor
 
@@ -29,24 +29,39 @@ class InitError(SolverError):
     """Spectral initialization failure (usually: not enough samples)."""
 
 
-class NonFiniteError(SolverError):
-    """A step produced non-finite values, usually from a divergent step size.
+class StepError(SolverError):
+    """A step failed; ``iteration`` numbers it and ``last_iterate`` is its start.
 
-    ``core`` is the first stepped core holding a non-finite entry.  The run
-    loops fill in ``iteration`` and ``last_iterate``, the last finite iterate.
+    Raised as is when a finite step cannot be retracted: its values overflow
+    the retraction's factorizations, or it collapses the rank and ``cut``
+    names the singular separation of the new iterate (None when unknown).
     """
 
-    def __init__(self, core: int):
-        super().__init__(core)
-        self.core = core
-        self.iteration = None
-        self.last_iterate = None
+    def __init__(self, reason, iteration, last_iterate, cut=None):
+        super().__init__(reason)
+        self.reason = reason
+        self.iteration = iteration
+        self.last_iterate = last_iterate
+        self.cut = cut
 
     def __str__(self):
-        at = "" if self.iteration is None else f" at iteration {self.iteration}"
+        return f"step could not be retracted at iteration {self.iteration}: {self.reason}"
+
+
+class NonFiniteError(StepError):
+    """A step produced non-finite values, usually from a divergent step size.
+
+    ``core`` is the first stepped core holding a non-finite entry.
+    """
+
+    def __init__(self, core, iteration, last_iterate):
+        super().__init__(f"non-finite values in core {core}", iteration, last_iterate)
+        self.core = core
+
+    def __str__(self):
         return (
-            f"step produced non-finite values{at} in core {self.core} "
-            "(step size too large?)"
+            f"step produced non-finite values at iteration {self.iteration} in core "
+            f"{self.core} (step size too large?)"
         )
 
 
@@ -160,52 +175,47 @@ class RunTrace:
         return out
 
 
-def _as_batch_arrays(batch, mode_dims):
-    """Convert a list of (SparseTensor, Y) pairs into index/value arrays."""
-    scale = float(np.sqrt(np.prod(mode_dims)))
-    idx = []
-    ys = []
-    for e, y in batch:
-        if not isinstance(e, SparseTensor):
-            raise SolverError("batch elements must be (SparseTensor, value) pairs")
-        if e.nnz != 1:
-            raise SolverError("each measurement indicator has exactly one entry")
-        if abs(e.values[0] - scale) > 1e-9 * scale:
-            raise SolverError("indicator tensors must carry the d^n scaling")
-        idx.append(e.indices[0])
-        ys.append(y)
-    return np.asarray(idx, dtype=np.int64), np.asarray(ys, dtype=np.float64)
-
-
 class _IterateState:
-    """Left-orthogonal iterate plus its mixed-canonical tangent geometry."""
+    """Left-orthogonal iterate after ``iteration`` steps, plus its tangent geometry."""
 
-    __slots__ = ("t", "geom", "scale")
+    __slots__ = ("t", "geom", "scale", "iteration")
 
-    def __init__(self, t: TtTensor):
+    def __init__(self, t: TtTensor, iteration: int = 0):
         self.t = t
         self.geom = TangentGeometry(t)
         self.scale = float(np.sqrt(t.size))
+        self.iteration = iteration
 
-    def step(self, idx, y_scaled, eta, trim_nu, ranks):
-        # The iterate's entries come off the projection's own left chain.
+    def gradient(self, idx, y, total):
+        """Projected gradient of the residuals on ``(idx, y)``, averaged over ``total`` samples.
+
+        ``y`` holds raw observed values; the iterate's entries come off the
+        projection's own left chain.
+        """
         lefts = self.geom.left_chain(idx)
-        resid = self.scale * lefts[-1][:, 0] - y_scaled
-        values = resid * (self.scale / idx.shape[0])
-        grad = self.geom.project_batch(idx, values, lefts)
-        return self.advance(grad, eta, trim_nu, ranks)
+        values = (self.scale * lefts[-1][:, 0] - self.scale * y) * (self.scale / total)
+        return self.geom.project_batch(idx, values, lefts)
+
+    def step(self, idx, y, eta, trim_nu, ranks):
+        return self.advance(self.gradient(idx, y, idx.shape[0]), eta, trim_nu, ranks)
 
     def advance(self, grad, eta, trim_nu, ranks):
-        """Step along ``-grad``, check the step is finite, trim if asked, retract."""
+        """Step along ``-grad``, trim if asked, retract; a failed step raises ``StepError``."""
         stepped = manifold.tangent_step(self.t, grad, eta)
+        it = self.iteration + 1
         cores = stepped.cores
         # One check over all cores; naming the core is for the failure path only.
         if not np.isfinite(np.concatenate(cores, axis=None)).all():
-            raise NonFiniteError(next(k for k, c in enumerate(cores) if not np.isfinite(c).all()))
+            bad = next(k for k, c in enumerate(cores) if not np.isfinite(c).all())
+            raise NonFiniteError(bad, it, self.t)
         trim_xi = None
         if trim_nu is not None:
             trim_xi = (10.0 * tt.tt_norm(stepped) / (9.0 * self.scale)) * trim_nu
-        return _IterateState(manifold.retract(stepped, ranks, trim_xi=trim_xi))
+        try:
+            return _IterateState(manifold.retract(stepped, ranks, trim_xi=trim_xi), it)
+        except (manifold.ManifoldError, np.linalg.LinAlgError) as exc:
+            # An overflow in the TTSVD, or a rank collapse the new geometry rejects.
+            raise StepError(str(exc), it, self.t, getattr(exc, "cut", None)) from exc
 
 
 def _prepare_t0(t0: TtTensor, cfg: SolverConfig) -> _IterateState:
@@ -217,15 +227,16 @@ def _prepare_t0(t0: TtTensor, cfg: SolverConfig) -> _IterateState:
 
 
 def orgd_step(t_cur: TtTensor, batch, cfg: SolverConfig) -> TtTensor:
-    """One online RGD round on a minibatch of scaled observations.
+    """One online RGD round on a minibatch ``(idx, y)`` of raw observations.
 
-    With ``batch_size=1`` this is exactly one round of the single-sample
-    online algorithm; larger batches average the per-sample gradients.
+    ``batch`` is what ``MeasurementStream.draw_batch`` returns.  With
+    ``batch_size=1`` this is exactly one round of the single-sample online
+    algorithm; larger batches average the per-sample gradients.
     """
-    idx, ys = _as_batch_arrays(batch, t_cur.mode_dims)
+    idx, y = batch
     state = _prepare_t0(t_cur, cfg)
     eta = cfg.resolve_eta(t_cur.n)
-    return state.step(idx, ys, eta, cfg.trim_nu, cfg.ranks).t
+    return state.step(idx, y, eta, cfg.trim_nu, cfg.ranks).t
 
 
 class _TraceLogger:
@@ -267,11 +278,7 @@ def orgd_run(
     rel = logger.log(0, 0, state)
     for it in range(1, cfg.max_iters + 1):
         idx, y = stream.draw_batch(cfg.batch_size)
-        try:
-            state = state.step(idx, state.scale * y, eta, cfg.trim_nu, cfg.ranks)
-        except NonFiniteError as exc:
-            exc.iteration, exc.last_iterate = it, state.t
-            raise
+        state = state.step(idx, y, eta, cfg.trim_nu, cfg.ranks)
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             rel = logger.log(it, it * cfg.batch_size, state)
             if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
@@ -295,13 +302,9 @@ def rgd_offline_step(t_cur: TtTensor, dataset, cfg: SolverConfig) -> TtTensor:
 def _offline_step(state, idx, y, eta, cfg, chunk=65536):
     """Full-dataset gradient, accumulated in chunks to bound memory."""
     total = idx.shape[0]
-    scale = state.scale
     vcores = None
     for lo in range(0, total, chunk):
-        sl = slice(lo, min(lo + chunk, total))
-        lefts = state.geom.left_chain(idx[sl])
-        values = (scale * lefts[-1][:, 0] - scale * y[sl]) * (scale / total)
-        part = state.geom.project_batch(idx[sl], values, lefts)
+        part = state.gradient(idx[lo : lo + chunk], y[lo : lo + chunk], total)
         if vcores is None:
             vcores = part.variation_cores
         else:
@@ -324,11 +327,7 @@ def rgd_offline_run(
     logger = _TraceLogger(cfg, ground_truth, pure_target)
     rel = logger.log(0, 0, state)
     for it in range(1, cfg.max_iters + 1):
-        try:
-            state = _offline_step(state, idx, y, eta, cfg)
-        except NonFiniteError as exc:
-            exc.iteration, exc.last_iterate = it, state.t
-            raise
+        state = _offline_step(state, idx, y, eta, cfg)
         if it % cfg.log_every == 0 or it == cfg.max_iters:
             rel = logger.log(it, idx.shape[0], state)
             if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
@@ -370,22 +369,13 @@ def rsgd_run(
         for b in range(nbatches):
             sl = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             it += 1
-            try:
-                state = state.step(idx[sl], state.scale * y[sl], eta, cfg.trim_nu, cfg.ranks)
-            except NonFiniteError as exc:
-                exc.iteration, exc.last_iterate = it, state.t
-                raise
+            state = state.step(idx[sl], y[sl], eta, cfg.trim_nu, cfg.ranks)
             if it % cfg.log_every == 0:
                 logger.log(it, it * cfg.batch_size, state)
                 logged_at = it
     if logged_at != it:
         logger.log(it, it * cfg.batch_size, state)
     return state.t, logger.trace
-
-
-def collect_dataset(stream: MeasurementStream, count: int):
-    """Draw a fixed dataset (index array, raw value array) from a stream."""
-    return stream.draw_batch(count)
 
 
 # ---------------------------------------------------------------------------

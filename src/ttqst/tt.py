@@ -241,23 +241,27 @@ def tt_axpy(alpha: float, a: TtTensor, b: TtTensor) -> TtTensor:
         raise TtError(f"mode dims differ: {a.mode_dims} vs {b.mode_dims}")
     if alpha == 0.0:
         return b
-    n = a.n
-    cores = []
-    for k in range(n):
-        ca, cb = a.cores[k], b.cores[k]
-        if k == 0:
-            ca = ca * float(alpha)
-            cores.append(np.concatenate([ca, cb], axis=2))
-        elif k == n - 1:
-            cores.append(np.concatenate([ca, cb], axis=0))
-        else:
-            ra0, m, ra1 = ca.shape
-            rb0, _, rb1 = cb.shape
-            c = np.zeros((ra0 + rb0, m, ra1 + rb1))
-            c[:ra0, :, :ra1] = ca
-            c[ra0:, :, ra1:] = cb
-            cores.append(c)
-    return TtTensor(cores)
+    return TtTensor(_stack_chains((a.cores[0] * float(alpha),) + a.cores[1:], b.cores))
+
+
+def _stack_chains(a, b, c=None) -> list:
+    """Cores of the sum of the chains ``a`` and ``b``.
+
+    ``[a_1 b_1]``, then ``[[a_k c_k], [0 b_k]]`` (upper block zero when ``c``
+    is None), then ``[a_n; b_n]``.  The stacked cores take the dtype of ``a``.
+    """
+    cores = [np.concatenate([a[0], b[0]], axis=2)]
+    for k in range(1, len(a) - 1):
+        ak, bk = a[k], b[k]
+        r0, m, r1 = ak.shape
+        core = np.zeros((r0 + bk.shape[0], m, r1 + bk.shape[2]), dtype=ak.dtype)
+        core[:r0, :, :r1] = ak
+        if c is not None:
+            core[:r0, :, r1:] = c[k]
+        core[r0:, :, r1:] = bk
+        cores.append(core)
+    cores.append(np.concatenate([a[-1], b[-1]], axis=0))
+    return cores
 
 
 def tt_distance(a: TtTensor, b: TtTensor) -> float:
@@ -364,48 +368,56 @@ class SeparationSpectrum:
         return f"SeparationSpectrum(k={self.k}, sv={self.singular_values})"
 
 
-def separation_spectra(t: TtTensor) -> list[SeparationSpectrum]:
-    """Singular values of every separation, computed in TT form.
+def right_svd_sweep(cores):
+    """Right-to-left thin-SVD sweep over left-orthogonal cores.
 
-    One left-orthogonalization followed by a right-to-left sweep of thin
-    SVDs ``u diag(s) vh`` of core-sized matrices: ``s`` is the spectrum of the
-    current cut and ``u diag(s)`` moves into the previous core.  ``vh`` is the
-    right-orthogonal core, which no later cut reads, so it is not stored.
+    At cut k the thin SVD ``u diag(s) vh`` of the current core's right
+    unfolding gives the right-orthogonal core ``V_{k+1} = vh`` and the
+    separation singular values ``s`` of cut k; ``u diag(s)`` moves into the
+    previous core.  Returns ``(right_cores, singular_values)``: the cores
+    ``[U_1 S_1, V_2, ..., V_n]`` of the same tensor, and the singular values
+    of cuts 1..n-1 in that order.
     """
-    cores = list(left_orthogonalize(t).cores)
-    spectra: list[SeparationSpectrum] = [None] * (t.n - 1)
-    for k in range(t.n - 1, 0, -1):
-        u, s, _ = _svd(right_unfold(cores[k]))
-        spectra[k - 1] = SeparationSpectrum(k, s)
+    n = len(cores)
+    right = list(cores)
+    svals = [None] * (n - 1)
+    cur = cores[-1]
+    for k in range(n - 1, 0, -1):
+        _, m, r1 = cur.shape
+        u, s, vh = _svd(right_unfold(cur))
+        svals[k - 1] = s
+        right[k] = fold_right(vh, m, r1)
         prev = cores[k - 1]
-        cores[k - 1] = (prev.reshape(-1, prev.shape[2]) @ (u * s)).reshape(prev.shape[:2] + (-1,))
-    return spectra
+        cur = (prev.reshape(-1, prev.shape[2]) @ (u * s)).reshape(prev.shape[:2] + (-1,))
+    right[0] = cur
+    return right, svals
 
 
-def separation_singular_values(t: TtTensor, k: int) -> SeparationSpectrum:
-    if not 1 <= k <= t.n - 1:
-        raise TtError(f"cut {k} out of range")
-    return separation_spectra(t)[k - 1]
+def separation_spectra(t: TtTensor) -> list[SeparationSpectrum]:
+    """Singular values of every separation: one left-orthogonalization, one SVD sweep."""
+    _, svals = right_svd_sweep(left_orthogonalize(t).cores)
+    return [SeparationSpectrum(k, s) for k, s in enumerate(svals, start=1)]
+
+
+def _lambda_min(spectra, ranks) -> float:
+    return float(min(
+        spec.singular_values[r - 1] if len(spec.singular_values) >= r else 0.0
+        for spec, r in zip(spectra, ranks)
+    ))
 
 
 def lambda_min(t: TtTensor) -> float:
     """Smallest r_k-th separation singular value over all cuts."""
-    vals = []
-    for spectrum, r in zip(separation_spectra(t), t.ranks):
-        s = spectrum.singular_values
-        vals.append(s[r - 1] if len(s) >= r else 0.0)
-    return float(min(vals))
-
-
-def lambda_max(t: TtTensor) -> float:
-    return float(max(spectrum.singular_values[0] for spectrum in separation_spectra(t)))
+    return _lambda_min(separation_spectra(t), t.ranks)
 
 
 def cond(t: TtTensor) -> float:
-    lmin = lambda_min(t)
+    """Largest over smallest separation singular value, from one sweep."""
+    spectra = separation_spectra(t)
+    lmin = _lambda_min(spectra, t.ranks)
     if lmin == 0.0:
         return np.inf
-    return lambda_max(t) / lmin
+    return float(max(spec.singular_values[0] for spec in spectra)) / lmin
 
 
 def ranks_feasible(mode_dims, ranks) -> bool:
@@ -561,8 +573,11 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     if nrm == 0.0:
         raise TtError("coherence report undefined for the zero tensor")
     tl = left_orthogonalize(t)
-    tr = right_orthogonalize(t)
-    spectra = separation_spectra(t)
+    # One sweep gives the right-orthogonal cores and every cut's spectrum.
+    # Its right parts differ from other right-orthogonalizations by a rotation
+    # of the rows, which leaves their column norms unchanged.
+    right, svals = right_svd_sweep(tl.cores)
+    tr = TtTensor(right)
 
     per_cut = []
     incoh = 0.0
@@ -597,7 +612,7 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
             r = t.ranks[k - 1]
             dl = int(np.prod(t.mode_dims[:k]))
             dr = int(np.prod(t.mode_dims[k:]))
-            smax = spectra[k - 1].singular_values[0]
+            smax = svals[k - 1][0]
             best = min(best, smax * l * rrow * np.sqrt(r / dl) * np.sqrt(r / dr))
         linf = float(best) if np.isfinite(best) else nrm
         linf_is_bound = True

@@ -161,7 +161,7 @@ def test_criterion_04_ttsvd_quasi_optimality():
 
 
 def test_criterion_05_tangent_projection_oracle():
-    from test_manifold import ambient, dense_tangent_projector
+    from test_manifold import ambient, dense_tangent_projector, sparse_dense
 
     rng = np.random.default_rng(105)
     worst = 0.0
@@ -172,17 +172,15 @@ def test_criterion_05_tangent_projection_oracle():
         proj, _ = dense_tangent_projector(base)
         geom = manifold.TangentGeometry(base)
         nnz = int(rng.integers(1, 6))
-        g = manifold.SparseTensor(
-            (4, 4, 4),
-            indices=rng.integers(0, 4, size=(nnz, 3)),
-            values=rng.standard_normal(nnz),
-        )
-        got = ambient(geom.project_sparse(g))
-        want = proj @ g.to_dense().reshape(-1, order="F")
+        idx = rng.integers(0, 4, size=(nnz, 3))
+        vals = rng.standard_normal(nnz)
+        g = sparse_dense((4, 4, 4), idx, vals)
+        got = ambient(geom.project_batch(idx, vals))
+        want = proj @ g.reshape(-1, order="F")
         worst = max(worst, float(np.max(np.abs(got - want))))
         v2 = geom.project_dense(got.reshape((4, 4, 4), order="F"))
         worst_idem = max(worst_idem, float(np.max(np.abs(ambient(v2) - got))))
-        resid = g.to_dense().reshape(-1, order="F") - got
+        resid = g.reshape(-1, order="F") - got
         worst_orth = max(worst_orth, abs(float(resid @ got)))
     assert worst <= 1e-9
     assert worst_idem <= 1e-9
@@ -328,7 +326,7 @@ def test_criterion_09_per_iteration_cost_scaling():
         o_times.append(_fastest_of(3, online) / 60)
 
         stream = meas.make_stream(tstar, meas.ExactSource(), seed=2)
-        dataset = solvers.collect_dataset(stream, 100 * 2**n)
+        dataset = stream.draw_batch(100 * 2**n)
         cfgf = solvers.SolverConfig(
             ranks=tstar.ranks, max_iters=3, batch_size=1, alpha=4e-3,
             log_every=10**9,

@@ -245,6 +245,16 @@ def test_divergent_run_exits_numeric_with_iteration(tmp_path, capsys):
     assert "non-finite values at iteration" in capsys.readouterr().err
 
 
+def test_rank_collapse_exits_numeric_with_iteration(tmp_path, capsys):
+    plan_path, _ = base_plan(
+        tmp_path, algorithm="rgd", dataset_size=400, alpha=50.0, max_iters=300,
+        stop_rel_error=None,
+    )
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "could not be retracted at iteration" in err and "singular" in err
+
+
 def test_unknown_source_rejected(tmp_path):
     plan_path, plan = base_plan(tmp_path)
     plan["measurement"] = {"source": "telepathy"}

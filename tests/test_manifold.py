@@ -41,6 +41,20 @@ def ambient(v):
     return tt.tt_dense(manifold.tangent_to_tt(v)).reshape(-1, order="F")
 
 
+def sparse_dense(dims, idx, vals):
+    """Dense ``sum_b vals[b] * e_{idx[b]}``; repeated indices add up."""
+    x = np.zeros(dims)
+    np.add.at(x, tuple(np.asarray(idx).T), vals)
+    return x
+
+
+def full_ranks(dims):
+    """Maximal feasible TT ranks, at which TTSVD is exact."""
+    return tuple(
+        int(min(np.prod(dims[: k + 1]), np.prod(dims[k + 1 :]))) for k in range(len(dims) - 1)
+    )
+
+
 def test_manifold_dim_formula():
     assert manifold.manifold_dim((4, 4), (1,)) == 7
     assert manifold.manifold_dim((4, 4, 4), (2, 2)) == 24
@@ -72,9 +86,8 @@ def test_project_sparse_matches_oracle():
         nnz = rng.integers(1, 6)
         idx = rng.integers(0, 4, size=(nnz, 3))
         vals = rng.standard_normal(nnz)
-        g = manifold.SparseTensor((4, 4, 4), indices=idx, values=vals)
-        v = manifold.TangentGeometry(base).project_sparse(g)
-        want = proj @ g.to_dense().reshape(-1, order="F")
+        v = manifold.TangentGeometry(base).project_batch(idx, vals)
+        want = proj @ sparse_dense((4, 4, 4), idx, vals).reshape(-1, order="F")
         np.testing.assert_allclose(ambient(v), want, atol=1e-9)
 
 
@@ -84,9 +97,8 @@ def test_sparse_and_dense_paths_agree():
     geom = manifold.TangentGeometry(base)
     idx = rng.integers(0, 4, size=(5, 3))
     vals = rng.standard_normal(5)
-    g = manifold.SparseTensor((4, 4, 4), indices=idx, values=vals)
-    vs = geom.project_sparse(g)
-    vd = geom.project_dense(g.to_dense())
+    vs = geom.project_batch(idx, vals)
+    vd = geom.project_dense(sparse_dense((4, 4, 4), idx, vals))
     np.testing.assert_allclose(ambient(vs), ambient(vd), atol=1e-9)
 
 
@@ -95,8 +107,7 @@ def test_projection_gauge_condition():
     base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     geom = manifold.TangentGeometry(base)
     idx = rng.integers(0, 4, size=(7, 4))
-    g = manifold.SparseTensor((4, 4, 4, 4), indices=idx, values=rng.standard_normal(7))
-    v = geom.project_sparse(g)
+    v = geom.project_batch(idx, rng.standard_normal(7))
     assert v.gauge_residual() < 1e-10
 
 
@@ -136,8 +147,7 @@ def test_projection_nonexpansive():
     geom = manifold.TangentGeometry(base)
     for _ in range(10):
         idx = rng.integers(0, 4, size=(1, 3))
-        g = manifold.SparseTensor((4, 4, 4), indices=idx, values=[1.0])
-        v = geom.project_sparse(g)
+        v = geom.project_batch(idx, [1.0])
         assert np.linalg.norm(ambient(v)) <= 1.0 + 1e-12
 
 
@@ -179,9 +189,12 @@ def test_projection_edge_cases_match_oracle(dims, ranks):
     proj, _ = dense_tangent_projector(base)
     geom = manifold.TangentGeometry(base)
     idx = np.column_stack([rng.integers(0, m, size=6) for m in dims])
-    g = manifold.SparseTensor(dims, indices=idx, values=rng.standard_normal(6))
+    vals = rng.standard_normal(6)
     x = rng.standard_normal(dims)
-    for v, src in ((geom.project_sparse(g), g.to_dense()), (geom.project_dense(x), x)):
+    for v, src in (
+        (geom.project_batch(idx, vals), sparse_dense(dims, idx, vals)),
+        (geom.project_dense(x), x),
+    ):
         want = proj @ src.reshape(-1, order="F")
         np.testing.assert_allclose(ambient(v), want, atol=1e-9)
         assert v.gauge_residual() <= 1e-12
@@ -257,27 +270,30 @@ def test_tangent_step_eta_zero():
     assert tt.tt_relative_error(stepped, base) < 1e-12
 
 
+# The trim tests retract at full ranks, where TTSVD is exact, so the output
+# is the clipped tensor itself.
+
+
 def test_trim_noop_above_linf():
     rng = np.random.default_rng(15)
-    t = tt.random_tt((4, 4, 4), (2, 2), rng)
+    t = tt.random_tt((4, 4, 4), (4, 4), rng)
     xi = np.abs(tt.tt_dense(t)).max() * 1.01
-    out = manifold.trim(t, xi)
+    out = manifold.retract(t, full_ranks(t.mode_dims), xi)
     assert tt.tt_relative_error(out, t) < 1e-12
 
 
 def test_trim_uniform_clip():
-    cores = [np.ones((1, 4, 1)) for _ in range(3)]
-    t = tt.TtTensor(cores)
-    out = manifold.trim(t, 0.5)
+    t = tt.tt_from_dense(np.ones((4, 4, 4)))
+    out = manifold.retract(t, full_ranks(t.mode_dims), 0.5)
     np.testing.assert_allclose(tt.tt_dense(out), np.full((4, 4, 4), 0.5), atol=1e-12)
 
 
 def test_trim_median_threshold():
     rng = np.random.default_rng(16)
-    t = tt.random_tt((4, 4, 4), (2, 2), rng)
+    t = tt.random_tt((4, 4, 4), (4, 4), rng)
     x = tt.tt_dense(t)
     xi = float(np.median(np.abs(x)))
-    out = manifold.trim(t, xi)
+    out = manifold.retract(t, full_ranks(t.mode_dims), xi)
     y = tt.tt_dense(out)
     assert abs(np.max(np.abs(y)) - xi) < 1e-12
     small = np.abs(x) < xi
@@ -287,9 +303,10 @@ def test_trim_median_threshold():
 def test_trim_skipped_above_cap_warns():
     cores = [np.ones((1, 4, 1)) for _ in range(11)]
     t = tt.TtTensor(cores)
-    with pytest.warns(RuntimeWarning):
-        out = manifold.trim(t, 0.5)
-    assert out is t
+    with pytest.warns(RuntimeWarning, match="trim skipped"):
+        out = manifold.retract(t, t.ranks, 0.5)
+    # Untrimmed: the all-ones tensor, not one clipped to 0.5.
+    assert tt.tt_relative_error(out, t) < 1e-12
 
 
 def test_retract_identity_on_manifold():
@@ -328,10 +345,16 @@ def test_retraction_first_order():
 
 
 def test_sparse_tensor_duplicate_sum():
-    g = manifold.SparseTensor(
-        (4, 4), indices=[[1, 2], [1, 2], [0, 0]], values=[1.0, 2.0, 5.0]
-    )
-    assert g.nnz == 2
-    dense = g.to_dense()
-    assert dense[1, 2] == 3.0
-    assert dense[0, 0] == 5.0
+    # Repeated indices of a batch add up: the projection of the batch equals
+    # that of its dense sum, and that of the batch with duplicates merged.
+    rng = np.random.default_rng(24)
+    base = left_orth_base(rng)
+    geom = manifold.TangentGeometry(base)
+    idx = np.array([[1, 2, 3], [1, 2, 3], [0, 0, 0], [1, 2, 3]])
+    vals = np.array([1.0, 2.0, 5.0, -0.5])
+    got = ambient(geom.project_batch(idx, vals))
+    dense = sparse_dense((4, 4, 4), idx, vals)
+    assert dense[1, 2, 3] == 2.5 and dense[0, 0, 0] == 5.0
+    np.testing.assert_allclose(got, ambient(geom.project_dense(dense)), atol=1e-12)
+    merged = ambient(geom.project_batch(idx[1:3], [2.5, 5.0]))
+    np.testing.assert_allclose(got, merged, atol=1e-12)

@@ -141,12 +141,12 @@ def test_stream_uniform_indices():
 def test_next_batch_scaling():
     t = ghz_coeff(3)
     s = meas.make_stream(t, meas.ExactSource(), seed=9)
-    batch = meas.next_batch(s, 8)
+    idx, y = s.draw_batch(8)
+    # The solvers scale raw values by d^n, the stream's ``scale``.
     dn = 2**3
-    for e, y in batch:
-        assert e.values[0] == dn
-        idx = tuple(e.indices[0])
-        assert abs(y - dn * meas.exact_expectation(t, idx)) < 1e-12
+    assert idx.shape == (8, 3) and s.scale == dn
+    for row, value in zip(idx, y):
+        assert abs(s.scale * value - dn * meas.exact_expectation(t, row)) < 1e-12
 
 
 def test_gaussian_surrogate_variance():

@@ -14,12 +14,8 @@ def warm_start(tstar, ranks, delta, seed):
 
 
 def exact_batch(tstar, idx):
-    scale = float(np.sqrt(tstar.size))
-    batch = []
-    for row in idx:
-        e = manifold.SparseTensor(tstar.mode_dims, indices=[row], values=[scale])
-        batch.append((e, scale * tt.tt_entry(tstar, row)))
-    return batch
+    """``(idx, y)`` with the exact raw values, as ``draw_batch`` returns them."""
+    return idx, np.array([tt.tt_entry(tstar, row) for row in idx])
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +199,7 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
     tstar = states.pure_state_coeff(psi)
     t0 = warm_start(tstar, tstar.ranks, 0.2, 17)
     stream = meas.make_stream(tstar, meas.ExactSource(), seed=18)
-    idx, y = solvers.collect_dataset(stream, 200)
+    idx, y = stream.draw_batch(200)
     cfg = solvers.SolverConfig(
         ranks=tstar.ranks, max_iters=0, batch_size=20, alpha=6e-3,
         epochs=1, shuffle_seed=5, log_every=10**9,
@@ -215,17 +211,9 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
     rng = meas.make_rng(5)
     perm = rng.permutation(200)
     cur = tt.left_orthogonalize(t0)
-    scale = float(np.sqrt(tstar.size))
     for b in range(10):
         sl = perm[b * 20 : (b + 1) * 20]
-        batch = [
-            (
-                manifold.SparseTensor(tstar.mode_dims, indices=[idx[j]], values=[scale]),
-                scale * y[j],
-            )
-            for j in sl
-        ]
-        cur = solvers.orgd_step(cur, batch, cfg)
+        cur = solvers.orgd_step(cur, (idx[sl], y[sl]), cfg)
     assert tt.tt_distance(cur, out) < 1e-10
 
     # Epoch-wise decay: alpha_3 = 0.81 alpha_1.
@@ -239,7 +227,7 @@ def test_rsgd_improves_across_epochs():
         tstar = states.pure_state_coeff(psi)
         t0 = warm_start(tstar, tstar.ranks, 0.1, 20 + seed)
         stream = meas.make_stream(tstar, meas.ExactSource(), seed=30 + seed)
-        data = solvers.collect_dataset(stream, 10000)
+        data = stream.draw_batch(10000)
         cfg = solvers.SolverConfig(
             ranks=tstar.ranks, max_iters=0, batch_size=50, alpha=8e-3,
             epochs=4, shuffle_seed=seed, log_every=200,
@@ -395,3 +383,43 @@ def test_divergent_offline_run_raises_located_non_finite_error(small_target):
             solvers.rgd_offline_run(tstar, (idx, y), cfg)
     assert info.value.iteration == 2
     assert all(np.isfinite(c).all() for c in info.value.last_iterate.cores)
+
+
+def test_rank_collapse_raises_located_step_error():
+    # A large offline step collapses the rank of the retracted iterate; the
+    # run names the iteration and the singular cut and keeps the last iterate.
+    tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=3))
+    t0 = warm_start(tstar, tstar.ranks, 0.1, 5)
+    data = meas.make_stream(tstar, meas.ExactSource(), seed=6).draw_batch(400)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=200, alpha=50.0, log_every=10**9)
+    with pytest.raises(solvers.StepError) as info:
+        solvers.rgd_offline_run(t0, data, cfg)
+    exc = info.value
+    assert not isinstance(exc, solvers.NonFiniteError)
+    assert isinstance(exc.__cause__, manifold.ManifoldError)
+    assert exc.cut == exc.__cause__.cut == 5
+    assert f"iteration {exc.iteration}: " in str(exc) and "cut 5 " in str(exc)
+    # The last iterate is the one a run stopped one round earlier returns.
+    cfg.max_iters = exc.iteration - 1
+    out, _ = solvers.rgd_offline_run(t0, data, cfg)
+    for a, b in zip(out.cores, exc.last_iterate.cores):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_retraction_overflow_raises_located_step_error(small_target):
+    # At this step size the second step is finite, but its entries are so
+    # large that the retraction's QR overflows.
+    tstar = tt.left_orthogonalize(small_target)
+    rng = np.random.default_rng(13)
+    idx = rng.integers(0, 4, size=(40, 3))
+    y = 1.5 * tt.tt_entries(tstar, idx)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=5, eta=1e154)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(solvers.StepError) as info:
+            solvers.rgd_offline_run(tstar, (idx, y), cfg)
+    exc = info.value
+    assert not isinstance(exc, solvers.NonFiniteError)
+    assert isinstance(exc.__cause__, np.linalg.LinAlgError)
+    assert exc.iteration == 2 and exc.cut is None
+    assert "iteration 2: " in str(exc)
+    assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)

@@ -41,8 +41,8 @@ def test_random_mps_induced_mpo_ranks():
     assert m.ranks == (4, 4, 4, 4, 4)
     # Separation ranks of the coefficient tensor match numerically.
     t = states.pure_state_coeff(psi)
-    for k in range(1, 6):
-        s = tt.separation_singular_values(t, k).singular_values
+    for spectrum in tt.separation_spectra(t):
+        s = spectrum.singular_values
         numrank = int(np.sum(s > 1e-10 * s[0]))
         assert numrank == 4
 

@@ -164,7 +164,7 @@ def test_separation_singular_values_match_dense():
         for k in range(1, len(dims)):
             sep = x.reshape(int(np.prod(dims[:k])), -1, order="F")
             s_dense = np.linalg.svd(sep, compute_uv=False)
-            s_tt = tt.separation_singular_values(t, k).singular_values
+            s_tt = tt.separation_spectra(t)[k - 1].singular_values
             np.testing.assert_allclose(s_tt, s_dense[: len(s_tt)], atol=1e-10)
 
 
@@ -172,7 +172,7 @@ def test_rank1_unit_norm_separations():
     cores = [np.full((1, 4, 1), 0.5), np.full((1, 4, 1), 0.5)]
     t = tt.TtTensor(cores)  # norm 1
     for k in (1,):
-        s = tt.separation_singular_values(t, k).singular_values
+        s = tt.separation_spectra(t)[k - 1].singular_values
         np.testing.assert_allclose(s, [1.0], atol=1e-12)
 
 
@@ -370,5 +370,6 @@ def test_lambda_min_max():
     for k in (1, 2):
         sep = x.reshape(int(np.prod(x.shape[:k])), -1, order="F")
         svals.append(np.linalg.svd(sep, compute_uv=False))
-    assert abs(tt.lambda_min(t) - min(s[1] for s in svals)) < 1e-10
-    assert abs(tt.lambda_max(t) - max(s[0] for s in svals)) < 1e-10
+    lmin = min(s[1] for s in svals)
+    assert abs(tt.lambda_min(t) - lmin) < 1e-10
+    assert tt.cond(t) == pytest.approx(max(s[0] for s in svals) / lmin, rel=1e-10)

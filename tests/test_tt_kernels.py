@@ -1,7 +1,9 @@
-"""Property tests for the LAPACK QR/SVD kernels and the TT-path retraction.
+"""Property tests for the TT kernels and primitives.
 
-The references are numpy's own factorizations; the retraction reference is
-the right-orthogonalization + truncated-SVD sweep written with ``np.linalg``.
+The QR/SVD kernels are checked against numpy's own factorizations, the
+TT-path retraction against the right-orthogonalization + truncated-SVD sweep
+written with ``np.linalg``, and the SVD sweep, the chain stacking of
+``tt_axpy`` and ``tangent_step`` against dense oracles.
 """
 
 import numpy as np
@@ -130,3 +132,87 @@ def test_ttsvd_of_tangent_step_matches_numpy_reference(n, m, rank, eta, seed):
     want = reference_ttsvd(stepped, ranks)
     assert got.ranks == ranks
     assert tt.tt_distance(got, want) <= 1e-12 * tt.tt_norm(want)
+
+
+def tt_case(n, m, cap, seed):
+    """Random left-orthogonal TT on ``n`` modes of size ``m``; ranks ``min(cap, bound)``.
+
+    ``cap=0`` puts every rank at the feasibility bound.
+    """
+    dims = (m,) * n
+    bound = [min(m**k, m ** (n - k)) for k in range(1, n)]
+    ranks = tuple(b if cap == 0 else min(cap, b) for b in bound)
+    rng = np.random.default_rng(seed)
+    return tt.left_orthogonalize(tt.random_tt(dims, ranks, rng)), rng
+
+
+# n=2, rank 1, d=3 qudits (mode size 9) and ranks at the feasibility bound.
+TT_CASES = dict(
+    n=st.integers(2, 4),
+    m=st.sampled_from([4, 9]),
+    cap=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def edge_cases(**extra):
+    """Always run the edge cases, with ``extra`` for the test's other arguments."""
+
+    def add(test):
+        for n, m, cap in [(2, 4, 1), (2, 9, 1), (3, 9, 0), (4, 4, 0), (4, 9, 2)]:
+            test = example(n=n, m=m, cap=cap, seed=0, **extra)(test)
+        return test
+
+    return add
+
+
+SWEEP_PROPS = settings(max_examples=40, deadline=None)
+
+
+@SWEEP_PROPS
+@given(**TT_CASES)
+@edge_cases()
+def test_right_svd_sweep_matches_dense(n, m, cap, seed):
+    t, _ = tt_case(n, m, cap, seed)
+    x = tt.tt_dense(t)
+    scale = np.linalg.norm(x)
+    right, svals = tt.right_svd_sweep(t.cores)
+    for c in right[1:]:
+        assert orthonormality_error(tt.right_unfold(c).T) <= 1e-12
+    assert np.linalg.norm(tt.tt_dense(tt.TtTensor(right)) - x) <= 1e-12 * scale
+    assert len(svals) == n - 1
+    for k, s in enumerate(svals, start=1):
+        want = np.linalg.svd(x.reshape(m**k, -1, order="F"), compute_uv=False)
+        np.testing.assert_allclose(s, want[: len(s)], rtol=0, atol=1e-12 * scale)
+        assert np.all(want[len(s) :] <= 1e-12 * scale)
+
+
+@SWEEP_PROPS
+@given(alpha=st.sampled_from([-1.0, 0.0, 0.5, 3.0]), **TT_CASES)
+@edge_cases(alpha=0.5)
+def test_tt_axpy_matches_dense(alpha, n, m, cap, seed):
+    a, rng = tt_case(n, m, cap, seed)
+    b = tt.random_tt(a.mode_dims, [max(1, r - 1) for r in a.ranks], rng)
+    want = alpha * tt.tt_dense(a) + tt.tt_dense(b)
+    got = tt.tt_dense(tt.tt_axpy(alpha, a, b))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@SWEEP_PROPS
+@given(eta=st.sampled_from([0.0, 1e-2, 0.7]), **TT_CASES)
+@edge_cases(eta=0.7)
+def test_tangent_step_matches_dense(eta, n, m, cap, seed):
+    base, rng = tt_case(n, m, cap, seed)
+    right = manifold.TangentGeometry(base).right_cores
+    xcores = [rng.standard_normal(c.shape) for c in base.cores]
+    v = manifold.TangentVector(base, xcores, right)
+    # The ambient tangent tensor is the sum of the chains [U.., X_k, R..].
+    ambient = sum(
+        tt.tt_dense(tt.TtTensor([*base.cores[:k], xcores[k], *right[k + 1 :]]))
+        for k in range(n)
+    )
+    got = tt.tt_dense(manifold.tangent_to_tt(v))
+    np.testing.assert_allclose(got, ambient, rtol=0, atol=1e-12 * np.abs(ambient).max())
+    want = tt.tt_dense(base) - eta * ambient
+    got = tt.tt_dense(manifold.tangent_step(base, v, eta))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
