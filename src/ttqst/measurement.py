@@ -127,9 +127,9 @@ class MeasurementStream:
         Returns ``(idx, y)`` with ``idx`` of shape (B, n) and raw empirical
         means ``y`` (unscaled).
         """
-        idx = np.empty((batch_size, self.n), dtype=np.int64)
-        for k, m in enumerate(self.mode_dims):
-            idx[:, k] = self.rng.integers(0, m, size=batch_size)
+        # One mode-major call draws the same numbers as one call per mode.
+        highs = np.array(self.mode_dims)[:, None]
+        idx = self.rng.integers(0, highs, size=(self.n, batch_size)).T
         e = tt.tt_entries(self.target, idx)
         if isinstance(self.source, ExactSource):
             y = e

@@ -138,14 +138,20 @@ class Mpo:
         self.ranks = tuple(c.shape[3] for c in cores[:-1])
 
 
+def _chain_inner(acores, bcores) -> complex:
+    """``sum conj(a) b`` over two chains of order-3 cores, by transfer matrices."""
+    env = np.ones((1, 1), dtype=np.complex128)
+    for ca, cb in zip(acores, bcores):
+        t = np.tensordot(env, cb, axes=(1, 0))  # (a, i, d)
+        env = ca.reshape(-1, ca.shape[2]).conj().T @ t.reshape(-1, t.shape[2])
+    return complex(env[0, 0])
+
+
 def mps_inner(a: Mps, b: Mps) -> complex:
     """``<a|b>`` via transfer contraction."""
     if a.n != b.n or a.d != b.d:
         raise MpoError("MPS shape mismatch")
-    env = np.ones((1, 1), dtype=np.complex128)
-    for ca, cb in zip(a.cores, b.cores):
-        env = np.einsum("ab,aic,bid->cd", env, ca.conj(), cb, optimize=True)
-    return complex(env[0, 0])
+    return _chain_inner(a.cores, b.cores)
 
 
 def mps_norm(psi: Mps) -> float:
@@ -196,10 +202,8 @@ def mpo_trace(m: Mpo) -> complex:
 
 
 def mpo_frobenius(m: Mpo) -> float:
-    env = np.ones((1, 1), dtype=np.complex128)
-    for c in m.cores:
-        env = np.einsum("ab,aijc,bijd->cd", env, c.conj(), c, optimize=True)
-    return float(np.sqrt(max(env[0, 0].real, 0.0)))
+    flat = [c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores]
+    return float(np.sqrt(max(_chain_inner(flat, flat).real, 0.0)))
 
 
 def _swap_conj(core: np.ndarray) -> np.ndarray:
@@ -380,7 +384,8 @@ def _hermitian_decompose_mpo(m: Mpo, ranks) -> Mpo:
     envs[n] = np.ones((1, 1), dtype=np.complex128)
     for k in range(n - 1, -1, -1):
         c = work[k]
-        envs[k] = np.einsum("asb,bc,dsc->ad", c, envs[k + 1], c.conj(), optimize=True)
+        t = np.tensordot(c, envs[k + 1], axes=(2, 0))  # (a, s, c)
+        envs[k] = t.reshape(t.shape[0], -1) @ c.reshape(c.shape[0], -1).conj().T
 
     cores = []
     cur = work[0]
@@ -414,8 +419,9 @@ def mpo_to_coeff(m: Mpo, basis: LocalBasis) -> TtTensor:
         raise MpoError("mpo_to_coeff requires cores satisfying the Hermitian condition")
     cores = []
     flags = []
+    mats = basis.mats.conj()
     for c in m.cores:
-        t = np.einsum("lijm,sij->lsm", c, basis.mats.conj(), optimize=True)
+        t = np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1)  # (l, s, m)
         scale = max(float(np.max(np.abs(t))), 1.0)
         if float(np.max(np.abs(t.imag))) > 1e-12 * scale:
             raise MpoError("coefficient core has imaginary residue above tolerance")
@@ -430,10 +436,9 @@ def coeff_to_mpo(t: TtTensor, basis: LocalBasis) -> Mpo:
     """Inverse transform: ``U_k(l,i,j,m) = sum_s T_k(l,s,m) P_s(i,j)``."""
     if any(md != basis.d**2 for md in t.mode_dims):
         raise MpoError("mode dimensions must equal d^2 for the chosen basis")
-    cores = [
-        np.einsum("lsm,sij->lijm", c, basis.mats, optimize=True) for c in t.cores
-    ]
-    return Mpo(cores)
+    d = basis.d
+    mats = basis.mats.reshape(len(basis), -1).T  # ((i, j), s)
+    return Mpo([(mats @ c).reshape(c.shape[0], d, d, c.shape[2]) for c in t.cores])
 
 
 def _herm_basis_gauge(r: int) -> np.ndarray:
@@ -460,7 +465,8 @@ def mps_to_mpo(psi: Mps) -> Mpo:
     cores = []
     for c in psi.cores:
         r0, _, r1 = c.shape
-        w = np.einsum("lim,pjq->lpijmq", c, c.conj(), optimize=True)
+        # w(l, p, i, j, m, q) = conj(c(p, j, q)) c(l, i, m)
+        w = c.conj()[None, :, None, :, None, :] * c[:, None, :, None, :, None]
         cores.append(w.reshape(r0 * r0, d, d, r1 * r1, order="F"))
     gauges = [_herm_basis_gauge(r) for r in psi.ranks]
     out = []
@@ -479,9 +485,9 @@ def fidelity(psi: Mps, m: Mpo) -> float:
         raise MpoError("shape mismatch between state and operator")
     env = np.ones((1, 1, 1), dtype=np.complex128)
     for ps, op in zip(psi.cores, m.cores):
-        env = np.einsum(
-            "abc,aix,bijy,cjz->xyz", env, ps.conj(), op, ps, optimize=True
-        )
+        t = np.tensordot(env, ps.conj(), axes=(0, 0))  # (b, c, i, x)
+        t = np.tensordot(t, op, axes=([0, 2], [0, 1]))  # (c, x, j, y)
+        env = np.tensordot(t, ps, axes=([0, 2], [0, 1]))  # (x, y, z)
     return float(np.abs(env[0, 0, 0]))
 
 

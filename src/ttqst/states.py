@@ -1,4 +1,10 @@
-"""Target-state generators: random MPS, GHZ, and Ising ground states via DMRG."""
+"""Target-state generators: random MPS, GHZ, and Ising ground states via DMRG.
+
+The two-site DMRG local problem contracts the left environment with the first
+MPO core and the second MPO core with the right environment once per site
+pair; each Lanczos matvec is then two GEMMs and one transpose copy, and the
+dense branch builds the operator from the same two halves.
+"""
 
 from __future__ import annotations
 
@@ -122,33 +128,67 @@ def ising_hamiltonian_mpo(n: int, g: float) -> Mpo:
 
 
 def _env_left(env, a, w):
-    # env(a_bra, w, a_ket) advanced by one site.
-    return np.einsum("xwy,xib,wijv,yjc->bvc", env, a, w, a, optimize=True)
+    """``env(a_bra, w, a_ket)`` advanced by one site to the right."""
+    t = np.tensordot(env, a, axes=(0, 0))  # (w, a_ket, i, b)
+    t = np.tensordot(t, w, axes=([0, 2], [0, 1]))  # (a_ket, b, j, v)
+    return np.tensordot(t, a, axes=([0, 2], [0, 1]))  # (b, v, c)
 
 
 def _env_right(env, a, w):
-    return np.einsum("bvc,xib,wijv,yjc->xwy", env, a, w, a, optimize=True)
+    """``env(b_bra, v, b_ket)`` advanced by one site to the left."""
+    t = np.tensordot(a, env, axes=(2, 0))  # (x, i, v, c)
+    t = np.tensordot(t, w, axes=([1, 2], [1, 3]))  # (x, c, w, j)
+    return np.tensordot(t, a, axes=([1, 3], [2, 1]))  # (x, w, y)
+
+
+def _two_site_halves(le, w1, w2, re):
+    """Pre-contracted halves of the two-site effective Hamiltonian.
+
+    ``H[(a,i,l,x), (b,j,k,c)] = sum_u left[(a,i), (u,b,j)] right[(u,l,x), (k,c)]``
+    with ``left = le . W1`` and ``right = W2 . re`` (Schollwöck, Ann. Phys.
+    2011); both are C-contiguous matrices, built once per local problem.
+    """
+    ra, rb, d, nu = le.shape[0], le.shape[2], w1.shape[1], w1.shape[3]
+    left = np.tensordot(le, w1, axes=(1, 0))  # (a, b, i, j, u)
+    left = left.transpose(0, 2, 4, 1, 3).reshape(ra * d, nu * rb * d)
+    rx, rc = re.shape[0], re.shape[2]
+    right = np.tensordot(w2, re, axes=(3, 1))  # (u, l, k, x, c)
+    right = right.transpose(0, 1, 3, 2, 4).reshape(nu * d * rx, d * rc)
+    return left, right
+
+
+def _two_site_apply(left, right, theta):
+    """``H theta`` for ``theta(b, j, k, c)``: two GEMMs and one transpose copy."""
+    rb, d, _, rc = theta.shape
+    nu = left.shape[1] // (rb * d)
+    t = right @ theta.reshape(rb * d, d * rc).T  # ((u, l, x), (b, j))
+    t = t.reshape(nu, -1, rb * d).transpose(0, 2, 1).reshape(nu * rb * d, -1)
+    return left @ t  # ((a, i), (l, x))
+
+
+def _two_site_dense(left, right, shape):
+    """The dense two-site operator, rows ``(a,i,l,x)`` and columns ``(b,j,k,c)``."""
+    rb, d, _, rc = shape
+    nu = left.shape[1] // (rb * d)
+    h = np.tensordot(
+        left.reshape(-1, nu, rb * d), right.reshape(nu, -1, d * rc), axes=(1, 0)
+    )  # ((a, i), (b, j), (l, x), (k, c))
+    dim = rb * d * d * rc
+    return h.transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
 def _two_site_ground(le, w1, w2, re, theta0):
     shape = theta0.shape
     dim = theta0.size
-
-    def matvec(v):
-        th = v.reshape(shape)
-        tmp = np.einsum("awb,bjkc->awjkc", le, th, optimize=True)
-        tmp = np.einsum("awjkc,wiju->aiukc", tmp, w1, optimize=True)
-        tmp = np.einsum("aiukc,ulkv->ailvc", tmp, w2, optimize=True)
-        out = np.einsum("ailvc,xvc->ailx", tmp, re, optimize=True)
-        return out.reshape(dim)
-
+    left, right = _two_site_halves(le, w1, w2, re)
     if dim <= 32:
-        h = np.empty((dim, dim))
-        eye = np.eye(dim)
-        for i in range(dim):
-            h[:, i] = matvec(eye[i])
+        h = _two_site_dense(left, right, shape)
         vals, vecs = np.linalg.eigh((h + h.T) / 2)
         return float(vals[0]), vecs[:, 0].reshape(shape)
+
+    def matvec(v):
+        return _two_site_apply(left, right, v.reshape(shape)).reshape(dim)
+
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
     vals, vecs = eigsh(op, k=1, which="SA", v0=theta0.reshape(dim), maxiter=400)
     return float(vals[0]), vecs[:, 0].reshape(shape)
@@ -209,12 +249,12 @@ def ising_ground(n: int, g: float, max_bond: int):
     for sweep in range(DMRG_MAX_SWEEPS):
         discarded = 0.0
         for k in range(n - 1):
-            theta0 = np.einsum("aib,bjc->aijc", cores[k], cores[k + 1])
+            theta0 = np.tensordot(cores[k], cores[k + 1], axes=(2, 0))
             e, theta = _two_site_ground(les[k], wcores[k], wcores[k + 1], res[k + 1], theta0)
             cores[k], cores[k + 1] = split(theta, "right")
             les[k + 1] = _env_left(les[k], cores[k], wcores[k])
         for k in range(n - 2, -1, -1):
-            theta0 = np.einsum("aib,bjc->aijc", cores[k], cores[k + 1])
+            theta0 = np.tensordot(cores[k], cores[k + 1], axes=(2, 0))
             e, theta = _two_site_ground(les[k], wcores[k], wcores[k + 1], res[k + 1], theta0)
             cores[k], cores[k + 1] = split(theta, "left")
             res[k] = _env_right(res[k + 1], cores[k + 1], wcores[k + 1])

@@ -299,12 +299,6 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
     return TtTensor(cores, ortho)
 
 
-def right_orthogonalize(t: TtTensor) -> TtTensor:
-    """Sweep QR right-to-left; cores 2..n become right-orthogonal."""
-    ortho = [UNKNOWN] + [RIGHT] * (t.n - 1)
-    return TtTensor(_right_orthogonalize_cores(list(t.cores)), ortho)
-
-
 def _right_orthogonalize_cores(cores: list) -> list:
     """Right-to-left QR sweep over a list of cores, in place; returns the list.
 

@@ -128,6 +128,34 @@ def test_stream_determinism():
     np.testing.assert_array_equal(ya, yb)
 
 
+@pytest.mark.parametrize("qudit", [False, True])
+def test_stream_matches_per_mode_draws(qudit):
+    """Consecutive batches, noise included, equal a draw of one call per mode."""
+    if qudit:
+        target = tt.random_tt((9, 9, 9), (2, 2), np.random.default_rng(4))
+        sources = [meas.ExactSource(), meas.GaussianSource(0.1)]
+    else:
+        target = ghz_coeff(4)
+        sources = [meas.ExactSource(), meas.ShotSource(50), meas.GaussianSource(0.1)]
+    for source in sources:
+        for seed in (0, 7, 7919):
+            stream = meas.make_stream(target, source, seed)
+            rng = meas.make_rng(seed)
+            for size in (1, 20, 7, 50, 3):
+                idx, y = stream.draw_batch(size)
+                want = np.empty((size, target.n), dtype=np.int64)
+                for k, m in enumerate(target.mode_dims):
+                    want[:, k] = rng.integers(0, m, size=size)
+                e = tt.tt_entries(target, want)
+                if isinstance(source, meas.ShotSource):
+                    e = meas._shot_means(e, target.n, source.shots, rng)
+                elif isinstance(source, meas.GaussianSource):
+                    e = e + rng.normal(0.0, source.sigma, size=size)
+                assert idx.shape == (size, target.n) and idx.dtype == np.int64
+                np.testing.assert_array_equal(idx, want)
+                np.testing.assert_array_equal(y, e)
+
+
 def test_stream_uniform_indices():
     t = identity_coeff(3)
     s = meas.make_stream(t, meas.ExactSource(), seed=3)

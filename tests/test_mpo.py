@@ -1,5 +1,7 @@
 """Tests for MPO/MPS structures, Hermitian cores, and basis transforms."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -402,3 +404,61 @@ def test_fidelity_pure():
     va, vb = mpo.mps_dense(a), mpo.mps_dense(b)
     assert abs(mpo.fidelity_pure(a, b) - abs(np.vdot(va, vb)) ** 2) < 1e-12
     assert abs(mpo.fidelity_pure(a, a) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------- fixed contractions
+
+
+@pytest.mark.parametrize("n,d,r", [(2, 2, 1), (3, 2, 2), (3, 3, 2), (4, 2, 3), (3, 3, 1)])
+def test_fixed_contractions_match_einsum(n, d, r):
+    """Each transfer contraction against its einsum form, bond 1 and qutrits included."""
+    rng = np.random.default_rng(40 + 7 * n + d + r)
+    psi, phi = random_mps(rng, n=n, d=d, r=r), random_mps(rng, n=n, d=d, r=r)
+    m = random_hermitian_mpo(rng, n=n, d=d, r=r * r)
+    basis = mpo.make_basis(d)
+    tol = dict(rtol=1e-12, atol=1e-13)
+
+    env = np.ones((1, 1))
+    for ca, cb in zip(psi.cores, phi.cores):
+        env = np.einsum("ab,aic,bid->cd", env, ca.conj(), cb)
+    np.testing.assert_allclose(mpo.mps_inner(psi, phi), env[0, 0], **tol)
+
+    env = np.ones((1, 1))
+    for c in m.cores:
+        env = np.einsum("ab,aijc,bijd->cd", env, c.conj(), c)
+    np.testing.assert_allclose(mpo.mpo_frobenius(m), np.sqrt(env[0, 0].real), **tol)
+
+    env = np.ones((1, 1, 1))
+    for ps, op in zip(psi.cores, m.cores):
+        env = np.einsum("abc,aix,bijy,cjz->xyz", env, ps.conj(), op, ps)
+    np.testing.assert_allclose(mpo.fidelity(psi, m), abs(env[0, 0, 0]), **tol)
+
+    t = mpo.mpo_to_coeff(m, basis)
+    for got, c in zip(t.cores, m.cores):
+        want = np.einsum("lijm,sij->lsm", c, basis.mats.conj()).real
+        np.testing.assert_allclose(got, want, **tol)
+    for got, c in zip(mpo.coeff_to_mpo(t, basis).cores, t.cores):
+        np.testing.assert_allclose(got, np.einsum("lsm,sij->lijm", c, basis.mats), **tol)
+
+    raw = [
+        np.einsum("lim,pjq->lpijmq", c, c.conj()).reshape(
+            c.shape[0] ** 2, d, d, c.shape[2] ** 2, order="F"
+        )
+        for c in psi.cores
+    ]
+    gauges = [mpo._herm_basis_gauge(b) for b in psi.ranks]
+    want = mpo.gauge_transform(mpo.Mpo(raw), gauges)
+    for got, c in zip(mpo.mps_to_mpo(psi).cores, want.cores):
+        np.testing.assert_allclose(got, c, **tol)
+
+
+def test_no_einsum_path_search_in_library():
+    """Library contractions use fixed tensordot/matmul forms, never einsum path search."""
+    src = Path(mpo.__file__).parent
+    hits = [
+        f"{path.name}:{no}"
+        for path in sorted(src.glob("*.py"))
+        for no, line in enumerate(path.read_text().splitlines(), 1)
+        if "optimize=True" in line
+    ]
+    assert hits == []

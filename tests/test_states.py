@@ -68,6 +68,51 @@ def test_ising_mpo_matches_dense():
         np.testing.assert_allclose(mpo.mpo_dense(h).real, dense_ising_h(n, g), atol=1e-12)
 
 
+# DMRG contractions against einsum oracles on random, non-symmetric inputs:
+# (bra/ket bond, MPO bonds, local dimension), with bond 1 and a qutrit site.
+_DMRG_SHAPES = [(1, (1, 3), 2), (4, (3, 3), 2), (3, (2, 4), 3), (5, (3, 1), 2)]
+
+
+@pytest.mark.parametrize("r,bonds,d", _DMRG_SHAPES)
+def test_dmrg_environments_match_einsum(r, bonds, d):
+    rng = np.random.default_rng(31)
+    nw, nv = bonds
+    w = rng.standard_normal((nw, d, d, nv))
+    a = rng.standard_normal((r, d, r + 1))
+    le = rng.standard_normal((r, nw, r))
+    re = rng.standard_normal((r + 1, nv, r + 1))
+    np.testing.assert_allclose(
+        states._env_left(le, a, w),
+        np.einsum("xwy,xib,wijv,yjc->bvc", le, a, w, a), rtol=1e-12, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        states._env_right(re, a, w),
+        np.einsum("bvc,xib,wijv,yjc->xwy", re, a, w, a), rtol=1e-12, atol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("r,bonds,d", _DMRG_SHAPES)
+def test_two_site_operator_matches_einsum(r, bonds, d):
+    rng = np.random.default_rng(32)
+    nw, nu = bonds
+    rc = r + 1
+    le = rng.standard_normal((r, nw, r))
+    w1 = rng.standard_normal((nw, d, d, nu))
+    w2 = rng.standard_normal((nu, d, d, 2))
+    re = rng.standard_normal((rc, 2, rc))
+    theta = rng.standard_normal((r, d, d, rc))
+    dim = theta.size
+    h = np.einsum("awb,wiju,ulkv,xvc->ailxbjkc", le, w1, w2, re).reshape(dim, dim)
+    left, right = states._two_site_halves(le, w1, w2, re)
+    np.testing.assert_allclose(
+        states._two_site_apply(left, right, theta).ravel(), h @ theta.ravel(),
+        rtol=1e-12, atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        states._two_site_dense(left, right, theta.shape), h, rtol=1e-12, atol=1e-12
+    )
+
+
 def test_ising_ground_ferromagnetic_limit():
     psi, energy = states.ising_ground(6, 0.0, 8)
     assert abs(energy - (-(6 - 1))) < 1e-9
