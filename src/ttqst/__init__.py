@@ -6,7 +6,7 @@ from .manifold import (  # noqa: F401
     ManifoldError,
     TangentGeometry,
     TangentVector,
-    manifold_dim,
+    ksl_retract,
     retract,
     tangent_step,
     tangent_to_tt,
@@ -67,7 +67,6 @@ from .tt import (  # noqa: F401
     tt_dense,
     tt_distance,
     tt_entry,
-    tt_from_dense,
     tt_inner,
     tt_norm,
     ttsvd,

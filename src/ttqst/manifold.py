@@ -8,6 +8,11 @@ tangent space is parametrized by gauge-fixed variation cores ``X_k``
 sum over k of the chains ``[U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n]``.
 With orthonormal right parts, projecting a sparse ambient tensor costs
 ``O(n d^2 r^2)`` per entry and needs no linear solve.
+
+A tangent step is retracted by one sweep of the projector-splitting (KSL)
+integrator (``ksl_retract``): r-wide QRs, no rank-2r core and no SVD.
+``retract`` keeps the TTSVD for the dense trimmed step and for any other
+tensor, such as an initial or warm-start iterate.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ DEGENERATE_TOL = 1e-12
 class ManifoldError(ValueError):
     """Raised for invalid tangent-space inputs (degenerate bases, shapes).
 
-    ``cut`` names the singular separation of a degenerate foot point.
+    ``cut`` names the singular separation of a degenerate foot point and
+    ``core`` the first core of a step that holds a non-finite value.
     """
 
-    def __init__(self, message, cut=None):
+    def __init__(self, message, cut=None, core=None):
         super().__init__(message)
         self.cut = cut
+        self.core = core
 
 
 class TangentVector:
@@ -68,16 +75,6 @@ class TangentVector:
             g = left_unfold(self.variation_cores[k]).T @ left_unfold(self.base.cores[k])
             worst = max(worst, float(np.max(np.abs(g))) if g.size else 0.0)
         return worst
-
-
-def manifold_dim(mode_dims, ranks) -> int:
-    """Dimension of the fixed-rank manifold: sum m_k r_{k-1} r_k - sum r_k^2."""
-    dims = tuple(int(m) for m in mode_dims)
-    rk = (1,) + tuple(int(r) for r in ranks) + (1,)
-    if not tt.ranks_feasible(dims, ranks):
-        raise ManifoldError("infeasible ranks")
-    total = sum(dims[k] * rk[k] * rk[k + 1] for k in range(len(dims)))
-    return total - sum(r * r for r in ranks)
 
 
 def _require_left_orthogonal(base: TtTensor):
@@ -214,14 +211,97 @@ def tangent_step(base: TtTensor, v: TangentVector, eta: float) -> TtTensor:
     """TT representation of ``base - eta * ambient(v)``, ranks at most 2r."""
     if v.base.mode_dims != base.mode_dims or v.base.ranks != base.ranks:
         raise ManifoldError("tangent vector base mismatch")
+    return TtTensor(_chain_sum_cores(base, _step_cores(base, v, eta), v.right_cores))
+
+
+def _step_cores(base: TtTensor, v: TangentVector, eta: float) -> list:
+    """Variation cores ``-eta X_k`` of the step, with ``U_n`` added to the last.
+
+    The base enters through the last chain ``[U_1 ... U_{n-1}] U_n``.
+    """
     xcores = [-eta * c for c in v.variation_cores]
-    # The base enters through the last core: [U_1 ... U_{n-1}] U_n.
     xcores[-1] = xcores[-1] + base.cores[-1]
-    return TtTensor(_chain_sum_cores(base, xcores, v.right_cores))
+    return xcores
+
+
+def _non_finite(core: int) -> ManifoldError:
+    return ManifoldError(f"non-finite values in core {core}", core=core)
+
+
+def require_finite(cores):
+    """Raise ``ManifoldError`` naming the first core with a non-finite entry."""
+    # One check over all cores; naming the core is for the failure path only.
+    if not np.isfinite(np.concatenate(cores, axis=None)).all():
+        raise _non_finite(next(k for k, c in enumerate(cores) if not np.isfinite(c).all()))
+
+
+def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
+    """Retract ``base - eta * ambient(v)`` to the base's ranks by projector splitting.
+
+    One left-to-right sweep of the projector-splitting (KSL) integrator of
+    Lubich, Oseledets & Vandereycken (*Time integration of tensor trains*,
+    SINUM 2015) applied to the step ``A = base - eta * ambient(v)``: the new
+    left-orthogonal cores are ``Ũ_k = qr(L(K_k))`` with
+    ``K_k = Ũ^{<=k-1 T} A V^{>k T}``, and the last core is ``Ũ^{<=n-1 T} A``.
+    ``v.right_cores`` must be the right-orthogonal ``V_k`` of the base, as
+    ``TangentGeometry`` builds them.  ``K_k`` is formed from r x r
+    environments of the chains of ``A``, so no core wider than r is built and
+    no SVD runs.  This is a second-order retraction (Absil & Oseledets,
+    *Low-rank retractions: a survey and new results*, COAP 2015): it agrees
+    with the TTSVD of the stepped tensor to O(eta^3).
+
+    Raises ``ManifoldError`` with ``core`` set when a scaled variation core,
+    a ``K_k`` or the last core holds a non-finite value, and ``LinAlgError``
+    when a QR fails on finite input.
+    """
+    ucores = v.base.cores
+    vcores = v.right_cores
+    n = len(ucores)
+    xhat = _step_cores(v.base, v, eta)
+    require_finite(xhat)
+    # Right sweep: env[k] = <U_{k+1} env[k+1] + X̂_{k+1}, V_{k+1}> over (mode,
+    # right bond) is A's chains with X̂ after cut k, projected on V^{>k}.
+    env = [None] * (n - 1)
+    r0 = xhat[-1].shape[0]
+    env[-1] = xhat[-1].reshape(r0, -1) @ vcores[-1].reshape(r0, -1).T
+    for k in range(n - 2, 0, -1):
+        r0, _, r1 = ucores[k].shape
+        w = (ucores[k].reshape(-1, r1) @ env[k]).reshape(r0, -1) + xhat[k].reshape(r0, -1)
+        env[k - 1] = w @ vcores[k].reshape(r0, -1).T
+    # Left sweep: p = Ũ^{<=k-1 T} U^{<=k-1}, and q is Ũ^{<=k-1 T} times A's
+    # chains with X̂ before cut k, so K_k = (p U_k) env + p X̂_k + q V_k; at
+    # the first core p = 1 and there is no q.  C-order unfoldings, as in the
+    # TT-path TTSVD: QR is invariant under row permutations, and the C-order
+    # fold undoes the permutation.
+    out = []
+    for k in range(n - 1):
+        r0, m, r1 = ucores[k].shape
+        if k:
+            pu = (p @ ucores[k].reshape(r0, -1)).reshape(-1, r1)
+            w = (p @ xhat[k].reshape(r0, -1) + q @ vcores[k].reshape(r0, -1)).reshape(-1, r1)
+        else:
+            pu = ucores[0].reshape(-1, r1)
+            w = xhat[0].reshape(-1, r1)
+        kk = pu @ env[k] + w
+        if not np.isfinite(kk).all():
+            raise _non_finite(k)
+        u, _ = tt._qr(kk)
+        out.append(u.reshape(-1, m, u.shape[1]))
+        p = u.T @ pu
+        q = u.T @ w
+    r0, m, _ = ucores[-1].shape
+    last = p @ xhat[-1].reshape(r0, m) + q @ vcores[-1].reshape(r0, m)
+    if not np.isfinite(last).all():
+        raise _non_finite(n - 1)
+    out.append(last.reshape(-1, m, 1))
+    return TtTensor(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])
 
 
 def retract(t_plus: TtTensor, ranks, trim_xi: float | None = None) -> TtTensor:
     """Retraction onto the rank-``ranks`` manifold: optional trim, then TTSVD.
+
+    Untrimmed tangent steps retract by ``ksl_retract`` instead; this path
+    serves the dense trimmed step and tensors that are not a tangent step.
 
     With ``trim_xi`` set, the tensor is first clipped entrywise to
     ``[-trim_xi, trim_xi]`` (sign kept) in dense form; above the dense size cap

@@ -1,9 +1,11 @@
 """Reconstruction algorithms: online RGD, offline RGD, RSGD, spectral init.
 
 One online round: project the sampled-entry gradient onto the tangent space
-of the current iterate, step, optionally trim, and retract back to rank r by
-TTSVD.  The iterate stays left-orthogonal with exact target ranks
-throughout, so the per-round cost is polynomial in the mode count.
+of the current iterate, step, and retract back to rank r.  An untrimmed step
+retracts by one projector-splitting (KSL) sweep of r-wide QRs
+(``manifold.ksl_retract``); a trimmed step is clipped in dense form and
+retracted by TTSVD.  The iterate stays left-orthogonal with exact target
+ranks throughout, so the per-round cost is polynomial in the mode count.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ class StepError(SolverError):
 class NonFiniteError(StepError):
     """A step produced non-finite values, usually from a divergent step size.
 
-    ``core`` is the first stepped core holding a non-finite entry.
+    ``core`` is the first core of the step holding a non-finite entry: a
+    scaled variation core or a core of the projector-splitting sweep, or on
+    the trimmed path a core of the rank-2r stepped tensor.
     """
 
     def __init__(self, core, iteration, last_iterate):
@@ -142,6 +146,8 @@ class RunTrace:
     lambda_min: list = field(default_factory=list)
 
     HEADER = "iter,samples,rel_error,fidelity,wall_ms,lambda_min"
+    # Columns that time the run rather than describe it; replay ignores them.
+    TIMING_COLUMNS = ("wall_ms",)
 
     def append(self, it, samples, rel_error, fidelity, wall_ms, lam):
         self.iters.append(it)
@@ -164,13 +170,18 @@ class RunTrace:
 
     @staticmethod
     def rows_excluding_wall(path):
-        """Rows of a trace CSV with the wall-time column blanked."""
+        """Rows of a trace CSV with its timing columns, found by header name, blanked."""
         out = []
+        blank = []
         with open(path) as fh:
-            for line in fh:
+            for i, line in enumerate(fh):
                 cols = line.rstrip("\n").split(",")
-                if len(cols) == 6 and cols[0] != "iter":
-                    cols[4] = ""
+                if i == 0:
+                    blank = [j for j, name in enumerate(cols) if name in RunTrace.TIMING_COLUMNS]
+                else:
+                    for j in blank:
+                        if j < len(cols):
+                            cols[j] = ""
                 out.append(",".join(cols))
         return out
 
@@ -200,22 +211,30 @@ class _IterateState:
         return self.advance(self.gradient(idx, y, idx.shape[0]), eta, trim_nu, ranks)
 
     def advance(self, grad, eta, trim_nu, ranks):
-        """Step along ``-grad``, trim if asked, retract; a failed step raises ``StepError``."""
-        stepped = manifold.tangent_step(self.t, grad, eta)
+        """Step along ``-grad`` and retract; a failed step raises ``StepError``.
+
+        An untrimmed step retracts by one projector-splitting sweep at the
+        current ranks.  A trimmed step is formed at rank 2r, clipped in dense
+        form and retracted to ``ranks`` by TTSVD.
+        """
         it = self.iteration + 1
-        cores = stepped.cores
-        # One check over all cores; naming the core is for the failure path only.
-        if not np.isfinite(np.concatenate(cores, axis=None)).all():
-            bad = next(k for k, c in enumerate(cores) if not np.isfinite(c).all())
-            raise NonFiniteError(bad, it, self.t)
-        trim_xi = None
-        if trim_nu is not None:
-            trim_xi = (10.0 * tt.tt_norm(stepped) / (9.0 * self.scale)) * trim_nu
         try:
-            return _IterateState(manifold.retract(stepped, ranks, trim_xi=trim_xi), it)
-        except (manifold.ManifoldError, np.linalg.LinAlgError) as exc:
-            # An overflow in the TTSVD, or a rank collapse the new geometry rejects.
-            raise StepError(str(exc), it, self.t, getattr(exc, "cut", None)) from exc
+            if trim_nu is None:
+                t = manifold.ksl_retract(grad, eta)
+            else:
+                stepped = manifold.tangent_step(self.t, grad, eta)
+                manifold.require_finite(stepped.cores)
+                trim_xi = (10.0 * tt.tt_norm(stepped) / (9.0 * self.scale)) * trim_nu
+                t = manifold.retract(stepped, ranks, trim_xi=trim_xi)
+            return _IterateState(t, it)
+        except manifold.ManifoldError as exc:
+            if exc.core is not None:
+                raise NonFiniteError(exc.core, it, self.t) from exc
+            # A rank collapse the new geometry rejects names its cut.
+            raise StepError(str(exc), it, self.t, exc.cut) from exc
+        except np.linalg.LinAlgError as exc:
+            # A factorization that overflows on finite input.
+            raise StepError(str(exc), it, self.t) from exc
 
 
 def _prepare_t0(t0: TtTensor, cfg: SolverConfig) -> _IterateState:

@@ -200,18 +200,6 @@ def tt_dense(t: TtTensor) -> np.ndarray:
     return x[:, 0].reshape(t.mode_dims, order="F")
 
 
-def tt_from_dense(x: np.ndarray, ranks=None) -> TtTensor:
-    """Exact TT of a dense array (``ranks=None`` uses maximal feasible ranks)."""
-    x = np.asarray(x, dtype=np.float64)
-    if ranks is None:
-        dims = x.shape
-        ranks = tuple(
-            int(min(np.prod(dims[: k + 1]), np.prod(dims[k + 1 :])))
-            for k in range(len(dims) - 1)
-        )
-    return ttsvd(x, ranks)
-
-
 def tt_inner(a: TtTensor, b: TtTensor) -> float:
     """Frobenius inner product via left-to-right environment contraction."""
     if a.mode_dims != b.mode_dims:

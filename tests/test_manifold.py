@@ -55,16 +55,23 @@ def full_ranks(dims):
     )
 
 
+def manifold_dim(mode_dims, ranks) -> int:
+    """Dimension of the fixed-rank manifold: sum m_k r_{k-1} r_k - sum r_k^2."""
+    rk = (1,) + tuple(ranks) + (1,)
+    total = sum(m * rk[k] * rk[k + 1] for k, m in enumerate(mode_dims))
+    return total - sum(r * r for r in ranks)
+
+
 def test_manifold_dim_formula():
-    assert manifold.manifold_dim((4, 4), (1,)) == 7
-    assert manifold.manifold_dim((4, 4, 4), (2, 2)) == 24
+    assert manifold_dim((4, 4), (1,)) == 7
+    assert manifold_dim((4, 4, 4), (2, 2)) == 24
 
 
 def test_manifold_dim_matches_numerical_rank():
     rng = np.random.default_rng(0)
     base = left_orth_base(rng)
     _, rank = dense_tangent_projector(base)
-    assert rank == manifold.manifold_dim(base.mode_dims, base.ranks)
+    assert rank == manifold_dim(base.mode_dims, base.ranks)
 
 
 def test_project_dense_matches_oracle():
@@ -283,7 +290,7 @@ def test_trim_noop_above_linf():
 
 
 def test_trim_uniform_clip():
-    t = tt.tt_from_dense(np.ones((4, 4, 4)))
+    t = tt.ttsvd(np.ones((4, 4, 4)), full_ranks((4, 4, 4)))
     out = manifold.retract(t, full_ranks(t.mode_dims), 0.5)
     np.testing.assert_allclose(tt.tt_dense(out), np.full((4, 4, 4), 0.5), atol=1e-12)
 
@@ -358,3 +365,28 @@ def test_sparse_tensor_duplicate_sum():
     np.testing.assert_allclose(got, ambient(geom.project_dense(dense)), atol=1e-12)
     merged = ambient(geom.project_batch(idx[1:3], [2.5, 5.0]))
     np.testing.assert_allclose(got, merged, atol=1e-12)
+
+
+def test_ksl_retract_names_non_finite_core():
+    rng = np.random.default_rng(25)
+    base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    xcores = geom.project_dense(rng.standard_normal(base.mode_dims)).variation_cores
+    # A non-finite variation core is named before the sweep runs.
+    bad = [c.copy() for c in xcores]
+    bad[2][0, 1, 0] = np.inf
+    with pytest.raises(manifold.ManifoldError, match="core 2") as info:
+        manifold.ksl_retract(manifold.TangentVector(base, bad, geom.right_cores), 0.1)
+    assert info.value.core == 2 and info.value.cut is None
+    # Finite scaled cores whose sum overflows: core 1's X̂ = c V puts c I into
+    # the environment right of core 0, so core 0's K = U (c I + ...) +
+    # c U / max|U| holds an entry of size >= 1.5 c.  The sweep names core 0
+    # rather than handing inf to the QR.
+    c = 1.2e308
+    huge = [np.zeros_like(x) for x in xcores]
+    huge[0] = -c / np.abs(base.cores[0]).max() * base.cores[0]
+    huge[1] = -c * geom.right_cores[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(manifold.ManifoldError, match="core 0") as info:
+            manifold.ksl_retract(manifold.TangentVector(base, huge, geom.right_cores), 1.0)
+    assert info.value.core == 0

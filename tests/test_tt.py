@@ -73,7 +73,7 @@ def test_tt_dense_rank1_ones():
 def test_round_trip_dense():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 4, 4))
-    t = tt.tt_from_dense(x)
+    t = tt.ttsvd(x, (4, 4))
     np.testing.assert_allclose(tt.tt_dense(t), x, atol=1e-12)
 
 

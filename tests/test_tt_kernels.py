@@ -2,7 +2,8 @@
 
 The QR/SVD kernels are checked against numpy's own factorizations, the
 TT-path retraction against the right-orthogonalization + truncated-SVD sweep
-written with ``np.linalg``, and the SVD sweep, the chain stacking of
+written with ``np.linalg``, the projector-splitting retraction against a
+dense projector-splitting oracle, and the SVD sweep, the chain stacking of
 ``tt_axpy`` and ``tangent_step`` against dense oracles.
 """
 
@@ -216,3 +217,81 @@ def test_tangent_step_matches_dense(eta, n, m, cap, seed):
     want = tt.tt_dense(base) - eta * ambient
     got = tt.tt_dense(manifold.tangent_step(base, v, eta))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def dense_ksl(y, a, ranks):
+    """Projector-splitting retraction of the dense step ``a`` at the foot point ``y``.
+
+    ``Ũ^{<=k}`` is the QR of ``(Ũ^{<=k-1} Ũ^{<=k-1 T} (x) I) A_(k) V_k^T``, with
+    ``A_(k)`` the k-th separation of ``a`` and ``V_k`` the top ``r_k`` right
+    singular vectors of ``y``'s; the result is ``Ũ^{<=n-1} Ũ^{<=n-1 T} A``.
+    """
+    dims = y.shape
+    flat = a.reshape(-1, order="F")
+    q = np.ones((1, 1))
+    for k, r in enumerate(ranks):
+        x = flat.reshape(q.shape[0], -1, order="F")
+        x = (q @ (q.T @ x)).reshape(q.shape[0] * dims[k], -1, order="F")
+        vh = np.linalg.svd(y.reshape(x.shape[0], -1, order="F"), full_matrices=False)[2]
+        q = np.linalg.qr(x @ vh[:r].T)[0]
+    x = flat.reshape(q.shape[0], -1, order="F")
+    return (q @ (q.T @ x)).reshape(dims, order="F")
+
+
+def dense_distance(a, b):
+    # tt_distance floors at sqrt(eps) above combined rank 128, as at (9, 81, 9).
+    return float(np.linalg.norm(tt.tt_dense(a) - tt.tt_dense(b)))
+
+
+def unit_step(n, m, cap, seed):
+    """Unit-norm foot point and a unit-norm tangent vector at it."""
+    base, rng = tt_case(n, m, cap, seed)
+    base = tt.left_orthogonalize(tt.tt_scale(1.0 / tt.tt_norm(base), base))
+    geom = manifold.TangentGeometry(base)
+    v = geom.project_dense(rng.standard_normal(base.mode_dims))
+    scale = 1.0 / tt.tt_norm(manifold.tangent_to_tt(v))
+    return base, manifold.TangentVector(
+        base, [scale * c for c in v.variation_cores], geom.right_cores
+    )
+
+
+@SWEEP_PROPS
+@given(eta=st.sampled_from([1e-3, 1e-1, 0.7]), **TT_CASES)
+@edge_cases(eta=0.1)
+def test_ksl_retract_matches_dense_oracle(eta, n, m, cap, seed):
+    base, v = unit_step(n, m, cap, seed)
+    y = tt.tt_dense(base)
+    want = dense_ksl(y, y - eta * tt.tt_dense(manifold.tangent_to_tt(v)), base.ranks)
+    got = tt.tt_dense(manifold.ksl_retract(v, eta))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@SWEEP_PROPS
+@given(eta=st.sampled_from([1e-2, 0.3]), **TT_CASES)
+@edge_cases(eta=0.3)
+def test_ksl_retract_left_orthogonal_exact_ranks_identity_at_zero(eta, n, m, cap, seed):
+    base, v = unit_step(n, m, cap, seed)
+    out = manifold.ksl_retract(v, eta)
+    assert out.ranks == base.ranks
+    assert out.ortho == (tt.LEFT,) * (n - 1) + (tt.UNKNOWN,)
+    for c in out.cores[:-1]:
+        assert orthonormality_error(tt.left_unfold(c)) <= 1e-12
+    assert dense_distance(manifold.ksl_retract(v, 0.0), base) <= 1e-14
+
+
+@SWEEP_PROPS
+@given(**TT_CASES)
+@edge_cases()
+def test_ksl_retract_gap_to_ttsvd_is_third_order(n, m, cap, seed):
+    # Both are second-order retractions, so they differ at O(eta^3): the gap
+    # shrinks 1000x per decade of eta, or sits at the rounding floor when
+    # the ranks are at the feasibility bound and both are exact.
+    base, v = unit_step(n, m, cap, seed)
+    gaps = [
+        dense_distance(
+            manifold.ksl_retract(v, eta),
+            tt.ttsvd(manifold.tangent_step(base, v, eta), base.ranks),
+        )
+        for eta in (1e-2, 1e-3)
+    ]
+    assert gaps[1] <= max(gaps[0] / 300.0, 1e-13)
