@@ -28,8 +28,6 @@ from .mpo import (  # noqa: F401
     Mps,
     coeff_to_mpo,
     fidelity,
-    fidelity_pure,
-    gauge_transform,
     hermitian_decompose,
     is_hermitian_cores,
     make_basis,
@@ -47,16 +45,13 @@ from .solvers import (  # noqa: F401
     SolverError,
     StepError,
     orgd_run,
-    orgd_step,
     rgd_offline_run,
-    rgd_offline_step,
     rsgd_run,
     spectral_init,
 )
 from .states import StateSpec, ghz, ising_ground, pure_state_coeff, random_mps  # noqa: F401
 from .tt import (  # noqa: F401
     CoherenceReport,
-    SeparationSpectrum,
     TtError,
     TtTensor,
     coherence_report,

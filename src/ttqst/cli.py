@@ -97,20 +97,25 @@ def _load_state_file(path):
     return obj
 
 
+def _load_coeff(path):
+    """Coefficient tensor of a TTC1 state file, and its pure ``Mps`` or None.
+
+    An ``Mps`` maps through ``pure_state_coeff``; an MPO must satisfy the
+    Hermitian core form and maps through ``mpo_to_coeff``.
+    """
+    obj = _load_state_file(path)
+    if isinstance(obj, mpo.Mps):
+        return states.pure_state_coeff(obj), obj
+    if not mpo.is_hermitian_cores(obj):
+        raise DataError(f"MPO in {path} does not satisfy the Hermitian core form")
+    return mpo.mpo_to_coeff(obj, mpo.make_basis(obj.d)), None
+
+
 def _target_from_plan(plan):
     """Returns (coefficient tensor, pure Mps or None, metadata)."""
     if "state_file" in plan:
-        obj = _load_state_file(plan["state_file"])
-        if isinstance(obj, mpo.Mps):
-            psi = obj
-            return states.pure_state_coeff(psi), psi, {"source": plan["state_file"]}
-        if not mpo.is_hermitian_cores(obj):
-            raise DataError("state-file MPO does not satisfy the Hermitian core form")
-        return (
-            mpo.mpo_to_coeff(obj, mpo.make_basis(obj.d)),
-            None,
-            {"source": plan["state_file"]},
-        )
+        target, psi = _load_coeff(plan["state_file"])
+        return target, psi, {"source": plan["state_file"]}
     spec = _state_spec(plan)
     psi, meta = states.make_state(spec)
     return states.pure_state_coeff(psi), psi, meta
@@ -390,24 +395,11 @@ def _coeff_from_any(path):
         raise DataError(f"file not found: {p}") from exc
     if head == b"TTR1":
         return serialize.read_ttr1(p)
-    obj = _load_state_file(p)
-    if isinstance(obj, mpo.Mps):
-        return states.pure_state_coeff(obj)
-    if not mpo.is_hermitian_cores(obj):
-        raise DataError("MPO file does not satisfy the Hermitian core form")
-    return mpo.mpo_to_coeff(obj, mpo.make_basis(obj.d))
+    return _load_coeff(p)[0]
 
 
 def cmd_evaluate(args):
-    state = _load_state_file(args.state)
-    if isinstance(state, mpo.Mps):
-        psi = state
-        t_ref = states.pure_state_coeff(psi)
-    else:
-        psi = None
-        if not mpo.is_hermitian_cores(state):
-            raise DataError("state MPO does not satisfy the Hermitian core form")
-        t_ref = mpo.mpo_to_coeff(state, mpo.make_basis(state.d))
+    t_ref, psi = _load_coeff(args.state)
     t_rec = _coeff_from_any(args.reconstruction)
     if t_rec.mode_dims != t_ref.mode_dims:
         raise DataError("state and reconstruction shapes do not match")

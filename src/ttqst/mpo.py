@@ -166,17 +166,6 @@ def mps_normalize(psi: Mps) -> Mps:
     return Mps([scale * c for c in psi.cores])
 
 
-def mps_dense(psi: Mps) -> np.ndarray:
-    """State vector of length d^n (first site index fastest)."""
-    if psi.d**psi.n > tt.DENSE_CAP:
-        raise MpoError("state too large to densify")
-    x = psi.cores[0][0]
-    for k in range(1, psi.n):
-        x = np.tensordot(x, psi.cores[k], axes=(x.ndim - 1, 0))
-        x = x.reshape(-1, x.shape[-1], order="F")
-    return x[:, 0]
-
-
 def mpo_dense(m: Mpo) -> np.ndarray:
     """Dense ``d^n x d^n`` matrix (row/column indices first-site-fastest)."""
     dn = m.d**m.n
@@ -217,32 +206,6 @@ def is_hermitian_cores(m: Mpo, tol: float = HERMITIAN_CORE_TOL) -> bool:
         if float(np.max(np.abs(c - _swap_conj(c)))) > tol * scale:
             return False
     return True
-
-
-def gauge_transform(m: Mpo, gauges) -> Mpo:
-    """Insert real invertible gauges: ``U_k -> G_{k-1}^{-1} U_k G_k``.
-
-    The represented operator is unchanged; the Hermitian core condition is
-    preserved for real gauges.
-    """
-    gauges = [np.asarray(g, dtype=np.complex128) for g in gauges]
-    if len(gauges) != m.n - 1:
-        raise MpoError(f"need {m.n - 1} gauge matrices")
-    for g, r in zip(gauges, m.ranks):
-        if g.shape != (r, r):
-            raise MpoError(f"gauge shape {g.shape} does not match rank {r}")
-    cores = []
-    for k, c in enumerate(m.cores):
-        if k > 0:
-            try:
-                inv = np.linalg.inv(gauges[k - 1])
-            except np.linalg.LinAlgError as exc:
-                raise MpoError("singular gauge matrix") from exc
-            c = np.tensordot(inv, c, axes=(1, 0))
-        if k < m.n - 1:
-            c = np.tensordot(c, gauges[k], axes=(3, 0))
-        cores.append(c)
-    return Mpo(cores)
 
 
 def _hermitian_eigvec_select(v: np.ndarray, eigvals: np.ndarray, r_prev: int, d: int):
@@ -490,7 +453,3 @@ def fidelity(psi: Mps, m: Mpo) -> float:
         env = np.tensordot(t, ps, axes=([0, 2], [0, 1]))  # (x, y, z)
     return float(np.abs(env[0, 0, 0]))
 
-
-def fidelity_pure(psi: Mps, phi: Mps) -> float:
-    """``|<psi|phi>|^2``."""
-    return float(np.abs(mps_inner(psi, phi)) ** 2)

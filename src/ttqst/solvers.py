@@ -10,6 +10,7 @@ ranks throughout, so the per-round cost is polynomial in the mode count.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -37,6 +38,8 @@ class StepError(SolverError):
     Raised as is when a finite step cannot be retracted: its values overflow
     the retraction's factorizations, or it collapses the rank and ``cut``
     names the singular separation of the new iterate (None when unknown).
+    A solver run that raises it sets ``trace``: the ``RunTrace`` logged so
+    far, ending at ``last_iterate``.
     """
 
     def __init__(self, reason, iteration, last_iterate, cut=None):
@@ -45,6 +48,7 @@ class StepError(SolverError):
         self.iteration = iteration
         self.last_iterate = last_iterate
         self.cut = cut
+        self.trace = None
 
     def __str__(self):
         return f"step could not be retracted at iteration {self.iteration}: {self.reason}"
@@ -71,13 +75,20 @@ class NonFiniteError(StepError):
 
 @dataclass
 class SolverConfig:
-    """Online/offline RGD settings.
+    """Settings of online RGD, offline RGD and RSGD.
 
     The per-round step is ``eta`` when given explicitly; otherwise it is
     resolved as ``alpha * batch_size / n^2`` against the averaged minibatch
     gradient, i.e. every sample in the batch contributes one projected
     gradient step of size ``alpha / n^2``.  Iterations to a fixed error then
     scale as ``n^2 / alpha`` independent of batch size.
+
+    ``max_iters`` bounds the rounds of online and offline RGD; RSGD runs
+    ``epochs`` passes over its dataset instead.  All three log round 0,
+    every ``log_every``-th round and the last round run, so the trace ends
+    at the returned iterate; they stop once a logged ``rel_error`` is at
+    most ``stop_rel_error``, or once the iterate moved by less than
+    ``stop_move_tol`` (relative) over the last ``stop_move_window`` rounds.
     """
 
     ranks: tuple
@@ -191,32 +202,45 @@ class _IterateState:
 
     __slots__ = ("t", "geom", "scale", "iteration")
 
+    # Rows projected at once: bounds the memory of a full-dataset gradient.
+    CHUNK_ROWS = 65536
+
     def __init__(self, t: TtTensor, iteration: int = 0):
         self.t = t
         self.geom = TangentGeometry(t)
         self.scale = float(np.sqrt(t.size))
         self.iteration = iteration
 
-    def gradient(self, idx, y, total):
-        """Projected gradient of the residuals on ``(idx, y)``, averaged over ``total`` samples.
+    def gradient(self, idx, y):
+        """Projected gradient of the residuals on ``(idx, y)``, averaged over its rows.
 
         ``y`` holds raw observed values; the iterate's entries come off the
-        projection's own left chain.
+        projection's own left chain.  Rows are projected ``CHUNK_ROWS`` at a
+        time and the variation cores summed.
         """
-        lefts = self.geom.left_chain(idx)
-        values = (self.scale * lefts[-1][:, 0] - self.scale * y) * (self.scale / total)
-        return self.geom.project_batch(idx, values, lefts)
+        total = idx.shape[0]
+        grad = None
+        for lo in range(0, total, self.CHUNK_ROWS):
+            rows = slice(lo, lo + self.CHUNK_ROWS)
+            lefts = self.geom.left_chain(idx[rows])
+            values = (self.scale * lefts[-1][:, 0] - self.scale * y[rows]) * (self.scale / total)
+            part = self.geom.project_batch(idx[rows], values, lefts)
+            if grad is not None:
+                part.variation_cores = [
+                    a + b for a, b in zip(grad.variation_cores, part.variation_cores)
+                ]
+            grad = part
+        return grad
 
     def step(self, idx, y, eta, trim_nu, ranks):
-        return self.advance(self.gradient(idx, y, idx.shape[0]), eta, trim_nu, ranks)
-
-    def advance(self, grad, eta, trim_nu, ranks):
-        """Step along ``-grad`` and retract; a failed step raises ``StepError``.
+        """One round on the batch ``(idx, y)``: project its gradient, step, retract.
 
         An untrimmed step retracts by one projector-splitting sweep at the
         current ranks.  A trimmed step is formed at rank 2r, clipped in dense
-        form and retracted to ``ranks`` by TTSVD.
+        form and retracted to ``ranks`` by TTSVD.  A failed step raises
+        ``StepError``.
         """
+        grad = self.gradient(idx, y)
         it = self.iteration + 1
         try:
             if trim_nu is None:
@@ -237,30 +261,8 @@ class _IterateState:
             raise StepError(str(exc), it, self.t) from exc
 
 
-def _prepare_t0(t0: TtTensor, cfg: SolverConfig) -> _IterateState:
-    if t0.ranks != cfg.ranks:
-        raise SolverError(f"initial ranks {t0.ranks} != target {cfg.ranks}")
-    if any(f != tt.LEFT for f in t0.ortho[:-1]):
-        t0 = tt.left_orthogonalize(t0)
-    return _IterateState(t0)
-
-
-def orgd_step(t_cur: TtTensor, batch, cfg: SolverConfig) -> TtTensor:
-    """One online RGD round on a minibatch ``(idx, y)`` of raw observations.
-
-    ``batch`` is what ``MeasurementStream.draw_batch`` returns.  With
-    ``batch_size=1`` this is exactly one round of the single-sample online
-    algorithm; larger batches average the per-sample gradients.
-    """
-    idx, y = batch
-    state = _prepare_t0(t_cur, cfg)
-    eta = cfg.resolve_eta(t_cur.n)
-    return state.step(idx, y, eta, cfg.trim_nu, cfg.ranks).t
-
-
 class _TraceLogger:
-    def __init__(self, cfg, ground_truth, pure_target):
-        self.cfg = cfg
+    def __init__(self, ground_truth, pure_target):
         self.gt = ground_truth
         self.gt_norm = tt.tt_norm(ground_truth) if ground_truth is not None else None
         self.psi = pure_target
@@ -268,7 +270,7 @@ class _TraceLogger:
         self.trace = RunTrace()
         self.t0 = time.perf_counter()
 
-    def log(self, it, samples, state):
+    def log(self, samples, state):
         rel = None
         if self.gt is not None:
             rel = tt.tt_distance(state.t, self.gt) / self.gt_norm
@@ -278,8 +280,50 @@ class _TraceLogger:
         wall = (time.perf_counter() - self.t0) * 1e3
         # The geometry's sweep already holds every cut's separation spectrum.
         lam = float(min(s[-1] for s in state.geom.singular_values))
-        self.trace.append(it, samples, rel, fid, wall, lam)
+        self.trace.append(state.iteration, samples, rel, fid, wall, lam)
         return rel
+
+    def finish(self, samples, state):
+        """The trace, ending at ``state``."""
+        if self.trace.iters[-1] != state.iteration:
+            self.log(samples, state)
+        return self.trace
+
+
+def _descend(t0, rounds, cfg, ground_truth, pure_target):
+    """The descent loop of every solver; returns ``(iterate, RunTrace)``.
+
+    ``rounds`` yields ``(idx, y, eta, samples)``: a batch, its step size and
+    the sample count the trace records for the round.  Logging and stopping
+    follow ``SolverConfig``.  A ``StepError`` leaves with its ``trace`` set.
+    """
+    if t0.ranks != cfg.ranks:
+        raise SolverError(f"initial ranks {t0.ranks} != target {cfg.ranks}")
+    if any(f != tt.LEFT for f in t0.ortho[:-1]):
+        t0 = tt.left_orthogonalize(t0)
+    state = _IterateState(t0)
+    logger = _TraceLogger(ground_truth, pure_target)
+    logger.log(0, state)
+    window_start = state.t
+    samples = 0
+    try:
+        for idx, y, eta, round_samples in rounds:
+            state = state.step(idx, y, eta, cfg.trim_nu, cfg.ranks)
+            samples = round_samples
+            it = state.iteration
+            if it % cfg.log_every == 0:
+                rel = logger.log(samples, state)
+                if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
+                    break
+            if cfg.stop_move_tol is not None and it % cfg.stop_move_window == 0:
+                move = tt.tt_distance(state.t, window_start) / max(tt.tt_norm(state.t), 1e-300)
+                window_start = state.t
+                if move < cfg.stop_move_tol:
+                    break
+    except StepError as exc:
+        exc.trace = logger.finish(samples, state)
+        raise
+    return state.t, logger.finish(samples, state)
 
 
 def orgd_run(
@@ -289,47 +333,17 @@ def orgd_run(
     ground_truth: TtTensor | None = None,
     pure_target: mpo.Mps | None = None,
 ):
-    """Online RGD over a measurement stream; returns ``(iterate, RunTrace)``."""
-    state = _prepare_t0(t0, cfg)
+    """Online RGD: up to ``max_iters`` rounds, each on a fresh minibatch from ``stream``.
+
+    A round averages the gradients of its ``batch_size`` raw observations.
+    Returns ``(iterate, RunTrace)``.
+    """
     eta = cfg.resolve_eta(t0.n)
-    logger = _TraceLogger(cfg, ground_truth, pure_target)
-    window_start = state.t
-    rel = logger.log(0, 0, state)
-    for it in range(1, cfg.max_iters + 1):
-        idx, y = stream.draw_batch(cfg.batch_size)
-        state = state.step(idx, y, eta, cfg.trim_nu, cfg.ranks)
-        if it % cfg.log_every == 0 or it == cfg.max_iters:
-            rel = logger.log(it, it * cfg.batch_size, state)
-            if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
-                break
-        if cfg.stop_move_tol is not None and it % cfg.stop_move_window == 0:
-            move = tt.tt_distance(state.t, window_start) / max(tt.tt_norm(state.t), 1e-300)
-            window_start = state.t
-            if move < cfg.stop_move_tol:
-                break
-    return state.t, logger.trace
-
-
-def rgd_offline_step(t_cur: TtTensor, dataset, cfg: SolverConfig) -> TtTensor:
-    """One offline RGD round using the entire resident dataset as the batch."""
-    idx, y = dataset
-    state = _prepare_t0(t_cur, cfg)
-    eta = cfg.resolve_eta(t_cur.n)
-    return _offline_step(state, idx, y, eta, cfg).t
-
-
-def _offline_step(state, idx, y, eta, cfg, chunk=65536):
-    """Full-dataset gradient, accumulated in chunks to bound memory."""
-    total = idx.shape[0]
-    vcores = None
-    for lo in range(0, total, chunk):
-        part = state.gradient(idx[lo : lo + chunk], y[lo : lo + chunk], total)
-        if vcores is None:
-            vcores = part.variation_cores
-        else:
-            vcores = [a + b for a, b in zip(vcores, part.variation_cores)]
-    grad = manifold.TangentVector(state.t, vcores, state.geom.right_cores)
-    return state.advance(grad, eta, cfg.trim_nu, cfg.ranks)
+    rounds = (
+        (*stream.draw_batch(cfg.batch_size), eta, it * cfg.batch_size)
+        for it in range(1, cfg.max_iters + 1)
+    )
+    return _descend(t0, rounds, cfg, ground_truth, pure_target)
 
 
 def rgd_offline_run(
@@ -339,19 +353,12 @@ def rgd_offline_run(
     ground_truth: TtTensor | None = None,
     pure_target: mpo.Mps | None = None,
 ):
-    """Offline RGD baseline: every round consumes the full dataset."""
+    """Offline RGD baseline: each of up to ``max_iters`` rounds consumes the full dataset."""
     idx, y = dataset
-    state = _prepare_t0(t0, cfg)
-    eta = cfg.resolve_eta(t0.n)
-    logger = _TraceLogger(cfg, ground_truth, pure_target)
-    rel = logger.log(0, 0, state)
-    for it in range(1, cfg.max_iters + 1):
-        state = _offline_step(state, idx, y, eta, cfg)
-        if it % cfg.log_every == 0 or it == cfg.max_iters:
-            rel = logger.log(it, idx.shape[0], state)
-            if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
-                break
-    return state.t, logger.trace
+    if idx.shape[0] == 0:
+        raise SolverError("offline RGD needs a non-empty dataset")
+    rounds = itertools.repeat((idx, y, cfg.resolve_eta(t0.n), idx.shape[0]), cfg.max_iters)
+    return _descend(t0, rounds, cfg, ground_truth, pure_target)
 
 
 def rsgd_run(
@@ -363,38 +370,31 @@ def rsgd_run(
 ):
     """Riemannian SGD over a fixed dataset with epoch-wise step decay.
 
-    Each epoch reshuffles the dataset and sweeps it in minibatches (a final
-    partial batch is dropped); epoch k uses the decayed rate
-    ``alpha_k = alpha * decay^(k-1)``.
+    Each of ``epochs`` epochs reshuffles the dataset and sweeps it in
+    minibatches (a final partial batch is dropped); epoch k uses the decayed
+    rate ``alpha_k = alpha * decay^(k-1)``.  ``max_iters`` is not used.
     """
     idx, y = dataset
     if cfg.alpha is None:
         raise SolverError("RSGD needs the alpha form of the step size")
-    state = _prepare_t0(t0, cfg)
-    n = t0.n
-    logger = _TraceLogger(cfg, ground_truth, pure_target)
-    rng = measurement.make_rng(cfg.shuffle_seed)
     total = idx.shape[0]
     nbatches = total // cfg.batch_size
     if nbatches == 0:
         raise SolverError("dataset smaller than one batch")
-    it = 0
-    logger.log(0, 0, state)
-    logged_at = 0
-    for epoch in range(cfg.epochs):
-        alpha_k = cfg.alpha * cfg.epoch_decay**epoch
-        eta = alpha_k * cfg.batch_size / float(n * n)
-        perm = rng.permutation(total)
-        for b in range(nbatches):
-            sl = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            it += 1
-            state = state.step(idx[sl], y[sl], eta, cfg.trim_nu, cfg.ranks)
-            if it % cfg.log_every == 0:
-                logger.log(it, it * cfg.batch_size, state)
-                logged_at = it
-    if logged_at != it:
-        logger.log(it, it * cfg.batch_size, state)
-    return state.t, logger.trace
+
+    def rounds():
+        rng = measurement.make_rng(cfg.shuffle_seed)
+        it = 0
+        for epoch in range(cfg.epochs):
+            alpha_k = cfg.alpha * cfg.epoch_decay**epoch
+            eta = alpha_k * cfg.batch_size / float(t0.n * t0.n)
+            perm = rng.permutation(total)
+            for b in range(nbatches):
+                sl = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                it += 1
+                yield idx[sl], y[sl], eta, it * cfg.batch_size
+
+    return _descend(t0, rounds(), cfg, ground_truth, pure_target)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def _pair_gram(rows_a, vals_a, cols_a, rows_b, vals_b, cols_b, nrows, k):
 
 def _top_subspace(moment: np.ndarray, r: int, what: str) -> np.ndarray:
     """Top-r left singular vectors; fails when the subspace is unidentifiable."""
-    u, s, _ = np.linalg.svd(moment)
+    u, s, _ = tt._svd(moment)
     if s[r - 1] <= 1e-12 * max(s[0], 1e-300):
         raise InitError(
             f"{what}: sampled moment matrix has rank below {r}; collect more "
@@ -461,7 +461,7 @@ def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
     for j, d in enumerate(dims[:-1]):
         rest = int(np.prod(dims[j + 1 :]))
         mat = m.reshape(prev * d, rest * r2, order="F")
-        q, r = np.linalg.qr(mat)
+        q, r = tt._qr(mat)
         out.append(q.reshape(prev, d, q.shape[1], order="F"))
         prev = q.shape[1]
         m = r

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from . import mpo
+from . import mpo, tt
 from .measurement import make_rng
 from .mpo import Mpo, Mps
 from .tt import TtTensor
@@ -211,11 +211,7 @@ def ising_ground(n: int, g: float, max_bond: int):
     ranks = [1] + [min(2**k, 2 ** (n - k), max_bond) for k in range(1, n)] + [1]
     cores = [rng.standard_normal((ranks[k], 2, ranks[k + 1])) for k in range(n)]
     # Right-orthogonalize so right environments are valid from the start.
-    for k in range(n - 1, 0, -1):
-        c = cores[k]
-        q, r = np.linalg.qr(c.reshape(c.shape[0], -1, order="F").T)
-        cores[k] = q.T.reshape(q.T.shape[0], 2, c.shape[2], order="F")
-        cores[k - 1] = np.tensordot(cores[k - 1], r.T, axes=(2, 0))
+    cores = tt._right_orthogonalize_cores(cores)
     cores[0] /= np.linalg.norm(cores[0])
 
     les = [None] * n
@@ -232,7 +228,7 @@ def ising_ground(n: int, g: float, max_bond: int):
         rl = theta.shape[0]
         rr = theta.shape[3]
         m = theta.reshape(rl * 2, 2 * rr, order="F")
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        u, s, vh = tt._svd(m)
         keep = min(max_bond, int(np.sum(s > 1e-14 * s[0])))
         keep = max(keep, 1)
         discarded += float(np.sum(s[keep:] ** 2))

@@ -129,7 +129,7 @@ class TtTensor:
         ranks = tuple(c.shape[2] for c in cores[:-1])
         # Representation ranks may exceed the separation-rank bounds for
         # transient stacked forms (sums, tangent steps); minimal-form
-        # feasibility is checked by ranks_feasible / ttsvd instead.
+        # feasibility is checked by ttsvd instead.
         for c in cores:
             c.setflags(write=False)
         self.cores = tuple(cores)
@@ -337,19 +337,6 @@ def right_part(t: TtTensor, k: int) -> np.ndarray:
     return x
 
 
-class SeparationSpectrum:
-    """Singular values of one separation, nonincreasing."""
-
-    __slots__ = ("k", "singular_values")
-
-    def __init__(self, k: int, singular_values: np.ndarray):
-        self.k = k
-        self.singular_values = np.asarray(singular_values, dtype=np.float64)
-
-    def __repr__(self):
-        return f"SeparationSpectrum(k={self.k}, sv={self.singular_values})"
-
-
 def right_svd_sweep(cores):
     """Right-to-left thin-SVD sweep over left-orthogonal cores.
 
@@ -375,17 +362,13 @@ def right_svd_sweep(cores):
     return right, svals
 
 
-def separation_spectra(t: TtTensor) -> list[SeparationSpectrum]:
-    """Singular values of every separation: one left-orthogonalization, one SVD sweep."""
-    _, svals = right_svd_sweep(left_orthogonalize(t).cores)
-    return [SeparationSpectrum(k, s) for k, s in enumerate(svals, start=1)]
+def separation_spectra(t: TtTensor) -> list[np.ndarray]:
+    """Nonincreasing singular values of cuts 1..n-1: one left-orthogonalization, one SVD sweep."""
+    return right_svd_sweep(left_orthogonalize(t).cores)[1]
 
 
 def _lambda_min(spectra, ranks) -> float:
-    return float(min(
-        spec.singular_values[r - 1] if len(spec.singular_values) >= r else 0.0
-        for spec, r in zip(spectra, ranks)
-    ))
+    return float(min(s[r - 1] if len(s) >= r else 0.0 for s, r in zip(spectra, ranks)))
 
 
 def lambda_min(t: TtTensor) -> float:
@@ -399,16 +382,7 @@ def cond(t: TtTensor) -> float:
     lmin = _lambda_min(spectra, t.ranks)
     if lmin == 0.0:
         return np.inf
-    return float(max(spec.singular_values[0] for spec in spectra)) / lmin
-
-
-def ranks_feasible(mode_dims, ranks) -> bool:
-    """Whether ranks satisfy the minimal-form bound at every cut."""
-    dims = tuple(mode_dims)
-    for k, r in enumerate(ranks):
-        if r > min(np.prod(dims[: k + 1]), np.prod(dims[k + 1 :])):
-            return False
-    return True
+    return float(max(s[0] for s in spectra)) / lmin
 
 
 def _check_ranks_feasible(dims, ranks):
@@ -606,7 +580,3 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
         per_cut=per_cut,
         linf_is_bound=linf_is_bound,
     )
-
-
-def tt_relative_error(t: TtTensor, ref: TtTensor) -> float:
-    return tt_distance(t, ref) / tt_norm(ref)

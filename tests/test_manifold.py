@@ -8,6 +8,7 @@ foot point; the fast sparse/dense projection paths must reproduce it.
 import numpy as np
 import pytest
 
+from test_tt import tt_relative_error
 from ttqst import manifold, tt
 
 
@@ -274,7 +275,7 @@ def test_tangent_step_eta_zero():
     geom = manifold.TangentGeometry(base)
     v = geom.project_dense(rng.standard_normal(base.mode_dims))
     stepped = manifold.tangent_step(base, v, 0.0)
-    assert tt.tt_relative_error(stepped, base) < 1e-12
+    assert tt_relative_error(stepped, base) < 1e-12
 
 
 # The trim tests retract at full ranks, where TTSVD is exact, so the output
@@ -286,7 +287,7 @@ def test_trim_noop_above_linf():
     t = tt.random_tt((4, 4, 4), (4, 4), rng)
     xi = np.abs(tt.tt_dense(t)).max() * 1.01
     out = manifold.retract(t, full_ranks(t.mode_dims), xi)
-    assert tt.tt_relative_error(out, t) < 1e-12
+    assert tt_relative_error(out, t) < 1e-12
 
 
 def test_trim_uniform_clip():
@@ -313,14 +314,14 @@ def test_trim_skipped_above_cap_warns():
     with pytest.warns(RuntimeWarning, match="trim skipped"):
         out = manifold.retract(t, t.ranks, 0.5)
     # Untrimmed: the all-ones tensor, not one clipped to 0.5.
-    assert tt.tt_relative_error(out, t) < 1e-12
+    assert tt_relative_error(out, t) < 1e-12
 
 
 def test_retract_identity_on_manifold():
     rng = np.random.default_rng(17)
     base = left_orth_base(rng)
     out = manifold.retract(base, base.ranks)
-    assert tt.tt_relative_error(out, base) < 1e-10
+    assert tt_relative_error(out, base) < 1e-10
 
 
 def test_retract_huge_trim_same_as_none():

@@ -1,8 +1,11 @@
 """Solver tests: fixed points, dense one-step oracle, RSGD semantics, init."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from test_tt import tt_relative_error
 from test_tt_kernels import dense_ksl
 from ttqst import manifold, measurement as meas, solvers, states, tt
 
@@ -19,6 +22,28 @@ def exact_batch(tstar, idx):
     return idx, np.array([tt.tt_entry(tstar, row) for row in idx])
 
 
+def one_round(t, batch, cfg):
+    """``t`` after one solver round on the batch ``(idx, y)`` at ``cfg``'s step."""
+    return solvers._IterateState(t).step(*batch, cfg.resolve_eta(t.n), cfg.trim_nu, cfg.ranks).t
+
+
+def trace_columns(trace):
+    """Every trace column but the wall time."""
+    return trace.iters, trace.samples, trace.rel_error, trace.fidelity, trace.lambda_min
+
+
+class CountingStream:
+    """Stream proxy that counts ``draw_batch`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = 0
+
+    def draw_batch(self, batch_size):
+        self.draws += 1
+        return self.inner.draw_batch(batch_size)
+
+
 @pytest.fixture(scope="module")
 def small_target():
     psi = states.random_mps(3, 2, 2, seed=9)
@@ -30,8 +55,8 @@ def test_noiseless_fixed_point(small_target):
     rng = np.random.default_rng(0)
     idx = rng.integers(0, 4, size=(6, 3))
     cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=1, batch_size=6, alpha=5e-2)
-    out = solvers.orgd_step(tstar, exact_batch(tstar, idx), cfg)
-    assert tt.tt_relative_error(out, tstar) < 1e-12
+    out = one_round(tstar, exact_batch(tstar, idx), cfg)
+    assert tt_relative_error(out, tstar) < 1e-12
 
 
 def test_eta_zero_identity(small_target):
@@ -40,8 +65,8 @@ def test_eta_zero_identity(small_target):
     rng = np.random.default_rng(1)
     idx = rng.integers(0, 4, size=(4, 3))
     cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=1, batch_size=4, eta=0.0)
-    out = solvers.orgd_step(t0, exact_batch(tstar, idx), cfg)
-    assert tt.tt_relative_error(out, t0) < 1e-12
+    out = one_round(t0, exact_batch(tstar, idx), cfg)
+    assert tt_relative_error(out, t0) < 1e-12
 
 
 def test_orgd_step_matches_dense_reference():
@@ -55,7 +80,7 @@ def test_orgd_step_matches_dense_reference():
     idx = rng.integers(0, 4, size=(5, 4))
     cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=1, batch_size=5, alpha=4e-2)
     eta = cfg.resolve_eta(4)
-    out = solvers.orgd_step(t0, exact_batch(tstar, idx), cfg)
+    out = one_round(t0, exact_batch(tstar, idx), cfg)
 
     scale = float(np.sqrt(tstar.size))
     x0 = tt.tt_dense(t0)
@@ -83,7 +108,7 @@ def test_orgd_step_trimming_path(small_target):
     cfg = solvers.SolverConfig(
         ranks=tstar.ranks, max_iters=1, batch_size=3, alpha=4e-2, trim_nu=rep.spikiness
     )
-    out = solvers.orgd_step(t0, exact_batch(tstar, idx), cfg)
+    out = one_round(t0, exact_batch(tstar, idx), cfg)
     assert out.ranks == tstar.ranks
 
 
@@ -168,11 +193,70 @@ def test_blind_stopping_rule():
     stream = meas.make_stream(tstar, meas.ExactSource(), seed=12)
     cfg = solvers.SolverConfig(
         ranks=tstar.ranks, max_iters=50000, batch_size=20, alpha=8e-3,
-        stop_move_tol=1e-7, log_every=100,
+        stop_move_tol=1e-7, log_every=1000,
     )
+    stream = CountingStream(stream)
     out, trace = solvers.orgd_run(t0, stream, cfg)
-    assert trace.iters[-1] < 50000 or len(trace.iters) > 0
-    assert tt.tt_relative_error(out, tstar) < 1e-4
+    # The run stops between logs; its trace still ends at the returned iterate.
+    assert trace.iters[-1] == stream.draws < cfg.max_iters
+    assert trace.iters[-1] % cfg.stop_move_window == 0
+    assert trace.samples[-1] == 20 * trace.iters[-1]
+    assert tt_relative_error(out, tstar) < 1e-4
+
+
+def test_offline_and_rsgd_honour_both_stop_rules():
+    # Offline RGD stops on the iterate's movement over a window, RSGD on the
+    # error; each trace ends at the round the run stopped.
+    psi = states.random_mps(5, 2, 2, seed=6)
+    tstar = states.pure_state_coeff(psi)
+    t0 = warm_start(tstar, tstar.ranks, 0.1, 11)
+    data = meas.make_stream(tstar, meas.ExactSource(), seed=12).draw_batch(3000)
+    cfg = solvers.SolverConfig(
+        ranks=tstar.ranks, max_iters=2000, eta=0.2, stop_move_tol=1e-6,
+        stop_move_window=10, log_every=50,
+    )
+    out, trace = solvers.rgd_offline_run(t0, data, cfg, ground_truth=tstar)
+    stop = trace.iters[-1]
+    assert stop < cfg.max_iters and stop % cfg.stop_move_window == 0
+    assert trace.samples[-1] == 3000
+    fixed = dataclasses.replace(cfg, stop_move_tol=None)
+    at = {
+        k: solvers.rgd_offline_run(t0, data, dataclasses.replace(fixed, max_iters=k))[0]
+        for k in (stop - 20, stop - 10)
+    }
+
+    def move(a, b):
+        return tt.tt_distance(a, b) / tt.tt_norm(a)
+
+    assert move(out, at[stop - 10]) < cfg.stop_move_tol <= move(at[stop - 10], at[stop - 20])
+
+    data = meas.make_stream(tstar, meas.ExactSource(), seed=13).draw_batch(10000)
+    cfg = solvers.SolverConfig(
+        ranks=tstar.ranks, max_iters=0, batch_size=50, alpha=8e-3, epochs=4,
+        shuffle_seed=1, stop_rel_error=1e-3, log_every=20,
+    )
+    _, trace = solvers.rsgd_run(t0, data, cfg, ground_truth=tstar)
+    assert trace.rel_error[-1] <= cfg.stop_rel_error < trace.rel_error[-2]
+    assert trace.iters[-1] < cfg.epochs * 200 and trace.iters[-1] % cfg.log_every == 0
+    assert trace.samples[-1] == 50 * trace.iters[-1]
+
+
+def test_chunked_gradient_matches_one_projection():
+    # Above CHUNK_ROWS rows the gradient is summed over chunks of the batch;
+    # the sum must equal one projection of the whole batch.
+    tstar = states.pure_state_coeff(states.random_mps(4, 2, 2, seed=9))
+    t0 = warm_start(tstar, tstar.ranks, 0.3, 19)
+    rows = 2 * solvers._IterateState.CHUNK_ROWS + 123
+    rng = np.random.default_rng(19)
+    idx = rng.integers(0, 4, size=(rows, 4))
+    y = tt.tt_entries(tstar, idx) + 0.01 * rng.standard_normal(rows)
+    state = solvers._IterateState(t0)
+    got = np.concatenate([c.ravel() for c in state.gradient(idx, y).variation_cores])
+    scale = state.scale
+    values = (scale * tt.tt_entries(t0, idx) - scale * y) * (scale / rows)
+    want = state.geom.project_batch(idx, values).variation_cores
+    want = np.concatenate([c.ravel() for c in want])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_offline_fixed_point_and_dense(small_target):
@@ -181,12 +265,14 @@ def test_offline_fixed_point_and_dense(small_target):
     idx = rng.integers(0, 4, size=(40, 3))
     y = tt.tt_entries(tstar, idx)
     cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=1, alpha=4e-2)
-    out = solvers.rgd_offline_step(tstar, (idx, y), cfg)
-    assert tt.tt_relative_error(out, tstar) < 1e-12
+    out = one_round(tstar, (idx, y), cfg)
+    assert tt_relative_error(out, tstar) < 1e-12
     cfg0 = solvers.SolverConfig(ranks=tstar.ranks, max_iters=1, eta=0.0)
     t0 = warm_start(tstar, tstar.ranks, 0.2, 14)
-    out0 = solvers.rgd_offline_step(t0, (idx, y), cfg0)
-    assert tt.tt_relative_error(out0, t0) < 1e-12
+    out0 = one_round(t0, (idx, y), cfg0)
+    assert tt_relative_error(out0, t0) < 1e-12
+    with pytest.raises(solvers.SolverError):
+        solvers.rgd_offline_run(t0, (idx[:0], y[:0]), cfg)
 
 
 def test_offline_matches_orgd_step_on_same_batch(small_target):
@@ -196,8 +282,8 @@ def test_offline_matches_orgd_step_on_same_batch(small_target):
     idx = rng.integers(0, 4, size=(7, 3))
     y = tt.tt_entries(tstar, idx)
     cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=1, batch_size=7, alpha=3e-2)
-    a = solvers.rgd_offline_step(t0, (idx, y), cfg)
-    b = solvers.orgd_step(t0, exact_batch(tstar, idx), cfg)
+    a, _ = solvers.rgd_offline_run(t0, (idx, y), cfg)
+    b = one_round(t0, exact_batch(tstar, idx), cfg)
     assert tt.tt_distance(a, b) < 1e-11
 
 
@@ -217,11 +303,11 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
     # reproduces the single-epoch RSGD result exactly.
     rng = meas.make_rng(5)
     perm = rng.permutation(200)
-    cur = tt.left_orthogonalize(t0)
+    state = solvers._IterateState(tt.left_orthogonalize(t0))
     for b in range(10):
         sl = perm[b * 20 : (b + 1) * 20]
-        cur = solvers.orgd_step(cur, (idx[sl], y[sl]), cfg)
-    assert tt.tt_distance(cur, out) < 1e-10
+        state = state.step(idx[sl], y[sl], cfg.resolve_eta(4), None, cfg.ranks)
+    assert tt.tt_distance(state.t, out) < 1e-10
 
     # Epoch-wise decay: alpha_3 = 0.81 alpha_1.
     assert abs(cfg.alpha * cfg.epoch_decay**2 - 0.81 * cfg.alpha) < 1e-15
@@ -392,11 +478,13 @@ def test_divergent_online_run_raises_located_non_finite_error():
     assert f"iteration {exc.iteration} in core {exc.core}" in str(exc)
     assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
     # The last finite iterate is the one a run stopped one round earlier returns.
+    # So are the trace rows logged up to the failure.
     cfg.max_iters = exc.iteration - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        out, _ = solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
+        out, want = solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
     for a, b in zip(out.cores, exc.last_iterate.cores):
         np.testing.assert_array_equal(a, b)
+    assert trace_columns(exc.trace) == trace_columns(want)
 
 
 def test_divergent_offline_run_raises_located_non_finite_error(small_target):
@@ -408,8 +496,15 @@ def test_divergent_offline_run_raises_located_non_finite_error(small_target):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(solvers.NonFiniteError) as info:
             solvers.rgd_offline_run(tstar, (idx, y), cfg)
-    assert info.value.iteration == 2
-    assert all(np.isfinite(c).all() for c in info.value.last_iterate.cores)
+    exc = info.value
+    assert exc.iteration == 2
+    assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
+    # The trace logged up to the failure is that of a run stopped one round earlier.
+    cfg.max_iters = exc.iteration - 1
+    out, want = solvers.rgd_offline_run(tstar, (idx, y), cfg)
+    for a, b in zip(out.cores, exc.last_iterate.cores):
+        np.testing.assert_array_equal(a, b)
+    assert trace_columns(exc.trace) == trace_columns(want)
 
 
 def test_rank_collapse_raises_located_step_error():
@@ -426,11 +521,13 @@ def test_rank_collapse_raises_located_step_error():
     assert isinstance(exc.__cause__, manifold.ManifoldError)
     assert exc.cut == exc.__cause__.cut == 1
     assert f"iteration {exc.iteration}: " in str(exc) and "cut 1 " in str(exc)
-    # The last iterate is the one a run stopped one round earlier returns.
+    # The last iterate and the trace rows logged up to the failure are those
+    # of a run stopped one round earlier.
     cfg.max_iters = exc.iteration - 1
-    out, _ = solvers.rgd_offline_run(t0, data, cfg)
+    out, want = solvers.rgd_offline_run(t0, data, cfg)
     for a, b in zip(out.cores, exc.last_iterate.cores):
         np.testing.assert_array_equal(a, b)
+    assert trace_columns(exc.trace) == trace_columns(want)
 
 
 def test_retraction_overflow_raises_located_step_error(small_target):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from test_mpo import mps_dense
 from ttqst import mpo, states, tt
 
 
@@ -41,8 +42,7 @@ def test_random_mps_induced_mpo_ranks():
     assert m.ranks == (4, 4, 4, 4, 4)
     # Separation ranks of the coefficient tensor match numerically.
     t = states.pure_state_coeff(psi)
-    for spectrum in tt.separation_spectra(t):
-        s = spectrum.singular_values
+    for s in tt.separation_spectra(t):
         numrank = int(np.sum(s > 1e-10 * s[0]))
         assert numrank == 4
 
@@ -50,11 +50,11 @@ def test_random_mps_induced_mpo_ranks():
 def test_ghz_amplitudes():
     for n in (2, 3, 5):
         psi = states.ghz(n)
-        v = mpo.mps_dense(psi)
+        v = mps_dense(psi)
         nz = np.nonzero(np.abs(v) > 1e-14)[0]
         np.testing.assert_array_equal(nz, [0, 2**n - 1])
         np.testing.assert_allclose(v[nz], [2**-0.5, 2**-0.5], atol=1e-14)
-        assert abs(mpo.fidelity_pure(psi, psi) - 1.0) < 1e-12
+        assert abs(mpo.mps_inner(psi, psi) - 1.0) < 1e-12
 
 
 def test_ghz_induced_mpo_rank_4():
@@ -132,7 +132,7 @@ def test_ising_ground_matches_exact_diag(n, g, bond):
     assert abs(energy - exact) < 1e-8
     assert energy >= exact - 1e-10  # variational
     # The state itself achieves the reported energy.
-    v = mpo.mps_dense(psi)
+    v = mps_dense(psi)
     rayleigh = np.vdot(v, dense_ising_h(n, g) @ v).real
     assert abs(rayleigh - energy) < 1e-8
 
