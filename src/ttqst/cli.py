@@ -218,7 +218,7 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
             mu = rep.incoherence**2 if mu is None else mu
             nu = rep.spikiness if nu is None else nu
         icfg = solvers.InitConfig(k1=k1, k2=k2, k3=k3, mu=float(mu), nu=float(nu))
-        t0, info = solvers.spectral_init(stream, icfg, ranks, return_info=True)
+        t0, info = solvers.spectral_init(stream, icfg, ranks)
         return t0, {"mode": mode, "k1": k1, "k2": k2, "k3": k3,
                     "mu": float(mu), "nu": float(nu), **info}
     raise ConfigError(f"unknown init mode {mode!r}")

@@ -9,10 +9,10 @@ sum over k of the chains ``[U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n]``.
 With orthonormal right parts, projecting a sparse ambient tensor costs
 ``O(n d^2 r^2)`` per entry and needs no linear solve.
 
-A tangent step is retracted by one sweep of the projector-splitting (KSL)
-integrator (``ksl_retract``): r-wide QRs, no rank-2r core and no SVD.
-``retract`` keeps the TTSVD for the dense trimmed step and for any other
-tensor, such as an initial or warm-start iterate.
+A tangent vector holds its ``TangentGeometry``.  A tangent step is retracted
+by one sweep of the projector-splitting (KSL) integrator (``ksl_retract``):
+r-wide QRs, no rank-2r core and no SVD.  ``retract`` is the trimmed
+truncation ``H_r(Trim_xi(.))`` of trimmed steps and the spectral initializer.
 """
 
 from __future__ import annotations
@@ -43,36 +43,33 @@ class ManifoldError(ValueError):
 
 
 class TangentVector:
-    """First-order variation of a TT tensor at a left-orthogonal foot point.
+    """First-order variation of a TT tensor at the foot point of ``geom``.
 
-    ``X_k`` enters the chain ``[U_1, ..., X_k, R_{k+1}, ..., R_n]`` of the
-    cores ``U`` of ``base`` and ``right_cores`` ``R`` (default: ``U``).
+    ``X_k`` enters the chain ``[U_1, ..., X_k, V_{k+1}, ..., V_n]`` of the
+    geometry's left-orthogonal cores ``U`` and right-orthogonal cores ``V``.
     """
 
-    __slots__ = ("base", "variation_cores", "right_cores")
+    __slots__ = ("geom", "variation_cores")
 
-    def __init__(self, base: TtTensor, variation_cores, right_cores=None):
+    def __init__(self, geom: TangentGeometry, variation_cores):
+        base = geom.base
         if len(variation_cores) != base.n:
             raise ManifoldError("need one variation core per site")
-        if right_cores is None:
-            right_cores = base.cores
-        elif [c.shape for c in right_cores] != [c.shape for c in base.cores]:
-            raise ManifoldError("right cores must match the base core shapes")
         vcs = []
         for c, bc in zip(variation_cores, base.cores):
             c = np.asarray(c, dtype=np.float64)
             if c.shape != bc.shape:
                 raise ManifoldError(f"variation core shape {c.shape} != base {bc.shape}")
             vcs.append(c)
-        self.base = base
+        self.geom = geom
         self.variation_cores = vcs
-        self.right_cores = tuple(right_cores)
 
     def gauge_residual(self) -> float:
         """Max violation of ``L(X_k)^T L(T_k) = 0`` over k < n."""
+        base = self.geom.base
         worst = 0.0
-        for k in range(self.base.n - 1):
-            g = left_unfold(self.variation_cores[k]).T @ left_unfold(self.base.cores[k])
+        for k in range(base.n - 1):
+            g = left_unfold(self.variation_cores[k]).T @ left_unfold(base.cores[k])
             worst = max(worst, float(np.max(np.abs(g))) if g.size else 0.0)
         return worst
 
@@ -162,7 +159,7 @@ class TangentGeometry:
             vcores[k] = xk
             if k:
                 right = np.matmul(self._right_slices[k][idx[:, k]], right[:, :, None])[:, :, 0]
-        return TangentVector(base, vcores, self.right_cores)
+        return TangentVector(self, vcores)
 
     def project_dense(self, x: np.ndarray) -> TangentVector:
         base = self.base
@@ -192,35 +189,33 @@ class TangentGeometry:
                 lt = self.left_unfolds[k]
                 m2 = m2 - lt @ (lt.T @ m2)
             vcores.append(fold_left(m2, r0, m))
-        return TangentVector(base, vcores, self.right_cores)
+        return TangentVector(self, vcores)
 
 
-def _chain_sum_cores(base: TtTensor, xcores, right_cores) -> list:
-    """``[U_1, X_1]``, ``[[U_k, X_k], [0, R_k]]``, ``[X_n; R_n]``: sum of the chains."""
+def _chain_sum_cores(geom: TangentGeometry, xcores) -> list:
+    """``[U_1, X_1]``, ``[[U_k, X_k], [0, V_k]]``, ``[X_n; V_n]``: sum of the chains."""
     return tt._stack_chains(
-        [*base.cores[:-1], xcores[-1]], [xcores[0], *right_cores[1:]], xcores
+        [*geom.base.cores[:-1], xcores[-1]], [xcores[0], *geom.right_cores[1:]], xcores
     )
 
 
 def tangent_to_tt(v: TangentVector) -> TtTensor:
     """Exact TT form of the ambient tangent tensor (ranks at most 2r)."""
-    return TtTensor(_chain_sum_cores(v.base, v.variation_cores, v.right_cores))
+    return TtTensor(_chain_sum_cores(v.geom, v.variation_cores))
 
 
-def tangent_step(base: TtTensor, v: TangentVector, eta: float) -> TtTensor:
+def tangent_step(v: TangentVector, eta: float) -> TtTensor:
     """TT representation of ``base - eta * ambient(v)``, ranks at most 2r."""
-    if v.base.mode_dims != base.mode_dims or v.base.ranks != base.ranks:
-        raise ManifoldError("tangent vector base mismatch")
-    return TtTensor(_chain_sum_cores(base, _step_cores(base, v, eta), v.right_cores))
+    return TtTensor(_chain_sum_cores(v.geom, _step_cores(v, eta)))
 
 
-def _step_cores(base: TtTensor, v: TangentVector, eta: float) -> list:
+def _step_cores(v: TangentVector, eta: float) -> list:
     """Variation cores ``-eta X_k`` of the step, with ``U_n`` added to the last.
 
     The base enters through the last chain ``[U_1 ... U_{n-1}] U_n``.
     """
     xcores = [-eta * c for c in v.variation_cores]
-    xcores[-1] = xcores[-1] + base.cores[-1]
+    xcores[-1] = xcores[-1] + v.geom.base.cores[-1]
     return xcores
 
 
@@ -242,11 +237,10 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     Lubich, Oseledets & Vandereycken (*Time integration of tensor trains*,
     SINUM 2015) applied to the step ``A = base - eta * ambient(v)``: the new
     left-orthogonal cores are ``Ũ_k = qr(L(K_k))`` with
-    ``K_k = Ũ^{<=k-1 T} A V^{>k T}``, and the last core is ``Ũ^{<=n-1 T} A``.
-    ``v.right_cores`` must be the right-orthogonal ``V_k`` of the base, as
-    ``TangentGeometry`` builds them.  ``K_k`` is formed from r x r
-    environments of the chains of ``A``, so no core wider than r is built and
-    no SVD runs.  This is a second-order retraction (Absil & Oseledets,
+    ``K_k = Ũ^{<=k-1 T} A V^{>k T}``, and the last core is ``Ũ^{<=n-1 T} A``,
+    where ``V_k`` are the right-orthogonal cores of ``v.geom``.  ``K_k`` is
+    formed from r x r environments of the chains of ``A``, so no core wider
+    than r is built and no SVD runs.  This is a second-order retraction (Absil & Oseledets,
     *Low-rank retractions: a survey and new results*, COAP 2015): it agrees
     with the TTSVD of the stepped tensor to O(eta^3).
 
@@ -254,10 +248,10 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     a ``K_k`` or the last core holds a non-finite value, and ``LinAlgError``
     when a QR fails on finite input.
     """
-    ucores = v.base.cores
-    vcores = v.right_cores
+    ucores = v.geom.base.cores
+    vcores = v.geom.right_cores
     n = len(ucores)
-    xhat = _step_cores(v.base, v, eta)
+    xhat = _step_cores(v, eta)
     require_finite(xhat)
     # Right sweep: env[k] = <U_{k+1} env[k+1] + X̂_{k+1}, V_{k+1}> over (mode,
     # right bond) is A's chains with X̂ after cut k, projected on V^{>k}.
@@ -297,26 +291,23 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     return TtTensor(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])
 
 
-def retract(t_plus: TtTensor, ranks, trim_xi: float | None = None) -> TtTensor:
-    """Retraction onto the rank-``ranks`` manifold: optional trim, then TTSVD.
+def trim_level(z: TtTensor, nu: float) -> float:
+    """Clipping level ``xi = 10 ||z|| nu / (9 sqrt(size))`` for spikiness bound ``nu``."""
+    return (10.0 * tt.tt_norm(z) / (9.0 * float(np.sqrt(z.size)))) * nu
 
-    Untrimmed tangent steps retract by ``ksl_retract`` instead; this path
-    serves the dense trimmed step and tensors that are not a tangent step.
 
-    With ``trim_xi`` set, the tensor is first clipped entrywise to
-    ``[-trim_xi, trim_xi]`` (sign kept) in dense form; above the dense size cap
-    the trim is skipped with a warning.
+def retract(z: TtTensor, ranks, xi: float) -> TtTensor:
+    """Trimmed truncation ``H_r(Trim_xi(z))`` onto the rank-``ranks`` manifold.
+
+    ``z`` is clipped entrywise to ``[-xi, xi]`` (sign kept) in dense form and
+    truncated by TTSVD.  Above the dense size cap the trim is skipped with a
+    warning and ``z`` is truncated as it is.
     """
-    ranks = tuple(int(r) for r in ranks)
-    if any(rp < r for rp, r in zip(t_plus.ranks, ranks)):
-        raise ManifoldError(f"input ranks {t_plus.ranks} below target {ranks}")
-    if trim_xi is not None:
-        if t_plus.size <= tt.DENSE_CAP:
-            x = np.clip(tt.tt_dense(t_plus), -trim_xi, trim_xi)
-            return tt.ttsvd(x, ranks)
-        warnings.warn(
-            f"trim skipped in retraction: {t_plus.size} entries above cap",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return tt.ttsvd(t_plus, ranks)
+    if z.size <= tt.DENSE_CAP:
+        return tt.ttsvd(np.clip(tt.tt_dense(z), -xi, xi), ranks)
+    warnings.warn(
+        f"trim skipped in retraction: {z.size} entries above cap",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return tt.ttsvd(z, ranks)

@@ -3,9 +3,9 @@
 One online round: project the sampled-entry gradient onto the tangent space
 of the current iterate, step, and retract back to rank r.  An untrimmed step
 retracts by one projector-splitting (KSL) sweep of r-wide QRs
-(``manifold.ksl_retract``); a trimmed step is clipped in dense form and
-retracted by TTSVD.  The iterate stays left-orthogonal with exact target
-ranks throughout, so the per-round cost is polynomial in the mode count.
+(``manifold.ksl_retract``); a trimmed step, like the spectral initializer,
+ends in the trimmed truncation ``manifold.retract``.  The iterate stays
+left-orthogonal with exact target ranks, so a round costs polynomial time.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ class SolverConfig:
     gradient step of size ``alpha / n^2``.  Iterations to a fixed error then
     scale as ``n^2 / alpha`` independent of batch size.
 
-    ``max_iters`` bounds the rounds of online and offline RGD; RSGD runs
-    ``epochs`` passes over its dataset instead.  All three log round 0,
+    ``max_iters`` bounds the rounds of every algorithm; RSGD also stops after
+    ``epochs`` passes over its dataset, and steps by the resolved step times
+    ``epoch_decay**k`` in epoch k (from 0).  All three log round 0,
     every ``log_every``-th round and the last round run, so the trace ends
     at the returned iterate; they stop once a logged ``rel_error`` is at
     most ``stop_rel_error``, or once the iterate moved by less than
@@ -96,7 +97,7 @@ class SolverConfig:
     batch_size: int = 1
     eta: float | None = None
     alpha: float | None = None
-    trim_nu: float | None = None  # enables trimming when set
+    trim_nu: float | None = None  # enables trimming when set, up to the dense cap
     stop_rel_error: float | None = None
     stop_move_tol: float | None = None
     stop_move_window: int = 50
@@ -115,6 +116,8 @@ class SolverConfig:
             raise SolverError("alpha must be nonnegative")
         if self.batch_size < 1:
             raise SolverError("batch size must be at least 1")
+        if self.max_iters < 0:
+            raise SolverError("max_iters must be nonnegative")
         if self.trim_nu is not None and self.trim_nu <= 0:
             raise SolverError("spikiness parameter must be positive when trimming")
 
@@ -236,9 +239,9 @@ class _IterateState:
         """One round on the batch ``(idx, y)``: project its gradient, step, retract.
 
         An untrimmed step retracts by one projector-splitting sweep at the
-        current ranks.  A trimmed step is formed at rank 2r, clipped in dense
-        form and retracted to ``ranks`` by TTSVD.  A failed step raises
-        ``StepError``.
+        current ranks.  A trimmed step is formed at rank 2r and retracted to
+        ``ranks`` by the trimmed truncation at ``trim_level(., trim_nu)``.  A
+        failed step raises ``StepError``.
         """
         grad = self.gradient(idx, y)
         it = self.iteration + 1
@@ -246,10 +249,9 @@ class _IterateState:
             if trim_nu is None:
                 t = manifold.ksl_retract(grad, eta)
             else:
-                stepped = manifold.tangent_step(self.t, grad, eta)
+                stepped = manifold.tangent_step(grad, eta)
                 manifold.require_finite(stepped.cores)
-                trim_xi = (10.0 * tt.tt_norm(stepped) / (9.0 * self.scale)) * trim_nu
-                t = manifold.retract(stepped, ranks, trim_xi=trim_xi)
+                t = manifold.retract(stepped, ranks, manifold.trim_level(stepped, trim_nu))
             return _IterateState(t, it)
         except manifold.ManifoldError as exc:
             if exc.core is not None:
@@ -294,11 +296,17 @@ def _descend(t0, rounds, cfg, ground_truth, pure_target):
     """The descent loop of every solver; returns ``(iterate, RunTrace)``.
 
     ``rounds`` yields ``(idx, y, eta, samples)``: a batch, its step size and
-    the sample count the trace records for the round.  Logging and stopping
+    the trace's sample count; ``max_iters`` of them at most.  Above the dense
+    cap a trimmed run warns once and steps untrimmed.  Logging and stopping
     follow ``SolverConfig``.  A ``StepError`` leaves with its ``trace`` set.
     """
     if t0.ranks != cfg.ranks:
         raise SolverError(f"initial ranks {t0.ranks} != target {cfg.ranks}")
+    trim_nu = cfg.trim_nu
+    if trim_nu is not None and t0.size > tt.DENSE_CAP:
+        msg = f"trim skipped in every step: {t0.size} entries above the dense cap"
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        trim_nu = None
     if any(f != tt.LEFT for f in t0.ortho[:-1]):
         t0 = tt.left_orthogonalize(t0)
     state = _IterateState(t0)
@@ -307,8 +315,8 @@ def _descend(t0, rounds, cfg, ground_truth, pure_target):
     window_start = state.t
     samples = 0
     try:
-        for idx, y, eta, round_samples in rounds:
-            state = state.step(idx, y, eta, cfg.trim_nu, cfg.ranks)
+        for idx, y, eta, round_samples in itertools.islice(rounds, cfg.max_iters):
+            state = state.step(idx, y, eta, trim_nu, cfg.ranks)
             samples = round_samples
             it = state.iteration
             if it % cfg.log_every == 0:
@@ -341,7 +349,7 @@ def orgd_run(
     eta = cfg.resolve_eta(t0.n)
     rounds = (
         (*stream.draw_batch(cfg.batch_size), eta, it * cfg.batch_size)
-        for it in range(1, cfg.max_iters + 1)
+        for it in itertools.count(1)
     )
     return _descend(t0, rounds, cfg, ground_truth, pure_target)
 
@@ -357,7 +365,7 @@ def rgd_offline_run(
     idx, y = dataset
     if idx.shape[0] == 0:
         raise SolverError("offline RGD needs a non-empty dataset")
-    rounds = itertools.repeat((idx, y, cfg.resolve_eta(t0.n), idx.shape[0]), cfg.max_iters)
+    rounds = itertools.repeat((idx, y, cfg.resolve_eta(t0.n), idx.shape[0]))
     return _descend(t0, rounds, cfg, ground_truth, pure_target)
 
 
@@ -371,12 +379,10 @@ def rsgd_run(
     """Riemannian SGD over a fixed dataset with epoch-wise step decay.
 
     Each of ``epochs`` epochs reshuffles the dataset and sweeps it in
-    minibatches (a final partial batch is dropped); epoch k uses the decayed
-    rate ``alpha_k = alpha * decay^(k-1)``.  ``max_iters`` is not used.
+    minibatches (a final partial batch is dropped); epoch k (from 0) steps by
+    ``cfg.resolve_eta(n) * epoch_decay**k``, for ``max_iters`` rounds at most.
     """
     idx, y = dataset
-    if cfg.alpha is None:
-        raise SolverError("RSGD needs the alpha form of the step size")
     total = idx.shape[0]
     nbatches = total // cfg.batch_size
     if nbatches == 0:
@@ -386,8 +392,7 @@ def rsgd_run(
         rng = measurement.make_rng(cfg.shuffle_seed)
         it = 0
         for epoch in range(cfg.epochs):
-            alpha_k = cfg.alpha * cfg.epoch_decay**epoch
-            eta = alpha_k * cfg.batch_size / float(t0.n * t0.n)
+            eta = cfg.resolve_eta(t0.n) * cfg.epoch_decay**epoch
             perm = rng.permutation(total)
             for b in range(nbatches):
                 sl = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
@@ -469,14 +474,15 @@ def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
-def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks, return_info: bool = False):
+def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     """Warm start from sampled second moments of the coefficient tensor.
 
     Stage one estimates the row space of the first-group separation from a
     symmetrized cross product of two sample groups; stage two repeats for
     the second cut inside the projected column space; stage three solves for
     the last block core by sample averaging.  The assembled third-order
-    tensor is trimmed and retracted to the full target ranks.
+    tensor is split into a chain, trimmed and retracted to the full target
+    ranks by ``manifold.retract``.  Returns ``(iterate, info)``.
     """
     n = stream.n
     dims = stream.mode_dims
@@ -554,26 +560,13 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks, return_info
     zhat = TtTensor(
         [z1.reshape(1, p1, r1), np.ascontiguousarray(z2), z3.reshape(r2, p3, 1)]
     )
-    zhat_norm = tt.tt_norm(zhat)
-    xi = (10.0 * zhat_norm / (9.0 * scale)) * cfg.nu
-    total = int(np.prod(dims))
-    if total <= tt.DENSE_CAP:
-        x = np.clip(tt.tt_dense(zhat), -xi, xi).reshape(dims, order="F")
-        out = tt.ttsvd(x, ranks)
-        trimmed = True
-    else:
-        warnings.warn(
-            "initializer trim skipped above the dense cap", RuntimeWarning, stacklevel=2
-        )
-        cores = (
-            _split_block_core(zhat.cores[0], dims[:m1])
-            + _split_block_core(zhat.cores[1], dims[m1 : m1 + m2])
-            + _split_block_core(zhat.cores[2], dims[m1 + m2 :])
-        )
-        out = tt.ttsvd(TtTensor(cores), ranks)
-        trimmed = False
-    if return_info:
-        info = {"zhat_norm": zhat_norm, "trim_xi": xi, "trimmed": trimmed,
-                "split": (m1, m2, m3)}
-        return out, info
-    return out
+    chain = TtTensor(
+        _split_block_core(zhat.cores[0], dims[:m1])
+        + _split_block_core(zhat.cores[1], dims[m1 : m1 + m2])
+        + _split_block_core(zhat.cores[2], dims[m1 + m2 :])
+    )
+    xi = manifold.trim_level(zhat, cfg.nu)
+    out = manifold.retract(chain, ranks, xi)
+    info = {"zhat_norm": tt.tt_norm(zhat), "trim_xi": xi,
+            "trimmed": zhat.size <= tt.DENSE_CAP, "split": (m1, m2, m3)}
+    return out, info

@@ -383,7 +383,7 @@ def test_criterion_11_spectral_initializer():
         cfg = solvers.InitConfig(
             k1=k, k2=k, k3=k, mu=rep.incoherence**2, nu=rep.spikiness
         )
-        t0, info = solvers.spectral_init(stream, cfg, tstar.ranks, return_info=True)
+        t0, info = solvers.spectral_init(stream, cfg, tstar.ranks)
         rel = tt.tt_distance(t0, tstar) / tt.tt_norm(tstar)
         rels.append(rel)
         assert rel <= 0.3

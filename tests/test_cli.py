@@ -187,7 +187,7 @@ def test_init_subcommand(tmp_path, capsys):
 def test_rsgd_and_rgd_algorithms(tmp_path):
     plan_path, plan = base_plan(
         tmp_path, algorithm="rsgd", dataset_size=2000, epochs=2,
-        batch_size=50, alpha=8e-3, max_iters=0, stop_rel_error=None,
+        batch_size=50, alpha=8e-3, max_iters=80, stop_rel_error=None,
     )
     rc = cli.main(["reconstruct", "--plan", str(plan_path)])
     assert rc == 0

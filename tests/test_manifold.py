@@ -239,18 +239,22 @@ def test_non_orthogonal_base_rejected():
 def test_tangent_to_tt_zero_variation():
     rng = np.random.default_rng(11)
     base = left_orth_base(rng)
-    v = manifold.TangentVector(base, [np.zeros_like(c) for c in base.cores])
+    geom = manifold.TangentGeometry(base)
+    v = manifold.TangentVector(geom, [np.zeros_like(c) for c in base.cores])
     assert tt.tt_norm(manifold.tangent_to_tt(v)) < 1e-14
 
 
 def test_tangent_to_tt_matches_core_sum():
     rng = np.random.default_rng(12)
     base = left_orth_base(rng)
+    geom = manifold.TangentGeometry(base)
     vcores = [rng.standard_normal(c.shape) for c in base.cores]
-    v = manifold.TangentVector(base, vcores)
+    v = manifold.TangentVector(geom, vcores)
+    # Chains [U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n].
+    right = geom.right_cores
     want = np.zeros(base.size)
     for k in range(base.n):
-        cores = [vcores[j] if j == k else base.cores[j] for j in range(base.n)]
+        cores = [*base.cores[:k], vcores[k], *right[k + 1 :]]
         want = want + tt.tt_dense(tt.TtTensor(cores)).reshape(-1, order="F")
     np.testing.assert_allclose(ambient(v), want, atol=1e-10)
 
@@ -261,7 +265,7 @@ def test_tangent_step_dense_check():
     geom = manifold.TangentGeometry(base)
     v = geom.project_dense(rng.standard_normal(base.mode_dims))
     eta = 0.37
-    stepped = manifold.tangent_step(base, v, eta)
+    stepped = manifold.tangent_step(v, eta)
     want = tt.tt_dense(base).reshape(-1, order="F") - eta * ambient(v)
     np.testing.assert_allclose(
         tt.tt_dense(stepped).reshape(-1, order="F"), want, atol=1e-10
@@ -274,7 +278,7 @@ def test_tangent_step_eta_zero():
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
     v = geom.project_dense(rng.standard_normal(base.mode_dims))
-    stepped = manifold.tangent_step(base, v, 0.0)
+    stepped = manifold.tangent_step(v, 0.0)
     assert tt_relative_error(stepped, base) < 1e-12
 
 
@@ -320,7 +324,7 @@ def test_trim_skipped_above_cap_warns():
 def test_retract_identity_on_manifold():
     rng = np.random.default_rng(17)
     base = left_orth_base(rng)
-    out = manifold.retract(base, base.ranks)
+    out = tt.ttsvd(base, base.ranks)
     assert tt_relative_error(out, base) < 1e-10
 
 
@@ -329,9 +333,9 @@ def test_retract_huge_trim_same_as_none():
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
     v = geom.project_dense(rng.standard_normal(base.mode_dims))
-    stepped = manifold.tangent_step(base, v, 1e-2)
-    a = manifold.retract(stepped, base.ranks)
-    b = manifold.retract(stepped, base.ranks, trim_xi=1e9)
+    stepped = manifold.tangent_step(v, 1e-2)
+    a = tt.ttsvd(stepped, base.ranks)
+    b = manifold.retract(stepped, base.ranks, 1e9)
     np.testing.assert_allclose(tt.tt_dense(a), tt.tt_dense(b), atol=1e-12)
 
 
@@ -345,8 +349,8 @@ def test_retraction_first_order():
     scale = 1.0 / tt.tt_norm(manifold.tangent_to_tt(v))
     errs = []
     for s in (1e-2, 1e-3, 1e-4):
-        stepped = manifold.tangent_step(base, v, -s * scale)
-        retracted = manifold.retract(stepped, base.ranks)
+        stepped = manifold.tangent_step(v, -s * scale)
+        retracted = tt.ttsvd(stepped, base.ranks)
         errs.append(tt.tt_distance(retracted, stepped))
     assert errs[0] / errs[1] > 30
     assert errs[1] / errs[2] > 30
@@ -377,7 +381,7 @@ def test_ksl_retract_names_non_finite_core():
     bad = [c.copy() for c in xcores]
     bad[2][0, 1, 0] = np.inf
     with pytest.raises(manifold.ManifoldError, match="core 2") as info:
-        manifold.ksl_retract(manifold.TangentVector(base, bad, geom.right_cores), 0.1)
+        manifold.ksl_retract(manifold.TangentVector(geom, bad), 0.1)
     assert info.value.core == 2 and info.value.cut is None
     # Finite scaled cores whose sum overflows: core 1's X̂ = c V puts c I into
     # the environment right of core 0, so core 0's K = U (c I + ...) +
@@ -389,5 +393,25 @@ def test_ksl_retract_names_non_finite_core():
     huge[1] = -c * geom.right_cores[1]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(manifold.ManifoldError, match="core 0") as info:
-            manifold.ksl_retract(manifold.TangentVector(base, huge, geom.right_cores), 1.0)
+            manifold.ksl_retract(manifold.TangentVector(geom, huge), 1.0)
     assert info.value.core == 0
+
+
+def test_ksl_retract_second_order_for_vector_built_from_geometry():
+    # A tangent vector built from its geometry and bare variation cores
+    # carries the right-orthogonal V_k that the projector-splitting sweep
+    # needs, so the sweep agrees with the TTSVD of the step to O(eta^3): the
+    # gap shrinks about 1000x per decade.  Right cores that are not the V_k
+    # leave a first-order gap (10x per decade).
+    rng = np.random.default_rng(3)
+    base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    v = manifold.TangentVector(geom, [rng.standard_normal(c.shape) for c in base.cores])
+    gaps = [
+        tt.tt_distance(
+            manifold.ksl_retract(v, eta), tt.ttsvd(manifold.tangent_step(v, eta), base.ranks)
+        )
+        / tt.tt_norm(base)
+        for eta in (1e-2, 1e-3)
+    ]
+    assert gaps[1] <= gaps[0] / 300.0

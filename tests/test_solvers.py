@@ -1,6 +1,7 @@
 """Solver tests: fixed points, dense one-step oracle, RSGD semantics, init."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ def test_offline_and_rsgd_honour_both_stop_rules():
 
     data = meas.make_stream(tstar, meas.ExactSource(), seed=13).draw_batch(10000)
     cfg = solvers.SolverConfig(
-        ranks=tstar.ranks, max_iters=0, batch_size=50, alpha=8e-3, epochs=4,
+        ranks=tstar.ranks, max_iters=800, batch_size=50, alpha=8e-3, epochs=4,
         shuffle_seed=1, stop_rel_error=1e-3, log_every=20,
     )
     _, trace = solvers.rsgd_run(t0, data, cfg, ground_truth=tstar)
@@ -294,7 +295,7 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
     stream = meas.make_stream(tstar, meas.ExactSource(), seed=18)
     idx, y = stream.draw_batch(200)
     cfg = solvers.SolverConfig(
-        ranks=tstar.ranks, max_iters=0, batch_size=20, alpha=6e-3,
+        ranks=tstar.ranks, max_iters=10, batch_size=20, alpha=6e-3,
         epochs=1, shuffle_seed=5, log_every=10**9,
     )
     out, _ = solvers.rsgd_run(t0, (idx, y), cfg, ground_truth=tstar)
@@ -313,6 +314,58 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
     assert abs(cfg.alpha * cfg.epoch_decay**2 - 0.81 * cfg.alpha) < 1e-15
 
 
+def test_rsgd_honours_explicit_eta():
+    psi = states.random_mps(4, 2, 2, seed=7)
+    tstar = states.pure_state_coeff(psi)
+    t0 = tt.left_orthogonalize(warm_start(tstar, tstar.ranks, 0.2, 21))
+    idx, y = meas.make_stream(tstar, meas.ShotSource(shots=100), seed=22).draw_batch(200)
+    # An explicit eta wins over alpha, as in the other solvers.
+    cfg = solvers.SolverConfig(
+        ranks=tstar.ranks, max_iters=20, batch_size=20, eta=0.0, alpha=8e-3,
+        epochs=2, shuffle_seed=5, log_every=10**9,
+    )
+    out, _ = solvers.rsgd_run(t0, (idx, y), cfg)
+    assert tt_relative_error(out, t0) < 1e-12
+    # Epoch k steps by eta * decay^k.
+    cfg = dataclasses.replace(cfg, eta=0.05, alpha=None)
+    out, _ = solvers.rsgd_run(t0, (idx, y), cfg)
+    rng = meas.make_rng(5)
+    state = solvers._IterateState(t0)
+    for epoch in range(2):
+        perm = rng.permutation(200)
+        for b in range(10):
+            sl = perm[b * 20 : (b + 1) * 20]
+            eta = 0.05 * cfg.epoch_decay**epoch
+            state = state.step(idx[sl], y[sl], eta, None, cfg.ranks)
+    assert tt.tt_distance(state.t, out) < 1e-10
+
+
+def test_rsgd_stops_at_max_iters(monkeypatch):
+    psi = states.random_mps(4, 2, 2, seed=7)
+    tstar = states.pure_state_coeff(psi)
+    t0 = warm_start(tstar, tstar.ranks, 0.2, 23)
+    data = meas.make_stream(tstar, meas.ExactSource(), seed=24).draw_batch(200)
+    cfg = solvers.SolverConfig(
+        ranks=tstar.ranks, max_iters=13, batch_size=20, alpha=6e-3,
+        epochs=3, log_every=5,
+    )
+    out, trace = solvers.rsgd_run(t0, data, cfg)
+    assert trace.iters == [0, 5, 10, 13] and trace.samples[-1] == 13 * 20
+    # A bound above epochs x batches runs all 30 rounds; the first 13 of them
+    # give the bounded run's iterate.
+    steps = []
+    step = solvers._IterateState.step
+
+    def recording_step(self, *args):
+        steps.append(step(self, *args))
+        return steps[-1]
+
+    monkeypatch.setattr(solvers._IterateState, "step", recording_step)
+    solvers.rsgd_run(t0, data, dataclasses.replace(cfg, max_iters=1000))
+    assert len(steps) == 30
+    assert all(np.array_equal(a, b) for a, b in zip(steps[12].t.cores, out.cores))
+
+
 def test_rsgd_improves_across_epochs():
     improved = 0
     for seed in (1, 2, 3):
@@ -322,7 +375,7 @@ def test_rsgd_improves_across_epochs():
         stream = meas.make_stream(tstar, meas.ExactSource(), seed=30 + seed)
         data = stream.draw_batch(10000)
         cfg = solvers.SolverConfig(
-            ranks=tstar.ranks, max_iters=0, batch_size=50, alpha=8e-3,
+            ranks=tstar.ranks, max_iters=800, batch_size=50, alpha=8e-3,
             epochs=4, shuffle_seed=seed, log_every=200,
         )
         _, trace = solvers.rsgd_run(t0, data, cfg, ground_truth=tstar)
@@ -423,7 +476,7 @@ def test_spectral_init_accuracy():
     stream = meas.make_stream(tstar, meas.ExactSource(), seed=40)
     cfg = solvers.InitConfig(k1=100000, k2=100000, k3=100000,
                              mu=rep.incoherence**2, nu=rep.spikiness)
-    t0, info = solvers.spectral_init(stream, cfg, tstar.ranks, return_info=True)
+    t0, info = solvers.spectral_init(stream, cfg, tstar.ranks)
     rel = tt.tt_distance(t0, tstar) / tt.tt_norm(tstar)
     assert rel <= 0.3
     assert info["trimmed"]
@@ -459,6 +512,8 @@ def test_config_validation():
         solvers.SolverConfig(ranks=(2,), max_iters=1, eta=-1.0)
     with pytest.raises(solvers.SolverError):
         solvers.SolverConfig(ranks=(2,), max_iters=1, alpha=1e-3, batch_size=0)
+    with pytest.raises(solvers.SolverError):
+        solvers.SolverConfig(ranks=(2,), max_iters=-1, alpha=1e-3)
     cfg = solvers.SolverConfig(ranks=(2,), max_iters=1, alpha=2e-3, batch_size=10)
     assert abs(cfg.resolve_eta(4) - 2e-3 * 10 / 16) < 1e-18
 
@@ -547,3 +602,25 @@ def test_retraction_overflow_raises_located_step_error(small_target):
     assert exc.iteration == 2 and exc.cut is None
     assert "iteration 2: " in str(exc)
     assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
+
+
+def test_trimmed_run_above_dense_cap_is_untrimmed_run(monkeypatch):
+    # 4^11 entries, above the dense cap: the run warns once, then every step
+    # is the untrimmed projector-splitting step, with no TTSVD.
+    tstar = states.pure_state_coeff(states.random_mps(11, 2, 2, seed=5))
+    assert tstar.size > tt.DENSE_CAP
+    t0 = warm_start(tstar, tstar.ranks, 0.1, 25)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=30, batch_size=20, alpha=4e-3)
+    want, _ = solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=26), cfg)
+    calls = []
+    ttsvd = tt.ttsvd
+    monkeypatch.setattr(tt, "ttsvd", lambda *a: calls.append(a) or ttsvd(*a))
+    trimmed = dataclasses.replace(cfg, trim_nu=3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _ = solvers.orgd_run(
+            t0, meas.make_stream(tstar, meas.ExactSource(), seed=26), trimmed
+        )
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(got.cores, want.cores))

@@ -128,7 +128,7 @@ def test_ttsvd_of_tangent_step_matches_numpy_reference(n, m, rank, eta, seed):
     base = tt.tt_scale(1.0 / tt.tt_norm(base), base)
     geom = manifold.TangentGeometry(base)
     idx = rng.integers(0, m, size=(5, n))
-    stepped = manifold.tangent_step(base, geom.project_batch(idx, rng.standard_normal(5)), eta)
+    stepped = manifold.tangent_step(geom.project_batch(idx, rng.standard_normal(5)), eta)
     got = tt.ttsvd(stepped, ranks)
     want = reference_ttsvd(stepped, ranks)
     assert got.ranks == ranks
@@ -204,9 +204,10 @@ def test_tt_axpy_matches_dense(alpha, n, m, cap, seed):
 @edge_cases(eta=0.7)
 def test_tangent_step_matches_dense(eta, n, m, cap, seed):
     base, rng = tt_case(n, m, cap, seed)
-    right = manifold.TangentGeometry(base).right_cores
+    geom = manifold.TangentGeometry(base)
+    right = geom.right_cores
     xcores = [rng.standard_normal(c.shape) for c in base.cores]
-    v = manifold.TangentVector(base, xcores, right)
+    v = manifold.TangentVector(geom, xcores)
     # The ambient tangent tensor is the sum of the chains [U.., X_k, R..].
     ambient = sum(
         tt.tt_dense(tt.TtTensor([*base.cores[:k], xcores[k], *right[k + 1 :]]))
@@ -215,7 +216,7 @@ def test_tangent_step_matches_dense(eta, n, m, cap, seed):
     got = tt.tt_dense(manifold.tangent_to_tt(v))
     np.testing.assert_allclose(got, ambient, rtol=0, atol=1e-12 * np.abs(ambient).max())
     want = tt.tt_dense(base) - eta * ambient
-    got = tt.tt_dense(manifold.tangent_step(base, v, eta))
+    got = tt.tt_dense(manifold.tangent_step(v, eta))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -250,9 +251,7 @@ def unit_step(n, m, cap, seed):
     geom = manifold.TangentGeometry(base)
     v = geom.project_dense(rng.standard_normal(base.mode_dims))
     scale = 1.0 / tt.tt_norm(manifold.tangent_to_tt(v))
-    return base, manifold.TangentVector(
-        base, [scale * c for c in v.variation_cores], geom.right_cores
-    )
+    return base, manifold.TangentVector(geom, [scale * c for c in v.variation_cores])
 
 
 @SWEEP_PROPS
@@ -290,7 +289,7 @@ def test_ksl_retract_gap_to_ttsvd_is_third_order(n, m, cap, seed):
     gaps = [
         dense_distance(
             manifold.ksl_retract(v, eta),
-            tt.ttsvd(manifold.tangent_step(base, v, eta), base.ranks),
+            tt.ttsvd(manifold.tangent_step(v, eta), base.ranks),
         )
         for eta in (1e-2, 1e-3)
     ]
