@@ -17,9 +17,7 @@ from .measurement import (  # noqa: F401
     MeasurementRecord,
     MeasurementStream,
     ShotSource,
-    exact_expectation,
     make_stream,
-    sample_shots_qubit,
 )
 from .mpo import (  # noqa: F401
     LocalBasis,
@@ -27,7 +25,6 @@ from .mpo import (  # noqa: F401
     MpoError,
     Mps,
     coeff_to_mpo,
-    fidelity,
     hermitian_decompose,
     is_hermitian_cores,
     make_basis,

@@ -406,8 +406,8 @@ def cmd_evaluate(args):
     d = tt.tt_distance(t_rec, t_ref) / tt.tt_norm(t_ref)
     line = f"D {repr(d)}"
     if psi is not None:
-        basis = mpo.make_basis(psi.d)
-        f = mpo.fidelity(psi, mpo.coeff_to_mpo(t_rec, basis))
+        # t_ref is psi's coefficient tensor: Parseval gives <psi|rho|psi>.
+        f = abs(tt.tt_inner(t_rec, t_ref))
         line += f" f {repr(f)}"
     print(line)
     return EXIT_OK

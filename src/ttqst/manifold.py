@@ -161,36 +161,6 @@ class TangentGeometry:
                 right = np.matmul(self._right_slices[k][idx[:, k]], right[:, :, None])[:, :, 0]
         return TangentVector(self, vcores)
 
-    def project_dense(self, x: np.ndarray) -> TangentVector:
-        base = self.base
-        n = base.n
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != base.mode_dims:
-            raise ManifoldError(f"dense shape {x.shape} != {base.mode_dims}")
-        if x.size > tt.DENSE_CAP:
-            raise ManifoldError("dense input above size cap")
-        # rights[k] = V^{>k}, of shape (r_k, prod(dims[k+1:])), orthonormal rows.
-        rights = [np.ones((1, 1))] * n
-        for k in range(n - 2, -1, -1):
-            c = self.right_cores[k + 1]
-            rights[k] = np.tensordot(c, rights[k + 1], axes=(2, 0)).reshape(
-                c.shape[0], -1, order="F"
-            )
-        vcores = []
-        flat = x.reshape(-1, order="F")
-        for k in range(n):
-            m = base.mode_dims[k]
-            r0 = base.cores[k].shape[0]
-            sep = flat.reshape(int(np.prod(base.mode_dims[:k], dtype=int)), -1, order="F")
-            # Contract the left environment, regroup rows as (r_{k-1}, m).
-            m1 = tt.left_part(base, k).T @ sep if k > 0 else sep
-            m2 = m1.reshape(r0 * m, -1, order="F") @ rights[k].T
-            if k < n - 1:
-                lt = self.left_unfolds[k]
-                m2 = m2 - lt @ (lt.T @ m2)
-            vcores.append(fold_left(m2, r0, m))
-        return TangentVector(self, vcores)
-
 
 def _chain_sum_cores(geom: TangentGeometry, xcores) -> list:
     """``[U_1, X_1]``, ``[[U_k, X_k], [0, V_k]]``, ``[X_n; V_n]``: sum of the chains."""

@@ -39,7 +39,6 @@ class MeasurementRecord:
     index: tuple
     value: float
     shots: int | None  # None means exact
-    surrogate: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,6 @@ class GaussianSource:
     kind: str = "gaussian"
 
 
-def exact_expectation(t_star: TtTensor, idx) -> float:
-    """Expectation of the observable at ``idx``: the coefficient-tensor entry."""
-    return tt.tt_entry(t_star, idx)
-
-
 def _shot_means(e: np.ndarray, n: int, shots: int, rng) -> np.ndarray:
     """Empirical means of M two-outcome measurements per entry of ``e``."""
     scale = 2.0 ** (n / 2.0)
@@ -77,17 +71,6 @@ def _shot_means(e: np.ndarray, n: int, shots: int, rng) -> np.ndarray:
     p = np.clip((1.0 + spectral) / 2.0, 0.0, 1.0)
     ups = rng.binomial(shots, p)
     return (2.0 * ups / shots - 1.0) / scale
-
-
-def sample_shots_qubit(t_star: TtTensor, idx, shots: int, rng) -> MeasurementRecord:
-    """Draw M two-outcome samples for one qubit-system observable."""
-    if any(m != 4 for m in t_star.mode_dims):
-        raise MeasurementError("shot sampling requires a qubit (d=2) target")
-    if shots < 1:
-        raise MeasurementError("need at least one shot")
-    e = np.array([exact_expectation(t_star, idx)])
-    y = _shot_means(e, t_star.n, shots, rng)[0]
-    return MeasurementRecord(tuple(int(i) for i in idx), float(y), shots)
 
 
 class MeasurementStream:

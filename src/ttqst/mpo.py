@@ -440,16 +440,3 @@ def mps_to_mpo(psi: Mps) -> Mpo:
             c = np.tensordot(c, gauges[k], axes=(3, 0))
         out.append(c)
     return Mpo(out)
-
-
-def fidelity(psi: Mps, m: Mpo) -> float:
-    """``|<psi| rho |psi>|`` contracted site by site."""
-    if psi.n != m.n or psi.d != m.d:
-        raise MpoError("shape mismatch between state and operator")
-    env = np.ones((1, 1, 1), dtype=np.complex128)
-    for ps, op in zip(psi.cores, m.cores):
-        t = np.tensordot(env, ps.conj(), axes=(0, 0))  # (b, c, i, x)
-        t = np.tensordot(t, op, axes=([0, 2], [0, 1]))  # (c, x, j, y)
-        env = np.tensordot(t, ps, axes=([0, 2], [0, 1]))  # (x, y, z)
-    return float(np.abs(env[0, 0, 0]))
-

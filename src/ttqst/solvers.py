@@ -18,10 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import manifold, measurement, mpo, tt
+from . import manifold, measurement, mpo, states, tt
 from .manifold import TangentGeometry
 from .measurement import MeasurementStream
 from .tt import TtTensor
+
+# Rounds between the iterate snapshots that the ``stop_move_tol`` rule compares.
+STOP_MOVE_WINDOW = 50
 
 
 class SolverError(RuntimeError):
@@ -89,7 +92,8 @@ class SolverConfig:
     every ``log_every``-th round and the last round run, so the trace ends
     at the returned iterate; they stop once a logged ``rel_error`` is at
     most ``stop_rel_error``, or once the iterate moved by less than
-    ``stop_move_tol`` (relative) over the last ``stop_move_window`` rounds.
+    ``stop_move_tol`` (relative) over the last ``STOP_MOVE_WINDOW`` (50)
+    rounds.
     """
 
     ranks: tuple
@@ -100,7 +104,6 @@ class SolverConfig:
     trim_nu: float | None = None  # enables trimming when set, up to the dense cap
     stop_rel_error: float | None = None
     stop_move_tol: float | None = None
-    stop_move_window: int = 50
     log_every: int = 50
     epochs: int = 1  # RSGD
     epoch_decay: float = 0.9  # RSGD step decay per epoch
@@ -264,11 +267,13 @@ class _IterateState:
 
 
 class _TraceLogger:
+    """Trace rows of a run.  The fidelity is read by Parseval: ``<psi|rho|psi>``
+    is the inner product ``<t, c_psi>`` of real coefficient tensors."""
+
     def __init__(self, ground_truth, pure_target):
         self.gt = ground_truth
         self.gt_norm = tt.tt_norm(ground_truth) if ground_truth is not None else None
-        self.psi = pure_target
-        self.basis = mpo.make_basis(pure_target.d) if pure_target is not None else None
+        self.c_psi = states.pure_state_coeff(pure_target) if pure_target is not None else None
         self.trace = RunTrace()
         self.t0 = time.perf_counter()
 
@@ -277,8 +282,8 @@ class _TraceLogger:
         if self.gt is not None:
             rel = tt.tt_distance(state.t, self.gt) / self.gt_norm
         fid = None
-        if self.psi is not None:
-            fid = mpo.fidelity(self.psi, mpo.coeff_to_mpo(state.t, self.basis))
+        if self.c_psi is not None:
+            fid = abs(tt.tt_inner(state.t, self.c_psi))
         wall = (time.perf_counter() - self.t0) * 1e3
         # The geometry's sweep already holds every cut's separation spectrum.
         lam = float(min(s[-1] for s in state.geom.singular_values))
@@ -323,7 +328,7 @@ def _descend(t0, rounds, cfg, ground_truth, pure_target):
                 rel = logger.log(samples, state)
                 if cfg.stop_rel_error is not None and rel is not None and rel <= cfg.stop_rel_error:
                     break
-            if cfg.stop_move_tol is not None and it % cfg.stop_move_window == 0:
+            if cfg.stop_move_tol is not None and it % STOP_MOVE_WINDOW == 0:
                 move = tt.tt_distance(state.t, window_start) / max(tt.tt_norm(state.t), 1e-300)
                 window_start = state.t
                 if move < cfg.stop_move_tol:

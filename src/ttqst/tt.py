@@ -9,8 +9,6 @@ the left unfolding of a core ``A`` of shape ``(r0, m, r1)`` is
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy.linalg import lapack
 
@@ -22,7 +20,6 @@ PART_CAP = 2**22
 ORTHO_TOL = 1e-12
 
 LEFT = "left"
-RIGHT = "right"
 UNKNOWN = "unknown"
 
 # Singular values below RANK_TOL * sigma_1 are treated as exact zeros when a
@@ -103,9 +100,9 @@ class TtTensor:
         n order-3 arrays; core k has shape ``(r_{k-1}, mode_dims[k], r_k)``
         with ``r_0 = r_n = 1``.
     ortho : sequence of str, optional
-        Per-core orthogonality flag, each one of ``"left"``, ``"right"``,
-        ``"unknown"``.  Flags are trusted metadata; they are set by the
-        operations in this module and never guessed.
+        Per-core orthogonality flag, ``"left"`` or ``"unknown"``.  Flags are
+        trusted metadata; they are set by the operations in this module and
+        never guessed.
 
     Core arrays are frozen (non-writeable views); instances are immutable and
     safe to share between threads.
@@ -150,10 +147,6 @@ class TtTensor:
     @property
     def size(self) -> int:
         return int(np.prod(self.mode_dims))
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
 
     def __repr__(self):
         return f"TtTensor(dims={self.mode_dims}, ranks={self.ranks})"
@@ -255,20 +248,13 @@ def _stack_chains(a, b, c=None) -> list:
 def tt_distance(a: TtTensor, b: TtTensor) -> float:
     """Frobenius distance between two TT tensors.
 
-    Small combined ranks use the expanded difference ``tt_axpy(-1, a, b)``,
-    which resolves distances down to machine precision.  Large ranks fall
-    back to the identity ``|a-b|^2 = |a|^2 + |b|^2 - 2<a,b>``, which avoids
-    the rank-sum contraction but floors out near ``sqrt(eps) * |a|`` due to
-    cancellation.
+    Left-orthogonalizing the stacked difference ``tt_axpy(-1, a, b)`` performs
+    the cancellation inside backward-stable QR sweeps; the norm is then read
+    off the last core with absolute error O(eps * (|a| + |b|)), so distances
+    far below ``sqrt(eps) * |a|`` are resolved.
     """
-    if max(ra + rb for ra, rb in zip(a.ranks, b.ranks)) <= 128:
-        # Orthogonalizing the stacked difference performs the cancellation
-        # inside backward-stable QR sweeps; the norm is then read off the
-        # last core with absolute error O(eps * (|a| + |b|)).
-        d = left_orthogonalize(tt_axpy(-1.0, a, b))
-        return float(np.linalg.norm(d.cores[-1]))
-    d2 = tt_inner(a, a) + tt_inner(b, b) - 2.0 * tt_inner(a, b)
-    return float(np.sqrt(max(d2, 0.0)))
+    d = left_orthogonalize(tt_axpy(-1.0, a, b))
+    return float(np.linalg.norm(d.cores[-1]))
 
 
 def left_orthogonalize(t: TtTensor) -> TtTensor:

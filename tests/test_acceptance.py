@@ -111,11 +111,9 @@ def test_criterion_03_shot_noise_model():
     psi = states.random_mps(n, 2, 2, seed=33)
     tstar = states.pure_state_coeff(psi)
     idx = (3, 0, 1, 2)
-    e = meas.exact_expectation(tstar, idx)
+    e = tt.tt_entry(tstar, idx)
     rng = meas.make_rng(103)
-    values = np.array(
-        [meas.sample_shots_qubit(tstar, idx, m, rng).value for _ in range(total)]
-    )
+    values = meas._shot_means(np.full(total, e), n, m, rng)
     z = values - e
     var_bound = 1.1 / (2**n * m)
     assert np.var(z) <= var_bound
@@ -161,7 +159,7 @@ def test_criterion_04_ttsvd_quasi_optimality():
 
 
 def test_criterion_05_tangent_projection_oracle():
-    from test_manifold import ambient, dense_tangent_projector, sparse_dense
+    from test_manifold import ambient, dense_tangent_projector, project_all, sparse_dense
 
     rng = np.random.default_rng(105)
     worst = 0.0
@@ -178,7 +176,7 @@ def test_criterion_05_tangent_projection_oracle():
         got = ambient(geom.project_batch(idx, vals))
         want = proj @ g.reshape(-1, order="F")
         worst = max(worst, float(np.max(np.abs(got - want))))
-        v2 = geom.project_dense(got.reshape((4, 4, 4), order="F"))
+        v2 = project_all(geom, got.reshape((4, 4, 4), order="F"))
         worst_idem = max(worst_idem, float(np.max(np.abs(ambient(v2) - got))))
         resid = g.reshape(-1, order="F") - got
         worst_orth = max(worst_orth, abs(float(resid @ got)))

@@ -2,7 +2,8 @@
 
 The oracle builds the dense projection matrix onto the tangent space by
 orthonormalizing the ambient vectors of all delta-core perturbations of the
-foot point; the fast sparse/dense projection paths must reproduce it.
+foot point; the batch projection must reproduce it, for a few entries or,
+through ``project_all``, for a dense tensor.
 """
 
 import numpy as np
@@ -42,6 +43,12 @@ def ambient(v):
     return tt.tt_dense(manifold.tangent_to_tt(v)).reshape(-1, order="F")
 
 
+def project_all(geom, x):
+    """Projection of the dense ``x``: ``project_batch`` over every multi-index."""
+    idx = np.indices(x.shape).reshape(x.ndim, -1).T
+    return geom.project_batch(idx, x[tuple(idx.T)])
+
+
 def sparse_dense(dims, idx, vals):
     """Dense ``sum_b vals[b] * e_{idx[b]}``; repeated indices add up."""
     x = np.zeros(dims)
@@ -75,13 +82,13 @@ def test_manifold_dim_matches_numerical_rank():
     assert rank == manifold_dim(base.mode_dims, base.ranks)
 
 
-def test_project_dense_matches_oracle():
+def test_project_all_entries_matches_oracle():
     rng = np.random.default_rng(1)
     base = left_orth_base(rng)
     proj, _ = dense_tangent_projector(base)
     for _ in range(5):
         x = rng.standard_normal(base.mode_dims)
-        v = manifold.TangentGeometry(base).project_dense(x)
+        v = project_all(manifold.TangentGeometry(base), x)
         want = proj @ x.reshape(-1, order="F")
         np.testing.assert_allclose(ambient(v), want, atol=1e-9)
 
@@ -106,7 +113,7 @@ def test_sparse_and_dense_paths_agree():
     idx = rng.integers(0, 4, size=(5, 3))
     vals = rng.standard_normal(5)
     vs = geom.project_batch(idx, vals)
-    vd = geom.project_dense(sparse_dense((4, 4, 4), idx, vals))
+    vd = project_all(geom, sparse_dense((4, 4, 4), idx, vals))
     np.testing.assert_allclose(ambient(vs), ambient(vd), atol=1e-9)
 
 
@@ -124,8 +131,8 @@ def test_projection_idempotent():
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
     x = rng.standard_normal(base.mode_dims)
-    v1 = geom.project_dense(x)
-    v2 = geom.project_dense(ambient(v1).reshape(base.mode_dims, order="F"))
+    v1 = project_all(geom, x)
+    v2 = project_all(geom, ambient(v1).reshape(base.mode_dims, order="F"))
     np.testing.assert_allclose(ambient(v2), ambient(v1), atol=1e-10)
 
 
@@ -134,7 +141,7 @@ def test_projection_residual_orthogonal():
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
     x = rng.standard_normal(base.mode_dims)
-    p = ambient(geom.project_dense(x))
+    p = ambient(project_all(geom, x))
     resid = x.reshape(-1, order="F") - p
     assert abs(resid @ p) < 1e-9
 
@@ -143,7 +150,7 @@ def test_self_projection_returns_foot_point():
     rng = np.random.default_rng(7)
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
-    v = geom.project_dense(tt.tt_dense(base))
+    v = project_all(geom, tt.tt_dense(base))
     np.testing.assert_allclose(
         ambient(v), tt.tt_dense(base).reshape(-1, order="F"), atol=1e-10
     )
@@ -201,7 +208,7 @@ def test_projection_edge_cases_match_oracle(dims, ranks):
     x = rng.standard_normal(dims)
     for v, src in (
         (geom.project_batch(idx, vals), sparse_dense(dims, idx, vals)),
-        (geom.project_dense(x), x),
+        (project_all(geom, x), x),
     ):
         want = proj @ src.reshape(-1, order="F")
         np.testing.assert_allclose(ambient(v), want, atol=1e-9)
@@ -263,7 +270,7 @@ def test_tangent_step_dense_check():
     rng = np.random.default_rng(13)
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
-    v = geom.project_dense(rng.standard_normal(base.mode_dims))
+    v = project_all(geom, rng.standard_normal(base.mode_dims))
     eta = 0.37
     stepped = manifold.tangent_step(v, eta)
     want = tt.tt_dense(base).reshape(-1, order="F") - eta * ambient(v)
@@ -277,7 +284,7 @@ def test_tangent_step_eta_zero():
     rng = np.random.default_rng(14)
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
-    v = geom.project_dense(rng.standard_normal(base.mode_dims))
+    v = project_all(geom, rng.standard_normal(base.mode_dims))
     stepped = manifold.tangent_step(v, 0.0)
     assert tt_relative_error(stepped, base) < 1e-12
 
@@ -332,7 +339,7 @@ def test_retract_huge_trim_same_as_none():
     rng = np.random.default_rng(18)
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
-    v = geom.project_dense(rng.standard_normal(base.mode_dims))
+    v = project_all(geom, rng.standard_normal(base.mode_dims))
     stepped = manifold.tangent_step(v, 1e-2)
     a = tt.ttsvd(stepped, base.ranks)
     b = manifold.retract(stepped, base.ranks, 1e9)
@@ -345,7 +352,7 @@ def test_retraction_first_order():
     rng = np.random.default_rng(19)
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
-    v = geom.project_dense(rng.standard_normal(base.mode_dims))
+    v = project_all(geom, rng.standard_normal(base.mode_dims))
     scale = 1.0 / tt.tt_norm(manifold.tangent_to_tt(v))
     errs = []
     for s in (1e-2, 1e-3, 1e-4):
@@ -367,7 +374,7 @@ def test_sparse_tensor_duplicate_sum():
     got = ambient(geom.project_batch(idx, vals))
     dense = sparse_dense((4, 4, 4), idx, vals)
     assert dense[1, 2, 3] == 2.5 and dense[0, 0, 0] == 5.0
-    np.testing.assert_allclose(got, ambient(geom.project_dense(dense)), atol=1e-12)
+    np.testing.assert_allclose(got, ambient(project_all(geom, dense)), atol=1e-12)
     merged = ambient(geom.project_batch(idx[1:3], [2.5, 5.0]))
     np.testing.assert_allclose(got, merged, atol=1e-12)
 
@@ -376,7 +383,7 @@ def test_ksl_retract_names_non_finite_core():
     rng = np.random.default_rng(25)
     base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     geom = manifold.TangentGeometry(base)
-    xcores = geom.project_dense(rng.standard_normal(base.mode_dims)).variation_cores
+    xcores = project_all(geom, rng.standard_normal(base.mode_dims)).variation_cores
     # A non-finite variation core is named before the sweep runs.
     bad = [c.copy() for c in xcores]
     bad[2][0, 1, 0] = np.inf

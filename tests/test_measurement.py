@@ -32,8 +32,8 @@ def ghz_coeff(n):
 def test_identity_expectations():
     n = 4
     t = identity_coeff(n)
-    assert abs(meas.exact_expectation(t, (0,) * n) - 2 ** (-n / 2)) < 1e-14
-    assert abs(meas.exact_expectation(t, (0, 2, 0, 0))) < 1e-14
+    assert abs(tt.tt_entry(t, (0,) * n) - 2 ** (-n / 2)) < 1e-14
+    assert abs(tt.tt_entry(t, (0, 2, 0, 0))) < 1e-14
 
 
 def test_ghz_expectations_match_dense():
@@ -46,7 +46,7 @@ def test_ghz_expectations_match_dense():
         for s in idx:
             a = np.kron(basis.mats[s], a)
         want = np.vdot(a, rho).real
-        assert abs(meas.exact_expectation(t, idx) - want) < 1e-12
+        assert abs(tt.tt_entry(t, idx) - want) < 1e-12
 
 
 def test_shot_sampling_eigenstate_deterministic():
@@ -54,9 +54,10 @@ def test_shot_sampling_eigenstate_deterministic():
     psi = mpo.Mps([np.array([[[1.0], [0.0]]]), np.array([[[1.0], [0.0]]])])
     t = mpo.mpo_to_coeff(mpo.mps_to_mpo(psi), mpo.make_basis(2))
     rng = meas.make_rng(0)
+    e = np.array([tt.tt_entry(t, (3, 3))])
     for m in (1, 10, 100):
-        rec = meas.sample_shots_qubit(t, (3, 3), m, rng)
-        assert abs(rec.value - 0.5) < 1e-14  # <Z/sqrt2 (x) Z/sqrt2> = 1/2
+        y = meas._shot_means(e, t.n, m, rng)
+        assert abs(y[0] - 0.5) < 1e-14  # <Z/sqrt2 (x) Z/sqrt2> = 1/2
 
 
 def test_shot_mean_zero_expectation():
@@ -64,7 +65,7 @@ def test_shot_mean_zero_expectation():
     n, m, reps = 3, 4, 10**5
     t = identity_coeff(n)
     idx = (1, 0, 0)
-    assert abs(meas.exact_expectation(t, idx)) < 1e-14
+    assert abs(tt.tt_entry(t, idx)) < 1e-14
     rng = meas.make_rng(7)
     e = np.zeros(reps)
     y = meas._shot_means(e, n, m, rng)
@@ -95,15 +96,16 @@ def test_shot_tail_bound():
 def test_unphysical_target_rejected():
     t = tt.tt_scale(10.0, identity_coeff(2))
     rng = meas.make_rng(0)
+    e = np.array([tt.tt_entry(t, (0, 0))])
     with pytest.raises(meas.MeasurementError):
-        meas.sample_shots_qubit(t, (0, 0), 10, rng)
+        meas._shot_means(e, t.n, 10, rng)
 
 
 def test_unbiasedness_fixed_index():
     n, m, reps = 3, 20, 10**4
     t = ghz_coeff(n)
     idx = (3, 3, 0)
-    e = meas.exact_expectation(t, idx)
+    e = tt.tt_entry(t, idx)
     rng = meas.make_rng(17)
     y = meas._shot_means(np.full(reps, e), n, m, rng)
     se = np.sqrt(1.0 / (2**n * m * reps))
@@ -174,7 +176,7 @@ def test_next_batch_scaling():
     dn = 2**3
     assert idx.shape == (8, 3) and s.scale == dn
     for row, value in zip(idx, y):
-        assert abs(s.scale * value - dn * meas.exact_expectation(t, row)) < 1e-12
+        assert abs(s.scale * value - dn * tt.tt_entry(t, row)) < 1e-12
 
 
 def test_gaussian_surrogate_variance():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttqst import mpo, tt
+from ttqst import mpo, states, tt
 
 
 def random_mps(rng, n=3, d=2, r=2):
@@ -400,10 +400,11 @@ def test_trace_identity_mpo():
 
 
 def test_fidelity_self():
+    # Parseval: <psi|rho|psi> = Tr(rho |psi><psi|) = <c_rho, c_psi>.
     rng = np.random.default_rng(22)
     psi = random_mps(rng, n=3, r=2)
-    m = mpo.mps_to_mpo(psi)
-    assert abs(mpo.fidelity(psi, m) - 1.0) < 1e-12
+    c = states.pure_state_coeff(psi)
+    assert abs(abs(tt.tt_inner(c, c)) - 1.0) < 1e-12
 
 
 def test_fidelity_matches_dense():
@@ -412,7 +413,9 @@ def test_fidelity_matches_dense():
     m = random_hermitian_mpo(rng, n=3, r=2)
     v = mps_dense(psi)
     want = abs(np.vdot(v, mpo.mpo_dense(m) @ v))
-    assert abs(mpo.fidelity(psi, m) - want) < 1e-10
+    c_m = mpo.mpo_to_coeff(m, mpo.make_basis(2))
+    got = abs(tt.tt_inner(c_m, states.pure_state_coeff(psi)))
+    assert abs(got - want) < 1e-10
 
 
 # ---------------------------------------------------------------- fixed contractions
@@ -440,9 +443,10 @@ def test_fixed_contractions_match_einsum(n, d, r):
     env = np.ones((1, 1, 1))
     for ps, op in zip(psi.cores, m.cores):
         env = np.einsum("abc,aix,bijy,cjz->xyz", env, ps.conj(), op, ps)
-    np.testing.assert_allclose(mpo.fidelity(psi, m), abs(env[0, 0, 0]), **tol)
-
     t = mpo.mpo_to_coeff(m, basis)
+    parseval = tt.tt_inner(t, states.pure_state_coeff(psi))
+    np.testing.assert_allclose(parseval, env[0, 0, 0].real, **tol)
+
     for got, c in zip(t.cores, m.cores):
         want = np.einsum("lijm,sij->lsm", c, basis.mats.conj()).real
         np.testing.assert_allclose(got, want, **tol)

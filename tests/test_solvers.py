@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from test_manifold import project_all
 from test_tt import tt_relative_error
 from test_tt_kernels import dense_ksl
 from ttqst import manifold, measurement as meas, solvers, states, tt
@@ -91,7 +92,7 @@ def test_orgd_step_matches_dense_reference():
         resid = scale * x0[r] - scale * tt.tt_entry(tstar, r)
         grad[r] += resid * scale / idx.shape[0]
     geom = manifold.TangentGeometry(tt.left_orthogonalize(t0))
-    pg = tt.tt_dense(manifold.tangent_to_tt(geom.project_dense(grad)))
+    pg = tt.tt_dense(manifold.tangent_to_tt(project_all(geom, grad)))
     want = dense_ksl(x0, x0 - eta * pg, tstar.ranks)
     assert np.linalg.norm(tt.tt_dense(out) - want) < 1e-12 * np.linalg.norm(want)
     # The TTSVD retraction of the same step differs at third order in the
@@ -200,7 +201,7 @@ def test_blind_stopping_rule():
     out, trace = solvers.orgd_run(t0, stream, cfg)
     # The run stops between logs; its trace still ends at the returned iterate.
     assert trace.iters[-1] == stream.draws < cfg.max_iters
-    assert trace.iters[-1] % cfg.stop_move_window == 0
+    assert trace.iters[-1] % solvers.STOP_MOVE_WINDOW == 0
     assert trace.samples[-1] == 20 * trace.iters[-1]
     assert tt_relative_error(out, tstar) < 1e-4
 
@@ -213,23 +214,27 @@ def test_offline_and_rsgd_honour_both_stop_rules():
     t0 = warm_start(tstar, tstar.ranks, 0.1, 11)
     data = meas.make_stream(tstar, meas.ExactSource(), seed=12).draw_batch(3000)
     cfg = solvers.SolverConfig(
-        ranks=tstar.ranks, max_iters=2000, eta=0.2, stop_move_tol=1e-6,
-        stop_move_window=10, log_every=50,
+        ranks=tstar.ranks, max_iters=2000, eta=0.2, stop_move_tol=1e-6, log_every=50,
     )
     out, trace = solvers.rgd_offline_run(t0, data, cfg, ground_truth=tstar)
     stop = trace.iters[-1]
-    assert stop < cfg.max_iters and stop % cfg.stop_move_window == 0
+    window = solvers.STOP_MOVE_WINDOW
+    assert stop < cfg.max_iters and stop % window == 0
     assert trace.samples[-1] == 3000
     fixed = dataclasses.replace(cfg, stop_move_tol=None)
     at = {
         k: solvers.rgd_offline_run(t0, data, dataclasses.replace(fixed, max_iters=k))[0]
-        for k in (stop - 20, stop - 10)
+        for k in (stop - 2 * window, stop - window)
     }
 
     def move(a, b):
         return tt.tt_distance(a, b) / tt.tt_norm(a)
 
-    assert move(out, at[stop - 10]) < cfg.stop_move_tol <= move(at[stop - 10], at[stop - 20])
+    assert (
+        move(out, at[stop - window])
+        < cfg.stop_move_tol
+        <= move(at[stop - window], at[stop - 2 * window])
+    )
 
     data = meas.make_stream(tstar, meas.ExactSource(), seed=13).draw_batch(10000)
     cfg = solvers.SolverConfig(
@@ -295,23 +300,22 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
     stream = meas.make_stream(tstar, meas.ExactSource(), seed=18)
     idx, y = stream.draw_batch(200)
     cfg = solvers.SolverConfig(
-        ranks=tstar.ranks, max_iters=10, batch_size=20, alpha=6e-3,
-        epochs=1, shuffle_seed=5, log_every=10**9,
+        ranks=tstar.ranks, max_iters=20, batch_size=20, alpha=6e-3,
+        epochs=2, shuffle_seed=5, log_every=10**9,
     )
     out, _ = solvers.rsgd_run(t0, (idx, y), cfg, ground_truth=tstar)
 
-    # Replaying the same shuffled sequence through plain minibatch steps
-    # reproduces the single-epoch RSGD result exactly.
+    # Replaying the same shuffled sequences through plain minibatch steps,
+    # epoch 0 at the alpha-form step and epoch 1 at that step times the
+    # decay, reproduces the two-epoch RSGD result exactly.
     rng = meas.make_rng(5)
-    perm = rng.permutation(200)
     state = solvers._IterateState(tt.left_orthogonalize(t0))
-    for b in range(10):
-        sl = perm[b * 20 : (b + 1) * 20]
-        state = state.step(idx[sl], y[sl], cfg.resolve_eta(4), None, cfg.ranks)
+    for eta in (cfg.resolve_eta(4), cfg.resolve_eta(4) * cfg.epoch_decay):
+        perm = rng.permutation(200)
+        for b in range(10):
+            sl = perm[b * 20 : (b + 1) * 20]
+            state = state.step(idx[sl], y[sl], eta, None, cfg.ranks)
     assert tt.tt_distance(state.t, out) < 1e-10
-
-    # Epoch-wise decay: alpha_3 = 0.81 alpha_1.
-    assert abs(cfg.alpha * cfg.epoch_decay**2 - 0.81 * cfg.alpha) < 1e-15
 
 
 def test_rsgd_honours_explicit_eta():

@@ -306,10 +306,21 @@ def test_distance_identity_matches_dense():
     b = random_tt(rng)
     d = np.linalg.norm(tt.tt_dense(a) - tt.tt_dense(b))
     assert abs(tt.tt_distance(a, b) - d) < 1e-9
-    # The pure algebraic identity (used at large ranks) agrees too, at
+    # The algebraic identity |a-b|^2 = |a|^2 + |b|^2 - 2<a,b> agrees too, at
     # moderate separations where cancellation is harmless.
     alg = np.sqrt(tt.tt_inner(a, a) + tt.tt_inner(b, b) - 2 * tt.tt_inner(a, b))
     assert abs(alg - d) < 1e-9
+
+
+def test_distance_resolves_tiny_separation_at_large_ranks():
+    # Combined ranks (27, 243, 27): the identity above would floor near
+    # sqrt(eps) here and read 0; the stacked QR sweep resolves 1e-10.
+    rng = np.random.default_rng(25)
+    a, b = (tt.random_tt((9,) * 4, (9, 81, 9), rng) for _ in range(2))
+    a = tt.tt_scale(1.0 / tt.tt_norm(a), a)
+    c = tt.tt_axpy(1e-10 / tt.tt_norm(b), b, a)
+    d = np.linalg.norm(tt.tt_dense(a) - tt.tt_dense(c))
+    assert abs(tt.tt_distance(a, c) - d) <= 1e-6 * d
 
 
 def test_shape_mismatch_raises():
