@@ -2,7 +2,8 @@
 
 A foot point ``T`` is held in mixed-canonical form: its left-orthogonal cores
 ``U_1, ..., U_{n-1}`` (the last core ``U_n`` carries the norm) and the
-right-orthogonal cores ``V_2, ..., V_n`` of one right-to-left sweep.  The
+right-orthogonal cores ``V_2, ..., V_n`` of one right-to-left sweep of thin
+QRs, whose r x r factors also give every cut's separation spectrum.  The
 tangent space is parametrized by gauge-fixed variation cores ``X_k``
 (``L(X_k)^T L(U_k) = 0`` for k < n); the represented ambient tensor is the
 sum over k of the chains ``[U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n]``.
@@ -89,17 +90,20 @@ class TangentGeometry:
     """Mixed-canonical form of a foot point, for tangent projection.
 
     Keeps the left-orthogonal cores ``U_k`` of the foot point and builds its
-    right-orthogonal cores ``V_k`` by one right-to-left sweep of thin SVDs, so
-    ``T = U^{<=k} S_k V^{>k}`` at every cut k and projection needs no solve.
-    ``singular_values[k-1]`` are those of ``S_k``, the separation singular
-    values of cut k; sigma_r / sigma_1 below ``DEGENERATE_TOL`` rejects the
-    foot point as off-manifold.
+    right-orthogonal cores ``V_k`` by one right-to-left sweep of thin QRs
+    (``tt.right_qr_sweep``), so ``T = U^{<=k} R_k^T V^{>k}`` at every cut k
+    and projection needs no solve.  Any rotation of the ``V_k`` would serve:
+    projection and ``ksl_retract`` are gauge-invariant.  With ``U`` and ``V``
+    orthonormal, ``singular_values[k-1]``, those of the r x r factor ``R_k``,
+    are the separation singular values of cut k; sigma_r / sigma_1 below
+    ``DEGENERATE_TOL`` rejects the foot point as off-manifold.
     """
 
     def __init__(self, base: TtTensor):
         _require_left_orthogonal(base)
         self.base = base
-        right, self.singular_values = tt.right_svd_sweep(base.cores)
+        right, factors = tt.right_qr_sweep(base.cores)
+        self.singular_values = [tt._svd(r, compute_uv=False) for r in factors]
         for k in range(base.n - 1, 0, -1):
             s = self.singular_values[k - 1]
             ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
@@ -109,7 +113,7 @@ class TangentGeometry:
                     f"(sigma_r/sigma_1 = {ratio:.3g})",
                     cut=k,
                 )
-        # right_cores = [U_1 S_1, V_2, ..., V_n] is the foot point right-orthogonalized.
+        # right_cores = [U_1 R_1^T, V_2, ..., V_n] is the foot point right-orthogonalized.
         self.right_cores = tuple(right)
         # Mode-major copies (m, r0, r1) so a batch gathers (B, r0, r1) slices.
         self._left_slices = [np.ascontiguousarray(c.transpose(1, 0, 2)) for c in base.cores]

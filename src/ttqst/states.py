@@ -211,7 +211,7 @@ def ising_ground(n: int, g: float, max_bond: int):
     ranks = [1] + [min(2**k, 2 ** (n - k), max_bond) for k in range(1, n)] + [1]
     cores = [rng.standard_normal((ranks[k], 2, ranks[k + 1])) for k in range(n)]
     # Right-orthogonalize so right environments are valid from the start.
-    cores = tt._right_orthogonalize_cores(cores)
+    cores = tt.right_qr_sweep(cores)[0]
     cores[0] /= np.linalg.norm(cores[0])
 
     les = [None] * n

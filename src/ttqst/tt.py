@@ -31,22 +31,30 @@ class TtError(ValueError):
     """Raised for invalid tensor-train inputs (shapes, ranks, indices)."""
 
 
-def _qr(a: np.ndarray):
-    """Thin QR ``a = q @ r`` of a real matrix by LAPACK ``dgeqrf`` + ``dorgqr``.
+def _householder(a: np.ndarray):
+    """Thin QR ``a = q @ r`` by LAPACK ``dgeqrf`` + ``dorgqr``, with ``r = q.T @ a``.
 
-    The factorizations on the TT hot path are of core-sized matrices, where
-    numpy's wrapper costs several times the LAPACK call itself.  ``q`` has
-    ``min(a.shape)`` orthonormal columns; ``r = q.T @ a`` (upper triangular
-    up to rounding).  Raises ``LinAlgError`` on a LAPACK error or a
-    non-finite ``a`` (``dgeqrf`` passes NaN through silently; ``r`` picks it
-    up from any non-finite entry).
+    ``q`` has ``min(a.shape)`` orthonormal columns and ``r`` is upper
+    triangular up to rounding.  Raises ``LinAlgError`` on a LAPACK error.
+    Nothing checks finiteness here: ``dgeqrf`` passes NaN through silently,
+    so callers check ``r``, which picks it up from any non-finite entry.
     """
     qr, tau, _, info = lapack.dgeqrf(a)
     if info == 0:
         q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR failed (LAPACK info {info})")
-    r = q.T @ a
+    return q, q.T @ a
+
+
+def _qr(a: np.ndarray):
+    """Thin QR of a real matrix by ``_householder``, checked for finiteness.
+
+    The factorizations on the TT hot path are of core-sized matrices, where
+    numpy's wrapper costs several times the LAPACK call itself.  Raises
+    ``LinAlgError`` on a LAPACK error, a non-finite ``a`` or an overflow.
+    """
+    q, r = _householder(a)
     if not np.isfinite(r).all():
         raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
     return q, r
@@ -57,9 +65,12 @@ def _svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
 
     Same factorization and arguments as numpy's ``svd``, without numpy's
     per-call overhead.  Raises ``LinAlgError`` when ``dgesdd`` reports an
-    error: no convergence, or NaN input (``info = -4``).  Input with ``inf``
-    entries is not detected by LAPACK; callers check finiteness upstream.
+    error: no convergence, or NaN input (``info = -4``).  With vectors,
+    ``dgesdd`` never returns on a matrix holding ``inf``, so such input is
+    rejected before LAPACK sees it; values alone come back NaN.
     """
+    if compute_uv and not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("SVD of a matrix with non-finite entries")
     u, s, vh, info = lapack.dgesdd(a, compute_uv=compute_uv, full_matrices=full_matrices)
     if info != 0:
         raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info {info})")
@@ -78,17 +89,8 @@ def left_unfold(core: np.ndarray) -> np.ndarray:
     return core.reshape(r0 * m, r1, order="F")
 
 
-def right_unfold(core: np.ndarray) -> np.ndarray:
-    r0, m, r1 = core.shape
-    return core.reshape(r0, m * r1, order="F")
-
-
 def fold_left(mat: np.ndarray, r0: int, m: int) -> np.ndarray:
     return mat.reshape(r0, m, mat.shape[1], order="F")
-
-
-def fold_right(mat: np.ndarray, m: int, r1: int) -> np.ndarray:
-    return mat.reshape(mat.shape[0], m, r1, order="F")
 
 
 class TtTensor:
@@ -273,21 +275,6 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
     return TtTensor(cores, ortho)
 
 
-def _right_orthogonalize_cores(cores: list) -> list:
-    """Right-to-left QR sweep over a list of cores, in place; returns the list.
-
-    QR is invariant under row permutations, so each core is unfolded in C
-    order, where the reshapes of a C-contiguous core are views.
-    """
-    for k in range(len(cores) - 1, 0, -1):
-        r0, m, r1 = cores[k].shape
-        q, r = _qr(cores[k].reshape(r0, m * r1).T)
-        cores[k] = q.T.reshape(-1, m, r1)
-        prev = cores[k - 1]
-        cores[k - 1] = (prev.reshape(-1, prev.shape[2]) @ r.T).reshape(prev.shape[:2] + (-1,))
-    return cores
-
-
 def is_left_orthogonal(core: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     l = left_unfold(core)
     g = l.T @ l
@@ -323,34 +310,40 @@ def right_part(t: TtTensor, k: int) -> np.ndarray:
     return x
 
 
-def right_svd_sweep(cores):
-    """Right-to-left thin-SVD sweep over left-orthogonal cores.
+def right_qr_sweep(cores):
+    """Right-to-left thin-QR sweep; returns ``(right_cores, factors)``.
 
-    At cut k the thin SVD ``u diag(s) vh`` of the current core's right
-    unfolding gives the right-orthogonal core ``V_{k+1} = vh`` and the
-    separation singular values ``s`` of cut k; ``u diag(s)`` moves into the
-    previous core.  Returns ``(right_cores, singular_values)``: the cores
-    ``[U_1 S_1, V_2, ..., V_n]`` of the same tensor, and the singular values
-    of cuts 1..n-1 in that order.
+    At cut k the QR ``q r`` of the current core's transposed right unfolding
+    gives the right-orthogonal core ``V_{k+1} = q.T``, and ``r.T`` moves into
+    the previous core.  ``right_cores = [C_1, V_2, ..., V_n]`` is the same
+    tensor, and ``factors`` holds the ``r`` of cuts 1..n-1 in that order:
+    ``T = C^{<=k} r_k^T V^{>k}`` over the input cores ``C``.  So when cores
+    1..n-1 are left-orthogonal, the singular values of ``r_k`` are the
+    separation singular values of cut k.
+
+    QR is invariant under row permutations, so each core is unfolded in C
+    order: the reshape is a view and its transpose is F-contiguous, as
+    LAPACK takes it.  Raises ``LinAlgError`` on a LAPACK error, or, checked
+    once per sweep, when a non-finite core or an overflow has reached a
+    factor or the first core.
     """
-    n = len(cores)
     right = list(cores)
-    svals = [None] * (n - 1)
-    cur = cores[-1]
-    for k in range(n - 1, 0, -1):
-        _, m, r1 = cur.shape
-        u, s, vh = _svd(right_unfold(cur))
-        svals[k - 1] = s
-        right[k] = fold_right(vh, m, r1)
-        prev = cores[k - 1]
-        cur = (prev.reshape(-1, prev.shape[2]) @ (u * s)).reshape(prev.shape[:2] + (-1,))
-    right[0] = cur
-    return right, svals
+    factors = [None] * (len(right) - 1)
+    for k in range(len(right) - 1, 0, -1):
+        r0, m, r1 = right[k].shape
+        q, r = _householder(right[k].reshape(r0, m * r1).T)
+        factors[k - 1] = r
+        right[k] = q.T.reshape(-1, m, r1)
+        prev = right[k - 1]
+        right[k - 1] = (prev.reshape(-1, prev.shape[2]) @ r.T).reshape(prev.shape[:2] + (-1,))
+    if not np.isfinite(np.concatenate([right[0], *factors], axis=None)).all():
+        raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+    return right, factors
 
 
 def separation_spectra(t: TtTensor) -> list[np.ndarray]:
-    """Nonincreasing singular values of cuts 1..n-1: one left-orthogonalization, one SVD sweep."""
-    return right_svd_sweep(left_orthogonalize(t).cores)[1]
+    """Nonincreasing singular values of cuts 1..n-1: one left-orthogonalization, one QR sweep."""
+    return [_svd(r, compute_uv=False) for r in right_qr_sweep(left_orthogonalize(t).cores)[1]]
 
 
 def _lambda_min(spectra, ranks) -> float:
@@ -448,7 +441,7 @@ def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
         prev = ranks[k - 1] if k else 1
         if r > prev * t.mode_dims[k]:
             raise TtError(f"rank {r} at cut {k + 1} infeasible for the sweep")
-    cores = _right_orthogonalize_cores(list(t.cores))
+    cores = right_qr_sweep(t.cores)[0]
     out = []
     cur = cores[0]
     for k in range(n - 1):
@@ -515,10 +508,10 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     if nrm == 0.0:
         raise TtError("coherence report undefined for the zero tensor")
     tl = left_orthogonalize(t)
-    # One sweep gives the right-orthogonal cores and every cut's spectrum.
+    # One sweep gives the right-orthogonal cores and every cut's factor.
     # Its right parts differ from other right-orthogonalizations by a rotation
     # of the rows, which leaves their column norms unchanged.
-    right, svals = right_svd_sweep(tl.cores)
+    right, factors = right_qr_sweep(tl.cores)
     tr = TtTensor(right)
 
     per_cut = []
@@ -554,7 +547,7 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
             r = t.ranks[k - 1]
             dl = int(np.prod(t.mode_dims[:k]))
             dr = int(np.prod(t.mode_dims[k:]))
-            smax = svals[k - 1][0]
+            smax = _svd(factors[k - 1], compute_uv=False)[0]
             best = min(best, smax * l * rrow * np.sqrt(r / dl) * np.sqrt(r / dr))
         linf = float(best) if np.isfinite(best) else nrm
         linf_is_bound = True

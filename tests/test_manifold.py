@@ -220,7 +220,7 @@ def test_right_cores_are_right_orthogonal():
     base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     geom = manifold.TangentGeometry(base)
     for c in geom.right_cores[1:]:
-        r = tt.right_unfold(c)
+        r = c.reshape(c.shape[0], -1)
         np.testing.assert_allclose(r @ r.T, np.eye(c.shape[0]), atol=1e-12)
     np.testing.assert_allclose(
         tt.tt_dense(tt.TtTensor(geom.right_cores)), tt.tt_dense(base), atol=1e-12
@@ -241,6 +241,17 @@ def test_non_orthogonal_base_rejected():
     base = tt.random_tt((4, 4, 4), (2, 2), rng)
     with pytest.raises(manifold.ManifoldError):
         manifold.TangentGeometry(base)
+
+
+@pytest.mark.parametrize("core", [0, 1, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_base_rejected(value, core):
+    # The left-orthogonal flags are trusted, so the bad entry reaches the sweep.
+    base = left_orth_base(np.random.default_rng(26), dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    cores = [c.copy() for c in base.cores]
+    cores[core][0, 1, 0] = value
+    with pytest.raises((np.linalg.LinAlgError, manifold.ManifoldError)):
+        manifold.TangentGeometry(tt.TtTensor(cores, base.ortho))
 
 
 def test_tangent_to_tt_zero_variation():

@@ -135,6 +135,27 @@ def test_orgd_run_converges_and_reports():
         assert tt.is_left_orthogonal(out.cores[k])
 
 
+def test_untrimmed_round_takes_no_vector_svd(monkeypatch):
+    # At the ising-n6 iterate ranks an untrimmed round's only SVDs are the
+    # values of the geometry's square cut factors.
+    rng = np.random.default_rng(27)
+    t = tt.left_orthogonalize(tt.random_tt((4,) * 6, (4, 16, 16, 16, 4), rng))
+    t = tt.tt_scale(1.0 / tt.tt_norm(t), t)
+    state = solvers._IterateState(t)
+    idx = rng.integers(0, 4, size=(20, 6))
+    calls = []
+    svd = tt._svd
+
+    def spy(a, full_matrices=False, compute_uv=True):
+        calls.append((a.shape, compute_uv))
+        return svd(a, full_matrices, compute_uv)
+
+    monkeypatch.setattr(tt, "_svd", spy)
+    state.step(idx, rng.standard_normal(20), 1e-3, None, t.ranks)
+    assert len(calls) == t.n - 1
+    assert all(not uv and rows == cols for (rows, cols), uv in calls)
+
+
 def test_trace_lambda_min_matches_separation_spectra():
     psi = states.random_mps(6, 2, 2, seed=3)
     tstar = states.pure_state_coeff(psi)

@@ -137,10 +137,10 @@ def test_left_orthogonalize_zero():
 def test_right_orthogonalize_preserves_tensor():
     rng = np.random.default_rng(9)
     t = random_tt(rng)
-    cores = tt._right_orthogonalize_cores(list(t.cores))
+    cores = tt.right_qr_sweep(t.cores)[0]
     np.testing.assert_allclose(tt.tt_dense(tt.TtTensor(cores)), tt.tt_dense(t), atol=1e-10)
     for k in range(1, t.n):
-        ru = tt.right_unfold(cores[k])
+        ru = cores[k].reshape(cores[k].shape[0], -1)
         np.testing.assert_allclose(ru @ ru.T, np.eye(ru.shape[0]), atol=1e-12)
 
 

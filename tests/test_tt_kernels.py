@@ -3,8 +3,9 @@
 The QR/SVD kernels are checked against numpy's own factorizations, the
 TT-path retraction against the right-orthogonalization + truncated-SVD sweep
 written with ``np.linalg``, the projector-splitting retraction against a
-dense projector-splitting oracle, and the SVD sweep, the chain stacking of
-``tt_axpy`` and ``tangent_step`` against dense oracles.
+dense projector-splitting oracle, the QR sweep's cut spectra against a
+sweep of thin SVDs, and the QR sweep, the chain stacking of ``tt_axpy`` and
+``tangent_step`` against dense oracles.
 """
 
 import numpy as np
@@ -174,19 +175,50 @@ SWEEP_PROPS = settings(max_examples=40, deadline=None)
 @SWEEP_PROPS
 @given(**TT_CASES)
 @edge_cases()
-def test_right_svd_sweep_matches_dense(n, m, cap, seed):
+def test_right_qr_sweep_matches_dense(n, m, cap, seed):
     t, _ = tt_case(n, m, cap, seed)
     x = tt.tt_dense(t)
     scale = np.linalg.norm(x)
-    right, svals = tt.right_svd_sweep(t.cores)
+    right, factors = tt.right_qr_sweep(t.cores)
     for c in right[1:]:
-        assert orthonormality_error(tt.right_unfold(c).T) <= 1e-12
+        assert orthonormality_error(c.reshape(c.shape[0], -1).T) <= 1e-12
     assert np.linalg.norm(tt.tt_dense(tt.TtTensor(right)) - x) <= 1e-12 * scale
-    assert len(svals) == n - 1
-    for k, s in enumerate(svals, start=1):
+    assert len(factors) == n - 1
+    for k, r in enumerate(factors, start=1):
+        s = tt._svd(r, compute_uv=False)
         want = np.linalg.svd(x.reshape(m**k, -1, order="F"), compute_uv=False)
         np.testing.assert_allclose(s, want[: len(s)], rtol=0, atol=1e-12 * scale)
         assert np.all(want[len(s) :] <= 1e-12 * scale)
+
+
+def svd_sweep_spectra(cores):
+    """Cut spectra of left-orthogonal cores by a right-to-left sweep of thin SVDs."""
+    svals = []
+    cur = cores[-1]
+    for prev in cores[-2::-1]:
+        u, s, _ = np.linalg.svd(cur.reshape(cur.shape[0], -1, order="F"), full_matrices=False)
+        svals.insert(0, s)
+        cur = np.tensordot(prev, u * s, axes=(2, 0))
+    return svals
+
+
+@pytest.mark.parametrize(
+    "n, ranks", [(6, (4, 16, 16, 16, 4)), (16, (4,) * 15)], ids=["ising-n6", "online-n16"]
+)
+def test_geometry_spectra_match_svd_sweep(n, ranks):
+    # The iterate shapes of the benchmark's ising-n6 and online-n16 workloads.
+    base = tt.left_orthogonalize(tt.random_tt((4,) * n, ranks, np.random.default_rng(n)))
+    want = svd_sweep_spectra(base.cores)
+    for got, s in zip(manifold.TangentGeometry(base).singular_values, want, strict=True):
+        np.testing.assert_allclose(got, s, rtol=0, atol=1e-12 * s[0])
+
+
+def test_ttsvd_rejects_inf_input():
+    # With vectors, dgesdd never returns on a matrix holding inf.
+    x = np.random.default_rng(0).standard_normal((4, 4, 4))
+    x[0, 1, 0] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        tt.ttsvd(x, (2, 2))
 
 
 @SWEEP_PROPS
