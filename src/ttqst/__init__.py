@@ -9,18 +9,15 @@ from .manifold import (  # noqa: F401
     ksl_retract,
     retract,
     tangent_step,
-    tangent_to_tt,
 )
 from .measurement import (  # noqa: F401
     ExactSource,
     GaussianSource,
-    MeasurementRecord,
     MeasurementStream,
     ShotSource,
     make_stream,
 )
 from .mpo import (  # noqa: F401
-    LocalBasis,
     Mpo,
     MpoError,
     Mps,
@@ -29,7 +26,6 @@ from .mpo import (  # noqa: F401
     is_hermitian_cores,
     make_basis,
     mpo_to_coeff,
-    mpo_trace,
     mps_to_mpo,
 )
 from .serialize import read_ttc1, read_ttr1, write_ttc1, write_ttr1  # noqa: F401
@@ -58,7 +54,6 @@ from .tt import (  # noqa: F401
     tt_axpy,
     tt_dense,
     tt_distance,
-    tt_entry,
     tt_inner,
     tt_norm,
     ttsvd,

@@ -43,6 +43,14 @@ class DataError(Exception):
     pass
 
 
+def _plan_value(kind, value, what):
+    """``kind(value)`` for the plan entry ``what``; ``ConfigError`` when it does not convert."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
+
+
 def _load_plan(path, overrides):
     try:
         with open(path) as fh:
@@ -89,12 +97,9 @@ def _state_spec(plan):
 
 def _load_state_file(path):
     try:
-        obj = serialize.read_ttc1(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"state file not found: {path}") from exc
-    except serialize.SerializationError as exc:
-        raise DataError(f"cannot parse state file {path}: {exc}") from exc
-    return obj
+        return serialize.read_ttc1(path)
+    except (OSError, serialize.SerializationError) as exc:
+        raise DataError(f"cannot read state file {path}: {exc}") from exc
 
 
 def _load_coeff(path):
@@ -108,7 +113,7 @@ def _load_coeff(path):
         return states.pure_state_coeff(obj), obj
     if not mpo.is_hermitian_cores(obj):
         raise DataError(f"MPO in {path} does not satisfy the Hermitian core form")
-    return mpo.mpo_to_coeff(obj, mpo.make_basis(obj.d)), None
+    return mpo.mpo_to_coeff(obj), None
 
 
 def _target_from_plan(plan):
@@ -129,11 +134,11 @@ def _measurement_source(plan):
     if kind == "shot":
         if "shots" not in m:
             raise ConfigError("shot source needs 'shots'")
-        return measurement.ShotSource(int(m["shots"]))
+        return measurement.ShotSource(_plan_value(int, m["shots"], "measurement.shots"))
     if kind == "gaussian":
         if "sigma" not in m:
             raise ConfigError("gaussian source needs 'sigma'")
-        return measurement.GaussianSource(float(m["sigma"]))
+        return measurement.GaussianSource(_plan_value(float, m["sigma"], "measurement.sigma"))
     raise ConfigError(f"unknown measurement source {kind!r}")
 
 
@@ -148,7 +153,7 @@ def _solver_ranks(plan_solver, target):
     if isinstance(ranks, list):
         if len(ranks) != n - 1:
             raise ConfigError(f"need {n - 1} ranks, got {len(ranks)}")
-        return tuple(int(r) for r in ranks)
+        return tuple(_plan_value(int, r, "solver.ranks") for r in ranks)
     raise ConfigError("solver.ranks must be 'target', an integer cap, or a list")
 
 
@@ -177,9 +182,9 @@ def _solver_config(plan, target):
             epoch_decay=float(s.get("epoch_decay", 0.9)),
             shuffle_seed=int(s.get("shuffle_seed", 0)),
         )
+        dataset_size = int(s.get("dataset_size", 0))
     except (solvers.SolverError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
-    dataset_size = int(s.get("dataset_size", 0))
     if algorithm in ("rgd", "rsgd") and dataset_size < 1:
         raise ConfigError(f"{algorithm} needs solver.dataset_size >= 1")
     return algorithm, cfg, dataset_size
@@ -189,7 +194,7 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
     init = plan.get("init", {"mode": "perturbed_truth", "delta": 0.1})
     mode = init.get("mode", "perturbed_truth")
     if mode == "perturbed_truth":
-        delta = float(init.get("delta", 0.1))
+        delta = _plan_value(float, init.get("delta", 0.1), "init.delta")
         if delta < 0:
             raise ConfigError("perturbed-truth delta must be nonnegative")
         rng = measurement.make_rng(rep_seed ^ _INIT_SALT)
@@ -198,7 +203,7 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
         base = tt.ttsvd(target, ranks) if target.ranks != ranks else target
         return tt.ttsvd(tt.tt_axpy(1.0, pert, base), ranks), {"mode": mode, "delta": delta}
     if mode == "random_mpo":
-        rank = int(init.get("rank", 2))
+        rank = _plan_value(int, init.get("rank", 2), "init.rank")
         psi = states.random_mps(target.n, int(np.sqrt(target.mode_dims[0])), rank,
                                 seed=rep_seed ^ _INIT_SALT)
         t0 = states.pure_state_coeff(psi)
@@ -206,47 +211,50 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
             t0 = tt.ttsvd(t0, ranks)
         return t0, {"mode": mode, "rank": rank}
     if mode == "spectral":
-        try:
-            k1 = int(init["k1"])
-            k2 = int(init["k2"])
-            k3 = int(init["k3"])
-        except KeyError as exc:
-            raise ConfigError("spectral init needs k1, k2, k3") from exc
+        if any(k not in init for k in ("k1", "k2", "k3")):
+            raise ConfigError("spectral init needs k1, k2, k3")
         mu, nu = init.get("mu"), init.get("nu")
         if mu is None or nu is None:
             rep = tt.coherence_report(target)
             mu = rep.incoherence**2 if mu is None else mu
             nu = rep.spikiness if nu is None else nu
-        icfg = solvers.InitConfig(k1=k1, k2=k2, k3=k3, mu=float(mu), nu=float(nu))
+        try:
+            ks = {k: int(init[k]) for k in ("k1", "k2", "k3")}
+            icfg = solvers.InitConfig(**ks, mu=float(mu), nu=float(nu))
+        except (solvers.SolverError, ValueError, TypeError) as exc:
+            raise ConfigError(f"invalid spectral init: {exc}") from exc
         t0, info = solvers.spectral_init(stream, icfg, ranks)
-        return t0, {"mode": mode, "k1": k1, "k2": k2, "k3": k3,
-                    "mu": float(mu), "nu": float(nu), **info}
+        return t0, {"mode": mode, **ks, "mu": icfg.mu, "nu": icfg.nu, **info}
     raise ConfigError(f"unknown init mode {mode!r}")
 
 
 class _RecordingStream:
-    """Stream wrapper that keeps every drawn (index, value) pair."""
+    """Stream wrapper that keeps every drawn ``(idx, y)`` batch."""
 
     def __init__(self, stream):
         self._inner = stream
-        src = stream.source
-        self._shots = src.shots if isinstance(src, measurement.ShotSource) else None
-        self.records = []
+        self.batches = []
 
     def draw_batch(self, batch_size):
         idx, y = self._inner.draw_batch(batch_size)
-        self.records.extend(
-            measurement.MeasurementRecord(tuple(idx[i]), float(y[i]), self._shots)
-            for i in range(idx.shape[0])
-        )
+        self.batches.append((idx, y))
         return idx, y
+
+    def log(self):
+        """``(idx, y, shots)`` of every draw so far, as ``measurement.write_log`` takes them."""
+        if not self.batches:
+            return None
+        src = self._inner.source
+        shots = src.shots if isinstance(src, measurement.ShotSource) else None
+        idx, y = zip(*self.batches)
+        return np.concatenate(idx), np.concatenate(y), shots
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
 
 def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
-    seed = int(plan.get("seed", 0)) ^ rep_index
+    seed = _plan_value(int, plan.get("seed", 0), "seed") ^ rep_index
     source = _measurement_source(plan)
     stream = measurement.make_stream(target, source, seed ^ _STREAM_SALT)
     if plan.get("log_measurements"):
@@ -262,7 +270,7 @@ def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
         else:
             out, trace = solvers.rsgd_run(t0, (idx, y), cfg, ground_truth=target,
                                           pure_target=psi)
-    log = stream.records if isinstance(stream, _RecordingStream) else []
+    log = stream.log() if isinstance(stream, _RecordingStream) else None
     init_meta["noise_proxy_variance"] = stream.noise_proxy_variance
     return out, trace, init_meta, log, seed
 
@@ -298,15 +306,14 @@ def _versions():
     return {"ttqst": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs, target_n):
+def _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs):
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (trace, it) in enumerate(zip(traces, iterates)):
         trace.to_csv(outdir / f"trace_rep{i:03d}.csv")
         serialize.write_ttr1(outdir / f"reconstruction_rep{i:03d}.ttr", it)
-    if plan.get("log_measurements"):
-        for i, log in enumerate(logs):
-            if log:
-                measurement.write_log(outdir / f"measurements_rep{i:03d}.csv", log, target_n)
+    for i, log in enumerate(logs):
+        if log is not None:
+            measurement.write_log(outdir / f"measurements_rep{i:03d}.csv", *log)
     metadata = {
         "plan": plan,
         "rng": measurement.RNG_ALGORITHM,
@@ -320,7 +327,7 @@ def _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs, target_n
 def _execute_plan(plan):
     target, psi, state_meta = _target_from_plan(plan)
     algorithm, cfg, dataset_size = _solver_config(plan, target)
-    repetitions = int(plan.get("repetitions", 1))
+    repetitions = _plan_value(int, plan.get("repetitions", 1), "repetitions")
     if repetitions < 1:
         raise ConfigError("repetitions must be at least 1")
     traces, iterates, logs, reps_meta = [], [], [], []
@@ -343,14 +350,14 @@ def _execute_plan(plan):
                 "final_fidelity": trace.fidelity[-1],
             }
         )
-    return target, traces, iterates, logs, reps_meta
+    return traces, iterates, logs, reps_meta
 
 
 def cmd_reconstruct(args):
     plan = _load_plan(args.plan, args.set)
     outdir = Path(args.out or plan.get("output_dir", "run"))
-    target, traces, iterates, logs, reps_meta = _execute_plan(plan)
-    _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs, target.n)
+    traces, iterates, logs, reps_meta = _execute_plan(plan)
+    _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs)
     for meta in reps_meta:
         rel = meta["final_rel_error"]
         fid = meta["final_fidelity"]
@@ -371,7 +378,7 @@ def cmd_init(args):
         raise ConfigError("the init subcommand requires init.mode = 'spectral'")
     target, psi, _ = _target_from_plan(plan)
     ranks = _solver_ranks(dict(plan.get("solver", {})), target)
-    seed = int(plan.get("seed", 0))
+    seed = _plan_value(int, plan.get("seed", 0), "seed")
     source = _measurement_source(plan)
     stream = measurement.make_stream(target, source, seed ^ _STREAM_SALT)
     t0, info = _initial_iterate(plan, target, ranks, stream, seed)
@@ -388,14 +395,15 @@ def cmd_init(args):
 
 
 def _coeff_from_any(path):
-    p = str(path)
+    """Coefficient tensor of a TTR1 reconstruction or a TTC1 state file."""
     try:
-        head = open(p, "rb").read(4)
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {p}") from exc
-    if head == b"TTR1":
-        return serialize.read_ttr1(p)
-    return _load_coeff(p)[0]
+        with open(path, "rb") as fh:
+            head = fh.read(4)
+        if head == b"TTR1":
+            return serialize.read_ttr1(path)
+    except (OSError, serialize.SerializationError) as exc:
+        raise DataError(f"cannot read reconstruction {path}: {exc}") from exc
+    return _load_coeff(path)[0]
 
 
 def cmd_evaluate(args):
@@ -430,7 +438,7 @@ def cmd_benchmark_scaling(args):
         plan_n.setdefault("solver", {})
         if args.target_error is not None:
             plan_n["solver"]["stop_rel_error"] = args.target_error
-        target, traces, _, _, reps_meta = _execute_plan(plan_n)
+        traces, _, _, _ = _execute_plan(plan_n)
         counts = []
         for trace in traces:
             if args.target_error is not None:
@@ -475,8 +483,8 @@ def cmd_replay(args):
     if plan is None:
         raise DataError("metadata.json carries no plan echo")
     outdir = Path(args.out) if args.out else rundir / "replay"
-    target, traces, iterates, logs, reps_meta = _execute_plan(plan)
-    _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs, target.n)
+    traces, iterates, logs, reps_meta = _execute_plan(plan)
+    _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs)
     ok = True
     for i in range(len(traces)):
         orig = rundir / f"trace_rep{i:03d}.csv"

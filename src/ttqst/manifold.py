@@ -65,15 +65,6 @@ class TangentVector:
         self.geom = geom
         self.variation_cores = vcs
 
-    def gauge_residual(self) -> float:
-        """Max violation of ``L(X_k)^T L(T_k) = 0`` over k < n."""
-        base = self.geom.base
-        worst = 0.0
-        for k in range(base.n - 1):
-            g = left_unfold(self.variation_cores[k]).T @ left_unfold(base.cores[k])
-            worst = max(worst, float(np.max(np.abs(g))) if g.size else 0.0)
-        return worst
-
 
 def _require_left_orthogonal(base: TtTensor):
     for k in range(base.n - 1):
@@ -171,11 +162,6 @@ def _chain_sum_cores(geom: TangentGeometry, xcores) -> list:
     return tt._stack_chains(
         [*geom.base.cores[:-1], xcores[-1]], [xcores[0], *geom.right_cores[1:]], xcores
     )
-
-
-def tangent_to_tt(v: TangentVector) -> TtTensor:
-    """Exact TT form of the ambient tangent tensor (ranks at most 2r)."""
-    return TtTensor(_chain_sum_cores(v.geom, v.variation_cores))
 
 
 def tangent_step(v: TangentVector, eta: float) -> TtTensor:

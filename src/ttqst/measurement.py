@@ -33,15 +33,6 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """One observed empirical mean for a tensor-product observable."""
-
-    index: tuple
-    value: float
-    shots: int | None  # None means exact
-
-
-@dataclass(frozen=True)
 class ExactSource:
     kind: str = "exact"
 
@@ -137,28 +128,35 @@ def make_stream(t_star: TtTensor, source, seed: int) -> MeasurementStream:
     return MeasurementStream(t_star, source, seed)
 
 
-def write_log(path, records, n: int):
-    """Measurement log: ``step,omega_1,...,omega_n,value,shots`` (1-based omegas)."""
+def write_log(path, idx, y, shots):
+    """Measurement log: ``step,omega_1,...,omega_n,value,shots`` (1-based omegas).
+
+    Row b holds the index ``idx[b]`` and observed value ``y[b]``; ``shots``
+    is the shot count of every row, or None (written empty) for exact values.
+    """
+    n = idx.shape[1]
+    shots = "" if shots is None else shots
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + [f"omega_{k + 1}" for k in range(n)] + ["value", "shots"])
-        for step, rec in enumerate(records):
-            shots = "" if rec.shots is None else rec.shots
-            w.writerow(
-                [step] + [int(i) + 1 for i in rec.index] + [repr(rec.value), shots]
-            )
+        for step, (row, value) in enumerate(zip((idx + 1).tolist(), y.tolist())):
+            w.writerow([step, *row, repr(value), shots])
 
 
 def read_log(path):
-    """Read back a measurement log written by write_log."""
-    records = []
+    """``(idx, y, shots)`` of a measurement log written by ``write_log``.
+
+    ``idx`` is an int64 array of shape (B, n) with 0-based indices, ``y`` the
+    float64 values and ``shots`` the shared shot count, None for exact values.
+    """
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        n = len(header) - 3
-        for row in r:
-            idx = tuple(int(v) - 1 for v in row[1 : 1 + n])
-            value = float(row[1 + n])
-            shots = None if row[2 + n] == "" else int(row[2 + n])
-            records.append(MeasurementRecord(idx, value, shots))
-    return records
+        n = len(next(r)) - 3
+        rows = list(r)
+    shots = {row[-1] for row in rows}
+    if len(shots) > 1:
+        raise MeasurementError(f"log rows disagree on the shot count: {sorted(shots)}")
+    idx = np.array([row[1:-2] for row in rows], dtype=np.int64).reshape(-1, n) - 1
+    y = np.array([float(row[-2]) for row in rows])
+    shots = shots.pop() if shots else ""
+    return idx, y, int(shots) if shots else None

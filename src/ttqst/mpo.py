@@ -10,6 +10,8 @@ bond ranks, which is what links tomography to real TT completion.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tt
@@ -22,26 +24,13 @@ class MpoError(ValueError):
     """Raised for invalid MPO/MPS inputs."""
 
 
-class LocalBasis:
-    """Orthonormal Hermitian basis of d x d matrices (Hilbert-Schmidt).
+def make_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of d x d matrices (Hilbert-Schmidt), shape (d^2, d, d).
 
-    ``mats[0]`` is proportional to the identity; the rest follow the
-    diagonal-first generalized Gell-Mann ordering (for qubits: X, Y, Z).
+    Scaled Pauli matrices for d=2 (I, X, Y, Z), scaled generalized Gell-Mann
+    matrices for d>=3: the identity first, then diagonal-first ordering.  The
+    array is read-only.
     """
-
-    __slots__ = ("d", "mats")
-
-    def __init__(self, d: int, mats: np.ndarray):
-        self.d = d
-        self.mats = mats
-        mats.setflags(write=False)
-
-    def __len__(self):
-        return self.mats.shape[0]
-
-
-def make_basis(d: int) -> LocalBasis:
-    """Scaled Pauli basis for d=2, scaled generalized Gell-Mann for d>=3."""
     if d < 2:
         raise MpoError("local dimension must be at least 2")
     if d == 2:
@@ -55,7 +44,8 @@ def make_basis(d: int) -> LocalBasis:
             ],
             dtype=np.complex128,
         )
-        return LocalBasis(2, mats)
+        mats.setflags(write=False)
+        return mats
     mats = [np.eye(d, dtype=np.complex128) / np.sqrt(d)]
     for l in range(1, d):
         m = np.zeros((d, d), dtype=np.complex128)
@@ -73,7 +63,9 @@ def make_basis(d: int) -> LocalBasis:
             m[j, k] = -1j / np.sqrt(2.0)
             m[k, j] = 1j / np.sqrt(2.0)
             mats.append(m)
-    return LocalBasis(d, np.array(mats))
+    mats = np.array(mats)
+    mats.setflags(write=False)
+    return mats
 
 
 def _as_mps_core(a):
@@ -164,30 +156,6 @@ def mps_normalize(psi: Mps) -> Mps:
         raise MpoError("cannot normalize the zero state")
     scale = nrm ** (-1.0 / psi.n)
     return Mps([scale * c for c in psi.cores])
-
-
-def mpo_dense(m: Mpo) -> np.ndarray:
-    """Dense ``d^n x d^n`` matrix (row/column indices first-site-fastest)."""
-    dn = m.d**m.n
-    if dn * dn > tt.DENSE_CAP:
-        raise MpoError("operator too large to densify")
-    x = m.cores[0][0]  # (d, d, r)
-    rows, cols = m.d, m.d
-    for k in range(1, m.n):
-        c = m.cores[k]
-        x = np.tensordot(x, c, axes=(x.ndim - 1, 0))  # (rows, cols, d, d, r)
-        x = x.transpose(0, 2, 1, 3, 4)
-        rows *= m.d
-        cols *= m.d
-        x = x.reshape(rows, cols, c.shape[3], order="F")
-    return x[:, :, 0]
-
-
-def mpo_trace(m: Mpo) -> complex:
-    env = np.ones(1, dtype=np.complex128)
-    for c in m.cores:
-        env = env @ np.einsum("liim->lm", c)
-    return complex(env[0])
 
 
 def mpo_frobenius(m: Mpo) -> float:
@@ -368,21 +336,19 @@ def _hermitian_decompose_mpo(m: Mpo, ranks) -> Mpo:
     return Mpo(cores)
 
 
-def mpo_to_coeff(m: Mpo, basis: LocalBasis) -> TtTensor:
-    """Real coefficient tensor of a Hermitian-core MPO.
+def mpo_to_coeff(m: Mpo) -> TtTensor:
+    """Real coefficient tensor of a Hermitian-core MPO in ``make_basis(m.d)``.
 
     Core contraction ``T_k(l, s, m) = sum_{ij} U_k(l,i,j,m) conj(P_s(i,j))``
     (the per-site Hilbert-Schmidt inner product).  The imaginary residue is
     asserted below tolerance and dropped; bond ranks carry over, and
     left-orthogonal MPO cores yield left-orthogonal TT cores.
     """
-    if basis.d != m.d:
-        raise MpoError("basis dimension mismatch")
     if not is_hermitian_cores(m):
         raise MpoError("mpo_to_coeff requires cores satisfying the Hermitian condition")
     cores = []
     flags = []
-    mats = basis.mats.conj()
+    mats = make_basis(m.d).conj()
     for c in m.cores:
         t = np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1)  # (l, s, m)
         scale = max(float(np.max(np.abs(t))), 1.0)
@@ -395,12 +361,15 @@ def mpo_to_coeff(m: Mpo, basis: LocalBasis) -> TtTensor:
     return TtTensor(cores, flags)
 
 
-def coeff_to_mpo(t: TtTensor, basis: LocalBasis) -> Mpo:
-    """Inverse transform: ``U_k(l,i,j,m) = sum_s T_k(l,s,m) P_s(i,j)``."""
-    if any(md != basis.d**2 for md in t.mode_dims):
-        raise MpoError("mode dimensions must equal d^2 for the chosen basis")
-    d = basis.d
-    mats = basis.mats.reshape(len(basis), -1).T  # ((i, j), s)
+def coeff_to_mpo(t: TtTensor) -> Mpo:
+    """Inverse transform: ``U_k(l,i,j,m) = sum_s T_k(l,s,m) P_s(i,j)``.
+
+    The local dimension d is read off the modes, which must all equal d^2.
+    """
+    d = math.isqrt(t.mode_dims[0])
+    if d < 2 or any(md != d * d for md in t.mode_dims):
+        raise MpoError(f"mode dimensions {t.mode_dims} are not all d^2 for one d >= 2")
+    mats = make_basis(d).reshape(d * d, -1).T  # ((i, j), s)
     return Mpo([(mats @ c).reshape(c.shape[0], d, d, c.shape[2]) for c in t.cores])
 
 
@@ -413,8 +382,7 @@ def _herm_basis_gauge(r: int) -> np.ndarray:
     """
     if r == 1:
         return np.ones((1, 1), dtype=np.complex128)
-    basis = make_basis(r)
-    return np.stack([m.ravel(order="F") for m in basis.mats], axis=1)
+    return np.stack([m.ravel(order="F") for m in make_basis(r)], axis=1)
 
 
 def mps_to_mpo(psi: Mps) -> Mpo:

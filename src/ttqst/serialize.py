@@ -38,6 +38,11 @@ def _read_u32(fh, count):
     return np.frombuffer(_read_exact(fh, 4 * count), dtype=_U32).astype(np.int64)
 
 
+def _require_positive(dims, ranks):
+    if min(*dims, *ranks) < 1:
+        raise SerializationError("zero mode dimension or rank")
+
+
 def write_ttr1(path, t: TtTensor):
     with open(path, "wb") as fh:
         fh.write(b"TTR1")
@@ -56,6 +61,7 @@ def read_ttr1(path) -> TtTensor:
             raise SerializationError("invalid mode count")
         dims = _read_u32(fh, n)
         ranks = _read_u32(fh, n - 1)
+        _require_positive(dims, ranks)
         bonds = [1, *ranks, 1]
         cores = []
         for k in range(n):
@@ -111,6 +117,7 @@ def read_ttc1(path):
         if any(int(x) != d for x in dims):
             raise SerializationError("local dimensions must match")
         ranks = _read_u32(fh, n - 1)
+        _require_positive(dims, ranks)
         bonds = [1, *ranks, 1]
         cores = []
         for k in range(n):

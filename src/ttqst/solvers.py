@@ -123,6 +123,8 @@ class SolverConfig:
             raise SolverError("max_iters must be nonnegative")
         if self.trim_nu is not None and self.trim_nu <= 0:
             raise SolverError("spikiness parameter must be positive when trimming")
+        if self.log_every < 1:
+            raise SolverError("log_every must be at least 1")
 
     def resolve_eta(self, n: int) -> float:
         if self.eta is not None:
@@ -144,6 +146,10 @@ class InitConfig:
     k3: int
     mu: float
     nu: float
+
+    def __post_init__(self):
+        if min(self.k1, self.k2, self.k3) < 1:
+            raise SolverError("stage sample counts k1, k2, k3 must be at least 1")
 
     def split(self, n: int):
         m1 = -(-n // 3)

@@ -106,7 +106,7 @@ def ghz(n: int) -> Mps:
 
 def pure_state_coeff(psi: Mps) -> TtTensor:
     """Coefficient tensor of |psi><psi| in the local Hermitian basis."""
-    return mpo.mpo_to_coeff(mpo.mps_to_mpo(psi), mpo.make_basis(psi.d))
+    return mpo.mpo_to_coeff(mpo.mps_to_mpo(psi))
 
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])

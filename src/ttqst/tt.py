@@ -154,20 +154,6 @@ class TtTensor:
         return f"TtTensor(dims={self.mode_dims}, ranks={self.ranks})"
 
 
-def tt_entry(t: TtTensor, idx) -> float:
-    """Evaluate a single entry by chaining row-vector/matrix products."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != t.n:
-        raise TtError(f"index length {len(idx)} != mode count {t.n}")
-    for k, (i, m) in enumerate(zip(idx, t.mode_dims)):
-        if not 0 <= i < m:
-            raise TtError(f"index {i} out of range for mode {k} (dim {m})")
-    v = t.cores[0][0, idx[0], :]
-    for k in range(1, t.n):
-        v = v @ t.cores[k][:, idx[k], :]
-    return float(v[0])
-
-
 def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """Evaluate a batch of entries.
 
@@ -339,29 +325,6 @@ def right_qr_sweep(cores):
     if not np.isfinite(np.concatenate([right[0], *factors], axis=None)).all():
         raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
     return right, factors
-
-
-def separation_spectra(t: TtTensor) -> list[np.ndarray]:
-    """Nonincreasing singular values of cuts 1..n-1: one left-orthogonalization, one QR sweep."""
-    return [_svd(r, compute_uv=False) for r in right_qr_sweep(left_orthogonalize(t).cores)[1]]
-
-
-def _lambda_min(spectra, ranks) -> float:
-    return float(min(s[r - 1] if len(s) >= r else 0.0 for s, r in zip(spectra, ranks)))
-
-
-def lambda_min(t: TtTensor) -> float:
-    """Smallest r_k-th separation singular value over all cuts."""
-    return _lambda_min(separation_spectra(t), t.ranks)
-
-
-def cond(t: TtTensor) -> float:
-    """Largest over smallest separation singular value, from one sweep."""
-    spectra = separation_spectra(t)
-    lmin = _lambda_min(spectra, t.ranks)
-    if lmin == 0.0:
-        return np.inf
-    return float(max(s[0] for s in spectra)) / lmin
 
 
 def _check_ranks_feasible(dims, ranks):

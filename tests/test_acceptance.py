@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+from test_mpo import mpo_dense
+from test_tt import dense_cond
 from ttqst import (
     cli,
     manifold,
@@ -54,7 +56,7 @@ def test_criterion_01_hermiticity_equivalence():
         n = int(rng.integers(2, 5))
         r = int(rng.integers(1, 5))
         src = random_hermitian_mpo(rng, n, r)
-        rho = mpo.mpo_dense(src)
+        rho = mpo_dense(src)
         # Forward: cores satisfying the condition materialize Hermitian.
         worst_herm = max(
             worst_herm, np.linalg.norm(rho - rho.conj().T) / np.linalg.norm(rho)
@@ -62,7 +64,7 @@ def test_criterion_01_hermiticity_equivalence():
         # Reverse: the decomposition reconstructs and passes the core check.
         out = mpo.hermitian_decompose(rho, src.ranks)
         assert mpo.is_hermitian_cores(out)
-        err = np.linalg.norm(mpo.mpo_dense(out) - rho) / np.linalg.norm(rho)
+        err = np.linalg.norm(mpo_dense(out) - rho) / np.linalg.norm(rho)
         worst_rt = max(worst_rt, err)
     elapsed = time.perf_counter() - start
     assert worst_rt <= 1e-9
@@ -79,8 +81,8 @@ def test_criterion_02_coefficient_transform():
     for _ in range(20):
         a = random_hermitian_mpo(rng, 4, 3)
         b = random_hermitian_mpo(rng, 4, 3)
-        ta, tb = mpo.mpo_to_coeff(a, basis), mpo.mpo_to_coeff(b, basis)
-        dense = np.linalg.norm(mpo.mpo_dense(a) - mpo.mpo_dense(b))
+        ta, tb = mpo.mpo_to_coeff(a), mpo.mpo_to_coeff(b)
+        dense = np.linalg.norm(mpo_dense(a) - mpo_dense(b))
         worst_parseval = max(worst_parseval, abs(tt.tt_distance(ta, tb) - dense))
     assert worst_parseval <= 1e-10
 
@@ -90,11 +92,11 @@ def test_criterion_02_coefficient_transform():
         src = random_hermitian_mpo(rng, 4, 4)
         m = mpo.hermitian_decompose(src, src.ranks)  # left-orthogonal cores
         raw = [
-            np.einsum("lijm,sij->lsm", c, basis.mats.conj(), optimize=True)
+            np.einsum("lijm,sij->lsm", c, basis.conj(), optimize=True)
             for c in m.cores
         ]
         worst_imag = max(worst_imag, max(float(np.max(np.abs(c.imag))) for c in raw))
-        t = mpo.mpo_to_coeff(m, basis)
+        t = mpo.mpo_to_coeff(m)
         for k in range(t.n - 1):
             l = tt.left_unfold(t.cores[k])
             worst_orth = max(
@@ -111,7 +113,7 @@ def test_criterion_03_shot_noise_model():
     psi = states.random_mps(n, 2, 2, seed=33)
     tstar = states.pure_state_coeff(psi)
     idx = (3, 0, 1, 2)
-    e = tt.tt_entry(tstar, idx)
+    e = tt.tt_entries(tstar, [idx])[0]
     rng = meas.make_rng(103)
     values = meas._shot_means(np.full(total, e), n, m, rng)
     z = values - e
@@ -390,7 +392,7 @@ def test_criterion_11_spectral_initializer():
         bound = (10.0 / 9.0) * cfg.nu * info["zhat_norm"] / tt.tt_norm(t0)
         assert spiki <= bound + 1e-9
         # Soft property (reported, not asserted): Incoh(t0) <= 2 kappa^2 nu.
-        kappa = tt.cond(tstar)
+        kappa = dense_cond(tstar)
         soft.append(tt.coherence_report(t0).incoherence <= 2 * kappa**2 * cfg.nu)
     _report(11, f"rel errors {[f'{r:.3f}' for r in rels]} (all <= 0.3), "
                 f"trim-derived spikiness bound holds; soft incoherence "

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: subcommands, exit codes, artifacts, determinism."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from ttqst import cli, serialize, solvers
+from ttqst import cli, measurement, serialize, states
 from ttqst.mpo import Mps
 
 
@@ -157,18 +159,21 @@ def test_repetition_seeds_differ(tmp_path):
 
 
 def test_measurement_log_written_and_readable(tmp_path):
-    from ttqst import measurement
-
     plan_path, plan = base_plan(tmp_path, max_iters=40, stop_rel_error=None)
     plan["log_measurements"] = True
     plan["measurement"] = {"source": "shot", "shots": 50}
     plan_path.write_text(json.dumps(plan))
     rc = cli.main(["reconstruct", "--plan", str(plan_path)])
     assert rc == 0
-    records = measurement.read_log(tmp_path / "run" / "measurements_rep000.csv")
-    assert len(records) == 40 * 20
-    assert all(r.shots == 50 for r in records)
-    assert all(0 <= i < 4 for r in records for i in r.index)
+    idx, y, shots = measurement.read_log(tmp_path / "run" / "measurements_rep000.csv")
+    assert idx.shape == (40 * 20, 5) and shots == 50
+    # The log holds exactly the draws of repetition 0's stream.
+    target = cli._target_from_plan(plan)[0]
+    source = measurement.ShotSource(50)
+    stream = measurement.make_stream(target, source, plan["seed"] ^ cli._STREAM_SALT)
+    draws = [stream.draw_batch(20) for _ in range(40)]
+    np.testing.assert_array_equal(idx, np.concatenate([i for i, _ in draws]))
+    np.testing.assert_array_equal(y, np.concatenate([v for _, v in draws]))
 
 
 def test_init_subcommand(tmp_path, capsys):
@@ -236,6 +241,73 @@ def test_exit_codes(tmp_path):
     plan["init"] = {"mode": "spectral", "k1": 5, "k2": 5, "k3": 5}
     plan_path.write_text(json.dumps(plan))
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["solver.log_every=0"],
+        ["solver.log_every=-5"],
+        ["init.mode=spectral", "init.k1=0", "init.k2=100", "init.k3=100"],
+        ["init.mode=spectral", "init.k1=100", "init.k2=0", "init.k3=100"],
+        ["init.mode=spectral", "init.k1=100", "init.k2=100", "init.k3=0"],
+        ["repetitions=x"],
+        ["seed=x"],
+        ["measurement.source=shot", "measurement.shots=x"],
+        ["measurement.source=gaussian", "measurement.sigma=x"],
+        ["init.delta=x"],
+        ["init.mode=random_mpo", "init.rank=x"],
+        ['solver.ranks=["x", 4, 4, 2]'],
+    ],
+    ids=["log_every=0", "log_every=-5", "k1=0", "k2=0", "k3=0", "repetitions=x", "seed=x",
+         "shots=x", "sigma=x", "delta=x", "rank=x", "ranks=x"],
+)
+def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
+    plan_path, _ = base_plan(tmp_path)
+    args = ["reconstruct", "--plan", str(plan_path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def _corrupt_ttr1(tmp_path, how):
+    """A TTR1 of a 4-qubit GHZ coefficient tensor, damaged as ``how`` says."""
+    path = tmp_path / "rec.ttr"
+    serialize.write_ttr1(path, states.pure_state_coeff(states.ghz(4)))
+    raw = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(raw[:-8])
+    elif how == "trailing byte":
+        path.write_bytes(raw + b"\0")
+    elif how == "zero rank":
+        path.write_bytes(raw[:24] + bytes(4) + raw[28:])  # magic, n, 4 dims, rank 1
+    else:
+        return tmp_path  # a directory
+    return path
+
+
+@pytest.mark.parametrize("how", ["truncated", "trailing byte", "zero rank", "directory"])
+def test_evaluate_corrupt_reconstruction_exits_data(tmp_path, capsys, how):
+    state_file = tmp_path / "s.ttc"
+    cli.main(["generate-state", "--family", "ghz", "--n", "4", "--out", str(state_file)])
+    capsys.readouterr()
+    rec = _corrupt_ttr1(tmp_path, how)
+    rc = cli.main(["evaluate", "--state", str(state_file), "--reconstruction", str(rec)])
+    assert rc == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_evaluate_closes_the_reconstruction_file(tmp_path, capsys):
+    state_file = tmp_path / "s.ttc"
+    cli.main(["generate-state", "--family", "ghz", "--n", "4", "--out", str(state_file)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["evaluate", "--state", str(state_file),
+                       "--reconstruction", str(state_file)])
+        gc.collect()
+    assert rc == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_divergent_run_exits_numeric_with_iteration(tmp_path, capsys):

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from test_mpo import mpo_dense
 from ttqst import measurement as meas
 from ttqst import mpo, tt
+
+
+def entry(t, idx):
+    """One entry of ``t``, by the batch evaluator."""
+    return tt.tt_entries(t, [idx])[0]
 
 
 def identity_coeff(n):
@@ -26,35 +32,35 @@ def ghz_coeff(n):
     last = np.zeros((2, 2, 1), dtype=complex)
     last[0, 0, 0] = last[1, 1, 0] = 2**-0.25
     psi = mpo.Mps([c] + [mid] * (n - 2) + [last])
-    return mpo.mpo_to_coeff(mpo.mps_to_mpo(psi), mpo.make_basis(2))
+    return mpo.mpo_to_coeff(mpo.mps_to_mpo(psi))
 
 
 def test_identity_expectations():
     n = 4
     t = identity_coeff(n)
-    assert abs(tt.tt_entry(t, (0,) * n) - 2 ** (-n / 2)) < 1e-14
-    assert abs(tt.tt_entry(t, (0, 2, 0, 0))) < 1e-14
+    assert abs(entry(t, (0,) * n) - 2 ** (-n / 2)) < 1e-14
+    assert abs(entry(t, (0, 2, 0, 0))) < 1e-14
 
 
 def test_ghz_expectations_match_dense():
     n = 3
     t = ghz_coeff(n)
     basis = mpo.make_basis(2)
-    rho = mpo.mpo_dense(mpo.coeff_to_mpo(t, basis))
+    rho = mpo_dense(mpo.coeff_to_mpo(t))
     for idx in np.ndindex(4, 4, 4):
         a = np.array([[1.0]], dtype=complex)
         for s in idx:
-            a = np.kron(basis.mats[s], a)
+            a = np.kron(basis[s], a)
         want = np.vdot(a, rho).real
-        assert abs(tt.tt_entry(t, idx) - want) < 1e-12
+        assert abs(entry(t, idx) - want) < 1e-12
 
 
 def test_shot_sampling_eigenstate_deterministic():
     # Single qubit |0><0|: the Z-direction outcome has zero variance.
     psi = mpo.Mps([np.array([[[1.0], [0.0]]]), np.array([[[1.0], [0.0]]])])
-    t = mpo.mpo_to_coeff(mpo.mps_to_mpo(psi), mpo.make_basis(2))
+    t = mpo.mpo_to_coeff(mpo.mps_to_mpo(psi))
     rng = meas.make_rng(0)
-    e = np.array([tt.tt_entry(t, (3, 3))])
+    e = np.array([entry(t, (3, 3))])
     for m in (1, 10, 100):
         y = meas._shot_means(e, t.n, m, rng)
         assert abs(y[0] - 0.5) < 1e-14  # <Z/sqrt2 (x) Z/sqrt2> = 1/2
@@ -65,7 +71,7 @@ def test_shot_mean_zero_expectation():
     n, m, reps = 3, 4, 10**5
     t = identity_coeff(n)
     idx = (1, 0, 0)
-    assert abs(tt.tt_entry(t, idx)) < 1e-14
+    assert abs(entry(t, idx)) < 1e-14
     rng = meas.make_rng(7)
     e = np.zeros(reps)
     y = meas._shot_means(e, n, m, rng)
@@ -96,7 +102,7 @@ def test_shot_tail_bound():
 def test_unphysical_target_rejected():
     t = tt.tt_scale(10.0, identity_coeff(2))
     rng = meas.make_rng(0)
-    e = np.array([tt.tt_entry(t, (0, 0))])
+    e = np.array([entry(t, (0, 0))])
     with pytest.raises(meas.MeasurementError):
         meas._shot_means(e, t.n, 10, rng)
 
@@ -105,7 +111,7 @@ def test_unbiasedness_fixed_index():
     n, m, reps = 3, 20, 10**4
     t = ghz_coeff(n)
     idx = (3, 3, 0)
-    e = tt.tt_entry(t, idx)
+    e = entry(t, idx)
     rng = meas.make_rng(17)
     y = meas._shot_means(np.full(reps, e), n, m, rng)
     se = np.sqrt(1.0 / (2**n * m * reps))
@@ -176,7 +182,7 @@ def test_next_batch_scaling():
     dn = 2**3
     assert idx.shape == (8, 3) and s.scale == dn
     for row, value in zip(idx, y):
-        assert abs(s.scale * value - dn * tt.tt_entry(t, row)) < 1e-12
+        assert abs(s.scale * value - dn * entry(t, row)) < 1e-12
 
 
 def test_gaussian_surrogate_variance():
@@ -201,14 +207,35 @@ def test_log_round_trip(tmp_path):
     t = ghz_coeff(3)
     s = meas.make_stream(t, meas.ShotSource(50), seed=1)
     idx, y = s.draw_batch(20)
-    records = [
-        meas.MeasurementRecord(tuple(idx[b]), float(y[b]), 50) for b in range(20)
-    ]
     path = tmp_path / "log.csv"
-    meas.write_log(path, records, n=3)
-    back = meas.read_log(path)
-    assert len(back) == 20
-    for a, b in zip(records, back):
-        assert a.index == b.index
-        assert a.value == b.value
-        assert a.shots == b.shots
+    meas.write_log(path, idx, y, 50)
+    back_idx, back_y, shots = meas.read_log(path)
+    assert back_idx.dtype == np.int64
+    np.testing.assert_array_equal(back_idx, idx)
+    np.testing.assert_array_equal(back_y, y)
+    assert shots == 50
+    # The columns read back write the same bytes.
+    again = tmp_path / "again.csv"
+    meas.write_log(again, back_idx, back_y, shots)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_exact_log_has_empty_shots(tmp_path):
+    t = ghz_coeff(3)
+    idx, y = meas.make_stream(t, meas.ExactSource(), seed=2).draw_batch(5)
+    path = tmp_path / "log.csv"
+    meas.write_log(path, idx, y, None)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "step,omega_1,omega_2,omega_3,value,shots"
+    assert lines[1] == f"0,{idx[0, 0] + 1},{idx[0, 1] + 1},{idx[0, 2] + 1},{float(y[0])!r},"
+    back_idx, back_y, shots = meas.read_log(path)
+    np.testing.assert_array_equal(back_idx, idx)
+    np.testing.assert_array_equal(back_y, y)
+    assert shots is None
+
+
+def test_log_with_mixed_shot_counts_rejected(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text("step,omega_1,omega_2,value,shots\n0,1,2,0.5,50\n1,3,4,0.25,60\n")
+    with pytest.raises(meas.MeasurementError, match="shot count"):
+        meas.read_log(path)

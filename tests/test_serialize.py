@@ -85,3 +85,28 @@ def test_ttc1_rejects_unknown_tag(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(serialize.SerializationError):
         serialize.read_ttc1(path)
+
+
+
+# Header byte ranges: TTR1 is magic | u32 n | dims | ranks; TTC1 adds an
+# order byte after the magic and stores one local dimension per site.
+@pytest.mark.parametrize("zeroed", [slice(8, 12), slice(20, 24)], ids=["dim", "rank"])
+def test_ttr1_rejects_zero_dim_or_rank(tmp_path, zeroed):
+    path = tmp_path / "t.ttr"
+    serialize.write_ttr1(path, tt.random_tt((4, 4, 4), (2, 2), np.random.default_rng(3)))
+    raw = bytearray(path.read_bytes())
+    raw[zeroed] = bytes(4)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(serialize.SerializationError, match="zero"):
+        serialize.read_ttr1(path)
+
+
+@pytest.mark.parametrize("zeroed", [slice(9, 21), slice(21, 25)], ids=["dim", "rank"])
+def test_ttc1_rejects_zero_dim_or_rank(tmp_path, zeroed):
+    path = tmp_path / "x.ttc"
+    serialize.write_ttc1(path, states.random_mps(3, 2, 2, seed=9))
+    raw = bytearray(path.read_bytes())
+    raw[zeroed] = bytes(zeroed.stop - zeroed.start)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(serialize.SerializationError, match="zero"):
+        serialize.read_ttc1(path)

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from test_manifold import project_all
-from test_tt import tt_relative_error
+from test_manifold import project_all, tangent_to_tt
+from test_tt import dense_lambda_min, tt_relative_error
 from test_tt_kernels import dense_ksl
 from ttqst import manifold, measurement as meas, solvers, states, tt
 
@@ -21,7 +21,7 @@ def warm_start(tstar, ranks, delta, seed):
 
 def exact_batch(tstar, idx):
     """``(idx, y)`` with the exact raw values, as ``draw_batch`` returns them."""
-    return idx, np.array([tt.tt_entry(tstar, row) for row in idx])
+    return idx, tt.tt_entries(tstar, idx)
 
 
 def one_round(t, batch, cfg):
@@ -86,13 +86,14 @@ def test_orgd_step_matches_dense_reference():
 
     scale = float(np.sqrt(tstar.size))
     x0 = tt.tt_dense(t0)
+    xstar = tt.tt_dense(tstar)
     grad = np.zeros_like(x0)
     for row in idx:
         r = tuple(row)
-        resid = scale * x0[r] - scale * tt.tt_entry(tstar, r)
+        resid = scale * x0[r] - scale * xstar[r]
         grad[r] += resid * scale / idx.shape[0]
     geom = manifold.TangentGeometry(tt.left_orthogonalize(t0))
-    pg = tt.tt_dense(manifold.tangent_to_tt(project_all(geom, grad)))
+    pg = tt.tt_dense(tangent_to_tt(project_all(geom, grad)))
     want = dense_ksl(x0, x0 - eta * pg, tstar.ranks)
     assert np.linalg.norm(tt.tt_dense(out) - want) < 1e-12 * np.linalg.norm(want)
     # The TTSVD retraction of the same step differs at third order in the
@@ -165,8 +166,8 @@ def test_trace_lambda_min_matches_separation_spectra():
         ranks=tstar.ranks, max_iters=100, batch_size=20, alpha=1e-2, log_every=50
     )
     out, trace = solvers.orgd_run(t0, stream, cfg)
-    assert trace.lambda_min[0] == pytest.approx(tt.lambda_min(t0), rel=1e-12)
-    assert trace.lambda_min[-1] == pytest.approx(tt.lambda_min(out), rel=1e-12)
+    assert trace.lambda_min[0] == pytest.approx(dense_lambda_min(t0), rel=1e-12)
+    assert trace.lambda_min[-1] == pytest.approx(dense_lambda_min(out), rel=1e-12)
 
 
 def test_orgd_log_linear_decay():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from test_mpo import mps_dense
-from ttqst import mpo, states, tt
+from test_mpo import mpo_dense, mps_dense
+from test_tt import dense_spectra
+from ttqst import mpo, states
 
 
 def dense_ising_h(n, g):
@@ -42,7 +43,7 @@ def test_random_mps_induced_mpo_ranks():
     assert m.ranks == (4, 4, 4, 4, 4)
     # Separation ranks of the coefficient tensor match numerically.
     t = states.pure_state_coeff(psi)
-    for s in tt.separation_spectra(t):
+    for s in dense_spectra(t):
         numrank = int(np.sum(s > 1e-10 * s[0]))
         assert numrank == 4
 
@@ -65,7 +66,7 @@ def test_ghz_induced_mpo_rank_4():
 def test_ising_mpo_matches_dense():
     for n, g in ((3, 0.7), (5, 1.3)):
         h = states.ising_hamiltonian_mpo(n, g)
-        np.testing.assert_allclose(mpo.mpo_dense(h).real, dense_ising_h(n, g), atol=1e-12)
+        np.testing.assert_allclose(mpo_dense(h).real, dense_ising_h(n, g), atol=1e-12)
 
 
 # DMRG contractions against einsum oracles on random, non-symmetric inputs:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttqst import tt
+from ttqst import manifold, tt
 
 
 def random_tt(rng, dims=(4, 4, 4), ranks=(2, 2), kind="gaussian"):
@@ -23,7 +23,7 @@ def ranks_feasible(mode_dims, ranks):
 
 
 def dense_oracle(t):
-    """Independent dense contraction: loop over all entries via tt_entry chain."""
+    """Independent dense contraction: loop over all entries, chaining core slices."""
     out = np.zeros(t.mode_dims)
     for idx in np.ndindex(*t.mode_dims):
         v = t.cores[0][0, idx[0], :]
@@ -33,31 +33,47 @@ def dense_oracle(t):
     return out
 
 
+def dense_spectra(t):
+    """Oracle: singular values of the dense separations at cuts 1..n-1."""
+    x = tt.tt_dense(t)
+    return [
+        np.linalg.svd(x.reshape(int(np.prod(t.mode_dims[:k])), -1, order="F"), compute_uv=False)
+        for k in range(1, t.n)
+    ]
+
+
+def dense_lambda_min(t):
+    """Oracle: smallest r_k-th separation singular value over all cuts."""
+    return float(min(s[r - 1] for s, r in zip(dense_spectra(t), t.ranks)))
+
+
+def dense_cond(t):
+    """Oracle: largest separation singular value over ``dense_lambda_min``."""
+    return float(max(s[0] for s in dense_spectra(t))) / dense_lambda_min(t)
+
+
+def sweep_spectra(t):
+    """The separation spectra of ``t`` as the tangent geometry's one QR sweep reads them."""
+    return manifold.TangentGeometry(tt.left_orthogonalize(t)).singular_values
+
+
 def test_tt_entry_all_ones():
     cores = [np.ones((1, 3, 1)), np.ones((1, 3, 1)), np.ones((1, 3, 1))]
     t = tt.TtTensor(cores)
-    assert tt.tt_entry(t, (0, 1, 2)) == 1.0
+    assert tt.tt_entries(t, [(0, 1, 2)])[0] == 1.0
 
 
 def test_tt_entry_zero_core():
     cores = [np.ones((1, 3, 1)), np.zeros((1, 3, 1)), np.ones((1, 3, 1))]
     t = tt.TtTensor(cores)
-    assert tt.tt_entry(t, (2, 0, 1)) == 0.0
+    assert tt.tt_entries(t, [(2, 0, 1)])[0] == 0.0
 
 
 def test_tt_entry_matches_dense():
     rng = np.random.default_rng(0)
     t = random_tt(rng)
-    x = dense_oracle(t)
-    for idx in np.ndindex(*t.mode_dims):
-        assert abs(tt.tt_entry(t, idx) - x[idx]) < 1e-12
-
-
-def test_tt_entry_out_of_range():
-    rng = np.random.default_rng(0)
-    t = random_tt(rng)
-    with pytest.raises(tt.TtError):
-        tt.tt_entry(t, (0, 4, 0))
+    idx = np.array(list(np.ndindex(*t.mode_dims)))
+    np.testing.assert_allclose(tt.tt_entries(t, idx), dense_oracle(t)[tuple(idx.T)], atol=1e-12)
 
 
 def test_tt_entries_batch():
@@ -65,8 +81,7 @@ def test_tt_entries_batch():
     t = random_tt(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     idx = rng.integers(0, 4, size=(50, 4))
     vals = tt.tt_entries(t, idx)
-    for b in range(50):
-        assert abs(vals[b] - tt.tt_entry(t, idx[b])) < 1e-12
+    np.testing.assert_allclose(vals, dense_oracle(t)[tuple(idx.T)], atol=1e-12)
 
 
 def test_tt_dense_matches_entrywise():
@@ -176,7 +191,7 @@ def test_separation_singular_values_match_dense():
         for k in range(1, len(dims)):
             sep = x.reshape(int(np.prod(dims[:k])), -1, order="F")
             s_dense = np.linalg.svd(sep, compute_uv=False)
-            s_tt = tt.separation_spectra(t)[k - 1]
+            s_tt = sweep_spectra(t)[k - 1]
             np.testing.assert_allclose(s_tt, s_dense[: len(s_tt)], atol=1e-10)
 
 
@@ -184,15 +199,8 @@ def test_rank1_unit_norm_separations():
     cores = [np.full((1, 4, 1), 0.5), np.full((1, 4, 1), 0.5)]
     t = tt.TtTensor(cores)  # norm 1
     for k in (1,):
-        s = tt.separation_spectra(t)[k - 1]
+        s = sweep_spectra(t)[k - 1]
         np.testing.assert_allclose(s, [1.0], atol=1e-12)
-
-
-def test_cond_at_least_one():
-    rng = np.random.default_rng(14)
-    for _ in range(5):
-        t = random_tt(rng)
-        assert tt.cond(t) >= 1.0
 
 
 def test_ttsvd_exact_rank_no_truncation():
@@ -367,7 +375,7 @@ def test_coherence_mutual_bounds():
     for _ in range(100):
         t = random_tt(rng, dims=(4, 4, 4), ranks=(2, 2))
         rep = tt.coherence_report(t)
-        kappa = tt.cond(t)
+        kappa = dense_cond(t)
         assert rep.incoherence <= rep.spikiness * kappa + 1e-9
         assert rep.spikiness <= np.sqrt(max(t.ranks)) * kappa * rep.incoherence**2 + 1e-9
 
@@ -386,6 +394,8 @@ def test_dense_cap_enforced():
 
 
 def test_lambda_min_max():
+    # lambda_min and kappa off the geometry's sweep, as the solver trace reads
+    # lambda_min, match the dense separations and the dense oracles.
     rng = np.random.default_rng(27)
     t = random_tt(rng, dims=(4, 4, 4), ranks=(2, 2))
     x = tt.tt_dense(t)
@@ -394,5 +404,9 @@ def test_lambda_min_max():
         sep = x.reshape(int(np.prod(x.shape[:k])), -1, order="F")
         svals.append(np.linalg.svd(sep, compute_uv=False))
     lmin = min(s[1] for s in svals)
-    assert abs(tt.lambda_min(t) - lmin) < 1e-10
-    assert tt.cond(t) == pytest.approx(max(s[0] for s in svals) / lmin, rel=1e-10)
+    kappa = max(s[0] for s in svals) / lmin
+    spectra = sweep_spectra(t)
+    sweep_lmin = min(s[-1] for s in spectra)
+    assert abs(sweep_lmin - lmin) < 1e-10
+    assert max(s[0] for s in spectra) / sweep_lmin == pytest.approx(kappa, rel=1e-10)
+    assert dense_lambda_min(t) == lmin and dense_cond(t) == kappa

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_manifold import project_all
+from test_manifold import project_all, tangent_to_tt
 from ttqst import manifold, tt
 
 PROPS = settings(max_examples=80, deadline=None)
@@ -246,7 +246,7 @@ def test_tangent_step_matches_dense(eta, n, m, cap, seed):
         tt.tt_dense(tt.TtTensor([*base.cores[:k], xcores[k], *right[k + 1 :]]))
         for k in range(n)
     )
-    got = tt.tt_dense(manifold.tangent_to_tt(v))
+    got = tt.tt_dense(tangent_to_tt(v))
     np.testing.assert_allclose(got, ambient, rtol=0, atol=1e-12 * np.abs(ambient).max())
     want = tt.tt_dense(base) - eta * ambient
     got = tt.tt_dense(manifold.tangent_step(v, eta))
@@ -283,7 +283,7 @@ def unit_step(n, m, cap, seed):
     base = tt.left_orthogonalize(tt.tt_scale(1.0 / tt.tt_norm(base), base))
     geom = manifold.TangentGeometry(base)
     v = project_all(geom, rng.standard_normal(base.mode_dims))
-    scale = 1.0 / tt.tt_norm(manifold.tangent_to_tt(v))
+    scale = 1.0 / tt.tt_norm(tangent_to_tt(v))
     return base, manifold.TangentVector(geom, [scale * c for c in v.variation_cores])
 
 
@@ -293,7 +293,7 @@ def unit_step(n, m, cap, seed):
 def test_ksl_retract_matches_dense_oracle(eta, n, m, cap, seed):
     base, v = unit_step(n, m, cap, seed)
     y = tt.tt_dense(base)
-    want = dense_ksl(y, y - eta * tt.tt_dense(manifold.tangent_to_tt(v)), base.ranks)
+    want = dense_ksl(y, y - eta * tt.tt_dense(tangent_to_tt(v)), base.ranks)
     got = tt.tt_dense(manifold.ksl_retract(v, eta))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
