@@ -81,17 +81,16 @@ def _state_spec(plan):
     s = plan.get("state")
     if not isinstance(s, dict) or "family" not in s:
         raise ConfigError("plan.state must be an object with a 'family'")
-    try:
-        return states.StateSpec(
-            family=s["family"],
-            n=int(s.get("n", 0)),
-            d=int(s.get("d", 2)),
-            rank=int(s.get("rank", 2)),
-            max_bond=int(s.get("max_bond", 16)),
-            coupling=float(s.get("coupling", 1.0)),
-            seed=int(s.get("seed", 0)),
+    spec = {
+        key: _plan_value(kind, s.get(key, default), f"state.{key}")
+        for key, kind, default in (
+            ("n", int, 0), ("d", int, 2), ("rank", int, 2), ("max_bond", int, 16),
+            ("coupling", float, 1.0), ("seed", int, 0),
         )
-    except (states.StateError, ValueError, TypeError) as exc:
+    }
+    try:
+        return states.StateSpec(family=s["family"], **spec)
+    except states.StateError as exc:
         raise ConfigError(f"invalid state spec: {exc}") from exc
 
 
@@ -163,28 +162,31 @@ def _solver_config(plan, target):
     if algorithm not in ("orgd", "rgd", "rsgd"):
         raise ConfigError(f"unknown solver algorithm {algorithm!r}")
     ranks = _solver_ranks(s, target)
+
+    def get(kind, key, default):
+        return _plan_value(kind, s.get(key, default), f"solver.{key}")
+
+    def optional(key):
+        return None if s.get(key) is None else get(float, key, None)
+
     try:
         cfg = solvers.SolverConfig(
             ranks=ranks,
-            max_iters=int(s.get("max_iters", 10000)),
-            batch_size=int(s.get("batch_size", 1)),
-            eta=(None if s.get("eta") is None else float(s["eta"])),
-            alpha=(None if s.get("alpha") is None else float(s["alpha"])),
-            trim_nu=(None if s.get("trim_nu") is None else float(s["trim_nu"])),
-            stop_rel_error=(
-                None if s.get("stop_rel_error") is None else float(s["stop_rel_error"])
-            ),
-            stop_move_tol=(
-                None if s.get("stop_move_tol") is None else float(s["stop_move_tol"])
-            ),
-            log_every=int(s.get("log_every", 50)),
-            epochs=int(s.get("epochs", 1)),
-            epoch_decay=float(s.get("epoch_decay", 0.9)),
-            shuffle_seed=int(s.get("shuffle_seed", 0)),
+            max_iters=get(int, "max_iters", 10000),
+            batch_size=get(int, "batch_size", 1),
+            eta=optional("eta"),
+            alpha=optional("alpha"),
+            trim_nu=optional("trim_nu"),
+            stop_rel_error=optional("stop_rel_error"),
+            stop_move_tol=optional("stop_move_tol"),
+            log_every=get(int, "log_every", 50),
+            epochs=get(int, "epochs", 1),
+            epoch_decay=get(float, "epoch_decay", 0.9),
+            shuffle_seed=get(int, "shuffle_seed", 0),
         )
-        dataset_size = int(s.get("dataset_size", 0))
-    except (solvers.SolverError, ValueError, TypeError) as exc:
+    except solvers.SolverError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
+    dataset_size = get(int, "dataset_size", 0)
     if algorithm in ("rgd", "rsgd") and dataset_size < 1:
         raise ConfigError(f"{algorithm} needs solver.dataset_size >= 1")
     return algorithm, cfg, dataset_size
@@ -218,13 +220,14 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
             rep = tt.coherence_report(target)
             mu = rep.incoherence**2 if mu is None else mu
             nu = rep.spikiness if nu is None else nu
+        ks = {k: _plan_value(int, init[k], f"init.{k}") for k in ("k1", "k2", "k3")}
+        mu, nu = _plan_value(float, mu, "init.mu"), _plan_value(float, nu, "init.nu")
         try:
-            ks = {k: int(init[k]) for k in ("k1", "k2", "k3")}
-            icfg = solvers.InitConfig(**ks, mu=float(mu), nu=float(nu))
-        except (solvers.SolverError, ValueError, TypeError) as exc:
+            icfg = solvers.InitConfig(**ks, mu=mu, nu=nu)
+        except solvers.SolverError as exc:
             raise ConfigError(f"invalid spectral init: {exc}") from exc
         t0, info = solvers.spectral_init(stream, icfg, ranks)
-        return t0, {"mode": mode, **ks, "mu": icfg.mu, "nu": icfg.nu, **info}
+        return t0, {"mode": mode, **ks, "mu": mu, "nu": nu, **info}
     raise ConfigError(f"unknown init mode {mode!r}")
 
 

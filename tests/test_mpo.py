@@ -506,33 +506,3 @@ def test_no_einsum_path_search_in_library():
                     factorizations.add((path.stem, fn.name))
     assert factorizations == {("mpo", "_stacked_chain_norm")}
 
-
-def test_every_public_name_has_a_library_use():
-    """Each public top-level function or class, and each public method, in the
-    library is referenced by name somewhere in the library beyond ``__init__``.
-
-    The allowlist holds entry points kept for callers outside the library:
-    ``coeff_to_mpo`` and ``hermitian_decompose`` map coefficient tensors and
-    dense operators to MPOs, and ``read_log`` reads a measurement log back.
-    """
-    src = Path(mpo.__file__).parent
-    defined = set()  # "name" or "Class.method"
-    used = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            if isinstance(node, ast.ClassDef):
-                defined.update(
-                    f"{node.name}.{fn.name}" for fn in node.body if isinstance(fn, ast.FunctionDef)
-                )
-        if path.name != "__init__.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    last = {name: name.split(".")[-1] for name in defined}
-    unused = {name for name, attr in last.items() if not attr.startswith("_") and attr not in used}
-    assert unused == {"coeff_to_mpo", "hermitian_decompose", "read_log"}

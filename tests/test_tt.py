@@ -73,7 +73,9 @@ def test_tt_entry_matches_dense():
     rng = np.random.default_rng(0)
     t = random_tt(rng)
     idx = np.array(list(np.ndindex(*t.mode_dims)))
-    np.testing.assert_allclose(tt.tt_entries(t, idx), dense_oracle(t)[tuple(idx.T)], atol=1e-12)
+    np.testing.assert_allclose(
+        tt.tt_entries(t, idx), dense_oracle(t)[tuple(idx.T)], rtol=0, atol=1e-12
+    )
 
 
 def test_tt_entries_batch():
@@ -81,7 +83,7 @@ def test_tt_entries_batch():
     t = random_tt(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     idx = rng.integers(0, 4, size=(50, 4))
     vals = tt.tt_entries(t, idx)
-    np.testing.assert_allclose(vals, dense_oracle(t)[tuple(idx.T)], atol=1e-12)
+    np.testing.assert_allclose(vals, dense_oracle(t)[tuple(idx.T)], rtol=0, atol=1e-12)
 
 
 def test_tt_dense_matches_entrywise():
