@@ -133,11 +133,17 @@ def _measurement_source(plan):
     if kind == "shot":
         if "shots" not in m:
             raise ConfigError("shot source needs 'shots'")
-        return measurement.ShotSource(_plan_value(int, m["shots"], "measurement.shots"))
+        shots = _plan_value(int, m["shots"], "measurement.shots")
+        if shots < 1:
+            raise ConfigError(f"measurement.shots must be at least 1, got {shots}")
+        return measurement.ShotSource(shots)
     if kind == "gaussian":
         if "sigma" not in m:
             raise ConfigError("gaussian source needs 'sigma'")
-        return measurement.GaussianSource(_plan_value(float, m["sigma"], "measurement.sigma"))
+        sigma = _plan_value(float, m["sigma"], "measurement.sigma")
+        if not sigma >= 0.0:
+            raise ConfigError(f"measurement.sigma must be nonnegative, got {sigma}")
+        return measurement.GaussianSource(sigma)
     raise ConfigError(f"unknown measurement source {kind!r}")
 
 
@@ -426,7 +432,7 @@ def cmd_evaluate(args):
 
 def cmd_benchmark_scaling(args):
     plan = _load_plan(args.plan, args.set)
-    ns = [int(x) for x in args.ns.split(",")]
+    ns = [_plan_value(int, x, "--ns entry") for x in args.ns.split(",")]
     if len(ns) < 2:
         raise ConfigError("need at least two n values to fit a scaling exponent")
     if (args.target_error is None) == (args.target_fidelity is None):

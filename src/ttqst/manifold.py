@@ -10,10 +10,13 @@ sum over k of the chains ``[U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n]``.
 With orthonormal right parts, projecting a sparse ambient tensor costs
 ``O(n d^2 r^2)`` per entry and needs no linear solve.
 
-A tangent vector holds its ``TangentGeometry``.  A tangent step is retracted
-by one sweep of the projector-splitting (KSL) integrator (``ksl_retract``):
-r-wide QRs, no rank-2r core and no SVD.  ``retract`` is the trimmed
-truncation ``H_r(Trim_xi(.))`` of trimmed steps and the spectral initializer.
+The batched left and right chains of a projection step site by site with
+``tt._chain_rows``: one GEMM against all mode slices of a core, then a row
+select.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
+retracted by one sweep of the projector-splitting (KSL) integrator
+(``ksl_retract``): r-wide unchecked QRs, no rank-2r core and no SVD, and one
+finiteness check after the sweep.  ``retract`` is the trimmed truncation
+``H_r(Trim_xi(.))`` of trimmed steps and the spectral initializer.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import tt
-from .tt import TtTensor, fold_left, left_unfold
+from .tt import TtTensor
 
 # Rank-deficiency rejection threshold: smallest/largest separation singular
 # value below this ratio at any cut means the foot point is off-manifold.
@@ -106,11 +109,11 @@ class TangentGeometry:
                 )
         # right_cores = [U_1 R_1^T, V_2, ..., V_n] is the foot point right-orthogonalized.
         self.right_cores = tuple(right)
-        # Mode-major copies (m, r0, r1) so a batch gathers (B, r0, r1) slices.
-        self._left_slices = [np.ascontiguousarray(c.transpose(1, 0, 2)) for c in base.cores]
-        self._right_slices = [np.ascontiguousarray(c.transpose(1, 0, 2)) for c in right]
-        # Projectors are applied as X -= L(U_k) (L(U_k)^T X).
-        self.left_unfolds = [left_unfold(c) for c in base.cores]
+        # V_k transposed to (r_k, m, r_{k-1}), so the right chain steps by
+        # tt._chain_rows as the left chain does.
+        self._right_transposed = [None] + [
+            np.ascontiguousarray(c.transpose(2, 1, 0)) for c in right[1:]
+        ]
 
     def left_chain(self, idx: np.ndarray) -> list:
         """Rows ``U^{<=k}[idx_1..idx_k, :]``, k = 0..n, each of shape (B, r_k).
@@ -118,10 +121,11 @@ class TangentGeometry:
         The last one, of shape (B, 1), holds the foot point's entries at idx.
         """
         idx = np.asarray(idx, dtype=np.int64)
-        lefts = [np.ones((idx.shape[0], 1))]
-        for k in range(self.base.n):
-            sl = self._left_slices[k][idx[:, k]]
-            lefts.append(np.matmul(lefts[k][:, None, :], sl)[:, 0, :])
+        rows = np.arange(idx.shape[0])
+        cores = self.base.cores
+        lefts = [np.ones((idx.shape[0], 1)), cores[0][0, idx[:, 0]]]
+        for k in range(1, self.base.n):
+            lefts.append(tt._chain_rows(lefts[k], cores[k], idx[:, k], rows))
         return lefts
 
     def project_batch(self, idx: np.ndarray, values: np.ndarray, lefts=None) -> TangentVector:
@@ -137,23 +141,26 @@ class TangentGeometry:
         if lefts is None:
             lefts = self.left_chain(idx)
         rows = np.arange(bsz)
-        # right = rows V^{>k}[:, idx_{k+1}..idx_n] of the right parts, (B, r_k).
-        right = np.ones((bsz, 1))
+        # right = values times the rows V^{>k}[:, idx_{k+1}..idx_n] of the
+        # right parts, (B, r_k).
+        right = values[:, None]
         vcores = [None] * n
         for k in range(n - 1, -1, -1):
             r0, m, r1 = base.cores[k].shape
             # One GEMM scatters every rank-one term l_b (x) e_{idx_k[b]} (x) w_b.
             onehot = np.zeros((bsz, m, r1))
             onehot[rows, idx[:, k]] = right
-            weighted = values[:, None] * lefts[k]
-            xk = (weighted.T @ onehot.reshape(bsz, m * r1)).reshape(r0, m, r1)
+            xk = lefts[k].T @ onehot.reshape(bsz, m * r1)
             if k < n - 1:
-                lu = left_unfold(xk)
-                lt = self.left_unfolds[k]
-                xk = fold_left(lu - lt @ (lt.T @ lu), r0, m)
-            vcores[k] = xk
+                # Gauge projection X -= L(U_k) (L(U_k)^T X) on C-order
+                # unfoldings, which are views: the projector is invariant
+                # under the same row permutation of U_k and X.
+                xk = xk.reshape(r0 * m, r1)
+                u = base.cores[k].reshape(r0 * m, r1)
+                xk = xk - u @ (u.T @ xk)
+            vcores[k] = xk.reshape(r0, m, r1)
             if k:
-                right = np.matmul(self._right_slices[k][idx[:, k]], right[:, :, None])[:, :, 0]
+                right = tt._chain_rows(right, self._right_transposed[k], idx[:, k], rows)
         return TangentVector(self, vcores)
 
 
@@ -206,7 +213,8 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
 
     Raises ``ManifoldError`` with ``core`` set when a scaled variation core,
     a ``K_k`` or the last core holds a non-finite value, and ``LinAlgError``
-    when a QR fails on finite input.
+    when a QR fails on finite input.  The ``K_k`` are checked once, after the
+    sweep; the error names what a check of each ``K_k`` in turn would name.
     """
     ucores = v.geom.base.cores
     vcores = v.geom.right_cores
@@ -226,8 +234,11 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     # chains with X̂ before cut k, so K_k = (p U_k) env + p X̂_k + q V_k; at
     # the first core p = 1 and there is no q.  C-order unfoldings, as in the
     # TT-path TTSVD: QR is invariant under row permutations, and the C-order
-    # fold undoes the permutation.
+    # fold undoes the permutation.  Each K_k and its QR factor are kept for
+    # one finiteness check after the sweep; only a failed check scans them.
     out = []
+    kks = []
+    factors = []
     for k in range(n - 1):
         r0, m, r1 = ucores[k].shape
         if k:
@@ -237,15 +248,20 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
             pu = ucores[0].reshape(-1, r1)
             w = xhat[0].reshape(-1, r1)
         kk = pu @ env[k] + w
-        if not np.isfinite(kk).all():
-            raise _non_finite(k)
-        u, _ = tt._qr(kk)
+        u, r = tt._householder(kk)
+        kks.append(kk)
+        factors.append(r)
         out.append(u.reshape(-1, m, u.shape[1]))
         p = u.T @ pu
         q = u.T @ w
     r0, m, _ = ucores[-1].shape
     last = p @ xhat[-1].reshape(r0, m) + q @ vcores[-1].reshape(r0, m)
-    if not np.isfinite(last).all():
+    if not np.isfinite(np.concatenate([*kks, *factors, last], axis=None)).all():
+        for k, (kk, r) in enumerate(zip(kks, factors)):
+            if not np.isfinite(kk).all():
+                raise _non_finite(k)
+            if not np.isfinite(r).all():
+                raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
         raise _non_finite(n - 1)
     out.append(last.reshape(-1, m, 1))
     return TtTensor(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])

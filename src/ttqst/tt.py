@@ -154,6 +154,18 @@ class TtTensor:
         return f"TtTensor(dims={self.mode_dims}, ranks={self.ranks})"
 
 
+def _chain_rows(v: np.ndarray, core: np.ndarray, col: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One step of a batched chain: row ``b`` is ``v[b] @ core[:, col[b], :]``.
+
+    ``v`` is ``(B, r0)``, ``core`` is ``(r0, m, r1)`` and ``rows`` is
+    ``arange(B)``.  One GEMM against every mode slice, then a row select:
+    at core-sized ranks this is cheaper than gathering B slices and running
+    B one-row products.
+    """
+    r0, m, r1 = core.shape
+    return (v @ core.reshape(r0, m * r1)).reshape(v.shape[0], m, r1)[rows, col]
+
+
 def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """Evaluate a batch of entries.
 
@@ -163,10 +175,10 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
         Row ``b`` is one multi-index.
     """
     idx = np.asarray(idx, dtype=np.int64)
+    rows = np.arange(idx.shape[0])
     v = t.cores[0][0, idx[:, 0], :]  # (B, r1)
     for k in range(1, t.n):
-        sl = t.cores[k].transpose(1, 0, 2)[idx[:, k]]  # (B, r, r')
-        v = np.matmul(v[:, None, :], sl)[:, 0, :]
+        v = _chain_rows(v, t.cores[k], idx[:, k], rows)
     return v[:, 0]
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ttqst import cli, measurement, serialize, states
+from ttqst import cli, measurement, serialize, solvers, states
 from ttqst.mpo import Mps
 
 
@@ -218,6 +218,15 @@ def test_benchmark_scaling_smoke(tmp_path, capsys):
     assert text.startswith("n,mean_iterations")
 
 
+def test_benchmark_scaling_bad_ns_exits_config(tmp_path, capsys):
+    plan_path, _ = base_plan(tmp_path)
+    rc = cli.main([
+        "benchmark-scaling", "--plan", str(plan_path), "--ns", "4,x", "--target-error", "1e-2",
+    ])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: --ns entry must be int, got 'x'" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     # 2: config error (bad JSON)
     bad = tmp_path / "bad.json"
@@ -255,12 +264,14 @@ def test_exit_codes(tmp_path):
         ["seed=x"],
         ["measurement.source=shot", "measurement.shots=x"],
         ["measurement.source=gaussian", "measurement.sigma=x"],
+        ["measurement.source=shot", "measurement.shots=0"],
+        ["measurement.source=gaussian", "measurement.sigma=-1"],
         ["init.delta=x"],
         ["init.mode=random_mpo", "init.rank=x"],
         ['solver.ranks=["x", 4, 4, 2]'],
     ],
     ids=["log_every=0", "log_every=-5", "k1=0", "k2=0", "k3=0", "repetitions=x", "seed=x",
-         "shots=x", "sigma=x", "delta=x", "rank=x", "ranks=x"],
+         "shots=x", "sigma=x", "shots=0", "sigma=-1", "delta=x", "rank=x", "ranks=x"],
 )
 def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
     plan_path, _ = base_plan(tmp_path)
@@ -311,10 +322,29 @@ def test_evaluate_closes_the_reconstruction_file(tmp_path, capsys):
 
 
 def test_divergent_run_exits_numeric_with_iteration(tmp_path, capsys):
-    plan_path, _ = base_plan(tmp_path, alpha=5.0, stop_rel_error=None)
+    # alpha=5 blows the iterate up over hundreds of rounds.  Which failure
+    # kind it meets first, a non-finite step or a QR that overflows on a
+    # finite iterate, depends on the rounding of the chain sums; the CLI
+    # reports what the solver raises on the same plan.
+    plan_path, plan = base_plan(tmp_path, alpha=5.0, stop_rel_error=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(solvers.StepError) as info:
+            cli._execute_plan(plan)
+        assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+    assert type(info.value) is solvers.StepError and info.value.iteration == 532
+    assert str(info.value) == (
+        "step could not be retracted at iteration 532: QR of a matrix with non-finite entries"
+    )
+    assert f"numerical failure: {info.value}" in capsys.readouterr().err
+
+
+def test_overflowing_step_exits_numeric_at_iteration_2(tmp_path, capsys):
+    # A deterministic non-finite probe: eta=1e300 overflows the second step
+    # whatever the rounding of the chain sums.
+    plan_path, _ = base_plan(tmp_path, eta=1e300, alpha=None, stop_rel_error=None)
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
-    assert "non-finite values at iteration" in capsys.readouterr().err
+    assert "non-finite values at iteration 2 in core 0" in capsys.readouterr().err
 
 
 def test_rank_collapse_exits_numeric_with_iteration(tmp_path, capsys):

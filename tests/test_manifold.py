@@ -9,7 +9,7 @@ through ``project_all``, for a dense tensor.
 import numpy as np
 import pytest
 
-from test_tt import tt_relative_error
+from test_tt import dense_oracle, tt_relative_error
 from ttqst import manifold, tt
 
 
@@ -427,6 +427,89 @@ def test_ksl_retract_names_non_finite_core():
         with pytest.raises(manifold.ManifoldError, match="core 0") as info:
             manifold.ksl_retract(manifold.TangentVector(geom, huge), 1.0)
     assert info.value.core == 0
+
+
+@pytest.mark.parametrize("site", [1, 2])
+def test_ksl_retract_names_interior_core_of_first_non_finite_k(monkeypatch, site):
+    # A huge finite step at one interior core overflows that core's K_k
+    # while every earlier K_k and QR factor stays finite, as the spy's record
+    # shows.  The one check after the sweep names the core a check of each
+    # K_k would have named.
+    rng = np.random.default_rng(3)
+    base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    xcores = [np.zeros(c.shape) for c in base.cores]
+    xcores[site] = rng.standard_normal(base.cores[site].shape)
+    xcores[site] *= -0.9 * np.finfo(float).max / np.abs(xcores[site]).max()
+    kernels = []
+    householder = tt._householder
+
+    def spy(a):
+        q, r = householder(a)
+        kernels.append((a, r))
+        return q, r
+
+    monkeypatch.setattr(tt, "_householder", spy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(manifold.ManifoldError, match=f"core {site}") as info:
+            manifold.ksl_retract(manifold.TangentVector(geom, xcores), 1.0)
+    assert info.value.core == site
+    assert all(np.isfinite(k).all() and np.isfinite(r).all() for k, r in kernels[:site])
+    assert not np.isfinite(kernels[site][0]).all()
+
+
+def test_finite_ksl_retract_takes_no_checked_qr(monkeypatch):
+    # The sweep's QRs are unchecked; a finite step is checked once, after
+    # the sweep, and never through tt._qr.
+    rng = np.random.default_rng(26)
+    base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    v = project_all(geom, rng.standard_normal(base.mode_dims))
+    calls = []
+    qr = tt._qr
+
+    def spy(a):
+        calls.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(tt, "_qr", spy)
+    out = manifold.ksl_retract(v, 1e-2)
+    assert calls == []
+    assert out.ranks == base.ranks
+
+
+CHAIN_CASES = {
+    # Qutrit modes (m = 9) at ranks below m: each GEMM is wider than a gather.
+    "qutrits": ((9, 9, 9), (2, 3), [[0, 8, 4], [8, 0, 1], [3, 3, 8], [5, 7, 2]]),
+    "rank 1": ((4, 4, 4, 4), (1, 1, 1), [[0, 1, 2, 3], [3, 3, 0, 1], [2, 0, 0, 2]]),
+    "batch of one": ((4, 4, 4), (2, 2), [[1, 2, 3]]),
+    "empty batch": ((4, 4, 4), (2, 2), np.zeros((0, 3), dtype=np.int64)),
+    "repeated rows": ((4, 4, 4), (2, 2), [[1, 2, 3], [0, 0, 0], [1, 2, 3], [1, 2, 3]]),
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_chain_kernels_match_dense_oracle(case):
+    # tt_entries, left_chain and project_batch against the dense contraction
+    # and the dense tangent projector.
+    dims, ranks, idx = CHAIN_CASES[case]
+    idx = np.asarray(idx, dtype=np.int64)
+    rng = np.random.default_rng(29)
+    base = left_orth_base(rng, dims, ranks)
+    dense = dense_oracle(base)
+    entries = dense[tuple(idx.T)]
+    np.testing.assert_allclose(tt.tt_entries(base, idx), entries, rtol=0, atol=1e-12)
+    geom = manifold.TangentGeometry(base)
+    lefts = geom.left_chain(idx)
+    assert [l.shape for l in lefts] == [(idx.shape[0], r) for r in (1, *ranks, 1)]
+    for k in range(1, base.n):
+        rows = np.ravel_multi_index(tuple(idx[:, :k].T), dims[:k], order="F")
+        np.testing.assert_allclose(lefts[k], tt.left_part(base, k)[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lefts[-1][:, 0], entries, rtol=0, atol=1e-12)
+    vals = rng.standard_normal(idx.shape[0])
+    proj, _ = dense_tangent_projector(base)
+    want = proj @ sparse_dense(dims, idx, vals).reshape(-1, order="F")
+    np.testing.assert_allclose(ambient(geom.project_batch(idx, vals)), want, atol=1e-9)
 
 
 def test_ksl_retract_second_order_for_vector_built_from_geometry():
