@@ -8,7 +8,7 @@ from .manifold import (  # noqa: F401
     TangentVector,
     ksl_retract,
     retract,
-    tangent_step,
+    trimmed_retract,
 )
 from .measurement import (  # noqa: F401
     ExactSource,

@@ -158,7 +158,12 @@ def _solver_ranks(plan_solver, target):
     if isinstance(ranks, list):
         if len(ranks) != n - 1:
             raise ConfigError(f"need {n - 1} ranks, got {len(ranks)}")
-        return tuple(_plan_value(int, r, "solver.ranks") for r in ranks)
+        ranks = tuple(_plan_value(int, r, "solver.ranks") for r in ranks)
+        try:
+            tt._check_ranks_feasible(target.mode_dims, ranks)
+        except tt.TtError as exc:
+            raise ConfigError(f"solver.ranks: {exc}") from exc
+        return ranks
     raise ConfigError("solver.ranks must be 'target', an integer cap, or a list")
 
 

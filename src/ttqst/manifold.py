@@ -16,7 +16,10 @@ select.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
 retracted by one sweep of the projector-splitting (KSL) integrator
 (``ksl_retract``): r-wide unchecked QRs, no rank-2r core and no SVD, and one
 finiteness check after the sweep.  ``retract`` is the trimmed truncation
-``H_r(Trim_xi(.))`` of trimmed steps and the spectral initializer.
+``H_r(Trim_xi(.))`` of trimmed steps (``trimmed_retract``) and the spectral
+initializer.  When no entry exceeds ``xi`` the trim is the identity, and
+``retract`` truncates its TT input by the TT-path TTSVD, with no dense SVD;
+only a trim that clips takes the dense TTSVD.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class TangentGeometry:
     projection and ``ksl_retract`` are gauge-invariant.  With ``U`` and ``V``
     orthonormal, ``singular_values[k-1]``, those of the r x r factor ``R_k``,
     are the separation singular values of cut k; sigma_r / sigma_1 below
-    ``DEGENERATE_TOL`` rejects the foot point as off-manifold.
+    ``DEGENERATE_TOL`` rejects the foot point as off-manifold, and so does a
+    rank r above the width of the right side, where ``R_k`` has fewer than r.
     """
 
     def __init__(self, base: TtTensor):
@@ -100,8 +104,14 @@ class TangentGeometry:
         self.singular_values = [tt._svd(r, compute_uv=False) for r in factors]
         for k in range(base.n - 1, 0, -1):
             s = self.singular_values[k - 1]
+            if s.shape[0] < base.ranks[k - 1]:
+                raise ManifoldError(
+                    f"rank-deficient foot point: rank {base.ranks[k - 1]} at cut {k} "
+                    f"exceeds the bound {s.shape[0]} of the right side",
+                    cut=k,
+                )
             ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
-            if s.shape[0] < base.ranks[k - 1] or not ratio >= DEGENERATE_TOL:
+            if not ratio >= DEGENERATE_TOL:
                 raise ManifoldError(
                     f"rank-deficient foot point: separation at cut {k} is singular "
                     f"(sigma_r/sigma_1 = {ratio:.3g})",
@@ -171,11 +181,6 @@ def _chain_sum_cores(geom: TangentGeometry, xcores) -> list:
     )
 
 
-def tangent_step(v: TangentVector, eta: float) -> TtTensor:
-    """TT representation of ``base - eta * ambient(v)``, ranks at most 2r."""
-    return TtTensor(_chain_sum_cores(v.geom, _step_cores(v, eta)))
-
-
 def _step_cores(v: TangentVector, eta: float) -> list:
     """Variation cores ``-eta X_k`` of the step, with ``U_n`` added to the last.
 
@@ -190,11 +195,16 @@ def _non_finite(core: int) -> ManifoldError:
     return ManifoldError(f"non-finite values in core {core}", core=core)
 
 
-def require_finite(cores):
-    """Raise ``ManifoldError`` naming the first core with a non-finite entry."""
+def require_finite(cores) -> np.ndarray:
+    """Raise ``ManifoldError`` naming the first core with a non-finite entry.
+
+    Returns the entries of all cores, concatenated.
+    """
     # One check over all cores; naming the core is for the failure path only.
-    if not np.isfinite(np.concatenate(cores, axis=None)).all():
+    flat = np.concatenate(cores, axis=None)
+    if not np.isfinite(flat).all():
         raise _non_finite(next(k for k, c in enumerate(cores) if not np.isfinite(c).all()))
+    return flat
 
 
 def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
@@ -213,8 +223,9 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
 
     Raises ``ManifoldError`` with ``core`` set when a scaled variation core,
     a ``K_k`` or the last core holds a non-finite value, and ``LinAlgError``
-    when a QR fails on finite input.  The ``K_k`` are checked once, after the
-    sweep; the error names what a check of each ``K_k`` in turn would name.
+    when a QR fails or overflows on finite input.  The ``K_k`` are checked
+    once, after the sweep; the error names what a check of each ``K_k`` in
+    turn would name.
     """
     ucores = v.geom.base.cores
     vcores = v.geom.right_cores
@@ -261,29 +272,56 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
             if not np.isfinite(kk).all():
                 raise _non_finite(k)
             if not np.isfinite(r).all():
-                raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+                # K_k is finite, so its QR overflowed.
+                raise tt._qr_error(finite_input=True)
         raise _non_finite(n - 1)
     out.append(last.reshape(-1, m, 1))
     return TtTensor(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])
 
 
-def trim_level(z: TtTensor, nu: float) -> float:
-    """Clipping level ``xi = 10 ||z|| nu / (9 sqrt(size))`` for spikiness bound ``nu``."""
-    return (10.0 * tt.tt_norm(z) / (9.0 * float(np.sqrt(z.size)))) * nu
+def trim_level(norm: float, size: int, nu: float) -> float:
+    """Clipping level ``xi = 10 norm nu / (9 sqrt(size))`` for spikiness bound ``nu``.
+
+    ``norm`` is the Frobenius norm of the tensor to trim and ``size`` its
+    entry count.
+    """
+    return (10.0 * norm / (9.0 * float(np.sqrt(size)))) * nu
 
 
 def retract(z: TtTensor, ranks, xi: float) -> TtTensor:
     """Trimmed truncation ``H_r(Trim_xi(z))`` onto the rank-``ranks`` manifold.
 
-    ``z`` is clipped entrywise to ``[-xi, xi]`` (sign kept) in dense form and
-    truncated by TTSVD.  Above the dense size cap the trim is skipped with a
-    warning and ``z`` is truncated as it is.
+    ``z`` is materialized once.  When no entry exceeds ``xi`` in magnitude
+    the trim is the identity, and ``z`` is truncated by the TT-path TTSVD:
+    one right QR sweep and SVDs at most as wide as ``z``'s ranks.  Otherwise
+    its entries are clipped to ``[-xi, xi]`` (sign kept) and the clipped
+    array is truncated by the dense TTSVD.  Above the dense size cap the
+    trim is skipped with a warning and ``z`` is truncated as it is.
     """
     if z.size <= tt.DENSE_CAP:
-        return tt.ttsvd(np.clip(tt.tt_dense(z), -xi, xi), ranks)
+        dense = tt.tt_dense(z)
+        if np.abs(dense).max() <= xi:
+            return tt.ttsvd(z, ranks)
+        return tt.ttsvd(np.clip(dense, -xi, xi, out=dense), ranks)
     warnings.warn(
         f"trim skipped in retraction: {z.size} entries above cap",
         RuntimeWarning,
         stacklevel=2,
     )
     return tt.ttsvd(z, ranks)
+
+
+def trimmed_retract(v: TangentVector, eta: float, ranks, nu: float) -> TtTensor:
+    """Retract ``base - eta * ambient(v)`` to ``ranks`` by the trimmed truncation.
+
+    The step is formed exactly at ranks up to 2r and handed to ``retract`` at
+    ``xi = trim_level(|step|, size, nu)``.  By the gauge condition the step's
+    chains are mutually orthogonal, and ``U`` and ``V`` are orthonormal, so
+    ``|step|^2`` is the sum of the squared step cores: no TT inner product.
+    Raises ``ManifoldError`` with ``core`` set when a step core holds a
+    non-finite value.
+    """
+    xhat = _step_cores(v, eta)
+    norm = float(np.linalg.norm(require_finite(xhat)))
+    z = TtTensor(_chain_sum_cores(v.geom, xhat))
+    return retract(z, ranks, trim_level(norm, z.size, nu))

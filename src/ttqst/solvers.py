@@ -3,9 +3,12 @@
 One online round: project the sampled-entry gradient onto the tangent space
 of the current iterate, step, and retract back to rank r.  An untrimmed step
 retracts by one projector-splitting (KSL) sweep of r-wide QRs
-(``manifold.ksl_retract``); a trimmed step, like the spectral initializer,
-ends in the trimmed truncation ``manifold.retract``.  The iterate stays
-left-orthogonal with exact target ranks, so a round costs polynomial time.
+(``manifold.ksl_retract``); a trimmed step (``manifold.trimmed_retract``),
+like the spectral initializer, ends in the trimmed truncation
+``manifold.retract``, which stays in TT form when the trim clips nothing.
+The iterate stays left-orthogonal with exact target ranks, so a round costs
+polynomial time, and its norm is that of its last core: a run whose norm
+passes ``DIVERGED_FACTOR`` times that of its start has diverged.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 from . import manifold, measurement, mpo, states, tt
 from .manifold import TangentGeometry
@@ -25,6 +29,11 @@ from .tt import TtTensor
 
 # Rounds between the iterate snapshots that the ``stop_move_tol`` rule compares.
 STOP_MOVE_WINDOW = 50
+
+# A run has diverged once its iterate's norm exceeds this factor times
+# max(1, norm of the start).  A density operator's coefficient tensor has
+# norm sqrt(Tr rho^2) <= 1.
+DIVERGED_FACTOR = 100.0
 
 
 class SolverError(RuntimeError):
@@ -41,8 +50,10 @@ class StepError(SolverError):
     Raised as is when a finite step cannot be retracted: its values overflow
     the retraction's factorizations, or it collapses the rank and ``cut``
     names the singular separation of the new iterate (None when unknown).
-    A solver run that raises it sets ``trace``: the ``RunTrace`` logged so
-    far, ending at ``last_iterate``.
+    Also raised as is when the run diverges: the new iterate's norm exceeds
+    ``DIVERGED_FACTOR`` times max(1, norm of the run's start).  A solver run
+    that raises it sets ``trace``: the ``RunTrace`` logged so far, ending at
+    ``last_iterate``.
     """
 
     def __init__(self, reason, iteration, last_iterate, cut=None):
@@ -54,15 +65,14 @@ class StepError(SolverError):
         self.trace = None
 
     def __str__(self):
-        return f"step could not be retracted at iteration {self.iteration}: {self.reason}"
+        return f"step failed at iteration {self.iteration}: {self.reason}"
 
 
 class NonFiniteError(StepError):
     """A step produced non-finite values, usually from a divergent step size.
 
     ``core`` is the first core of the step holding a non-finite entry: a
-    scaled variation core or a core of the projector-splitting sweep, or on
-    the trimmed path a core of the rank-2r stepped tensor.
+    scaled variation core or a core of the projector-splitting sweep.
     """
 
     def __init__(self, core, iteration, last_iterate):
@@ -244,13 +254,13 @@ class _IterateState:
             grad = part
         return grad
 
-    def step(self, idx, y, eta, trim_nu, ranks):
+    def step(self, idx, y, eta, trim_nu, ranks, max_norm):
         """One round on the batch ``(idx, y)``: project its gradient, step, retract.
 
         An untrimmed step retracts by one projector-splitting sweep at the
         current ranks.  A trimmed step is formed at rank 2r and retracted to
-        ``ranks`` by the trimmed truncation at ``trim_level(., trim_nu)``.  A
-        failed step raises ``StepError``.
+        ``ranks`` by ``manifold.trimmed_retract``.  A failed step raises
+        ``StepError``, and so does a new iterate of norm above ``max_norm``.
         """
         grad = self.gradient(idx, y)
         it = self.iteration + 1
@@ -258,9 +268,17 @@ class _IterateState:
             if trim_nu is None:
                 t = manifold.ksl_retract(grad, eta)
             else:
-                stepped = manifold.tangent_step(grad, eta)
-                manifold.require_finite(stepped.cores)
-                t = manifold.retract(stepped, ranks, manifold.trim_level(stepped, trim_nu))
+                t = manifold.trimmed_retract(grad, eta, ranks, trim_nu)
+            # The iterate is left-orthogonal: its last core carries its norm.
+            # dnrm2 scales, so a finite core's norm does not overflow.
+            norm = float(blas.dnrm2(t.cores[-1].ravel()))
+            if not norm <= max_norm:
+                raise StepError(
+                    f"iterate diverged: norm {norm:.3g} above {max_norm:.3g}, "
+                    f"{DIVERGED_FACTOR:g} times max(1, norm of the start)",
+                    it,
+                    self.t,
+                )
             return _IterateState(t, it)
         except manifold.ManifoldError as exc:
             if exc.core is not None:
@@ -320,6 +338,7 @@ def _descend(t0, rounds, cfg, ground_truth, pure_target):
         trim_nu = None
     if any(f != tt.LEFT for f in t0.ortho[:-1]):
         t0 = tt.left_orthogonalize(t0)
+    max_norm = DIVERGED_FACTOR * max(1.0, float(blas.dnrm2(t0.cores[-1].ravel())))
     state = _IterateState(t0)
     logger = _TraceLogger(ground_truth, pure_target)
     logger.log(0, state)
@@ -327,7 +346,7 @@ def _descend(t0, rounds, cfg, ground_truth, pure_target):
     samples = 0
     try:
         for idx, y, eta, round_samples in itertools.islice(rounds, cfg.max_iters):
-            state = state.step(idx, y, eta, trim_nu, cfg.ranks)
+            state = state.step(idx, y, eta, trim_nu, cfg.ranks, max_norm)
             samples = round_samples
             it = state.iteration
             if it % cfg.log_every == 0:
@@ -576,8 +595,9 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
         + _split_block_core(zhat.cores[1], dims[m1 : m1 + m2])
         + _split_block_core(zhat.cores[2], dims[m1 + m2 :])
     )
-    xi = manifold.trim_level(zhat, cfg.nu)
+    zhat_norm = tt.tt_norm(zhat)
+    xi = manifold.trim_level(zhat_norm, zhat.size, cfg.nu)
     out = manifold.retract(chain, ranks, xi)
-    info = {"zhat_norm": tt.tt_norm(zhat), "trim_xi": xi,
+    info = {"zhat_norm": zhat_norm, "trim_xi": xi,
             "trimmed": zhat.size <= tt.DENSE_CAP, "split": (m1, m2, m3)}
     return out, info

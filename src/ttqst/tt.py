@@ -47,6 +47,16 @@ def _householder(a: np.ndarray):
     return q, q.T @ a
 
 
+def _qr_error(finite_input: bool) -> np.linalg.LinAlgError:
+    """The error of a QR whose factor came out non-finite.
+
+    On finite input only an overflow inside the factorization gets there.
+    """
+    if finite_input:
+        return np.linalg.LinAlgError("QR overflowed on finite input")
+    return np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+
+
 def _qr(a: np.ndarray):
     """Thin QR of a real matrix by ``_householder``, checked for finiteness.
 
@@ -56,7 +66,7 @@ def _qr(a: np.ndarray):
     """
     q, r = _householder(a)
     if not np.isfinite(r).all():
-        raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+        raise _qr_error(bool(np.isfinite(a).all()))
     return q, r
 
 
@@ -183,14 +193,19 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
 
 
 def tt_dense(t: TtTensor) -> np.ndarray:
-    """Materialize the full tensor.  Only legal below the dense size cap."""
+    """Materialize the full tensor.  Only legal below the dense size cap.
+
+    A chain of GEMMs on C-order unfoldings: after step k, row
+    ``(i_1, ..., i_k)`` (last index fastest) holds ``T^{<=k}[i_1..i_k, :]``.
+    Every reshape is a view, so no step copies; the result is C-contiguous.
+    """
     if t.size > DENSE_CAP:
         raise TtError(f"dense materialization of {t.size} entries exceeds cap {DENSE_CAP}")
     x = t.cores[0][0]  # (m1, r1)
-    for k in range(1, t.n):
-        x = np.tensordot(x, t.cores[k], axes=(x.ndim - 1, 0))
-        x = x.reshape(-1, x.shape[-1], order="F")
-    return x[:, 0].reshape(t.mode_dims, order="F")
+    for core in t.cores[1:]:
+        r0, m, r1 = core.shape
+        x = (x @ core.reshape(r0, m * r1)).reshape(-1, r1)
+    return x.reshape(t.mode_dims)
 
 
 def tt_inner(a: TtTensor, b: TtTensor) -> float:
@@ -323,7 +338,7 @@ def right_qr_sweep(cores):
     order: the reshape is a view and its transpose is F-contiguous, as
     LAPACK takes it.  Raises ``LinAlgError`` on a LAPACK error, or, checked
     once per sweep, when a non-finite core or an overflow has reached a
-    factor or the first core.
+    factor or the first core; the message says which of the two it was.
     """
     right = list(cores)
     factors = [None] * (len(right) - 1)
@@ -335,7 +350,7 @@ def right_qr_sweep(cores):
         prev = right[k - 1]
         right[k - 1] = (prev.reshape(-1, prev.shape[2]) @ r.T).reshape(prev.shape[:2] + (-1,))
     if not np.isfinite(np.concatenate([right[0], *factors], axis=None)).all():
-        raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+        raise _qr_error(bool(np.isfinite(np.concatenate(cores, axis=None)).all()))
     return right, factors
 
 
@@ -382,7 +397,8 @@ def ttsvd(x, ranks) -> TtTensor:
     Accepts a dense array or a TtTensor (the TT path never densifies: the
     input is right-orthogonalized and the sweep truncates contracted cores).
     Output cores 1..n-1 are left-orthogonal and the output ranks equal
-    ``ranks`` exactly.
+    ``ranks`` exactly.  Both paths raise ``TtError`` for a rank below 1 or
+    above the size of either side of its cut.
     """
     ranks = tuple(int(r) for r in ranks)
     if isinstance(x, TtTensor):
@@ -408,14 +424,7 @@ def ttsvd(x, ranks) -> TtTensor:
 
 def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
     n = t.n
-    if len(ranks) != n - 1:
-        raise TtError(f"need {n - 1} ranks, got {len(ranks)}")
-    for k, r in enumerate(ranks):
-        if r < 1:
-            raise TtError("ranks must be positive")
-        prev = ranks[k - 1] if k else 1
-        if r > prev * t.mode_dims[k]:
-            raise TtError(f"rank {r} at cut {k + 1} infeasible for the sweep")
+    _check_ranks_feasible(t.mode_dims, ranks)
     cores = right_qr_sweep(t.cores)[0]
     out = []
     cur = cores[0]

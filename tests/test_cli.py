@@ -322,39 +322,65 @@ def test_evaluate_closes_the_reconstruction_file(tmp_path, capsys):
 
 
 def test_divergent_run_exits_numeric_with_iteration(tmp_path, capsys):
-    # alpha=5 blows the iterate up over hundreds of rounds.  Which failure
-    # kind it meets first, a non-finite step or a QR that overflows on a
-    # finite iterate, depends on the rounding of the chain sums; the CLI
+    # alpha=5 blows the iterate up within a few rounds; the run stops once its
+    # norm passes DIVERGED_FACTOR times that of the start, and the CLI
     # reports what the solver raises on the same plan.
     plan_path, plan = base_plan(tmp_path, alpha=5.0, stop_rel_error=None)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(solvers.StepError) as info:
-            cli._execute_plan(plan)
-        assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
-    assert type(info.value) is solvers.StepError and info.value.iteration == 532
-    assert str(info.value) == (
-        "step could not be retracted at iteration 532: QR of a matrix with non-finite entries"
-    )
+    with pytest.raises(solvers.StepError) as info:
+        cli._execute_plan(plan)
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+    assert type(info.value) is solvers.StepError and info.value.iteration == 4
+    assert str(info.value).startswith("step failed at iteration 4: iterate diverged: norm ")
     assert f"numerical failure: {info.value}" in capsys.readouterr().err
 
 
-def test_overflowing_step_exits_numeric_at_iteration_2(tmp_path, capsys):
-    # A deterministic non-finite probe: eta=1e300 overflows the second step
-    # whatever the rounding of the chain sums.
-    plan_path, _ = base_plan(tmp_path, eta=1e300, alpha=None, stop_rel_error=None)
+def test_finite_divergence_exits_numeric_within_1000_rounds(tmp_path, capsys):
+    # Random MPS n=10, bond 2; perturbed truth at 0.1; exact source, batch
+    # 20, alpha=0.064.  Without the norm check this plan runs its 1000
+    # rounds to a rel. error near 5e5 and exits 0.
+    plan_path, plan = base_plan(tmp_path, alpha=0.064, max_iters=1000, stop_rel_error=None)
+    plan["seed"] = 4
+    plan["state"] = {"family": "random_mps", "n": 10, "d": 2, "rank": 2, "seed": 4}
+    plan["init"] = {"mode": "perturbed_truth", "delta": 0.1}
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+    assert "iterate diverged" in capsys.readouterr().err
+
+
+def test_overflowing_step_exits_numeric_at_iteration_1(tmp_path, capsys):
+    # A deterministic non-finite probe: noise of sigma 1e308 overflows the
+    # residuals of the first step.
+    plan_path, plan = base_plan(tmp_path, stop_rel_error=None)
+    plan["measurement"] = {"source": "gaussian", "sigma": 1e308}
+    plan_path.write_text(json.dumps(plan))
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
-    assert "non-finite values at iteration 2 in core 0" in capsys.readouterr().err
+    assert "non-finite values at iteration 1 in core 0" in capsys.readouterr().err
 
 
 def test_rank_collapse_exits_numeric_with_iteration(tmp_path, capsys):
-    plan_path, _ = base_plan(
-        tmp_path, algorithm="rgd", dataset_size=400, alpha=50.0, max_iters=300,
-        stop_rel_error=None,
+    # Ranks (2, 2) on a rank-one target with a dataset that covers every
+    # entry: offline RGD converges to the target, and the second singular
+    # value of a cut shrinks until the new geometry rejects it.
+    plan_path, plan = base_plan(
+        tmp_path, algorithm="rgd", ranks=[2, 2], dataset_size=2000, eta=0.5, alpha=None,
+        max_iters=300, stop_rel_error=None,
     )
+    plan["state"] = {"family": "random_mps", "n": 3, "d": 2, "rank": 1, "seed": 3}
+    plan_path.write_text(json.dumps(plan))
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "could not be retracted at iteration" in err and "singular" in err
+    assert "step failed at iteration 58: " in err and "cut 1 is singular" in err
+
+
+def test_infeasible_list_ranks_exit_config(tmp_path, capsys):
+    # Rank 16 at cut 2 of three qubits exceeds the 4 columns right of it.
+    plan_path, plan = base_plan(tmp_path, ranks=[4, 16])
+    plan["state"] = {"family": "random_mps", "n": 3, "d": 2, "rank": 2, "seed": 3}
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "rank 16 at cut 2 infeasible (bounds 16, 4)" in err
 
 
 def test_unknown_source_rejected(tmp_path):

@@ -44,6 +44,12 @@ def tangent_to_tt(v):
     return tt.TtTensor(manifold._chain_sum_cores(v.geom, v.variation_cores))
 
 
+def tangent_step(v, eta):
+    """Exact TT form of ``base - eta * ambient(v)`` (ranks at most 2r), the
+    step that ``manifold.trimmed_retract`` truncates."""
+    return tt.TtTensor(manifold._chain_sum_cores(v.geom, manifold._step_cores(v, eta)))
+
+
 def gauge_residual(v):
     """Max violation of the gauge condition ``L(X_k)^T L(U_k) = 0`` over k < n."""
     base = v.geom.base
@@ -203,6 +209,16 @@ def test_degenerate_interior_cut_named():
         manifold.TangentGeometry(base)
 
 
+def test_rank_above_right_side_bound_named():
+    # Rank 16 at cut 2 of dims (4, 4, 4) exceeds the 4 columns of the right
+    # side: the cut's factor has 4 singular values, and the error says so.
+    rng = np.random.default_rng(30)
+    base = tt.left_orthogonalize(tt.random_tt((4, 4, 4), (4, 16), rng))
+    with pytest.raises(manifold.ManifoldError, match="rank 16 at cut 2 exceeds the bound 4 ") as e:
+        manifold.TangentGeometry(base)
+    assert e.value.cut == 2
+
+
 @pytest.mark.parametrize(
     "dims, ranks",
     [
@@ -297,7 +313,7 @@ def test_tangent_step_dense_check():
     geom = manifold.TangentGeometry(base)
     v = project_all(geom, rng.standard_normal(base.mode_dims))
     eta = 0.37
-    stepped = manifold.tangent_step(v, eta)
+    stepped = tangent_step(v, eta)
     want = tt.tt_dense(base).reshape(-1, order="F") - eta * ambient(v)
     np.testing.assert_allclose(
         tt.tt_dense(stepped).reshape(-1, order="F"), want, atol=1e-10
@@ -310,7 +326,7 @@ def test_tangent_step_eta_zero():
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
     v = project_all(geom, rng.standard_normal(base.mode_dims))
-    stepped = manifold.tangent_step(v, 0.0)
+    stepped = tangent_step(v, 0.0)
     assert tt_relative_error(stepped, base) < 1e-12
 
 
@@ -365,10 +381,56 @@ def test_retract_huge_trim_same_as_none():
     base = left_orth_base(rng)
     geom = manifold.TangentGeometry(base)
     v = project_all(geom, rng.standard_normal(base.mode_dims))
-    stepped = manifold.tangent_step(v, 1e-2)
+    stepped = tangent_step(v, 1e-2)
     a = tt.ttsvd(stepped, base.ranks)
     b = manifold.retract(stepped, base.ranks, 1e9)
     np.testing.assert_allclose(tt.tt_dense(a), tt.tt_dense(b), atol=1e-12)
+
+
+TRIM_CASES = {
+    "n = 2": ((4, 4), (3,)),
+    "rank 1": ((4, 4, 4, 4), (1, 1, 1)),
+    "qutrits": ((9, 9, 9), (3, 4)),
+    "full bound": ((4, 4, 4, 4), (4, 16, 4)),
+}
+
+
+def random_step_vector(dims, ranks, seed):
+    """A tangent vector of a random left-orthogonal foot point, from a batch."""
+    rng = np.random.default_rng(seed)
+    base = tt.left_orthogonalize(tt.random_tt(dims, ranks, rng))
+    geom = manifold.TangentGeometry(base)
+    idx = np.column_stack([rng.integers(0, m, size=8) for m in dims])
+    return geom.project_batch(idx, rng.standard_normal(8))
+
+
+@pytest.mark.parametrize("case", list(TRIM_CASES))
+def test_unclipped_retract_matches_dense_clip_path(case):
+    # At xi = max|z| the clip changes nothing, so retract truncates z in TT
+    # form; that matches the dense TTSVD of the clipped array.
+    dims, ranks = TRIM_CASES[case]
+    z = tangent_step(random_step_vector(dims, ranks, 31), 0.3)
+    dense = tt.tt_dense(z)
+    xi = float(np.abs(dense).max())
+    want = tt.tt_dense(tt.ttsvd(np.clip(dense, -xi, xi), ranks))
+    got = manifold.retract(z, ranks, xi)
+    assert got.ranks == ranks
+    assert np.linalg.norm(tt.tt_dense(got) - want) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("case", list(TRIM_CASES))
+def test_trimmed_retract_reads_step_norm_off_its_cores(monkeypatch, case):
+    # By the gauge condition the step's chains are orthogonal, so the norm
+    # behind the clipping level is the norm of the step cores: it equals
+    # tt_norm of the step's TT form.
+    dims, ranks = TRIM_CASES[case]
+    v = random_step_vector(dims, ranks, 32)
+    seen = []
+    monkeypatch.setattr(manifold, "retract", lambda z, r, xi: seen.append((z, xi)))
+    manifold.trimmed_retract(v, 0.3, ranks, 2.0)
+    [(z, xi)] = seen
+    want = manifold.trim_level(tt.tt_norm(tangent_step(v, 0.3)), z.size, 2.0)
+    assert abs(xi - want) <= 1e-13 * want
 
 
 def test_retraction_first_order():
@@ -381,7 +443,7 @@ def test_retraction_first_order():
     scale = 1.0 / tt.tt_norm(tangent_to_tt(v))
     errs = []
     for s in (1e-2, 1e-3, 1e-4):
-        stepped = manifold.tangent_step(v, -s * scale)
+        stepped = tangent_step(v, -s * scale)
         retracted = tt.ttsvd(stepped, base.ranks)
         errs.append(tt.tt_distance(retracted, stepped))
     assert errs[0] / errs[1] > 30
@@ -524,7 +586,7 @@ def test_ksl_retract_second_order_for_vector_built_from_geometry():
     v = manifold.TangentVector(geom, [rng.standard_normal(c.shape) for c in base.cores])
     gaps = [
         tt.tt_distance(
-            manifold.ksl_retract(v, eta), tt.ttsvd(manifold.tangent_step(v, eta), base.ranks)
+            manifold.ksl_retract(v, eta), tt.ttsvd(tangent_step(v, eta), base.ranks)
         )
         / tt.tt_norm(base)
         for eta in (1e-2, 1e-3)

@@ -26,7 +26,8 @@ def exact_batch(tstar, idx):
 
 def one_round(t, batch, cfg):
     """``t`` after one solver round on the batch ``(idx, y)`` at ``cfg``'s step."""
-    return solvers._IterateState(t).step(*batch, cfg.resolve_eta(t.n), cfg.trim_nu, cfg.ranks).t
+    state = solvers._IterateState(t)
+    return state.step(*batch, cfg.resolve_eta(t.n), cfg.trim_nu, cfg.ranks, np.inf).t
 
 
 def trace_columns(trace):
@@ -115,6 +116,34 @@ def test_orgd_step_trimming_path(small_target):
     assert out.ranks == tstar.ranks
 
 
+@pytest.mark.parametrize("clips", [False, True])
+def test_trimmed_round_truncates_tt_form_unless_the_trim_clips(monkeypatch, small_target, clips):
+    # A trim that clips nothing is the identity, so the round hands the
+    # rank-2r step itself to the TT-path TTSVD; a trim that clips hands the
+    # clipped dense array to the dense TTSVD.
+    tstar = small_target
+    t0 = tt.left_orthogonalize(warm_start(tstar, tstar.ranks, 0.3, 4))
+    idx = np.random.default_rng(5).integers(0, 4, size=(3, 3))
+    nu = 0.5 if clips else 1e3
+    trims, truncations = [], []
+    retract, ttsvd = manifold.retract, tt.ttsvd
+    monkeypatch.setattr(
+        manifold, "retract", lambda z, r, xi: trims.append((z, xi)) or retract(z, r, xi)
+    )
+    monkeypatch.setattr(tt, "ttsvd", lambda x, r: truncations.append(x) or ttsvd(x, r))
+    solvers._IterateState(t0).step(*exact_batch(tstar, idx), 1e-2, nu, tstar.ranks, np.inf)
+    [(z, xi)] = trims
+    [x] = truncations
+    dense = tt.tt_dense(z)
+    if clips:
+        assert np.abs(dense).max() > xi
+        assert isinstance(x, np.ndarray)
+        np.testing.assert_array_equal(x, np.clip(dense, -xi, xi))
+    else:
+        assert np.abs(dense).max() <= xi
+        assert x is z
+
+
 def test_orgd_run_converges_and_reports():
     psi = states.random_mps(6, 2, 2, seed=3)
     tstar = states.pure_state_coeff(psi)
@@ -152,7 +181,7 @@ def test_untrimmed_round_takes_no_vector_svd(monkeypatch):
         return svd(a, full_matrices, compute_uv)
 
     monkeypatch.setattr(tt, "_svd", spy)
-    state.step(idx, rng.standard_normal(20), 1e-3, None, t.ranks)
+    state.step(idx, rng.standard_normal(20), 1e-3, None, t.ranks, np.inf)
     assert len(calls) == t.n - 1
     assert all(not uv and rows == cols for (rows, cols), uv in calls)
 
@@ -336,7 +365,7 @@ def test_rsgd_decay_schedule_and_epoch_equivalence():
         perm = rng.permutation(200)
         for b in range(10):
             sl = perm[b * 20 : (b + 1) * 20]
-            state = state.step(idx[sl], y[sl], eta, None, cfg.ranks)
+            state = state.step(idx[sl], y[sl], eta, None, cfg.ranks, np.inf)
     assert tt.tt_distance(state.t, out) < 1e-10
 
 
@@ -362,7 +391,7 @@ def test_rsgd_honours_explicit_eta():
         for b in range(10):
             sl = perm[b * 20 : (b + 1) * 20]
             eta = 0.05 * cfg.epoch_decay**epoch
-            state = state.step(idx[sl], y[sl], eta, None, cfg.ranks)
+            state = state.step(idx[sl], y[sl], eta, None, cfg.ranks, np.inf)
     assert tt.tt_distance(state.t, out) < 1e-10
 
 
@@ -544,41 +573,44 @@ def test_config_validation():
     assert abs(cfg.resolve_eta(4) - 2e-3 * 10 / 16) < 1e-18
 
 
-def test_divergent_online_run_raises_located_non_finite_error():
-    # The alpha=5 probe: entries blow up over a few hundred rounds.
+def test_divergent_online_run_raises_located_step_error():
+    # The alpha=5 probe: the iterate's norm grows by orders of magnitude
+    # within a few dozen rounds, while every entry stays finite.  The run
+    # stops once the norm passes DIVERGED_FACTOR times that of the start.
     tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=1))
     t0 = tt.left_orthogonalize(tstar)
     cfg = solvers.SolverConfig(
         ranks=tstar.ranks, max_iters=2000, batch_size=20, alpha=5.0, log_every=10**9
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(solvers.NonFiniteError) as info:
-            solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
+    with pytest.raises(solvers.StepError) as info:
+        solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
     exc = info.value
-    assert 1 < exc.iteration < cfg.max_iters
-    assert f"iteration {exc.iteration} in core {exc.core}" in str(exc)
-    assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
-    # The last finite iterate is the one a run stopped one round earlier returns.
+    assert type(exc) is solvers.StepError and exc.iteration == 20
+    assert str(exc).startswith("step failed at iteration 20: iterate diverged: norm ")
+    cap = solvers.DIVERGED_FACTOR * max(1.0, tt.tt_norm(t0))
+    assert tt.tt_norm(exc.last_iterate) <= cap
+    # The last iterate is the one a run stopped one round earlier returns.
     # So are the trace rows logged up to the failure.
     cfg.max_iters = exc.iteration - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, want = solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
+    out, want = solvers.orgd_run(t0, meas.make_stream(tstar, meas.ExactSource(), seed=2), cfg)
     for a, b in zip(out.cores, exc.last_iterate.cores):
         np.testing.assert_array_equal(a, b)
     assert trace_columns(exc.trace) == trace_columns(want)
 
 
 def test_divergent_offline_run_raises_located_non_finite_error(small_target):
+    # Observations near the largest double overflow the first step's
+    # residuals: the step holds non-finite values, named by core.
     tstar = tt.left_orthogonalize(small_target)
     rng = np.random.default_rng(13)
     idx = rng.integers(0, 4, size=(40, 3))
-    y = 1.5 * tt.tt_entries(tstar, idx)
-    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=5, eta=1e300)
+    y = 1e308 * tt.tt_entries(tstar, idx)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=5, eta=1e-2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(solvers.NonFiniteError) as info:
             solvers.rgd_offline_run(tstar, (idx, y), cfg)
     exc = info.value
-    assert exc.iteration == 2
+    assert exc.iteration == 1 and exc.core == 0
     assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
     # The trace logged up to the failure is that of a run stopped one round earlier.
     cfg.max_iters = exc.iteration - 1
@@ -589,19 +621,23 @@ def test_divergent_offline_run_raises_located_non_finite_error(small_target):
 
 
 def test_rank_collapse_raises_located_step_error():
-    # A large offline step collapses the rank of the retracted iterate; the
-    # run names the iteration and the singular cut and keeps the last iterate.
-    tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=3))
-    t0 = warm_start(tstar, tstar.ranks, 0.1, 5)
-    data = meas.make_stream(tstar, meas.ExactSource(), seed=6).draw_batch(400)
-    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=200, alpha=50.0, log_every=10**9)
+    # Offline RGD at ranks (2, 2) on every entry of a rank-one target: the
+    # iterate converges to the target, so its second singular value at
+    # cut 2 halves each round until the new geometry rejects it.  The run
+    # names the iteration and the singular cut and keeps the last iterate.
+    tstar = states.pure_state_coeff(states.random_mps(3, 2, 1, seed=3))
+    t0 = warm_start(tstar, (2, 2), 0.1, 5)
+    idx = np.array(list(np.ndindex(4, 4, 4)))
+    data = exact_batch(tstar, idx)
+    cfg = solvers.SolverConfig(ranks=(2, 2), max_iters=200, eta=0.5, log_every=10**9)
     with pytest.raises(solvers.StepError) as info:
         solvers.rgd_offline_run(t0, data, cfg)
     exc = info.value
     assert not isinstance(exc, solvers.NonFiniteError)
     assert isinstance(exc.__cause__, manifold.ManifoldError)
-    assert exc.cut == exc.__cause__.cut == 1
-    assert f"iteration {exc.iteration}: " in str(exc) and "cut 1 " in str(exc)
+    assert exc.cut == exc.__cause__.cut == 2
+    assert exc.iteration == 36
+    assert "iteration 36: " in str(exc) and "cut 2 is singular" in str(exc)
     # The last iterate and the trace rows logged up to the failure are those
     # of a run stopped one round earlier.
     cfg.max_iters = exc.iteration - 1
@@ -612,21 +648,22 @@ def test_rank_collapse_raises_located_step_error():
 
 
 def test_retraction_overflow_raises_located_step_error(small_target):
-    # At this step size the second step is finite, but its entries are so
-    # large that the retraction's QR overflows.
+    # Observations near the largest double and a step of 10: the first step
+    # is finite, but its columns are so long that the retraction's QR
+    # overflows.
     tstar = tt.left_orthogonalize(small_target)
     rng = np.random.default_rng(13)
     idx = rng.integers(0, 4, size=(40, 3))
-    y = 1.5 * tt.tt_entries(tstar, idx)
-    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=5, eta=1e154)
+    y = 2e307 * tt.tt_entries(tstar, idx)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=5, eta=10.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(solvers.StepError) as info:
             solvers.rgd_offline_run(tstar, (idx, y), cfg)
     exc = info.value
     assert not isinstance(exc, solvers.NonFiniteError)
     assert isinstance(exc.__cause__, np.linalg.LinAlgError)
-    assert exc.iteration == 2 and exc.cut is None
-    assert "iteration 2: " in str(exc)
+    assert exc.iteration == 1 and exc.cut is None
+    assert str(exc) == "step failed at iteration 1: QR overflowed on finite input"
     assert all(np.isfinite(c).all() for c in exc.last_iterate.cores)
 
 

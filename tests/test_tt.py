@@ -93,6 +93,28 @@ def test_tt_dense_matches_entrywise():
     np.testing.assert_allclose(x, dense_oracle(t), atol=1e-12)
 
 
+def tensordot_dense(t):
+    """Oracle: contract by ``tensordot`` and refold each step's result in F order."""
+    x = t.cores[0][0]
+    for k in range(1, t.n):
+        x = np.tensordot(x, t.cores[k], axes=(x.ndim - 1, 0))
+        x = x.reshape(-1, x.shape[-1], order="F")
+    return x[:, 0].reshape(t.mode_dims, order="F")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_tt_dense_bit_equal_to_tensordot_oracle(n, d, rank):
+    # The C-order GEMM chain sums the same products in the same order as the
+    # F-order tensordot chain, so the two agree to the bit.
+    rng = np.random.default_rng(100 * n + 10 * d + rank)
+    t = random_tt(rng, dims=(d * d,) * n, ranks=(rank,) * (n - 1))
+    x = tt.tt_dense(t)
+    assert x.shape == t.mode_dims
+    np.testing.assert_array_equal(x, tensordot_dense(t))
+
+
 def test_tt_dense_rank1_ones():
     cores = [np.ones((1, 4, 1)), np.ones((1, 4, 1))]
     t = tt.TtTensor(cores)
@@ -285,6 +307,19 @@ def test_ttsvd_infeasible_ranks():
     x = rng.standard_normal((4, 4, 4))
     with pytest.raises(tt.TtError):
         tt.ttsvd(x, (5, 2))
+
+
+@pytest.mark.parametrize("ranks", [(5, 2), (4, 16), (4, 5), (0, 2)])
+def test_ttsvd_paths_share_one_rank_feasibility_rule(ranks):
+    # The dense and TT paths reject the same ranks with the same message: a
+    # rank above the bound of either side of its cut, or below 1.
+    t = random_tt(np.random.default_rng(21), dims=(4, 4, 4), ranks=(4, 4))
+    messages = []
+    for x in (tt.tt_dense(t), t):
+        with pytest.raises(tt.TtError) as info:
+            tt.ttsvd(x, ranks)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_axpy_difference_is_zero():

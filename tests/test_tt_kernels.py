@@ -5,7 +5,7 @@ TT-path retraction against the right-orthogonalization + truncated-SVD sweep
 written with ``np.linalg``, the projector-splitting retraction against a
 dense projector-splitting oracle, the QR sweep's cut spectra against a
 sweep of thin SVDs, and the QR sweep, the chain stacking of ``tt_axpy`` and
-``tangent_step`` against dense oracles.
+of the tangent step against dense oracles.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_manifold import project_all, tangent_to_tt
+from test_manifold import project_all, tangent_step, tangent_to_tt
 from ttqst import manifold, tt
 
 PROPS = settings(max_examples=80, deadline=None)
@@ -94,6 +94,25 @@ def test_kernels_raise_on_nan(kernel):
             kernel(a)
 
 
+def test_qr_kernels_tell_overflow_from_non_finite_input():
+    # Columns of length above the largest double overflow R although every
+    # entry is finite; an inf entry is non-finite input.
+    huge = np.full((4, 2), 1e308)
+    bad = np.ones((4, 2))
+    bad[1, 0] = np.inf
+    cores = [np.ones((1, 4, 2)), np.ones((2, 4, 2)), np.full((2, 4, 1), 1e308)]
+    bad_cores = [c.copy() for c in cores[:2]] + [bad.T.reshape(2, 4, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run, finite, broken in (
+            (tt._qr, huge, bad),
+            (tt.right_qr_sweep, cores, bad_cores),
+        ):
+            with pytest.raises(np.linalg.LinAlgError, match="^QR overflowed on finite input$"):
+                run(finite)
+            with pytest.raises(np.linalg.LinAlgError, match="^QR of a matrix with non-finite"):
+                run(broken)
+
+
 def reference_ttsvd(t, ranks):
     """The TT-path TTSVD written with np.linalg: QR sweep right-to-left, then
     truncated SVDs left-to-right on first-index-fastest unfoldings."""
@@ -130,7 +149,7 @@ def test_ttsvd_of_tangent_step_matches_numpy_reference(n, m, rank, eta, seed):
     base = tt.tt_scale(1.0 / tt.tt_norm(base), base)
     geom = manifold.TangentGeometry(base)
     idx = rng.integers(0, m, size=(5, n))
-    stepped = manifold.tangent_step(geom.project_batch(idx, rng.standard_normal(5)), eta)
+    stepped = tangent_step(geom.project_batch(idx, rng.standard_normal(5)), eta)
     got = tt.ttsvd(stepped, ranks)
     want = reference_ttsvd(stepped, ranks)
     assert got.ranks == ranks
@@ -249,7 +268,7 @@ def test_tangent_step_matches_dense(eta, n, m, cap, seed):
     got = tt.tt_dense(tangent_to_tt(v))
     np.testing.assert_allclose(got, ambient, rtol=0, atol=1e-12 * np.abs(ambient).max())
     want = tt.tt_dense(base) - eta * ambient
-    got = tt.tt_dense(manifold.tangent_step(v, eta))
+    got = tt.tt_dense(tangent_step(v, eta))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -322,7 +341,7 @@ def test_ksl_retract_gap_to_ttsvd_is_third_order(n, m, cap, seed):
     gaps = [
         dense_distance(
             manifold.ksl_retract(v, eta),
-            tt.ttsvd(manifold.tangent_step(v, eta), base.ranks),
+            tt.ttsvd(tangent_step(v, eta), base.ranks),
         )
         for eta in (1e-2, 1e-3)
     ]
