@@ -49,8 +49,6 @@ from .tt import (  # noqa: F401
     TtTensor,
     coherence_report,
     left_orthogonalize,
-    left_part,
-    right_part,
     tt_axpy,
     tt_dense,
     tt_distance,

@@ -51,14 +51,36 @@ def _plan_value(kind, value, what):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
+# The keys a plan may hold: a section's keys, or None for a plain value.
+_PLAN_KEYS = {
+    "state": {"family", "n", "d", "rank", "max_bond", "coupling", "seed"},
+    "measurement": {"source", "shots", "sigma"},
+    "solver": {"algorithm", "ranks", "max_iters", "batch_size", "eta", "alpha", "trim_nu",
+               "stop_rel_error", "stop_move_tol", "log_every", "epochs", "epoch_decay",
+               "shuffle_seed", "dataset_size"},
+    "init": {"mode", "delta", "rank", "k1", "k2", "k3", "mu", "nu"},
+    **dict.fromkeys(("seed", "output_dir", "repetitions", "log_measurements", "state_file")),
+}
+
+
 def _load_plan(path, overrides):
-    try:
-        with open(path) as fh:
-            plan = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"plan file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"plan is not valid JSON: {exc}") from exc
+    """The plan in ``path`` (empty when None), with ``overrides`` applied."""
+    plan = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                plan = json.load(fh)
+        except FileNotFoundError as exc:
+            raise DataError(f"plan file not found: {path}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"plan is not valid JSON: {exc}") from exc
+    return _checked_plan(plan, overrides)
+
+
+def _checked_plan(plan, overrides=None):
+    """``plan`` with the ``--set key.path=value`` items applied; unknown keys rejected."""
+    if not isinstance(plan, dict):
+        raise ConfigError("plan must be a JSON object")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override must look like key.path=value: {item!r}")
@@ -74,6 +96,16 @@ def _load_plan(path, overrides):
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {key!r} crosses a non-object")
         node[parts[-1]] = value
+    for key, value in plan.items():
+        if key not in _PLAN_KEYS:
+            raise ConfigError(f"unknown plan key {key!r}")
+        if _PLAN_KEYS[key] is None:
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"plan.{key} must be an object")
+        unknown = sorted(set(value) - _PLAN_KEYS[key])
+        if unknown:
+            raise ConfigError(f"unknown plan key '{key}.{unknown[0]}'")
     return plan
 
 
@@ -153,7 +185,9 @@ def _solver_ranks(plan_solver, target):
     d2 = target.mode_dims[0]
     if ranks == "target":
         return target.ranks
-    if isinstance(ranks, int):
+    if isinstance(ranks, int) and not isinstance(ranks, bool):
+        if ranks < 1:
+            raise ConfigError(f"solver.ranks cap must be at least 1, got {ranks}")
         return tuple(min(d2**k, d2 ** (n - k), ranks) for k in range(1, n))
     if isinstance(ranks, list):
         if len(ranks) != n - 1:
@@ -290,14 +324,11 @@ def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
 
 
 def cmd_generate_state(args):
-    plan = _load_plan(args.plan, args.set) if args.plan else {"state": {}}
-    if args.family:
-        plan.setdefault("state", {})["family"] = args.family
-    for key, val in (("n", args.n), ("rank", args.rank), ("max_bond", args.max_bond),
-                     ("coupling", args.coupling), ("seed", args.seed), ("d", args.d)):
-        if val is not None:
-            plan.setdefault("state", {})[key] = val
-    spec = _state_spec(plan)
+    # The flags fill the plan's state section; --set overrides both.
+    plan = _load_plan(args.plan, None)
+    flags = {k: getattr(args, k) for k in _PLAN_KEYS["state"]}
+    plan.setdefault("state", {}).update({k: v for k, v in flags.items() if v is not None})
+    spec = _state_spec(_checked_plan(plan, args.set))
     psi, meta = states.make_state(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -496,6 +527,7 @@ def cmd_replay(args):
     plan = metadata.get("plan")
     if plan is None:
         raise DataError("metadata.json carries no plan echo")
+    _checked_plan(plan)
     outdir = Path(args.out) if args.out else rundir / "replay"
     traces, iterates, logs, reps_meta = _execute_plan(plan)
     _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs)

@@ -214,14 +214,12 @@ def _hermitian_eigvec_select(v: np.ndarray, eigvals: np.ndarray, r_prev: int, d:
 
 
 def _feasible_mpo_ranks(n: int, d: int, ranks):
+    """``ranks`` as ints, checked by the TT rule for n modes of size d^2."""
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != n - 1:
-        raise MpoError(f"need {n - 1} ranks, got {len(ranks)}")
-    prev = 1
-    for k, r in enumerate(ranks):
-        if r < 1 or r > prev * d * d or r > d ** (2 * (n - k - 1)):
-            raise MpoError(f"rank {r} at bond {k + 1} infeasible")
-        prev = r
+    try:
+        tt._check_ranks_feasible((d * d,) * n, ranks)
+    except tt.TtError as exc:
+        raise MpoError(str(exc)) from exc
     return ranks
 
 

@@ -1,10 +1,12 @@
 """Real tensor trains: storage, contraction, orthogonalization, TTSVD, diagnostics.
 
 A tensor train (TT) stores an n-mode real tensor as a chain of order-3 cores.
-All index linearization in this package is first-index-fastest (Fortran order):
-the left unfolding of a core ``A`` of shape ``(r0, m, r1)`` is
-``A.reshape(r0 * m, r1, order="F")`` and the k-th separation of a dense tensor
-``X`` is ``X.reshape(prod(dims[:k]), prod(dims[k:]), order="F")``.
+Cores unfold in C order (last index fastest), on views: core ``A`` of shape
+``(r0, m, r1)`` unfolds to ``A.reshape(r0 * m, r1)`` or ``A.reshape(r0, m * r1)``,
+and a dense tensor is the C-order array ``X[i_1, ..., i_n]``.  Fortran order
+remains only outside this module: the TTR1/TTC1 byte layout and the ``(i, j)``
+pairing of ``mpo``; the spectral initializer's index linearization
+(``solvers._ravel_f``, ``solvers._split_block_core``); the DMRG split in ``states``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 # Size caps for dense materialization.  Anything above DENSE_CAP entries is
-# never densified; separation factors above PART_CAP entries are not built.
+# never densified; left or right parts above PART_CAP entries are not built.
 DENSE_CAP = 2**20
 PART_CAP = 2**22
 
@@ -92,15 +94,6 @@ def _as_core(a) -> np.ndarray:
     if c.ndim != 3:
         raise TtError(f"core must be order 3, got shape {c.shape}")
     return c
-
-
-def left_unfold(core: np.ndarray) -> np.ndarray:
-    r0, m, r1 = core.shape
-    return core.reshape(r0 * m, r1, order="F")
-
-
-def fold_left(mat: np.ndarray, r0: int, m: int) -> np.ndarray:
-    return mat.reshape(r0, m, mat.shape[1], order="F")
 
 
 class TtTensor:
@@ -192,19 +185,27 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     return v[:, 0]
 
 
-def tt_dense(t: TtTensor) -> np.ndarray:
-    """Materialize the full tensor.  Only legal below the dense size cap.
+def _left_parts(cores):
+    """The left parts ``T^{<=k}``, k = 1..n, lazily, one GEMM and no copy each.
 
-    A chain of GEMMs on C-order unfoldings: after step k, row
-    ``(i_1, ..., i_k)`` (last index fastest) holds ``T^{<=k}[i_1..i_k, :]``.
-    Every reshape is a view, so no step copies; the result is C-contiguous.
+    Part k is ``(prod(dims[:k]), r_k)``, its rows C-order over ``(i_1..i_k)``.
+    Over the mirrored chain ``[c.T for c in reversed(cores)]`` the parts are
+    the transposed right parts ``T^{>k}``, k = n-1..0.
     """
-    if t.size > DENSE_CAP:
-        raise TtError(f"dense materialization of {t.size} entries exceeds cap {DENSE_CAP}")
-    x = t.cores[0][0]  # (m1, r1)
-    for core in t.cores[1:]:
+    x = cores[0][0]  # (m1, r1)
+    yield x
+    for core in cores[1:]:
         r0, m, r1 = core.shape
         x = (x @ core.reshape(r0, m * r1)).reshape(-1, r1)
+        yield x
+
+
+def tt_dense(t: TtTensor) -> np.ndarray:
+    """Materialize the full tensor, C-contiguous.  Only legal below the dense size cap."""
+    if t.size > DENSE_CAP:
+        raise TtError(f"dense materialization of {t.size} entries exceeds cap {DENSE_CAP}")
+    for x in _left_parts(t.cores):
+        pass
     return x.reshape(t.mode_dims)
 
 
@@ -273,54 +274,32 @@ def tt_distance(a: TtTensor, b: TtTensor) -> float:
 
 
 def left_orthogonalize(t: TtTensor) -> TtTensor:
-    """Sweep thin QR left-to-right; cores 1..n-1 become left-orthogonal.
+    """Left-to-right thin-QR sweep, the mirror of ``right_qr_sweep``.
 
-    The represented tensor is unchanged up to floating point.  Ranks are
-    preserved whenever ``r_k <= r_{k-1} * m_k`` (always true for tensors
-    produced by this module); otherwise the rank shrinks to the QR width.
+    At cut k the QR ``q r`` of the current core's left unfolding gives the
+    left-orthogonal core and ``r`` moves into the next one; the tensor is
+    unchanged up to rounding.  Ranks are kept whenever ``r_k <= r_{k-1} * m_k``,
+    else shrink to the QR width.  Raises ``LinAlgError`` as ``right_qr_sweep``
+    does, checked once per sweep.
     """
     cores = list(t.cores)
+    factors = []
     for k in range(t.n - 1):
-        q, r = _qr(left_unfold(cores[k]))
-        cores[k] = fold_left(q, cores[k].shape[0], cores[k].shape[1])
-        cores[k + 1] = np.tensordot(r, cores[k + 1], axes=(1, 0))
-    ortho = [LEFT] * (t.n - 1) + [UNKNOWN]
-    return TtTensor(cores, ortho)
+        r0, m, r1 = cores[k].shape
+        q, r = _householder(cores[k].reshape(r0 * m, r1))
+        factors.append(r)
+        cores[k] = q.reshape(r0, m, -1)
+        nxt = cores[k + 1]
+        cores[k + 1] = (r @ nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
+    if not np.isfinite(np.concatenate([cores[-1], *factors], axis=None)).all():
+        raise _qr_error(bool(np.isfinite(np.concatenate(t.cores, axis=None)).all()))
+    return TtTensor(cores, [LEFT] * (t.n - 1) + [UNKNOWN])
 
 
 def is_left_orthogonal(core: np.ndarray, tol: float = ORTHO_TOL) -> bool:
-    l = left_unfold(core)
+    l = core.reshape(-1, core.shape[2])
     g = l.T @ l
     return bool(np.max(np.abs(g - np.eye(g.shape[0]))) <= tol)
-
-
-def left_part(t: TtTensor, k: int) -> np.ndarray:
-    """The k-th left part ``T^{<=k}`` of shape ``(prod(dims[:k]), r_k)``."""
-    if not 1 <= k <= t.n - 1:
-        raise TtError(f"cut {k} out of range")
-    sz = int(np.prod(t.mode_dims[:k])) * t.ranks[k - 1]
-    if sz > PART_CAP:
-        raise TtError(f"left part at cut {k} has {sz} entries, above cap {PART_CAP}")
-    x = t.cores[0][0]
-    for j in range(1, k):
-        x = np.tensordot(x, t.cores[j], axes=(x.ndim - 1, 0))
-        x = x.reshape(-1, x.shape[-1], order="F")
-    return x
-
-
-def right_part(t: TtTensor, k: int) -> np.ndarray:
-    """The (k+1)-th right part ``T^{>=k+1}`` of shape ``(r_k, prod(dims[k:]))``."""
-    if not 1 <= k <= t.n - 1:
-        raise TtError(f"cut {k} out of range")
-    sz = int(np.prod(t.mode_dims[k:])) * t.ranks[k - 1]
-    if sz > PART_CAP:
-        raise TtError(f"right part at cut {k} has {sz} entries, above cap {PART_CAP}")
-    x = t.cores[-1][:, :, 0]
-    for j in range(t.n - 2, k - 1, -1):
-        c = t.cores[j]
-        x = np.tensordot(c, x, axes=(2, 0))
-        x = x.reshape(c.shape[0], -1, order="F")
-    return x
 
 
 def right_qr_sweep(cores):
@@ -405,21 +384,14 @@ def ttsvd(x, ranks) -> TtTensor:
         return _ttsvd_tt(x, ranks)
     x = np.asarray(x, dtype=np.float64)
     dims = x.shape
-    n = len(dims)
     _check_ranks_feasible(dims, ranks)
     cores = []
-    m = x.reshape(dims[0], -1, order="F")
-    prev = 1
-    for k in range(n - 1):
-        u, c = _truncate_factor(m, ranks[k])
-        cores.append(fold_left(u, prev, dims[k]))
-        prev = ranks[k]
-        if k < n - 2:
-            m = c.reshape(prev * dims[k + 1], -1, order="F")
-        else:
-            m = c
-    cores.append(m.reshape(prev, dims[-1], 1, order="F"))
-    return TtTensor(cores, [LEFT] * (n - 1) + [UNKNOWN])
+    c = x.reshape(1, -1)
+    for k, r in enumerate(ranks):
+        u, c = _truncate_factor(c.reshape(c.shape[0] * dims[k], -1), r)
+        cores.append(u.reshape(-1, dims[k], r))
+    cores.append(c.reshape(-1, dims[-1], 1))
+    return TtTensor(cores, [LEFT] * len(ranks) + [UNKNOWN])
 
 
 def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
@@ -467,7 +439,7 @@ class CoherenceReport:
         entry is replaced by an upper bound and ``linf_is_bound`` is set.
     incoherence : float or None
         Max over cuts of the two scaled row-norm ratios of the orthonormal
-        separation factors; None when factors exceed the materialization cap.
+        left and right parts; None when a part is above ``PART_CAP``.
     per_cut : list of (float, float)
         The two quantities per cut (left, right), where available.
     """
@@ -487,6 +459,19 @@ class CoherenceReport:
         )
 
 
+def _max_row_norms(cores, wanted) -> list:
+    """Max row norm of left part k of ``cores`` where ``wanted[k - 1]``, else None.
+
+    The chain stops at the last wanted part.
+    """
+    out = [None] * len(wanted)
+    last = max((k + 1 for k, w in enumerate(wanted) if w), default=0)
+    for k, part in zip(range(last), _left_parts(cores)):
+        if wanted[k]:
+            out[k] = float(np.max(np.linalg.norm(part, axis=1)))
+    return out
+
+
 def coherence_report(t: TtTensor) -> CoherenceReport:
     nrm = tt_norm(t)
     if nrm == 0.0:
@@ -496,26 +481,19 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     # Its right parts differ from other right-orthogonalizations by a rotation
     # of the rows, which leaves their column norms unchanged.
     right, factors = right_qr_sweep(tl.cores)
-    tr = TtTensor(right)
-
-    per_cut = []
-    incoh = 0.0
-    incoh_available = True
     total = t.size
-    for k in range(1, t.n):
-        r = t.ranks[k - 1]
-        dl = int(np.prod(t.mode_dims[:k]))
-        dr = int(np.prod(t.mode_dims[k:]))
-        if dl * r > PART_CAP or dr * r > PART_CAP:
-            incoh_available = False
-            per_cut.append((None, None))
-            continue
-        lp = left_part(tl, k)  # orthonormal columns
-        rp = right_part(tr, k)  # orthonormal rows
-        lnorm = np.sqrt(dl / r) * float(np.max(np.linalg.norm(lp, axis=1)))
-        rnorm = np.sqrt(dr / r) * float(np.max(np.linalg.norm(rp, axis=0)))
-        per_cut.append((lnorm, rnorm))
-        incoh = max(incoh, lnorm, rnorm)
+    dl = [int(np.prod(t.mode_dims[:k])) for k in range(1, t.n)]
+    dr = [total // a for a in dl]
+    within = [max(a, b) * r <= PART_CAP for a, b, r in zip(dl, dr, t.ranks)]
+    # Row norms of the orthonormal left parts off the chain over the
+    # left-orthogonal cores, and column norms of the orthonormal right parts
+    # off the mirrored chain over the right-orthogonal cores.
+    lrow = _max_row_norms(tl.cores, within)
+    rrow = _max_row_norms([c.T for c in reversed(right)], within[::-1])[::-1]
+    per_cut = [
+        (np.sqrt(a / r) * lr, np.sqrt(b / r) * rr) if ok else (None, None)
+        for ok, a, b, r, lr, rr in zip(within, dl, dr, t.ranks, lrow, rrow)
+    ]
 
     if total <= DENSE_CAP:
         linf = float(np.max(np.abs(tt_dense(t))))
@@ -523,23 +501,16 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     else:
         # Upper bound |T|_inf <= sigma_max(cut) * max row norms of the two
         # orthonormal factors, minimized over cuts within the cap.
-        best = np.inf
-        for k in range(1, t.n):
-            l, rrow = per_cut[k - 1]
-            if l is None:
-                continue
-            r = t.ranks[k - 1]
-            dl = int(np.prod(t.mode_dims[:k]))
-            dr = int(np.prod(t.mode_dims[k:]))
-            smax = _svd(factors[k - 1], compute_uv=False)[0]
-            best = min(best, smax * l * rrow * np.sqrt(r / dl) * np.sqrt(r / dr))
+        bounds = [_svd(f, compute_uv=False)[0] * lr * rr
+                  for f, lr, rr in zip(factors, lrow, rrow) if lr is not None]
+        best = min(bounds, default=np.inf)
         linf = float(best) if np.isfinite(best) else nrm
         linf_is_bound = True
 
     spiki = np.sqrt(total) * linf / nrm
     return CoherenceReport(
         spikiness=float(spiki),
-        incoherence=(float(incoh) if incoh_available else None),
+        incoherence=(float(max(max(c) for c in per_cut)) if all(within) else None),
         per_cut=per_cut,
         linf_is_bound=linf_is_bound,
     )

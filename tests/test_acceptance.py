@@ -98,7 +98,7 @@ def test_criterion_02_coefficient_transform():
         worst_imag = max(worst_imag, max(float(np.max(np.abs(c.imag))) for c in raw))
         t = mpo.mpo_to_coeff(m)
         for k in range(t.n - 1):
-            l = tt.left_unfold(t.cores[k])
+            l = t.cores[k].reshape(-1, t.cores[k].shape[2])
             worst_orth = max(
                 worst_orth, float(np.max(np.abs(l.T @ l - np.eye(l.shape[1]))))
             )

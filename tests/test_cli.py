@@ -132,6 +132,18 @@ def test_replay_detects_tampering(tmp_path):
     assert rc == cli.EXIT_NUMERIC
 
 
+def test_replay_rejects_unknown_plan_key(tmp_path, capsys):
+    # The plan echo passes the same key check as a plan file.
+    plan_path, _ = base_plan(tmp_path, max_iters=20)
+    cli.main(["reconstruct", "--plan", str(plan_path)])
+    meta_path = tmp_path / "run" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    meta["plan"]["solver"]["max_iter"] = 5
+    meta_path.write_text(json.dumps(meta))
+    assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+    assert "config error: unknown plan key 'solver.max_iter'" in capsys.readouterr().err
+
+
 def test_set_overrides(tmp_path):
     plan_path, _ = base_plan(tmp_path)
     rc = cli.main([
@@ -381,6 +393,42 @@ def test_infeasible_list_ranks_exit_config(tmp_path, capsys):
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "rank 16 at cut 2 infeasible (bounds 16, 4)" in err
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ("solver.max_iter=5", "'solver.max_iter'"),
+        ("solver.stop_rel_eror=0.5", "'solver.stop_rel_eror'"),
+        ("state.bond=3", "'state.bond'"),
+        ("init.detla=0.5", "'init.detla'"),
+        ("measurment.source=shot", "'measurment'"),
+        ("solver=3", "plan.solver must be an object"),
+        ("solver.ranks=0", "solver.ranks cap must be at least 1, got 0"),
+        ("solver.ranks=-2", "solver.ranks cap must be at least 1, got -2"),
+        ("solver.ranks=true", "solver.ranks must be 'target', an integer cap, or a list"),
+    ],
+    ids=["max_iter", "stop_rel_eror", "bond", "detla", "measurment", "solver=3",
+         "ranks=0", "ranks=-2", "ranks=true"],
+)
+def test_plan_keys_and_rank_cap_checked(tmp_path, capsys, override, named):
+    # A key the plan schema does not list, a section that is not an object and
+    # an integer rank cap below 1 or given as a bool exit 2 and name the entry.
+    plan_path, _ = base_plan(tmp_path)
+    args = ["reconstruct", "--plan", str(plan_path), "--set", override]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+
+
+def test_generate_state_applies_set_without_plan(tmp_path, capsys):
+    # --set overrides the flags, with or without --plan.
+    out = tmp_path / "ghz.ttc"
+    args = ["generate-state", "--family", "ghz", "--n", "4", "--out", str(out)]
+    assert cli.main(args + ["--set", "state.n=5"]) == cli.EXIT_OK
+    assert serialize.read_ttc1(out).n == 5
+    assert cli.main(args + ["--set", "state.bond=3"]) == cli.EXIT_CONFIG
+    assert "config error: unknown plan key 'state.bond'" in capsys.readouterr().err
 
 
 def test_unknown_source_rejected(tmp_path):

@@ -9,7 +9,7 @@ through ``project_all``, for a dense tensor.
 import numpy as np
 import pytest
 
-from test_tt import dense_oracle, tt_relative_error
+from test_tt import dense_oracle, left_part, tt_relative_error
 from ttqst import manifold, tt
 
 
@@ -54,7 +54,7 @@ def gauge_residual(v):
     """Max violation of the gauge condition ``L(X_k)^T L(U_k) = 0`` over k < n."""
     base = v.geom.base
     return max(
-        float(np.max(np.abs(tt.left_unfold(x).T @ tt.left_unfold(u))))
+        float(np.max(np.abs(x.reshape(-1, x.shape[2]).T @ u.reshape(-1, u.shape[2]))))
         for x, u in zip(v.variation_cores[:-1], base.cores[:-1])
     )
 
@@ -566,7 +566,7 @@ def test_chain_kernels_match_dense_oracle(case):
     assert [l.shape for l in lefts] == [(idx.shape[0], r) for r in (1, *ranks, 1)]
     for k in range(1, base.n):
         rows = np.ravel_multi_index(tuple(idx[:, :k].T), dims[:k], order="F")
-        np.testing.assert_allclose(lefts[k], tt.left_part(base, k)[rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lefts[k], left_part(base, k)[rows], rtol=0, atol=1e-12)
     np.testing.assert_allclose(lefts[-1][:, 0], entries, rtol=0, atol=1e-12)
     vals = rng.standard_normal(idx.shape[0])
     proj, _ = dense_tangent_projector(base)

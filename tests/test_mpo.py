@@ -189,6 +189,20 @@ def test_hermitian_decompose_rejects_non_hermitian():
         mpo.hermitian_decompose(rho, (2, 2))
 
 
+@pytest.mark.parametrize(
+    "ranks, message",
+    [((5,), "rank 5 at cut 1 infeasible (bounds 4, 4)"), ((0,), "ranks must be positive"),
+     ((2, 2), "need 1 ranks, got 2")],
+    ids=["above bound", "zero", "count"],
+)
+def test_hermitian_decompose_rejects_infeasible_ranks_by_the_tt_rule(ranks, message):
+    # The TT rank rule over n modes of size d^2, raised as MpoError.
+    rho = np.eye(4, dtype=np.complex128)
+    with pytest.raises(mpo.MpoError) as info:
+        mpo.hermitian_decompose(rho, ranks)
+    assert str(info.value) == message
+
+
 def test_hermitian_decompose_mpo_input_no_densify():
     rng = np.random.default_rng(7)
     src = random_hermitian_mpo(rng, n=4, r=3)
@@ -505,4 +519,12 @@ def test_no_einsum_path_search_in_library():
                 ):
                     factorizations.add((path.stem, fn.name))
     assert factorizations == {("mpo", "_stacked_chain_norm")}
+
+
+def test_tt_unfolds_in_c_order_only():
+    """``tt`` unfolds and folds cores in C order, on views: no F-order
+    reshape or ravel and no ``tensordot``."""
+    text = Path(tt.__file__).read_text()
+    assert 'order="F"' not in text
+    assert "tensordot" not in text
 

@@ -1,9 +1,11 @@
 """Tests for the tensor-train kernel, checked against dense oracles."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from ttqst import manifold, tt
+from ttqst import manifold, states, tt
 
 
 def random_tt(rng, dims=(4, 4, 4), ranks=(2, 2), kind="gaussian"):
@@ -31,6 +33,48 @@ def dense_oracle(t):
             v = v @ t.cores[k][:, idx[k], :]
         out[idx] = v[0]
     return out
+
+
+def left_part(t, k):
+    """Oracle: the k-th left part ``T^{<=k}`` of shape ``(prod(dims[:k]), r_k)``,
+    rows first-index-fastest."""
+    if not 1 <= k <= t.n - 1:
+        raise tt.TtError(f"cut {k} out of range")
+    sz = int(np.prod(t.mode_dims[:k])) * t.ranks[k - 1]
+    if sz > tt.PART_CAP:
+        raise tt.TtError(f"left part at cut {k} has {sz} entries, above cap {tt.PART_CAP}")
+    x = t.cores[0][0]
+    for j in range(1, k):
+        x = np.tensordot(x, t.cores[j], axes=(x.ndim - 1, 0))
+        x = x.reshape(-1, x.shape[-1], order="F")
+    return x
+
+
+def right_part(t, k):
+    """Oracle: the (k+1)-th right part ``T^{>=k+1}`` of shape ``(r_k, prod(dims[k:]))``,
+    columns first-index-fastest."""
+    if not 1 <= k <= t.n - 1:
+        raise tt.TtError(f"cut {k} out of range")
+    sz = int(np.prod(t.mode_dims[k:])) * t.ranks[k - 1]
+    if sz > tt.PART_CAP:
+        raise tt.TtError(f"right part at cut {k} has {sz} entries, above cap {tt.PART_CAP}")
+    x = t.cores[-1][:, :, 0]
+    for j in range(t.n - 2, k - 1, -1):
+        c = t.cores[j]
+        x = np.tensordot(c, x, axes=(2, 0))
+        x = x.reshape(c.shape[0], -1, order="F")
+    return x
+
+
+def oracle_per_cut(t, k):
+    """Oracle: cut k's two incoherence ratios, from orthonormal bases of its parts.
+
+    The row norms of an orthonormal basis of a column space do not depend on
+    the basis, so a QR of each full-rank part gives them.
+    """
+    r = t.ranks[k - 1]
+    bases = (np.linalg.qr(left_part(t, k))[0], np.linalg.qr(right_part(t, k).T)[0])
+    return tuple(np.sqrt(q.shape[0] / r) * np.max(np.linalg.norm(q, axis=1)) for q in bases)
 
 
 def dense_spectra(t):
@@ -173,6 +217,27 @@ def test_left_orthogonalize_zero():
     assert tl.ortho[0] == tt.LEFT
 
 
+@pytest.mark.parametrize("site", [0, 1, 2])
+def test_left_sweep_tells_overflow_from_non_finite_input(site):
+    # The messages of right_qr_sweep, checked once per sweep: a column of
+    # length above the largest double overflows a factor although every
+    # entry is finite; a NaN in any core, the last one included, is
+    # non-finite input.  tt_distance passes both through.
+    ones = tt.TtTensor([np.ones((1, 4, 2)), np.ones((2, 4, 2)), np.ones((2, 4, 1))])
+    huge = tt.TtTensor([np.full((1, 4, 2), 1e308), *ones.cores[1:]])
+    cores = [c.copy() for c in ones.cores]
+    cores[site][0, 1, 0] = np.nan
+    bad = tt.TtTensor(cores)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run in (tt.left_orthogonalize, partial(tt.tt_distance, b=ones)):
+            with pytest.raises(np.linalg.LinAlgError, match="^QR overflowed on finite input$"):
+                run(huge)
+            with pytest.raises(
+                np.linalg.LinAlgError, match="^QR of a matrix with non-finite entries$"
+            ):
+                run(bad)
+
+
 def test_right_orthogonalize_preserves_tensor():
     rng = np.random.default_rng(9)
     t = random_tt(rng)
@@ -189,21 +254,21 @@ def test_left_right_part_product_is_separation():
     x = tt.tt_dense(t)
     for k in (1, 2):
         sep = x.reshape(int(np.prod(t.mode_dims[:k])), -1, order="F")
-        prod = tt.left_part(t, k) @ tt.right_part(t, k)
+        prod = left_part(t, k) @ right_part(t, k)
         np.testing.assert_allclose(prod, sep, atol=1e-10)
 
 
 def test_left_part_cut1_is_core_fiber():
     rng = np.random.default_rng(11)
     t = random_tt(rng)
-    np.testing.assert_allclose(tt.left_part(t, 1), t.cores[0][0])
+    np.testing.assert_allclose(left_part(t, 1), t.cores[0][0])
 
 
 def test_left_part_orthonormal_after_sweep():
     rng = np.random.default_rng(12)
     t = tt.left_orthogonalize(random_tt(rng))
     for k in (1, 2):
-        lp = tt.left_part(t, k)
+        lp = left_part(t, k)
         np.testing.assert_allclose(lp.T @ lp, np.eye(lp.shape[1]), atol=1e-12)
 
 
@@ -415,6 +480,57 @@ def test_coherence_mutual_bounds():
         kappa = dense_cond(t)
         assert rep.incoherence <= rep.spikiness * kappa + 1e-9
         assert rep.spikiness <= np.sqrt(max(t.ranks)) * kappa * rep.incoherence**2 + 1e-9
+
+
+COHERENCE_CASES = {
+    "qutrits": ((9, 9, 9), (3, 4)),
+    "rank 1": ((4, 4, 4, 4), (1, 1, 1)),
+    "n=2": ((4, 4), (3,)),
+}
+
+
+@pytest.mark.parametrize("case", list(COHERENCE_CASES))
+def test_coherence_report_matches_oracle_parts(case):
+    dims, ranks = COHERENCE_CASES[case]
+    t = random_tt(np.random.default_rng(28), dims, ranks)
+    rep = tt.coherence_report(t)
+    want = [oracle_per_cut(t, k) for k in range(1, t.n)]
+    np.testing.assert_allclose(rep.per_cut, want, rtol=1e-12, atol=0)
+    assert rep.incoherence == pytest.approx(np.max(want), rel=1e-12)
+    x = dense_oracle(t)
+    assert not rep.linf_is_bound
+    assert rep.spikiness == pytest.approx(
+        np.sqrt(x.size) * np.max(np.abs(x)) / np.linalg.norm(x), rel=1e-12
+    )
+
+
+def test_coherence_report_bounds_max_entry_above_dense_cap():
+    # n=11 qubits: 4^11 entries, above the dense cap but every part within
+    # the part cap, so the max entry is bounded off the cuts.
+    t = states.pure_state_coeff(states.random_mps(11, 2, 2, seed=5))
+    assert tt.DENSE_CAP < t.size and max(t.ranks) * 4**10 <= tt.PART_CAP
+    rep = tt.coherence_report(t)
+    assert rep.linf_is_bound
+    want = [oracle_per_cut(t, k) for k in range(1, t.n)]
+    np.testing.assert_allclose(rep.per_cut, want, rtol=1e-12, atol=0)
+    assert rep.incoherence == pytest.approx(np.max(want), rel=1e-12)
+    linf = np.max(np.abs(left_part(t, 5) @ right_part(t, 5)))
+    assert rep.spikiness >= np.sqrt(t.size) * linf / tt.tt_norm(t) * (1 - 1e-12)
+
+
+def test_coherence_report_skips_cuts_above_part_cap():
+    # n=12 qubits at bond 2 (ranks 4): the right part of cut 1 and the left
+    # part of cut 11 have 4^12 entries, above the part cap; cuts 2 and 10
+    # sit exactly at it.
+    t = states.pure_state_coeff(states.random_mps(12, 2, 2, seed=5))
+    assert set(t.ranks) == {4} and 4**12 > tt.PART_CAP == 4**11
+    rep = tt.coherence_report(t)
+    assert rep.per_cut[0] == (None, None) and rep.per_cut[-1] == (None, None)
+    assert all(None not in cut for cut in rep.per_cut[1:-1])
+    assert rep.incoherence is None
+    for k in (2, 6, 10):
+        np.testing.assert_allclose(rep.per_cut[k - 1], oracle_per_cut(t, k), rtol=1e-12, atol=0)
+    assert rep.linf_is_bound and np.isfinite(rep.spikiness)
 
 
 def test_coherence_zero_tensor_raises():
