@@ -51,6 +51,14 @@ def _plan_value(kind, value, what):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
 
 
+def _seed(value, what):
+    """The plan seed ``what``: an int in [0, 2^64), the Philox key range."""
+    seed = _plan_value(int, value, what)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{what} must be in [0, 2^64), got {seed}")
+    return seed
+
+
 # The keys a plan may hold: a section's keys, or None for a plain value.
 _PLAN_KEYS = {
     "state": {"family", "n", "d", "rank", "max_bond", "coupling", "seed"},
@@ -117,9 +125,10 @@ def _state_spec(plan):
         key: _plan_value(kind, s.get(key, default), f"state.{key}")
         for key, kind, default in (
             ("n", int, 0), ("d", int, 2), ("rank", int, 2), ("max_bond", int, 16),
-            ("coupling", float, 1.0), ("seed", int, 0),
+            ("coupling", float, 1.0),
         )
     }
+    spec["seed"] = _seed(s.get("seed", 0), "state.seed")
     try:
         return states.StateSpec(family=s["family"], **spec)
     except states.StateError as exc:
@@ -227,7 +236,7 @@ def _solver_config(plan, target):
             log_every=get(int, "log_every", 50),
             epochs=get(int, "epochs", 1),
             epoch_decay=get(float, "epoch_decay", 0.9),
-            shuffle_seed=get(int, "shuffle_seed", 0),
+            shuffle_seed=_seed(s.get("shuffle_seed", 0), "solver.shuffle_seed"),
         )
     except solvers.SolverError as exc:
         raise ConfigError(f"invalid solver config: {exc}") from exc
@@ -302,7 +311,7 @@ class _RecordingStream:
 
 
 def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
-    seed = _plan_value(int, plan.get("seed", 0), "seed") ^ rep_index
+    seed = _seed(plan.get("seed", 0), "seed") ^ rep_index
     source = _measurement_source(plan)
     stream = measurement.make_stream(target, source, seed ^ _STREAM_SALT)
     if plan.get("log_measurements"):
@@ -423,7 +432,7 @@ def cmd_init(args):
         raise ConfigError("the init subcommand requires init.mode = 'spectral'")
     target, psi, _ = _target_from_plan(plan)
     ranks = _solver_ranks(dict(plan.get("solver", {})), target)
-    seed = _plan_value(int, plan.get("seed", 0), "seed")
+    seed = _seed(plan.get("seed", 0), "seed")
     source = _measurement_source(plan)
     stream = measurement.make_stream(target, source, seed ^ _STREAM_SALT)
     t0, info = _initial_iterate(plan, target, ranks, stream, seed)

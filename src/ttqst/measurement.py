@@ -34,19 +34,17 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExactSource:
-    kind: str = "exact"
+    """Noiseless observations: the target's entries."""
 
 
 @dataclass(frozen=True)
 class ShotSource:
     shots: int
-    kind: str = "shot"
 
 
 @dataclass(frozen=True)
 class GaussianSource:
     sigma: float
-    kind: str = "gaussian"
 
 
 def _shot_means(e: np.ndarray, n: int, shots: int, rng) -> np.ndarray:
@@ -88,7 +86,6 @@ class MeasurementStream:
             raise MeasurementError(f"unknown source {source!r}")
         self.target = t_star
         self.source = source
-        self.seed = int(seed)
         self.rng = make_rng(seed)
         self.n = t_star.n
         self.mode_dims = t_star.mode_dims

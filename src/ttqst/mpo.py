@@ -6,6 +6,10 @@ An MPO stores a ``d^n x d^n`` operator as a chain of order-4 cores
 coefficient tensor in an orthonormal Hermitian product basis (Pauli matrices
 for qubits, generalized Gell-Mann matrices for qudits) is real with the same
 bond ranks, which is what links tomography to real TT completion.
+
+Arrays unfold in C order, as in ``tt``: a core's ``(i, j)`` read as one
+index of size d^2 is ``i * d + j``, and a dense operator's site 1 is its
+slowest index.  Fortran order remains only in the TTR1/TTC1 byte layout.
 """
 
 from __future__ import annotations
@@ -180,7 +184,7 @@ def _hermitian_eigvec_select(v: np.ndarray, eigvals: np.ndarray, r_prev: int, d:
     """Real-combination step: build F-fixed orthonormal eigenvectors.
 
     ``v`` holds the selected eigenvector columns of ``M M^dagger`` (rows are
-    bond x (i, j) with the bond index fastest); F is the conjugate-linear
+    bond x (i, j) in C order, j fastest); F is the conjugate-linear
     swap-conjugation involution.  Within each eigenvalue cluster the columns
     are replaced by real linear combinations of ``(v + Fv)/2`` and
     ``(v - Fv)/2i``, which are F-fixed and span the same eigenspace.
@@ -195,8 +199,8 @@ def _hermitian_eigvec_select(v: np.ndarray, eigvals: np.ndarray, r_prev: int, d:
         while stop < r and abs(eigvals[stop] - eigvals[stop - 1]) <= cluster_tol:
             stop += 1
         vc = v[:, start:stop]
-        v4 = vc.reshape(r_prev, d, d, stop - start, order="F")
-        vhat = np.conj(v4.transpose(0, 2, 1, 3)).reshape(vc.shape, order="F")
+        v4 = vc.reshape(r_prev, d, d, stop - start)
+        vhat = np.conj(v4.transpose(0, 2, 1, 3)).reshape(vc.shape)
         w = np.concatenate([(vc + vhat) / 2.0, (vc - vhat) / 2j], axis=1)
         gram = w.conj().T @ w
         if float(np.max(np.abs(gram.imag))) > 1e-8 * max(1.0, float(np.max(np.abs(gram)))):
@@ -229,7 +233,9 @@ def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
     selection).
 
     ``rho`` is either a dense ``d^n x d^n`` matrix or an Mpo (the MPO path
-    contracts right Gram environments and never densifies).
+    contracts right Gram environments and never densifies).  A dense row or
+    column index is C order over the sites, site 1 slowest, as in ``np.kron``:
+    ``np.kron(A_1, ..., A_n)`` puts ``A_k`` on site k.
     """
     if isinstance(rho, Mpo):
         return _hermitian_decompose_mpo(rho, ranks)
@@ -247,25 +253,25 @@ def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
     ranks = _feasible_mpo_ranks(n, d, ranks)
 
     # Interleave row/column site indices: Y((i1,j1), ..., (in,jn)).
-    a = rho.reshape((d,) * (2 * n), order="F")
+    a = rho.reshape((d,) * (2 * n))
     perm = [None] * (2 * n)
     perm[0::2] = range(n)
     perm[1::2] = range(n, 2 * n)
-    y = a.transpose(perm).reshape((d * d,) * n, order="F")
+    y = a.transpose(perm).reshape((d * d,) * n)
 
     cores = []
-    m = y.reshape(d * d, -1, order="F")
+    m = y.reshape(d * d, -1)
     prev = 1
     for k in range(n - 1):
         mmh = m @ m.conj().T
         w, vecs = np.linalg.eigh(mmh)
         order = np.argsort(w)[::-1][: ranks[k]]
         u = _hermitian_eigvec_select(vecs[:, order], w[order], prev, d)
-        cores.append(u.reshape(prev, d, d, ranks[k], order="F"))
+        cores.append(u.reshape(prev, d, d, ranks[k]))
         m = u.conj().T @ m
         prev = ranks[k]
-        m = m.reshape(prev * d * d, -1, order="F")
-    cores.append(m.reshape(prev, d, d, 1, order="F"))
+        m = m.reshape(prev * d * d, -1)
+    cores.append(m.reshape(prev, d, d, 1))
     return Mpo(cores)
 
 
@@ -281,18 +287,15 @@ def _stacked_chain_norm(a, b) -> float:
     cur = None
     for k in range(n - 1):
         c = cores[k] if cur is None else np.tensordot(cur, cores[k], axes=(1, 0))
-        q, r = np.linalg.qr(c.reshape(-1, c.shape[-1], order="F"))
-        cur = r
+        cur = np.linalg.qr(c.reshape(-1, c.shape[-1]), mode="r")
     last = np.tensordot(cur, cores[-1], axes=(1, 0))
     return float(np.linalg.norm(last))
 
 
 def _hermitian_defect(m: Mpo) -> float:
     """``|rho - rho^dagger|_F`` via the exact difference chain."""
-    flat = [c.reshape(c.shape[0], -1, c.shape[3], order="F") for c in m.cores]
-    adj = [
-        _swap_conj(c).reshape(c.shape[0], -1, c.shape[3], order="F") for c in m.cores
-    ]
+    flat = [c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores]
+    adj = [_swap_conj(c).reshape(c.shape[0], -1, c.shape[3]) for c in m.cores]
     adj[-1] = -adj[-1]
     return _stacked_chain_norm(flat, adj)
 
@@ -306,8 +309,8 @@ def _hermitian_decompose_mpo(m: Mpo, ranks) -> Mpo:
     if _hermitian_defect(m) > 1e-10 * nrm:
         raise MpoError("input operator is not Hermitian")
 
-    # Combine (i, j) into one physical index of size d^2 (i fastest).
-    work = [c.reshape(c.shape[0], d * d, c.shape[3], order="F") for c in m.cores]
+    # Combine (i, j) into one physical index of size d^2 (C order, j fastest).
+    work = [c.reshape(c.shape[0], d * d, c.shape[3]) for c in m.cores]
     # Right Gram environments of the untouched tail cores.
     envs = [None] * (n + 1)
     envs[n] = np.ones((1, 1), dtype=np.complex128)
@@ -320,17 +323,17 @@ def _hermitian_decompose_mpo(m: Mpo, ranks) -> Mpo:
     cur = work[0]
     prev = 1
     for k in range(n - 1):
-        l = cur.reshape(prev * d * d, cur.shape[2], order="F")
+        l = cur.reshape(prev * d * d, cur.shape[2])
         mmh = l @ envs[k + 1] @ l.conj().T
         mmh = (mmh + mmh.conj().T) / 2.0
         w, vecs = np.linalg.eigh(mmh)
         order = np.argsort(w)[::-1][: ranks[k]]
         u = _hermitian_eigvec_select(vecs[:, order], w[order], prev, d)
-        cores.append(u.reshape(prev, d, d, ranks[k], order="F"))
+        cores.append(u.reshape(prev, d, d, ranks[k]))
         carry = u.conj().T @ l  # (r_k, old_rank)
         cur = np.tensordot(carry, work[k + 1], axes=(1, 0))
         prev = ranks[k]
-    cores.append(cur.reshape(prev, d, d, 1, order="F"))
+    cores.append(cur.reshape(prev, d, d, 1))
     return Mpo(cores)
 
 
@@ -380,29 +383,27 @@ def _herm_basis_gauge(r: int) -> np.ndarray:
     """
     if r == 1:
         return np.ones((1, 1), dtype=np.complex128)
-    return np.stack([m.ravel(order="F") for m in make_basis(r)], axis=1)
+    return make_basis(r).reshape(r * r, -1).T
 
 
 def mps_to_mpo(psi: Mps) -> Mpo:
     """Pure-state density operator ``|psi><psi|`` as an MPO.
 
-    Bond pairs (l, l') are combined with l fastest; a Hermitian-basis unitary
-    gauge at every bond restores the literal Hermitian core condition, so the
-    output passes ``is_hermitian_cores`` directly.  Bond dimensions square.
+    Bond pairs (l, l') are combined in C order, l' fastest; a Hermitian-basis
+    unitary gauge at every bond restores the literal Hermitian core condition,
+    so the output passes ``is_hermitian_cores`` directly.  Bond dimensions
+    square.
     """
-    n, d = psi.n, psi.d
-    cores = []
-    for c in psi.cores:
-        r0, _, r1 = c.shape
-        # w(l, p, i, j, m, q) = conj(c(p, j, q)) c(l, i, m)
-        w = c.conj()[None, :, None, :, None, :] * c[:, None, :, None, :, None]
-        cores.append(w.reshape(r0 * r0, d, d, r1 * r1, order="F"))
     gauges = [_herm_basis_gauge(r) for r in psi.ranks]
     out = []
-    for k, c in enumerate(cores):
+    for k, c in enumerate(psi.cores):
+        r0, d, r1 = c.shape
+        # w(l, p, i, j, m, q) = conj(c(p, j, q)) c(l, i, m)
+        w = c.conj()[None, :, None, :, None, :] * c[:, None, :, None, :, None]
+        w = w.reshape(r0 * r0, d, d, r1 * r1)
         if k > 0:
-            c = np.tensordot(gauges[k - 1].conj().T, c, axes=(1, 0))
-        if k < n - 1:
-            c = np.tensordot(c, gauges[k], axes=(3, 0))
-        out.append(c)
+            w = np.tensordot(gauges[k - 1].conj().T, w, axes=(1, 0))
+        if k < psi.n - 1:
+            w = np.tensordot(w, gauges[k], axes=(3, 0))
+        out.append(w)
     return Mpo(out)

@@ -436,11 +436,6 @@ def rsgd_run(
 # Sequential second-order spectral initialization
 
 
-def _ravel_f(idx_cols, dims):
-    """First-index-fastest linearization of multi-index columns."""
-    return np.ravel_multi_index(tuple(idx_cols.T), dims, order="F")
-
-
 def _pair_gram(rows_a, vals_a, cols_a, rows_b, vals_b, cols_b, nrows, k):
     """Symmetrized cross-group second-moment matrix.
 
@@ -489,18 +484,12 @@ def _renormalize_columns(z: np.ndarray, what: str) -> np.ndarray:
 
 def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
     """Exact QR split of a wide core ``(R1, prod(dims), R2)`` into a chain."""
-    r1, _, r2 = core.shape
     out = []
-    m = core.reshape(r1, -1, order="F")
-    prev = r1
-    for j, d in enumerate(dims[:-1]):
-        rest = int(np.prod(dims[j + 1 :]))
-        mat = m.reshape(prev * d, rest * r2, order="F")
-        q, r = tt._qr(mat)
-        out.append(q.reshape(prev, d, q.shape[1], order="F"))
-        prev = q.shape[1]
-        m = r
-    out.append(m.reshape(prev, dims[-1], r2, order="F"))
+    m = core  # (bond, remaining modes and R2), unfolded in C order at each mode
+    for d in dims[:-1]:
+        q, m = tt._qr(m.reshape(m.shape[0] * d, -1))
+        out.append(q.reshape(-1, d, q.shape[1]))
+    out.append(m.reshape(m.shape[0], dims[-1], core.shape[2]))
     return out
 
 
@@ -539,8 +528,8 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     # Y_k * (scaled indicator), i.e. a weight of scale * Y_k per factor.
     idx, y = stream.draw_batch(2 * cfg.k1)
     yv = scale * (scale * y)
-    rows = _ravel_f(idx[:, :m1], dims[:m1])
-    cols = _ravel_f(idx[:, m1:], dims[m1:])
+    rows = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1])
+    cols = np.ravel_multi_index(tuple(idx[:, m1:].T), dims[m1:])
     k1 = cfg.k1
     n1 = _pair_gram(
         rows[:k1], yv[:k1], cols[:k1], rows[k1:], yv[k1:], cols[k1:], p1, k1
@@ -550,14 +539,14 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     z1 = _renormalize_columns(z1, "stage one")
 
     # Stage two: projected second cut.  Each sample's left block becomes
-    # r1 stacked rows (l + r1 * mid), scaled by the z1 row of its prefix.
+    # r1 stacked rows (l * p2 + mid), scaled by the z1 row of its prefix.
     idx, y = stream.draw_batch(2 * cfg.k2)
     yv = scale * (scale * y)
-    pref = _ravel_f(idx[:, :m1], dims[:m1])
-    mid = _ravel_f(idx[:, m1 : m1 + m2], dims[m1 : m1 + m2])
-    cols = _ravel_f(idx[:, m1 + m2 :], dims[m1 + m2 :])
+    pref = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1])
+    mid = np.ravel_multi_index(tuple(idx[:, m1 : m1 + m2].T), dims[m1 : m1 + m2])
+    cols = np.ravel_multi_index(tuple(idx[:, m1 + m2 :].T), dims[m1 + m2 :])
     k2 = cfg.k2
-    block_rows = (np.arange(r1)[None, :] + r1 * mid[:, None]).ravel()
+    block_rows = (np.arange(r1)[None, :] * p2 + mid[:, None]).ravel()
     block_vals = (yv[:, None] * z1[pref]).ravel()
     block_cols = np.repeat(cols, r1)
     half = k2 * r1
@@ -574,22 +563,20 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     u = _top_subspace(n2, r2, "stage two")
     lz2 = _truncate_rows(u, np.sqrt(cfg.mu * r2) / np.sqrt(p2))
     lz2 = _renormalize_columns(lz2, "stage two")
-    z2 = lz2.reshape(r1, p2, r2, order="F")
+    z2 = lz2.reshape(r1, p2, r2)
 
     # Stage three: last block core by sample averaging.
     idx, y = stream.draw_batch(cfg.k3)
     yv = scale * (scale * y)
-    pref = _ravel_f(idx[:, :m1], dims[:m1])
-    mid = _ravel_f(idx[:, m1 : m1 + m2], dims[m1 : m1 + m2])
-    cols = _ravel_f(idx[:, m1 + m2 :], dims[m1 + m2 :])
+    pref = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1])
+    mid = np.ravel_multi_index(tuple(idx[:, m1 : m1 + m2].T), dims[m1 : m1 + m2])
+    cols = np.ravel_multi_index(tuple(idx[:, m1 + m2 :].T), dims[m1 + m2 :])
     rowvecs = np.einsum("bl,blr->br", z1[pref], z2[:, mid, :].transpose(1, 0, 2))
     z3 = np.zeros((p3, r2))
     np.add.at(z3, cols, yv[:, None] * rowvecs)
     z3 = z3.T / cfg.k3
 
-    zhat = TtTensor(
-        [z1.reshape(1, p1, r1), np.ascontiguousarray(z2), z3.reshape(r2, p3, 1)]
-    )
+    zhat = TtTensor([z1.reshape(1, p1, r1), z2, z3.reshape(r2, p3, 1)])
     chain = TtTensor(
         _split_block_core(zhat.cores[0], dims[:m1])
         + _split_block_core(zhat.cores[1], dims[m1 : m1 + m2])

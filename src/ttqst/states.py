@@ -227,18 +227,18 @@ def ising_ground(n: int, g: float, max_bond: int):
         nonlocal discarded
         rl = theta.shape[0]
         rr = theta.shape[3]
-        m = theta.reshape(rl * 2, 2 * rr, order="F")
+        m = theta.reshape(rl * 2, 2 * rr)
         u, s, vh = tt._svd(m)
         keep = min(max_bond, int(np.sum(s > 1e-14 * s[0])))
         keep = max(keep, 1)
         discarded += float(np.sum(s[keep:] ** 2))
         u, s, vh = u[:, :keep], s[:keep], vh[:keep]
         if direction == "right":
-            left = u.reshape(rl, 2, keep, order="F")
-            right = (s[:, None] * vh).reshape(keep, 2, rr, order="F")
+            left = u.reshape(rl, 2, keep)
+            right = (s[:, None] * vh).reshape(keep, 2, rr)
         else:
-            left = (u * s).reshape(rl, 2, keep, order="F")
-            right = vh.reshape(keep, 2, rr, order="F")
+            left = (u * s).reshape(rl, 2, keep)
+            right = vh.reshape(keep, 2, rr)
         return left, right
 
     energy = np.inf

@@ -3,10 +3,9 @@
 A tensor train (TT) stores an n-mode real tensor as a chain of order-3 cores.
 Cores unfold in C order (last index fastest), on views: core ``A`` of shape
 ``(r0, m, r1)`` unfolds to ``A.reshape(r0 * m, r1)`` or ``A.reshape(r0, m * r1)``,
-and a dense tensor is the C-order array ``X[i_1, ..., i_n]``.  Fortran order
-remains only outside this module: the TTR1/TTC1 byte layout and the ``(i, j)``
-pairing of ``mpo``; the spectral initializer's index linearization
-(``solvers._ravel_f``, ``solvers._split_block_core``); the DMRG split in ``states``.
+and a dense tensor is the C-order array ``X[i_1, ..., i_n]``.  The other
+modules follow the same order; Fortran order remains only in the TTR1/TTC1
+byte layout of ``serialize``.
 """
 
 from __future__ import annotations
@@ -439,7 +438,8 @@ class CoherenceReport:
         entry is replaced by an upper bound and ``linf_is_bound`` is set.
     incoherence : float or None
         Max over cuts of the two scaled row-norm ratios of the orthonormal
-        left and right parts; None when a part is above ``PART_CAP``.
+        left and right parts of the minimal form, whose ranks are the cuts'
+        numerical ranks; None when a part is above ``PART_CAP``.
     per_cut : list of (float, float)
         The two quantities per cut (left, right), where available.
     """
@@ -481,10 +481,17 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     # Its right parts differ from other right-orthogonalizations by a rotation
     # of the rows, which leaves their column norms unchanged.
     right, factors = right_qr_sweep(tl.cores)
+    # Read the parts off the minimal form: the exact truncation to each cut's
+    # numerical rank drops the null directions a stacked form carries.
+    spectra = [_svd(f, compute_uv=False) for f in factors]
+    ranks = tuple(int(np.sum(s > RANK_TOL * s[0])) for s in spectra)
+    if ranks != tl.ranks:
+        tl = _ttsvd_tt(t, ranks)
+        right = right_qr_sweep(tl.cores)[0]
     total = t.size
     dl = [int(np.prod(t.mode_dims[:k])) for k in range(1, t.n)]
     dr = [total // a for a in dl]
-    within = [max(a, b) * r <= PART_CAP for a, b, r in zip(dl, dr, t.ranks)]
+    within = [max(a, b) * r <= PART_CAP for a, b, r in zip(dl, dr, ranks)]
     # Row norms of the orthonormal left parts off the chain over the
     # left-orthogonal cores, and column norms of the orthonormal right parts
     # off the mirrored chain over the right-orthogonal cores.
@@ -492,7 +499,7 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     rrow = _max_row_norms([c.T for c in reversed(right)], within[::-1])[::-1]
     per_cut = [
         (np.sqrt(a / r) * lr, np.sqrt(b / r) * rr) if ok else (None, None)
-        for ok, a, b, r, lr, rr in zip(within, dl, dr, t.ranks, lrow, rrow)
+        for ok, a, b, r, lr, rr in zip(within, dl, dr, ranks, lrow, rrow)
     ]
 
     if total <= DENSE_CAP:
@@ -501,8 +508,7 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
     else:
         # Upper bound |T|_inf <= sigma_max(cut) * max row norms of the two
         # orthonormal factors, minimized over cuts within the cap.
-        bounds = [_svd(f, compute_uv=False)[0] * lr * rr
-                  for f, lr, rr in zip(factors, lrow, rrow) if lr is not None]
+        bounds = [s[0] * lr * rr for s, lr, rr in zip(spectra, lrow, rrow) if lr is not None]
         best = min(bounds, default=np.inf)
         linf = float(best) if np.isfinite(best) else nrm
         linf_is_bound = True

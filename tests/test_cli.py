@@ -294,6 +294,24 @@ def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [-3, 2**64])
+@pytest.mark.parametrize("key", ["seed", "state.seed", "solver.shuffle_seed"])
+def test_seed_outside_philox_key_range_exits_config(tmp_path, capsys, key, value):
+    plan_path, _ = base_plan(tmp_path)
+    rc = cli.main(["reconstruct", "--plan", str(plan_path), "--set", f"{key}={value}"])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {key} must be in [0, 2^64), got {value}" in capsys.readouterr().err
+
+
+def test_generate_state_negative_seed_exits_config(tmp_path, capsys):
+    out = tmp_path / "s.ttc"
+    rc = cli.main(["generate-state", "--family", "random_mps", "--n", "4", "--seed", "-1",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert "state.seed must be in [0, 2^64), got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _corrupt_ttr1(tmp_path, how):
     """A TTR1 of a 4-qubit GHZ coefficient tensor, damaged as ``how`` says."""
     path = tmp_path / "rec.ttr"

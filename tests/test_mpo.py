@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttqst import mpo, states, tt
+from ttqst import mpo, solvers, states, tt
 
 
 def random_mps(rng, n=3, d=2, r=2):
@@ -32,21 +32,21 @@ def random_hermitian_mpo(rng, n=3, d=2, r=3):
 
 
 def mps_dense(psi):
-    """Oracle: state vector of length d^n (first site index fastest)."""
+    """Oracle: state vector of length d^n (C order, site 1 slowest)."""
     x = psi.cores[0][0]
     for k in range(1, psi.n):
         x = np.tensordot(x, psi.cores[k], axes=(x.ndim - 1, 0))
-        x = x.reshape(-1, x.shape[-1], order="F")
+        x = x.reshape(-1, x.shape[-1])
     return x[:, 0]
 
 
 def mpo_dense(m):
-    """Oracle: dense ``d^n x d^n`` matrix (row/column indices first-site-fastest)."""
+    """Oracle: dense ``d^n x d^n`` matrix (row/column indices C order, site 1 slowest)."""
     x = m.cores[0][0]  # (d, d, r)
     for c in m.cores[1:]:
         x = np.tensordot(x, c, axes=(x.ndim - 1, 0))  # (rows, cols, d, d, r)
         x = x.transpose(0, 2, 1, 3, 4)
-        x = x.reshape(x.shape[0] * m.d, x.shape[2] * m.d, c.shape[3], order="F")
+        x = x.reshape(x.shape[0] * m.d, x.shape[2] * m.d, c.shape[3])
     return x[:, :, 0]
 
 
@@ -67,10 +67,10 @@ def gauge_transform(m, gauges):
 
 
 def dense_observable(basis, idx):
-    """Kronecker product with the first site index fastest."""
+    """Kronecker product in site order, site 1 the first factor."""
     out = np.array([[1.0]], dtype=np.complex128)
     for s in idx:
-        out = np.kron(basis[s], out)
+        out = np.kron(out, basis[s])
     return out
 
 
@@ -178,6 +178,29 @@ def test_hermitian_decompose_ghz_density():
     m = mpo.hermitian_decompose(rho, ranks)
     assert mpo.is_hermitian_cores(m)
     assert np.linalg.norm(mpo_dense(m) - rho) < 1e-10 * np.linalg.norm(rho)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+def test_hermitian_decompose_reads_dense_sites_in_kron_order(n, d):
+    # A dense operator's site 1 is its slowest index, the first np.kron
+    # factor, as in tt_dense: each factor lands on its own site.
+    rng = np.random.default_rng(8 + n)
+    factors = []
+    for _ in range(n):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        factors.append(a + a.conj().T)
+    rho = factors[0]
+    for a in factors[1:]:
+        rho = np.kron(rho, a)
+    m = mpo.hermitian_decompose(rho, (1,) * (n - 1), d=d)
+    for c, a in zip(m.cores, factors):
+        overlap = abs(np.vdot(a, c[0, :, :, 0]))
+        assert overlap == pytest.approx(np.linalg.norm(a) * np.linalg.norm(c), rel=1e-12)
+    z = np.diag([1.0, -1.0]).astype(np.complex128)
+    coeff = tt.tt_dense(mpo.mpo_to_coeff(mpo.hermitian_decompose(np.kron(z, np.eye(2)), (1,))))
+    want = np.zeros((4, 4))
+    want[3, 0] = 2.0  # Z x I = 2 (Z/sqrt2) x (I/sqrt2)
+    np.testing.assert_allclose(coeff, want, atol=1e-12)
 
 
 def test_hermitian_decompose_rejects_non_hermitian():
@@ -481,7 +504,7 @@ def test_fixed_contractions_match_einsum(n, d, r):
 
     raw = [
         np.einsum("lim,pjq->lpijmq", c, c.conj()).reshape(
-            c.shape[0] ** 2, d, d, c.shape[2] ** 2, order="F"
+            c.shape[0] ** 2, d, d, c.shape[2] ** 2
         )
         for c in psi.cores
     ]
@@ -522,9 +545,20 @@ def test_no_einsum_path_search_in_library():
 
 
 def test_tt_unfolds_in_c_order_only():
-    """``tt`` unfolds and folds cores in C order, on views: no F-order
-    reshape or ravel and no ``tensordot``."""
-    text = Path(tt.__file__).read_text()
-    assert 'order="F"' not in text
-    assert "tensordot" not in text
+    """The library reshapes and ravels in C order: an ``order="F"`` argument
+    appears only in ``serialize``, for the TTR1/TTC1 byte layout.  ``tt``
+    unfolds and folds cores on views, with no ``tensordot``."""
+    f_order = set()
+    for path in sorted(Path(tt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.keyword)
+                and node.arg == "order"
+                and isinstance(node.value, ast.Constant)
+                and node.value.value == "F"
+            ):
+                f_order.add(path.stem)
+    assert f_order == {"serialize"}
+    assert not hasattr(solvers, "_ravel_f")
+    assert "tensordot" not in Path(tt.__file__).read_text()
 

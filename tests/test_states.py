@@ -9,14 +9,14 @@ from ttqst import mpo, states
 
 
 def dense_ising_h(n, g):
-    """Independent dense Hamiltonian via Kronecker products (first site fastest)."""
+    """Independent dense Hamiltonian via Kronecker products (site 1 the first factor)."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
     def site_op(op, i):
         out = np.array([[1.0]])
         for k in range(n):
-            out = np.kron(op if k == i else np.eye(2), out)
+            out = np.kron(out, op if k == i else np.eye(2))
         return out
 
     h = np.zeros((2**n, 2**n))

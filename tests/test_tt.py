@@ -504,6 +504,21 @@ def test_coherence_report_matches_oracle_parts(case):
     )
 
 
+def test_coherence_report_reads_the_minimal_form():
+    # A stacked sum carries ranks (6, 6) where the separation ranks are at
+    # most (4, 4): both forms are one tensor and read one report.
+    rng = np.random.default_rng(29)
+    s = tt.tt_axpy(1.0, random_tt(rng, ranks=(3, 3)), random_tt(rng, ranks=(3, 3)))
+    exact = tt.ttsvd(s, (4, 4))
+    assert s.ranks == (6, 6) and tt.tt_distance(s, exact) < 1e-12 * tt.tt_norm(s)
+    got, want = tt.coherence_report(s), tt.coherence_report(exact)
+    np.testing.assert_allclose(got.per_cut, want.per_cut, rtol=0, atol=1e-10)
+    assert got.incoherence == pytest.approx(want.incoherence, abs=1e-10)
+    np.testing.assert_allclose(
+        want.per_cut, [oracle_per_cut(exact, k) for k in (1, 2)], rtol=1e-12, atol=0
+    )
+
+
 def test_coherence_report_bounds_max_entry_above_dense_cap():
     # n=11 qubits: 4^11 entries, above the dense cap but every part within
     # the part cap, so the max entry is bounded off the cuts.
