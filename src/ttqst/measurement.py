@@ -3,8 +3,9 @@
 Exact expectations are entries of the target's coefficient tensor.  Shot
 noise for qubit systems draws M two-outcome measurements per observable
 (mean-zero noise with variance at most ``1/(2^n M)``); qudit systems use an
-additive Gaussian surrogate with a user-set sigma, since exact shot
-simulation of product GGM observables needs global state access.
+additive Gaussian surrogate with a user-set sigma, because exact shot
+simulation of product GGM observables is not implemented (the coefficient
+tensor alone would determine their outcome distributions).
 
 Streams draw indices uniformly with replacement from a counter-based
 generator (numpy Philox, identifier "philox4x64") so runs replay exactly

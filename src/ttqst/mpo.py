@@ -240,11 +240,14 @@ def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
     if isinstance(rho, Mpo):
         return _hermitian_decompose_mpo(rho, ranks)
     rho = np.asarray(rho, dtype=np.complex128)
-    if d is None:
-        d = 2
+    given = d is not None
+    d = d if given else 2
     n = int(round(np.log(rho.shape[0]) / np.log(d)))
     if rho.shape != (d**n, d**n) or d**n > 2**10:
-        raise MpoError(f"dense input must be d^n x d^n with d^n <= 1024, got {rho.shape}")
+        which = f"d={d}" if given else f"d={d} assumed; pass d= for other local dimensions"
+        raise MpoError(
+            f"dense input must be d^n x d^n with d^n <= 1024 ({which}), got {rho.shape}"
+        )
     scale = np.linalg.norm(rho)
     if scale == 0.0:
         raise MpoError("zero operator")

@@ -93,8 +93,10 @@ class SolverConfig:
     The per-round step is ``eta`` when given explicitly; otherwise it is
     resolved as ``alpha * batch_size / n^2`` against the averaged minibatch
     gradient, i.e. every sample in the batch contributes one projected
-    gradient step of size ``alpha / n^2``.  Iterations to a fixed error then
-    scale as ``n^2 / alpha`` independent of batch size.
+    gradient step of size ``alpha / n^2``.  At fixed ``alpha`` the *samples*
+    to a fixed error are then about independent of batch size, and the
+    rounds are not: at n=6, batch 200 took 580 rounds where batch 20 took
+    5780, on about the same number of samples.
 
     ``max_iters`` bounds the rounds of every algorithm; RSGD also stops after
     ``epochs`` passes over its dataset, and steps by the resolved step times
@@ -224,9 +226,6 @@ class _IterateState:
 
     __slots__ = ("t", "geom", "scale", "iteration")
 
-    # Rows projected at once: bounds the memory of a full-dataset gradient.
-    CHUNK_ROWS = 65536
-
     def __init__(self, t: TtTensor, iteration: int = 0):
         self.t = t
         self.geom = TangentGeometry(t)
@@ -237,13 +236,13 @@ class _IterateState:
         """Projected gradient of the residuals on ``(idx, y)``, averaged over its rows.
 
         ``y`` holds raw observed values; the iterate's entries come off the
-        projection's own left chain.  Rows are projected ``CHUNK_ROWS`` at a
-        time and the variation cores summed.
+        projection's own left chain.  Rows are projected ``tt.CHUNK_ROWS`` at
+        a time and the variation cores summed.
         """
         total = idx.shape[0]
         grad = None
-        for lo in range(0, total, self.CHUNK_ROWS):
-            rows = slice(lo, lo + self.CHUNK_ROWS)
+        for lo in range(0, total, tt.CHUNK_ROWS):
+            rows = slice(lo, lo + tt.CHUNK_ROWS)
             lefts = self.geom.left_chain(idx[rows])
             values = (self.scale * lefts[-1][:, 0] - self.scale * y[rows]) * (self.scale / total)
             part = self.geom.project_batch(idx[rows], values, lefts)
@@ -493,6 +492,61 @@ def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
     return out
 
 
+def _draw_keys(stream: MeasurementStream, count: int, groups):
+    """Draw ``count`` samples; return their weights and one linear key per mode group.
+
+    Each moment term carries Y_k times a scaled indicator, i.e. a weight of
+    ``scale * Y_k`` per factor, so the weight is ``scale^2 * y``.  Group
+    ``(lo, hi)`` keys modes ``lo..hi-1`` in C order.  The drawn indices are
+    dropped on return.
+    """
+    idx, y = stream.draw_batch(count)
+    dims = stream.mode_dims
+    keys = [np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) for lo, hi in groups]
+    return stream.scale * (stream.scale * y), keys
+
+
+def _stage_two_moment(stream, k2, groups, z1, p2):
+    """Stage two's moment matrix from ``2 * k2`` fresh samples.
+
+    Each sample's left block becomes ``r1`` stacked rows ``l * p2 + mid``,
+    scaled by the z1 row of its prefix.  The samples are dropped once the
+    block arrays are built, and the block arrays once the moment is formed.
+    """
+    yv, (pref, mid, cols) = _draw_keys(stream, 2 * k2, groups)
+    r1 = z1.shape[1]
+    block_rows = (np.arange(r1)[None, :] * p2 + mid[:, None]).ravel()
+    block_vals = (yv[:, None] * z1[pref]).ravel()
+    block_cols = np.repeat(cols, r1)
+    del yv, pref, mid, cols
+    half = k2 * r1
+    return _pair_gram(
+        block_rows[:half],
+        block_vals[:half],
+        block_cols[:half],
+        block_rows[half:],
+        block_vals[half:],
+        block_cols[half:],
+        r1 * p2,
+        k2,
+    )
+
+
+def _stage_three_core(stream, k3, groups, z1, z2, p3):
+    """Stage three's last block core ``(r2, p3)`` as the average over ``k3`` fresh samples.
+
+    The samples are folded in over blocks of ``tt.CHUNK_ROWS`` rows, in
+    sample order, so the sums come out as in one pass.
+    """
+    yv, (pref, mid, cols) = _draw_keys(stream, k3, groups)
+    z3 = np.zeros((p3, z2.shape[2]))
+    for lo in range(0, k3, tt.CHUNK_ROWS):
+        rows = slice(lo, lo + tt.CHUNK_ROWS)
+        rowvecs = np.einsum("bl,blr->br", z1[pref[rows]], z2[:, mid[rows], :].transpose(1, 0, 2))
+        np.add.at(z3, cols[rows], yv[rows, None] * rowvecs)
+    return z3.T / k3
+
+
 def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     """Warm start from sampled second moments of the coefficient tensor.
 
@@ -522,59 +576,28 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     r2 = ranks[m1 + m2 - 1]
     if (r1 * p2) ** 2 > 2**26:
         raise InitError("stage-two projected moment matrix above the size cap")
-    scale = stream.scale
+    groups = ((0, m1), (m1, m1 + m2), (m1 + m2, n))
 
-    # Stage one: row space of the cut-m1 separation.  Each term carries
-    # Y_k * (scaled indicator), i.e. a weight of scale * Y_k per factor.
-    idx, y = stream.draw_batch(2 * cfg.k1)
-    yv = scale * (scale * y)
-    rows = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1])
-    cols = np.ravel_multi_index(tuple(idx[:, m1:].T), dims[m1:])
+    # Stage one: row space of the cut-m1 separation.
+    yv, (rows, cols) = _draw_keys(stream, 2 * cfg.k1, ((0, m1), (m1, n)))
     k1 = cfg.k1
     n1 = _pair_gram(
         rows[:k1], yv[:k1], cols[:k1], rows[k1:], yv[k1:], cols[k1:], p1, k1
     )
+    del yv, rows, cols
     u = _top_subspace(n1, r1, "stage one")
     z1 = _truncate_rows(u, np.sqrt(cfg.mu * r1) / np.sqrt(p1))
     z1 = _renormalize_columns(z1, "stage one")
 
-    # Stage two: projected second cut.  Each sample's left block becomes
-    # r1 stacked rows (l * p2 + mid), scaled by the z1 row of its prefix.
-    idx, y = stream.draw_batch(2 * cfg.k2)
-    yv = scale * (scale * y)
-    pref = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1])
-    mid = np.ravel_multi_index(tuple(idx[:, m1 : m1 + m2].T), dims[m1 : m1 + m2])
-    cols = np.ravel_multi_index(tuple(idx[:, m1 + m2 :].T), dims[m1 + m2 :])
-    k2 = cfg.k2
-    block_rows = (np.arange(r1)[None, :] * p2 + mid[:, None]).ravel()
-    block_vals = (yv[:, None] * z1[pref]).ravel()
-    block_cols = np.repeat(cols, r1)
-    half = k2 * r1
-    n2 = _pair_gram(
-        block_rows[:half],
-        block_vals[:half],
-        block_cols[:half],
-        block_rows[half:],
-        block_vals[half:],
-        block_cols[half:],
-        r1 * p2,
-        k2,
-    )
+    # Stage two: projected second cut.
+    n2 = _stage_two_moment(stream, cfg.k2, groups, z1, p2)
     u = _top_subspace(n2, r2, "stage two")
     lz2 = _truncate_rows(u, np.sqrt(cfg.mu * r2) / np.sqrt(p2))
     lz2 = _renormalize_columns(lz2, "stage two")
     z2 = lz2.reshape(r1, p2, r2)
 
     # Stage three: last block core by sample averaging.
-    idx, y = stream.draw_batch(cfg.k3)
-    yv = scale * (scale * y)
-    pref = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1])
-    mid = np.ravel_multi_index(tuple(idx[:, m1 : m1 + m2].T), dims[m1 : m1 + m2])
-    cols = np.ravel_multi_index(tuple(idx[:, m1 + m2 :].T), dims[m1 + m2 :])
-    rowvecs = np.einsum("bl,blr->br", z1[pref], z2[:, mid, :].transpose(1, 0, 2))
-    z3 = np.zeros((p3, r2))
-    np.add.at(z3, cols, yv[:, None] * rowvecs)
-    z3 = z3.T / cfg.k3
+    z3 = _stage_three_core(stream, cfg.k3, groups, z1, z2, p3)
 
     zhat = TtTensor([z1.reshape(1, p1, r1), z2, z3.reshape(r2, p3, 1)])
     chain = TtTensor(

@@ -18,6 +18,10 @@ from scipy.linalg import lapack
 DENSE_CAP = 2**20
 PART_CAP = 2**22
 
+# Rows of a batch that one pass of a batched chain handles: bounds the memory
+# of evaluating or projecting arbitrarily many sampled entries.
+CHUNK_ROWS = 65536
+
 ORTHO_TOL = 1e-12
 
 LEFT = "left"
@@ -168,8 +172,21 @@ def _chain_rows(v: np.ndarray, core: np.ndarray, col: np.ndarray, rows: np.ndarr
     return (v @ core.reshape(r0, m * r1)).reshape(v.shape[0], m, r1)[rows, col]
 
 
+def _chain_entries(cores, idx: np.ndarray) -> np.ndarray:
+    """Entries at the rows of ``idx`` by one pass of the batched chain."""
+    rows = np.arange(idx.shape[0])
+    v = cores[0][0, idx[:, 0], :]  # (B, r1)
+    for k in range(1, len(cores)):
+        v = _chain_rows(v, cores[k], idx[:, k], rows)
+    return v[:, 0]
+
+
 def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """Evaluate a batch of entries.
+
+    The chain runs over blocks of ``CHUNK_ROWS`` rows, so its transient
+    products stay bounded whatever the batch size; a row's value does not
+    depend on the block it falls in.
 
     Parameters
     ----------
@@ -177,11 +194,13 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
         Row ``b`` is one multi-index.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    rows = np.arange(idx.shape[0])
-    v = t.cores[0][0, idx[:, 0], :]  # (B, r1)
-    for k in range(1, t.n):
-        v = _chain_rows(v, t.cores[k], idx[:, k], rows)
-    return v[:, 0]
+    total = idx.shape[0]
+    if total <= CHUNK_ROWS:
+        return _chain_entries(t.cores, idx)
+    out = np.empty(total)
+    for lo in range(0, total, CHUNK_ROWS):
+        out[lo : lo + CHUNK_ROWS] = _chain_entries(t.cores, idx[lo : lo + CHUNK_ROWS])
+    return out
 
 
 def _left_parts(cores):

@@ -203,6 +203,17 @@ def test_hermitian_decompose_reads_dense_sites_in_kron_order(n, d):
     np.testing.assert_allclose(coeff, want, atol=1e-12)
 
 
+def test_hermitian_decompose_shape_error_names_assumed_d():
+    # Without d, a qutrit operator is read as qubits and fails; the message
+    # must say that d=2 was assumed and that d= must be passed.
+    rho = np.eye(9, dtype=np.complex128)
+    with pytest.raises(mpo.MpoError, match=r"d=2 assumed; pass d= .*got \(9, 9\)"):
+        mpo.hermitian_decompose(rho, (1,))
+    with pytest.raises(mpo.MpoError, match=r"\(d=3\), got \(8, 8\)"):
+        mpo.hermitian_decompose(np.eye(8, dtype=np.complex128), (1,), d=3)
+    assert len(mpo.hermitian_decompose(rho, (1,), d=3).cores) == 2
+
+
 def test_hermitian_decompose_rejects_non_hermitian():
     rng = np.random.default_rng(6)
     rho = np.eye(8, dtype=np.complex128)

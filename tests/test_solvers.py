@@ -1,6 +1,7 @@
 """Solver tests: fixed points, dense one-step oracle, RSGD semantics, init."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,7 +304,7 @@ def test_chunked_gradient_matches_one_projection():
     # the sum must equal one projection of the whole batch.
     tstar = states.pure_state_coeff(states.random_mps(4, 2, 2, seed=9))
     t0 = warm_start(tstar, tstar.ranks, 0.3, 19)
-    rows = 2 * solvers._IterateState.CHUNK_ROWS + 123
+    rows = 2 * tt.CHUNK_ROWS + 123
     rng = np.random.default_rng(19)
     idx = rng.integers(0, 4, size=(rows, 4))
     y = tt.tt_entries(tstar, idx) + 0.01 * rng.standard_normal(rows)
@@ -541,6 +542,64 @@ def test_spectral_init_accuracy():
     assert spiki <= bound + 1e-9
     # Disjoint prefixes: exactly 2 k1 + 2 k2 + k3 draws consumed.
     assert stream.consumed == 5 * 100000
+
+
+@pytest.mark.parametrize("tail", [1, 123])
+def test_blocked_stage_three_bit_equal_to_one_shot(tail):
+    # Stage three folds its samples in over blocks of CHUNK_ROWS rows; the
+    # last block core must equal one einsum and one np.add.at over them all.
+    tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=5))
+    dims = tstar.mode_dims
+    groups = ((0, 2), (2, 4), (4, 6))
+    r1, r2 = 3, 4
+    rng = np.random.default_rng(tail)
+    z1 = rng.standard_normal((16, r1))
+    z2 = rng.standard_normal((r1, 16, r2))
+    k3 = 2 * tt.CHUNK_ROWS + tail
+    source = meas.ShotSource(100)
+    got = solvers._stage_three_core(
+        meas.make_stream(tstar, source, seed=6), k3, groups, z1, z2, 16
+    )
+    stream = meas.make_stream(tstar, source, seed=6)
+    idx, y = stream.draw_batch(k3)
+    yv = stream.scale * (stream.scale * y)
+    pref, mid, cols = (
+        np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) for lo, hi in groups
+    )
+    rowvecs = np.einsum("bl,blr->br", z1[pref], z2[:, mid, :].transpose(1, 0, 2))
+    z3 = np.zeros((16, r2))
+    np.add.at(z3, cols, yv[:, None] * rowvecs)
+    assert got.tobytes() == (z3.T / k3).tobytes()
+
+
+def _peak_mib(fn):
+    """Peak traced memory of ``fn()`` above what was traced before it, in MiB."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_and_spectral_init_memory_bounded():
+    # n=6, k1=k2=k3=2e5, shot source.  One pass of the entry chain over the
+    # 4e5 draws peaked at 95 MiB, and the initializer, with earlier stages'
+    # arrays alive during later draws, at 125 MiB; blocked, they peak at
+    # about 34 and 52 MiB.
+    tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=1))
+    rep = tt.coherence_report(tstar)
+    k = 200_000
+    cfg = solvers.InitConfig(k1=k, k2=k, k3=k, mu=rep.incoherence**2, nu=rep.spikiness)
+    source = meas.ShotSource(4000)
+    draw = _peak_mib(lambda: meas.make_stream(tstar, source, seed=5).draw_batch(2 * k))
+    assert draw <= 45
+    init = _peak_mib(
+        lambda: solvers.spectral_init(meas.make_stream(tstar, source, seed=5), cfg, tstar.ranks)
+    )
+    assert init <= 70
 
 
 def test_spectral_init_small_k_fails():

@@ -130,6 +130,22 @@ def test_tt_entries_batch():
     np.testing.assert_allclose(vals, dense_oracle(t)[tuple(idx.T)], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blocked_tt_entries_bit_equal_to_one_pass_chain(order):
+    # Above CHUNK_ROWS rows the chain runs block by block; every entry must
+    # come out as in one pass over the whole batch.  Stream draws arrive in
+    # F order, arrays built row by row in C order.
+    rng = np.random.default_rng(3)
+    t = random_tt(rng, dims=(4, 4, 4, 4, 4), ranks=(3, 4, 4, 2))
+    rows = 2 * tt.CHUNK_ROWS + 123
+    idx = np.asarray(rng.integers(0, 4, size=(rows, t.n)), order=order)
+    v = t.cores[0][0, idx[:, 0], :]
+    for k, core in enumerate(t.cores[1:], start=1):
+        r0, m, r1 = core.shape
+        v = (v @ core.reshape(r0, m * r1)).reshape(rows, m, r1)[np.arange(rows), idx[:, k]]
+    assert tt.tt_entries(t, idx).tobytes() == v[:, 0].tobytes()
+
+
 def test_tt_dense_matches_entrywise():
     rng = np.random.default_rng(2)
     t = random_tt(rng)
