@@ -195,8 +195,6 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """
     idx = np.asarray(idx, dtype=np.int64)
     total = idx.shape[0]
-    if total <= CHUNK_ROWS:
-        return _chain_entries(t.cores, idx)
     out = np.empty(total)
     for lo in range(0, total, CHUNK_ROWS):
         out[lo : lo + CHUNK_ROWS] = _chain_entries(t.cores, idx[lo : lo + CHUNK_ROWS])

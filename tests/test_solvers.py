@@ -573,15 +573,22 @@ def test_blocked_stage_three_bit_equal_to_one_shot(tail):
 
 
 def _peak_mib(fn):
-    """Peak traced memory of ``fn()`` above what was traced before it, in MiB."""
-    tracemalloc.start()
+    """Peak traced memory of ``fn()`` above what was traced before it, in MiB.
+
+    Tracing is stopped afterwards only if it was started here, so a session
+    run under ``-X tracemalloc`` keeps its traces.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         fn()
         return (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
 
 
 def test_sampling_and_spectral_init_memory_bounded():
@@ -600,6 +607,19 @@ def test_sampling_and_spectral_init_memory_bounded():
         lambda: solvers.spectral_init(meas.make_stream(tstar, source, seed=5), cfg, tstar.ranks)
     )
     assert init <= 70
+
+
+def test_peak_mib_leaves_outer_tracing_on():
+    # Under ``-X tracemalloc`` the measurement must not end the session's
+    # tracing, and must not count what was traced before it.
+    tracemalloc.start()
+    try:
+        held = np.ones(2**20)  # 8 MiB traced before the measurement
+        assert _peak_mib(lambda: np.ones(2**17)) < 4
+        assert tracemalloc.is_tracing()
+        del held
+    finally:
+        tracemalloc.stop()
 
 
 def test_spectral_init_small_k_fails():
