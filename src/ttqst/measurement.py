@@ -49,18 +49,25 @@ class GaussianSource:
 
 
 def _shot_means(e: np.ndarray, n: int, shots: int, rng) -> np.ndarray:
-    """Empirical means of M two-outcome measurements per entry of ``e``."""
+    """Empirical means of M two-outcome measurements per entry of ``e``.
+
+    Every entry is checked before the first draw.  The means are then drawn
+    ``tt.CHUNK_ROWS`` entries at a time; ``binomial`` draws element by
+    element, so the blocks draw what one call would.
+    """
     scale = 2.0 ** (n / 2.0)
-    spectral = scale * e
-    over = np.max(np.abs(spectral))
+    blocks = [slice(lo, lo + tt.CHUNK_ROWS) for lo in range(0, e.shape[0], tt.CHUNK_ROWS)]
+    over = max((scale * np.abs(e[b]).max() for b in blocks), default=0.0)
     if over > 1.0 + 1e-9:
         raise MeasurementError(
             f"expectation magnitude {over:.3e} exceeds the physical bound; "
             "target is not a physical state"
         )
-    p = np.clip((1.0 + spectral) / 2.0, 0.0, 1.0)
-    ups = rng.binomial(shots, p)
-    return (2.0 * ups / shots - 1.0) / scale
+    out = np.empty(e.shape[0])
+    for b in blocks:
+        p = np.clip((1.0 + scale * e[b]) / 2.0, 0.0, 1.0)
+        out[b] = (2.0 * rng.binomial(shots, p) / shots - 1.0) / scale
+    return out
 
 
 class MeasurementStream:
@@ -92,23 +99,39 @@ class MeasurementStream:
         self.mode_dims = t_star.mode_dims
         self.scale = float(np.sqrt(t_star.size))  # d^n for d^2-sized modes
         self.consumed = 0
+        # Index bounds: one per mode, or one scalar when all modes are equal,
+        # which numpy draws in half the time and to the same numbers.
+        dims = np.array(self.mode_dims)
+        self._highs = int(dims[0]) if (dims == dims[0]).all() else dims[:, None]
+        # Holds every index and, for write_log, every index plus one.
+        self._idx_dtype = np.min_scalar_type(max(self.mode_dims))
 
     def draw_batch(self, batch_size: int):
         """Uniform indices with replacement and their observed values.
 
-        Returns ``(idx, y)`` with ``idx`` of shape (B, n) and raw empirical
-        means ``y`` (unscaled).
+        Returns ``(idx, y)`` with ``idx`` of shape (B, n), in the smallest
+        unsigned dtype that holds the largest mode size (``uint8`` for qubits
+        and qutrits), and raw empirical means ``y`` (unscaled).
         """
-        # One mode-major call draws the same numbers as one call per mode.
-        highs = np.array(self.mode_dims)[:, None]
-        idx = self.rng.integers(0, highs, size=(self.n, batch_size)).T
-        e = tt.tt_entries(self.target, idx)
-        if isinstance(self.source, ExactSource):
-            y = e
-        elif isinstance(self.source, ShotSource):
-            y = _shot_means(e, self.n, self.source.shots, self.rng)
-        else:
-            y = e + self.rng.normal(0.0, self.source.sigma, size=batch_size)
+        n = self.n
+        idx = np.empty((n, batch_size), dtype=self._idx_dtype)
+        # One mode-major call draws the same numbers as one call per mode, so
+        # the modes are drawn in groups of at most CHUNK_ROWS numbers, or one
+        # mode at a time for a larger batch.
+        group = max(1, tt.CHUNK_ROWS // max(batch_size, 1))
+        for lo in range(0, n, group):
+            hi = min(lo + group, n)
+            high = self._highs if isinstance(self._highs, int) else self._highs[lo:hi]
+            idx[lo:hi] = self.rng.integers(0, high, size=(hi - lo, batch_size))
+        idx = idx.T
+        y = tt.tt_entries(self.target, idx)
+        if isinstance(self.source, ShotSource):
+            y = _shot_means(y, n, self.source.shots, self.rng)
+        elif isinstance(self.source, GaussianSource):
+            # normal draws element by element, so blocks draw what one call would.
+            for lo in range(0, batch_size, tt.CHUNK_ROWS):
+                e = y[lo : lo + tt.CHUNK_ROWS]
+                e += self.rng.normal(0.0, self.source.sigma, size=e.shape[0])
         self.consumed += batch_size
         return idx, y
 

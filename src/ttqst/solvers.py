@@ -435,17 +435,16 @@ def rsgd_run(
 # Sequential second-order spectral initialization
 
 
-def _pair_gram(rows_a, vals_a, cols_a, rows_b, vals_b, cols_b, nrows, k):
+def _pair_gram(a, b, k):
     """Symmetrized cross-group second-moment matrix.
 
-    Implements ``(1/(2k^2)) * sum_{a,b} Ya Yb (xa xb^T + xb xa^T)`` where the
-    x's are scaled one-hot (or block) columns; pairs only interact when their
-    trailing multi-indices match, so the sum factorizes through sparse
-    matrices keyed by the trailing index.
+    Implements ``(1/(2k^2)) * sum_{s,t} Ys Yt (xs xt^T + xt xs^T)`` over the
+    pairs of a first-group sample s and a second-group sample t, where the
+    x's are scaled one-hot columns.  Pairs only interact when their trailing
+    multi-indices match, so the sum factorizes through the sparse matrices
+    ``a`` and ``b`` of the two groups: column c of each sums the weighted
+    x's of its group's samples whose trailing index is c.
     """
-    ncols = int(max(cols_a.max(), cols_b.max())) + 1
-    a = sp.coo_matrix((vals_a, (rows_a, cols_a)), shape=(nrows, ncols)).tocsr()
-    b = sp.coo_matrix((vals_b, (rows_b, cols_b)), shape=(nrows, ncols)).tocsr()
     cross = (a @ b.T).toarray()
     return (cross + cross.T) / (2.0 * k * k)
 
@@ -510,26 +509,22 @@ def _stage_two_moment(stream, k2, groups, z1, p2):
     """Stage two's moment matrix from ``2 * k2`` fresh samples.
 
     Each sample's left block becomes ``r1`` stacked rows ``l * p2 + mid``,
-    scaled by the z1 row of its prefix.  The samples are dropped once the
-    block arrays are built, and the block arrays once the moment is formed.
+    scaled by the z1 row of its prefix.  A half's sample matrix is built one
+    rank slice ``l`` at a time and the slices stacked, so every row receives
+    its entries in sample order, as from one matrix of all the blocks.
     """
     yv, (pref, mid, cols) = _draw_keys(stream, 2 * k2, groups)
-    r1 = z1.shape[1]
-    block_rows = (np.arange(r1)[None, :] * p2 + mid[:, None]).ravel()
-    block_vals = (yv[:, None] * z1[pref]).ravel()
-    block_cols = np.repeat(cols, r1)
+    shape = (p2, int(cols.max()) + 1)
+
+    def half(s):
+        slices = [sp.csr_matrix((yv[s] * z1[pref[s], l], (mid[s], cols[s])), shape=shape)
+                  for l in range(z1.shape[1])]
+        return sp.vstack(slices, format="csr")
+
+    a = half(slice(None, k2))
+    b = half(slice(k2, None))
     del yv, pref, mid, cols
-    half = k2 * r1
-    return _pair_gram(
-        block_rows[:half],
-        block_vals[:half],
-        block_cols[:half],
-        block_rows[half:],
-        block_vals[half:],
-        block_cols[half:],
-        r1 * p2,
-        k2,
-    )
+    return _pair_gram(a, b, k2)
 
 
 def _stage_three_core(stream, k3, groups, z1, z2, p3):
@@ -581,8 +576,11 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     # Stage one: row space of the cut-m1 separation.
     yv, (rows, cols) = _draw_keys(stream, 2 * cfg.k1, ((0, m1), (m1, n)))
     k1 = cfg.k1
+    shape = (p1, int(cols.max()) + 1)
     n1 = _pair_gram(
-        rows[:k1], yv[:k1], cols[:k1], rows[k1:], yv[k1:], cols[k1:], p1, k1
+        sp.csr_matrix((yv[:k1], (rows[:k1], cols[:k1])), shape=shape),
+        sp.csr_matrix((yv[k1:], (rows[k1:], cols[k1:])), shape=shape),
+        k1,
     )
     del yv, rows, cols
     u = _top_subspace(n1, r1, "stage one")

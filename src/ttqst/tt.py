@@ -190,14 +190,16 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    idx : ndarray of shape (B, n)
-        Row ``b`` is one multi-index.
+    idx : ndarray of shape (B, n), of any integer dtype
+        Row ``b`` is one multi-index.  Each block is converted to ``intp``
+        on its own, so a compact batch is never copied whole.
     """
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = np.asarray(idx)
     total = idx.shape[0]
     out = np.empty(total)
     for lo in range(0, total, CHUNK_ROWS):
-        out[lo : lo + CHUNK_ROWS] = _chain_entries(t.cores, idx[lo : lo + CHUNK_ROWS])
+        block = np.asarray(idx[lo : lo + CHUNK_ROWS], dtype=np.intp)
+        out[lo : lo + CHUNK_ROWS] = _chain_entries(t.cores, block)
     return out
 
 

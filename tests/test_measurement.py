@@ -1,5 +1,7 @@
 """Measurement pipeline tests: exactness, shot-noise moments, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -138,30 +140,60 @@ def test_stream_determinism():
 
 @pytest.mark.parametrize("qudit", [False, True])
 def test_stream_matches_per_mode_draws(qudit):
-    """Consecutive batches, noise included, equal a draw of one call per mode."""
+    """Consecutive batches, noise included, equal a draw of one call per mode
+    and one noise call per batch, bit for bit.  One batch spans several
+    ``CHUNK_ROWS`` blocks, which the stream draws and evaluates block-wise."""
     if qudit:
-        target = tt.random_tt((9, 9, 9), (2, 2), np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        targets = [tt.random_tt(dims, (2, 2), rng) for dims in ((9, 9, 9), (9, 4, 16))]
         sources = [meas.ExactSource(), meas.GaussianSource(0.1)]
     else:
-        target = ghz_coeff(4)
+        targets = [ghz_coeff(4)]
         sources = [meas.ExactSource(), meas.ShotSource(50), meas.GaussianSource(0.1)]
-    for source in sources:
+    for target, source in itertools.product(targets, sources):
+        n = target.n
         for seed in (0, 7, 7919):
             stream = meas.make_stream(target, source, seed)
             rng = meas.make_rng(seed)
-            for size in (1, 20, 7, 50, 3):
+            for size in (1, 20, 7, 2 * tt.CHUNK_ROWS + 123, 50, 3):
                 idx, y = stream.draw_batch(size)
-                want = np.empty((size, target.n), dtype=np.int64)
+                want = np.empty((size, n), dtype=np.int64)
                 for k, m in enumerate(target.mode_dims):
                     want[:, k] = rng.integers(0, m, size=size)
                 e = tt.tt_entries(target, want)
                 if isinstance(source, meas.ShotSource):
-                    e = meas._shot_means(e, target.n, source.shots, rng)
+                    scale = 2.0 ** (n / 2.0)
+                    p = np.clip((1.0 + scale * e) / 2.0, 0.0, 1.0)
+                    e = (2.0 * rng.binomial(source.shots, p) / source.shots - 1.0) / scale
                 elif isinstance(source, meas.GaussianSource):
                     e = e + rng.normal(0.0, source.sigma, size=size)
-                assert idx.shape == (size, target.n) and idx.dtype == np.int64
+                assert idx.shape == (size, n) and idx.dtype == np.uint8
                 np.testing.assert_array_equal(idx, want)
-                np.testing.assert_array_equal(y, e)
+                assert y.tobytes() == e.tobytes()
+
+
+def test_index_dtype_is_smallest_that_holds_the_mode_size():
+    rng = np.random.default_rng(0)
+    for m, dtype in ((4, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)):
+        t = tt.random_tt((m, 4), (2,), rng)
+        idx, _ = meas.make_stream(t, meas.ExactSource(), seed=1).draw_batch(7)
+        assert idx.dtype == dtype
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_log_writes_the_largest_index_at_the_dtype_edge(tmp_path, m):
+    # ``idx + 1`` must not wrap: the largest index m - 1 is written as m.
+    t = tt.random_tt((m, 4), (2,), np.random.default_rng(m))
+    idx, y = meas.make_stream(t, meas.ExactSource(), seed=3).draw_batch(4000)
+    assert (idx[:, 0] == m - 1).any()
+    path = tmp_path / "log.csv"
+    meas.write_log(path, idx, y, None)
+    omegas = [int(line.split(",")[1]) for line in path.read_text().splitlines()[1:]]
+    assert max(omegas) == m and min(omegas) == 1
+    back_idx, back_y, _ = meas.read_log(path)
+    assert back_idx.dtype == np.int64
+    np.testing.assert_array_equal(back_idx, idx)
+    np.testing.assert_array_equal(back_y, y)
 
 
 def test_stream_uniform_indices():

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from test_manifold import project_all, tangent_to_tt
 from test_tt import dense_lambda_min, tt_relative_error
@@ -491,7 +492,8 @@ def test_pair_gram_exhaustive_limit():
     rows = np.ravel_multi_index(tuple(all_idx[:, :m1].T), dims[:m1], order="F")
     cols = np.ravel_multi_index(tuple(all_idx[:, m1:].T), dims[m1:], order="F")
     vals = scale * scale * tt.tt_entries(tstar, all_idx)
-    n1 = solvers._pair_gram(rows, vals, cols, rows, vals, cols, p1, all_idx.shape[0])
+    x = sp.csr_matrix((vals, (rows, cols)), shape=(p1, cols.max() + 1))
+    n1 = solvers._pair_gram(x, x, all_idx.shape[0])
     u = np.linalg.svd(n1)[0][:, :4]
     ud = np.linalg.svd(sep)[0][:, :4]
     angles = np.linalg.svd(u.T @ ud, compute_uv=False)
@@ -517,8 +519,11 @@ def test_stage_one_moment_unbiased_and_concentrating():
             yv = scale * scale * y
             rows = np.ravel_multi_index(tuple(idx[:, :m1].T), dims[:m1], order="F")
             cols = np.ravel_multi_index(tuple(idx[:, m1:].T), dims[m1:], order="F")
+            shape = (p1, cols.max() + 1)
             acc += solvers._pair_gram(
-                rows[:k], yv[:k], cols[:k], rows[k:], yv[k:], cols[k:], p1, k
+                sp.csr_matrix((yv[:k], (rows[:k], cols[:k])), shape=shape),
+                sp.csr_matrix((yv[k:], (rows[k:], cols[k:])), shape=shape),
+                k,
             )
         errs.append(np.linalg.norm(acc / reps - want, ord=2))
     assert errs[1] < errs[0]
@@ -572,6 +577,43 @@ def test_blocked_stage_three_bit_equal_to_one_shot(tail):
     assert got.tobytes() == (z3.T / k3).tobytes()
 
 
+@pytest.mark.parametrize("r1", [2, 3])
+def test_stage_two_moment_bit_equal_to_one_block_matrix(r1):
+    # Stage two builds each half's sample matrix one rank slice at a time;
+    # the moment must equal the one built from a single COO matrix of all
+    # the 2*k2*r1 block entries, bit for bit, repeated (mid, col) pairs
+    # included.
+    tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=5))
+    dims = tstar.mode_dims
+    groups = ((0, 2), (2, 4), (4, 6))
+    p2 = 16
+    z1 = np.random.default_rng(r1).standard_normal((16, r1))
+    k2 = 5000
+    source = meas.ShotSource(100)
+    got = solvers._stage_two_moment(meas.make_stream(tstar, source, seed=7), k2, groups, z1, p2)
+    stream = meas.make_stream(tstar, source, seed=7)
+    idx, y = stream.draw_batch(2 * k2)
+    yv = stream.scale * (stream.scale * y)
+    pref, mid, cols = (
+        np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) for lo, hi in groups
+    )
+    pairs = mid[:k2] * (cols.max() + 1) + cols[:k2]
+    assert np.unique(pairs).size < k2
+    block_rows = (np.arange(r1)[None, :] * p2 + mid[:, None]).ravel()
+    block_vals = (yv[:, None] * z1[pref]).ravel()
+    block_cols = np.repeat(cols, r1)
+    shape = (r1 * p2, cols.max() + 1)
+    half = k2 * r1
+    a = sp.coo_matrix(
+        (block_vals[:half], (block_rows[:half], block_cols[:half])), shape=shape
+    ).tocsr()
+    b = sp.coo_matrix(
+        (block_vals[half:], (block_rows[half:], block_cols[half:])), shape=shape
+    ).tocsr()
+    cross = (a @ b.T).toarray()
+    assert got.tobytes() == ((cross + cross.T) / (2.0 * k2 * k2)).tobytes()
+
+
 def _peak_mib(fn):
     """Peak traced memory of ``fn()`` above what was traced before it, in MiB.
 
@@ -594,19 +636,21 @@ def _peak_mib(fn):
 def test_sampling_and_spectral_init_memory_bounded():
     # n=6, k1=k2=k3=2e5, shot source.  One pass of the entry chain over the
     # 4e5 draws peaked at 95 MiB, and the initializer, with earlier stages'
-    # arrays alive during later draws, at 125 MiB; blocked, they peak at
-    # about 34 and 52 MiB.
+    # arrays alive during later draws, at 125 MiB.  Blocked, they peaked at
+    # 34 and 52 MiB, of which the draw's int64 indices were 18 MiB and stage
+    # two's 2*k2*r1 block arrays 12 MiB each.  With one-byte indices and
+    # stage two built one rank slice at a time, both peak at about 21 MiB.
     tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=1))
     rep = tt.coherence_report(tstar)
     k = 200_000
     cfg = solvers.InitConfig(k1=k, k2=k, k3=k, mu=rep.incoherence**2, nu=rep.spikiness)
     source = meas.ShotSource(4000)
     draw = _peak_mib(lambda: meas.make_stream(tstar, source, seed=5).draw_batch(2 * k))
-    assert draw <= 45
+    assert draw <= 30
     init = _peak_mib(
         lambda: solvers.spectral_init(meas.make_stream(tstar, source, seed=5), cfg, tstar.ranks)
     )
-    assert init <= 70
+    assert init <= 30
 
 
 def test_peak_mib_leaves_outer_tracing_on():
