@@ -11,8 +11,11 @@ With orthonormal right parts, projecting a sparse ambient tensor costs
 ``O(n d^2 r^2)`` per entry and needs no linear solve.
 
 The batched left and right chains of a projection step site by site with
-``tt._chain_rows``: one GEMM against all mode slices of a core, then a row
-select.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
+``tt._chain_rows``: one GEMM against all mode slices of a core, then a
+``take`` of the batch's flat rows ``b * m_k + idx[b, k]`` (``tt._flat_rows``),
+through which the one-hot scatter writes too.  Every 2-D product is
+``np.dot``, as in ``tt``: the same GEMM as ``@`` without the matmul ufunc's
+dispatch.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
 retracted by one sweep of the projector-splitting (KSL) integrator
 (``ksl_retract``): r-wide unchecked QRs, no rank-2r core and no SVD, and one
 finiteness check after the sweep.  ``retract`` is the trimmed truncation
@@ -129,13 +132,15 @@ class TangentGeometry:
         """Rows ``U^{<=k}[idx_1..idx_k, :]``, k = 0..n, each of shape (B, r_k).
 
         The last one, of shape (B, 1), holds the foot point's entries at idx.
+        ``idx`` is (B, n), of any integer dtype; an index outside its mode
+        raises ``TtError``.
         """
-        idx = np.asarray(idx, dtype=np.int64)
-        rows = np.arange(idx.shape[0])
+        idx = np.asarray(idx)
+        sel = tt._flat_rows(idx, self.base.mode_dims)
         cores = self.base.cores
-        lefts = [np.ones((idx.shape[0], 1)), cores[0][0, idx[:, 0]]]
+        lefts = [np.ones((idx.shape[0], 1)), cores[0][0].take(idx[:, 0], axis=0)]
         for k in range(1, self.base.n):
-            lefts.append(tt._chain_rows(lefts[k], cores[k], idx[:, k], rows))
+            lefts.append(tt._chain_rows(lefts[k], cores[k], sel[k]))
         return lefts
 
     def project_batch(self, idx: np.ndarray, values: np.ndarray, lefts=None) -> TangentVector:
@@ -145,32 +150,33 @@ class TangentGeometry:
         """
         base = self.base
         n = base.n
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        sel = tt._flat_rows(idx, base.mode_dims)
         values = np.asarray(values, dtype=np.float64)
         bsz = idx.shape[0]
         if lefts is None:
             lefts = self.left_chain(idx)
-        rows = np.arange(bsz)
         # right = values times the rows V^{>k}[:, idx_{k+1}..idx_n] of the
         # right parts, (B, r_k).
         right = values[:, None]
         vcores = [None] * n
         for k in range(n - 1, -1, -1):
             r0, m, r1 = base.cores[k].shape
-            # One GEMM scatters every rank-one term l_b (x) e_{idx_k[b]} (x) w_b.
-            onehot = np.zeros((bsz, m, r1))
-            onehot[rows, idx[:, k]] = right
-            xk = lefts[k].T @ onehot.reshape(bsz, m * r1)
+            # One GEMM scatters every rank-one term l_b (x) e_{idx_k[b]} (x) w_b;
+            # row b's terms land in its own m rows of the (B * m, r1) unfolding.
+            onehot = np.zeros((bsz * m, r1))
+            onehot[sel[k]] = right
+            xk = np.dot(lefts[k].T, onehot.reshape(bsz, m * r1))
             if k < n - 1:
                 # Gauge projection X -= L(U_k) (L(U_k)^T X) on C-order
                 # unfoldings, which are views: the projector is invariant
                 # under the same row permutation of U_k and X.
                 xk = xk.reshape(r0 * m, r1)
                 u = base.cores[k].reshape(r0 * m, r1)
-                xk = xk - u @ (u.T @ xk)
+                xk = xk - np.dot(u, np.dot(u.T, xk))
             vcores[k] = xk.reshape(r0, m, r1)
             if k:
-                right = tt._chain_rows(right, self._right_transposed[k], idx[:, k], rows)
+                right = tt._chain_rows(right, self._right_transposed[k], sel[k])
         return TangentVector(self, vcores)
 
 
@@ -236,11 +242,11 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     # right bond) is A's chains with X̂ after cut k, projected on V^{>k}.
     env = [None] * (n - 1)
     r0 = xhat[-1].shape[0]
-    env[-1] = xhat[-1].reshape(r0, -1) @ vcores[-1].reshape(r0, -1).T
+    env[-1] = np.dot(xhat[-1].reshape(r0, -1), vcores[-1].reshape(r0, -1).T)
     for k in range(n - 2, 0, -1):
         r0, _, r1 = ucores[k].shape
-        w = (ucores[k].reshape(-1, r1) @ env[k]).reshape(r0, -1) + xhat[k].reshape(r0, -1)
-        env[k - 1] = w @ vcores[k].reshape(r0, -1).T
+        w = np.dot(ucores[k].reshape(-1, r1), env[k]).reshape(r0, -1) + xhat[k].reshape(r0, -1)
+        env[k - 1] = np.dot(w, vcores[k].reshape(r0, -1).T)
     # Left sweep: p = Ũ^{<=k-1 T} U^{<=k-1}, and q is Ũ^{<=k-1 T} times A's
     # chains with X̂ before cut k, so K_k = (p U_k) env + p X̂_k + q V_k; at
     # the first core p = 1 and there is no q.  C-order unfoldings, as in the
@@ -253,20 +259,21 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     for k in range(n - 1):
         r0, m, r1 = ucores[k].shape
         if k:
-            pu = (p @ ucores[k].reshape(r0, -1)).reshape(-1, r1)
-            w = (p @ xhat[k].reshape(r0, -1) + q @ vcores[k].reshape(r0, -1)).reshape(-1, r1)
+            pu = np.dot(p, ucores[k].reshape(r0, -1)).reshape(-1, r1)
+            w = np.dot(p, xhat[k].reshape(r0, -1)) + np.dot(q, vcores[k].reshape(r0, -1))
+            w = w.reshape(-1, r1)
         else:
             pu = ucores[0].reshape(-1, r1)
             w = xhat[0].reshape(-1, r1)
-        kk = pu @ env[k] + w
+        kk = np.dot(pu, env[k]) + w
         u, r = tt._householder(kk)
         kks.append(kk)
         factors.append(r)
         out.append(u.reshape(-1, m, u.shape[1]))
-        p = u.T @ pu
-        q = u.T @ w
+        p = np.dot(u.T, pu)
+        q = np.dot(u.T, w)
     r0, m, _ = ucores[-1].shape
-    last = p @ xhat[-1].reshape(r0, m) + q @ vcores[-1].reshape(r0, m)
+    last = np.dot(p, xhat[-1].reshape(r0, m)) + np.dot(q, vcores[-1].reshape(r0, m))
     if not np.isfinite(np.concatenate([*kks, *factors, last], axis=None)).all():
         for k, (kk, r) in enumerate(zip(kks, factors)):
             if not np.isfinite(kk).all():

@@ -9,7 +9,7 @@ through ``project_all``, for a dense tensor.
 import numpy as np
 import pytest
 
-from test_tt import dense_oracle, left_part, tt_relative_error
+from test_tt import batch_with_repeats, dense_oracle, left_part, tt_relative_error
 from ttqst import manifold, tt
 
 
@@ -572,6 +572,50 @@ def test_chain_kernels_match_dense_oracle(case):
     proj, _ = dense_tangent_projector(base)
     want = proj @ sparse_dense(dims, idx, vals).reshape(-1, order="F")
     np.testing.assert_allclose(ambient(geom.project_batch(idx, vals)), want, atol=1e-9)
+
+
+RANGE_DIMS = (4, 9, 16, 4, 9)
+
+
+# An unsigned index cannot be negative; it can still run past its mode.
+RANGE_CASES = [(False, np.int64), (True, np.int64), (True, np.uint8), (True, np.uint16)]
+
+
+@pytest.mark.parametrize("past_end, dtype", RANGE_CASES)
+@pytest.mark.parametrize("site", [0, 2, 4])
+def test_out_of_range_index_raises_naming_its_site(site, past_end, dtype):
+    # A flat-row select would read an index of -1 or m_k from a neighbouring
+    # row's entry, so every chain entry point rejects it.
+    rng = np.random.default_rng(site)
+    base = left_orth_base(rng, RANGE_DIMS, (2, 3, 3, 2))
+    geom = manifold.TangentGeometry(base)
+    idx = rng.integers(0, RANGE_DIMS, size=(5, len(RANGE_DIMS))).astype(dtype)
+    idx[3, site] = RANGE_DIMS[site] if past_end else -1
+    calls = [
+        lambda: tt.tt_entries(base, idx),
+        lambda: geom.left_chain(idx),
+        lambda: geom.project_batch(idx, np.ones(5)),
+    ]
+    bad = RANGE_DIMS[site] if past_end else -1
+    for call in calls:
+        with pytest.raises(tt.TtError, match=rf"index {bad} at site {site} outside \[0, "):
+            call()
+    idx[3, site] = RANGE_DIMS[site] - 1
+    for call in calls:
+        call()
+
+
+def test_project_batch_of_repeated_rows_is_sum_of_single_rows():
+    dims = (9, 4, 16)
+    rng = np.random.default_rng(31)
+    geom = manifold.TangentGeometry(left_orth_base(rng, dims, (3, 4)))
+    idx = batch_with_repeats(rng, dims, 20, np.uint8)
+    vals = rng.standard_normal(20)
+    got = geom.project_batch(idx, vals).variation_cores
+    parts = [geom.project_batch(idx[b : b + 1], vals[b : b + 1]).variation_cores
+             for b in range(20)]
+    for k, core in enumerate(got):
+        np.testing.assert_allclose(core, sum(p[k] for p in parts), rtol=0, atol=1e-12)
 
 
 def test_ksl_retract_second_order_for_vector_built_from_geometry():

@@ -146,6 +146,51 @@ def test_blocked_tt_entries_bit_equal_to_one_pass_chain(order):
     assert tt.tt_entries(t, idx).tobytes() == v[:, 0].tobytes()
 
 
+def integer_tt(rng, dims, ranks):
+    """TT with small integer entries, so every product and sum of a chain is exact.
+
+    Exact arithmetic makes a bit-for-bit comparison with an einsum oracle
+    test the row selection alone, whatever order each side sums in.
+    """
+    rk = (1, *ranks, 1)
+    return tt.TtTensor(
+        [rng.integers(-3, 4, size=(rk[k], m, rk[k + 1])).astype(float) for k, m in enumerate(dims)]
+    )
+
+
+def einsum_chain_step(v, core, col):
+    """Oracle: row ``b`` is ``v[b] @ core[:, col[b], :]``, by einsum over the batch."""
+    return np.einsum("bi,bij->bj", v, core[:, col, :].transpose(1, 0, 2))
+
+
+def batch_with_repeats(rng, dims, rows, dtype):
+    """``rows`` multi-indices drawn from a pool of ``rows // 2`` distinct ones."""
+    pool = rng.integers(0, dims, size=(max(1, rows // 2), len(dims)))
+    return pool[rng.integers(0, pool.shape[0], size=rows)].astype(dtype)
+
+
+CHAIN_DIMS = {"mixed": ((9, 4, 16), (3, 4)), "qubits": ((4, 4, 4, 4, 4), (2, 4, 4, 2))}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+@pytest.mark.parametrize("rows", [1, 20, 2 * tt.CHUNK_ROWS + 123])
+@pytest.mark.parametrize("case", list(CHAIN_DIMS))
+def test_flat_row_chain_bit_equal_to_einsum_chain(case, rows, dtype):
+    dims, ranks = CHAIN_DIMS[case]
+    rng = np.random.default_rng(rows)
+    t = integer_tt(rng, dims, ranks)
+    idx = batch_with_repeats(rng, dims, rows, dtype)
+    sel = tt._flat_rows(idx, dims)
+    v = t.cores[0][0, idx[:, 0], :]
+    for k, core in enumerate(t.cores[1:], start=1):
+        # Each step from its own rows, so a wrong select cannot cancel out.
+        w = rng.integers(-3, 4, size=(rows, core.shape[0])).astype(float)
+        got = tt._chain_rows(w, core, sel[k])
+        assert got.tobytes() == einsum_chain_step(w, core, idx[:, k]).tobytes()
+        v = einsum_chain_step(v, core, idx[:, k])
+    assert tt.tt_entries(t, idx).tobytes() == v[:, 0].tobytes()
+
+
 def test_tt_dense_matches_entrywise():
     rng = np.random.default_rng(2)
     t = random_tt(rng)
