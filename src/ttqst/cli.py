@@ -182,8 +182,8 @@ def _measurement_source(plan):
         if "sigma" not in m:
             raise ConfigError("gaussian source needs 'sigma'")
         sigma = _plan_value(float, m["sigma"], "measurement.sigma")
-        if not sigma >= 0.0:
-            raise ConfigError(f"measurement.sigma must be nonnegative, got {sigma}")
+        if not 0 <= sigma < np.inf:
+            raise ConfigError(f"measurement.sigma must be finite and nonnegative, got {sigma}")
         return measurement.GaussianSource(sigma)
     raise ConfigError(f"unknown measurement source {kind!r}")
 
@@ -251,8 +251,8 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
     mode = init.get("mode", "perturbed_truth")
     if mode == "perturbed_truth":
         delta = _plan_value(float, init.get("delta", 0.1), "init.delta")
-        if delta < 0:
-            raise ConfigError("perturbed-truth delta must be nonnegative")
+        if not 0 <= delta < np.inf:
+            raise ConfigError(f"init.delta must be finite and nonnegative, got {delta}")
         rng = measurement.make_rng(rep_seed ^ _INIT_SALT)
         pert = tt.random_tt(target.mode_dims, ranks, rng, kind="gaussian")
         pert = tt.tt_scale(delta / tt.tt_norm(pert), pert)

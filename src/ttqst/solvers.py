@@ -125,16 +125,20 @@ class SolverConfig:
         self.ranks = tuple(int(r) for r in self.ranks)
         if self.eta is None and self.alpha is None:
             raise SolverError("one of eta / alpha must be set")
-        if self.eta is not None and self.eta < 0:
-            raise SolverError("eta must be nonnegative")
-        if self.alpha is not None and self.alpha < 0:
-            raise SolverError("alpha must be nonnegative")
+        for key in ("eta", "alpha"):
+            value = getattr(self, key)
+            if value is not None and not 0 <= value < np.inf:
+                raise SolverError(f"{key} must be finite and nonnegative, got {value}")
         if self.batch_size < 1:
             raise SolverError("batch size must be at least 1")
         if self.max_iters < 0:
             raise SolverError("max_iters must be nonnegative")
-        if self.trim_nu is not None and self.trim_nu <= 0:
-            raise SolverError("spikiness parameter must be positive when trimming")
+        if self.trim_nu is not None and not 0 < self.trim_nu < np.inf:
+            raise SolverError(f"trim_nu must be finite and positive, got {self.trim_nu}")
+        for key in ("epoch_decay", "stop_rel_error", "stop_move_tol"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):
+                raise SolverError(f"{key} must be finite, got {value}")
         if self.log_every < 1:
             raise SolverError("log_every must be at least 1")
 
@@ -162,6 +166,10 @@ class InitConfig:
     def __post_init__(self):
         if min(self.k1, self.k2, self.k3) < 1:
             raise SolverError("stage sample counts k1, k2, k3 must be at least 1")
+        for key in ("mu", "nu"):
+            value = getattr(self, key)
+            if not 0 < value < np.inf:
+                raise SolverError(f"{key} must be finite and positive, got {value}")
 
     def split(self, n: int):
         m1 = -(-n // 3)
@@ -496,61 +504,57 @@ def _draw_keys(stream: MeasurementStream, count: int, groups):
 
     Each moment term carries Y_k times a scaled indicator, i.e. a weight of
     ``scale * Y_k`` per factor, so the weight is ``scale^2 * y``.  Group
-    ``(lo, hi)`` keys modes ``lo..hi-1`` in C order.  The drawn indices are
-    dropped on return.
+    ``(lo, hi)`` keys modes ``lo..hi-1`` in C order, and an empty group keys
+    every sample 0 (a zero-stride view).  The drawn indices are dropped on return.
     """
     idx, y = stream.draw_batch(count)
     dims = stream.mode_dims
-    keys = [np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) for lo, hi in groups]
+    keys = [np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) if hi > lo
+            else np.broadcast_to(np.intp(0), (count,)) for lo, hi in groups]
     return stream.scale * (stream.scale * y), keys
 
 
-def _stage_two_moment(stream, k2, groups, z1, p2):
-    """Stage two's moment matrix from ``2 * k2`` fresh samples.
+def _sample_matrix(yv, pref, mid, cols, z, p, ncols):
+    """Sparse ``(r * p, ncols)`` matrix of the samples projected onto the r columns of ``z``.
 
-    Each sample's left block becomes ``r1`` stacked rows ``l * p2 + mid``,
-    scaled by the z1 row of its prefix.  A half's sample matrix is built one
-    rank slice ``l`` at a time and the slices stacked, so every row receives
-    its entries in sample order, as from one matrix of all the blocks.
+    Sample s puts ``yv[s] * z[pref[s], l]`` in row ``l * p + mid[s]``, column
+    ``cols[s]``.  The matrix is built one rank slice ``l`` at a time, so every
+    row receives its entries in sample order, as from one matrix of them all.
     """
-    yv, (pref, mid, cols) = _draw_keys(stream, 2 * k2, groups)
-    shape = (p2, int(cols.max()) + 1)
+    slices = [sp.csr_matrix((yv * z[pref, l], (mid, cols)), shape=(p, ncols))
+              for l in range(z.shape[1])]
+    return sp.vstack(slices, format="csr")
 
-    def half(s):
-        slices = [sp.csr_matrix((yv[s] * z1[pref[s], l], (mid[s], cols[s])), shape=shape)
-                  for l in range(z1.shape[1])]
-        return sp.vstack(slices, format="csr")
 
-    a = half(slice(None, k2))
-    b = half(slice(k2, None))
+def _stage_basis(stream, k, groups, z, p, r, mu, what):
+    """One stage's ``(r_prev * p, r)`` basis from ``2 * k`` fresh samples.
+
+    The samples are projected onto the previous stage's basis ``z``
+    (``r_prev`` columns, one row per prefix key) in two halves; the top-r
+    subspace of their cross moment is truncated to row norm
+    ``sqrt(mu * r / p)`` and its columns renormalized.
+    """
+    yv, (pref, mid, cols) = _draw_keys(stream, 2 * k, groups)
+    ncols = int(cols.max()) + 1
+    a = _sample_matrix(yv[:k], pref[:k], mid[:k], cols[:k], z, p, ncols)
+    b = _sample_matrix(yv[k:], pref[k:], mid[k:], cols[k:], z, p, ncols)
     del yv, pref, mid, cols
-    return _pair_gram(a, b, k2)
-
-
-def _stage_three_core(stream, k3, groups, z1, z2, p3):
-    """Stage three's last block core ``(r2, p3)`` as the average over ``k3`` fresh samples.
-
-    The samples are folded in over blocks of ``tt.CHUNK_ROWS`` rows, in
-    sample order, so the sums come out as in one pass.
-    """
-    yv, (pref, mid, cols) = _draw_keys(stream, k3, groups)
-    z3 = np.zeros((p3, z2.shape[2]))
-    for lo in range(0, k3, tt.CHUNK_ROWS):
-        rows = slice(lo, lo + tt.CHUNK_ROWS)
-        rowvecs = np.einsum("bl,blr->br", z1[pref[rows]], z2[:, mid[rows], :].transpose(1, 0, 2))
-        np.add.at(z3, cols[rows], yv[rows, None] * rowvecs)
-    return z3.T / k3
+    u = _top_subspace(_pair_gram(a, b, k), r, what)
+    return _renormalize_columns(_truncate_rows(u, np.sqrt(mu * r) / np.sqrt(p)), what)
 
 
 def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     """Warm start from sampled second moments of the coefficient tensor.
 
-    Stage one estimates the row space of the first-group separation from a
-    symmetrized cross product of two sample groups; stage two repeats for
-    the second cut inside the projected column space; stage three solves for
-    the last block core by sample averaging.  The assembled third-order
-    tensor is split into a chain, trimmed and retracted to the full target
-    ranks by ``manifold.retract``.  Returns ``(iterate, info)``.
+    Each stage projects fresh samples onto the previous stage's basis with
+    one sparse sample-matrix builder and takes the top subspace of the
+    symmetrized cross moment of two sample halves.  Stage one is the stage
+    with an empty prefix (basis ``[[1]]``), stage two repeats it for the
+    second cut, and the last block core is the first moment of stage three's
+    projected samples against stage two's basis.  One stage's samples are
+    held at a time.  The assembled third-order tensor is split into a chain,
+    trimmed and retracted to the full target ranks by ``manifold.retract``.
+    Returns ``(iterate, info)``.
     """
     n = stream.n
     dims = stream.mode_dims
@@ -573,39 +577,20 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
         raise InitError("stage-two projected moment matrix above the size cap")
     groups = ((0, m1), (m1, m1 + m2), (m1 + m2, n))
 
-    # Stage one: row space of the cut-m1 separation.
-    yv, (rows, cols) = _draw_keys(stream, 2 * cfg.k1, ((0, m1), (m1, n)))
-    k1 = cfg.k1
-    shape = (p1, int(cols.max()) + 1)
-    n1 = _pair_gram(
-        sp.csr_matrix((yv[:k1], (rows[:k1], cols[:k1])), shape=shape),
-        sp.csr_matrix((yv[k1:], (rows[k1:], cols[k1:])), shape=shape),
-        k1,
-    )
-    del yv, rows, cols
-    u = _top_subspace(n1, r1, "stage one")
-    z1 = _truncate_rows(u, np.sqrt(cfg.mu * r1) / np.sqrt(p1))
-    z1 = _renormalize_columns(z1, "stage one")
+    z1 = _stage_basis(stream, cfg.k1, ((0, 0), (0, m1), (m1, n)), np.ones((1, 1)),
+                      p1, r1, cfg.mu, "stage one")
+    lz2 = _stage_basis(stream, cfg.k2, groups, z1, p2, r2, cfg.mu, "stage two")
+    yv, (pref, mid, cols) = _draw_keys(stream, cfg.k3, groups)
+    z3 = (_sample_matrix(yv, pref, mid, cols, z1, p2, p3).T @ lz2).T / cfg.k3
+    del yv, pref, mid, cols
 
-    # Stage two: projected second cut.
-    n2 = _stage_two_moment(stream, cfg.k2, groups, z1, p2)
-    u = _top_subspace(n2, r2, "stage two")
-    lz2 = _truncate_rows(u, np.sqrt(cfg.mu * r2) / np.sqrt(p2))
-    lz2 = _renormalize_columns(lz2, "stage two")
-    z2 = lz2.reshape(r1, p2, r2)
-
-    # Stage three: last block core by sample averaging.
-    z3 = _stage_three_core(stream, cfg.k3, groups, z1, z2, p3)
-
-    zhat = TtTensor([z1.reshape(1, p1, r1), z2, z3.reshape(r2, p3, 1)])
-    chain = TtTensor(
-        _split_block_core(zhat.cores[0], dims[:m1])
-        + _split_block_core(zhat.cores[1], dims[m1 : m1 + m2])
-        + _split_block_core(zhat.cores[2], dims[m1 + m2 :])
-    )
+    zhat = TtTensor([z1.reshape(1, p1, r1), lz2.reshape(r1, p2, r2), z3.reshape(r2, p3, 1)])
+    chain = []
+    for core, (lo, hi) in zip(zhat.cores, groups):
+        chain += _split_block_core(core, dims[lo:hi])
     zhat_norm = tt.tt_norm(zhat)
     xi = manifold.trim_level(zhat_norm, zhat.size, cfg.nu)
-    out = manifold.retract(chain, ranks, xi)
+    out = manifold.retract(TtTensor(chain), ranks, xi)
     info = {"zhat_norm": zhat_norm, "trim_xi": xi,
             "trimmed": zhat.size <= tt.DENSE_CAP, "split": (m1, m2, m3)}
     return out, info

@@ -294,6 +294,38 @@ def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+_SPECTRAL = ["init.mode=spectral", "init.k1=100", "init.k2=100", "init.k3=100"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["solver.alpha=NaN"],
+        ["solver.eta=Infinity"],
+        ["solver.trim_nu=NaN"],
+        ["solver.epoch_decay=NaN"],
+        ["solver.stop_rel_error=NaN"],
+        ["solver.stop_move_tol=Infinity"],
+        ["init.delta=NaN"],
+        ["init.delta=Infinity"],
+        [*_SPECTRAL, "init.mu=NaN"],
+        [*_SPECTRAL, "init.nu=NaN"],
+        [*_SPECTRAL, "init.nu=-1"],
+        ["measurement.source=gaussian", "measurement.sigma=Infinity"],
+    ],
+    ids=lambda overrides: overrides[-1],
+)
+def test_non_finite_or_non_positive_settings_exit_config(tmp_path, capsys, overrides):
+    # Each would otherwise run and fail as a numerical error, or be ignored.
+    plan_path, _ = base_plan(tmp_path)
+    args = ["reconstruct", "--plan", str(plan_path)]
+    for item in overrides:
+        args += ["--set", item]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    key = overrides[-1].partition("=")[0].rpartition(".")[2]
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [-3, 2**64])
 @pytest.mark.parametrize("key", ["seed", "state.seed", "solver.shuffle_seed"])
 def test_seed_outside_philox_key_range_exits_config(tmp_path, capsys, key, value):

@@ -550,9 +550,10 @@ def test_spectral_init_accuracy():
 
 
 @pytest.mark.parametrize("tail", [1, 123])
-def test_blocked_stage_three_bit_equal_to_one_shot(tail):
-    # Stage three folds its samples in over blocks of CHUNK_ROWS rows; the
-    # last block core must equal one einsum and one np.add.at over them all.
+def test_stage_three_core_matches_per_sample_sum(tail):
+    # Stage three's last block core is the first moment of its sample matrix
+    # against stage two's basis; it must match one einsum and one np.add.at
+    # over the samples, which sum in another order.
     tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=5))
     dims = tstar.mode_dims
     groups = ((0, 2), (2, 4), (4, 6))
@@ -562,9 +563,9 @@ def test_blocked_stage_three_bit_equal_to_one_shot(tail):
     z2 = rng.standard_normal((r1, 16, r2))
     k3 = 2 * tt.CHUNK_ROWS + tail
     source = meas.ShotSource(100)
-    got = solvers._stage_three_core(
-        meas.make_stream(tstar, source, seed=6), k3, groups, z1, z2, 16
-    )
+    yv, (pref, mid, cols) = solvers._draw_keys(meas.make_stream(tstar, source, seed=6), k3, groups)
+    s = solvers._sample_matrix(yv, pref, mid, cols, z1, 16, 16)
+    got = (s.T @ z2.reshape(r1 * 16, r2)).T / k3
     stream = meas.make_stream(tstar, source, seed=6)
     idx, y = stream.draw_batch(k3)
     yv = stream.scale * (stream.scale * y)
@@ -574,36 +575,50 @@ def test_blocked_stage_three_bit_equal_to_one_shot(tail):
     rowvecs = np.einsum("bl,blr->br", z1[pref], z2[:, mid, :].transpose(1, 0, 2))
     z3 = np.zeros((16, r2))
     np.add.at(z3, cols, yv[:, None] * rowvecs)
-    assert got.tobytes() == (z3.T / k3).tobytes()
+    want = z3.T / k3
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("r1", [2, 3])
-def test_stage_two_moment_bit_equal_to_one_block_matrix(r1):
-    # Stage two builds each half's sample matrix one rank slice at a time;
-    # the moment must equal the one built from a single COO matrix of all
-    # the 2*k2*r1 block entries, bit for bit, repeated (mid, col) pairs
-    # included.
+@pytest.mark.parametrize("r_prev", [1, 2, 3])
+def test_stage_two_moment_bit_equal_to_one_block_matrix(r_prev):
+    # A stage builds each half's sample matrix one rank slice at a time; its
+    # moment must equal the one built from a single COO matrix of all the
+    # 2*k*r_prev block entries, bit for bit, repeated (mid, col) pairs
+    # included.  r_prev = 1 is the same stage run as stage one: an empty
+    # prefix and basis [[1]].
     tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=5))
     dims = tstar.mode_dims
-    groups = ((0, 2), (2, 4), (4, 6))
-    p2 = 16
-    z1 = np.random.default_rng(r1).standard_normal((16, r1))
-    k2 = 5000
+    if r_prev == 1:
+        groups, z = ((0, 0), (0, 2), (2, 6)), np.ones((1, 1))
+    else:
+        groups = ((0, 2), (2, 4), (4, 6))
+        z = np.random.default_rng(r_prev).standard_normal((16, r_prev))
+    p = 16
+    k = 5000
     source = meas.ShotSource(100)
-    got = solvers._stage_two_moment(meas.make_stream(tstar, source, seed=7), k2, groups, z1, p2)
     stream = meas.make_stream(tstar, source, seed=7)
-    idx, y = stream.draw_batch(2 * k2)
+    yv, (pref, mid, cols) = solvers._draw_keys(stream, 2 * k, groups)
+    ncols = int(cols.max()) + 1
+    got = solvers._pair_gram(
+        solvers._sample_matrix(yv[:k], pref[:k], mid[:k], cols[:k], z, p, ncols),
+        solvers._sample_matrix(yv[k:], pref[k:], mid[k:], cols[k:], z, p, ncols),
+        k,
+    )
+    stream = meas.make_stream(tstar, source, seed=7)
+    idx, y = stream.draw_batch(2 * k)
     yv = stream.scale * (stream.scale * y)
     pref, mid, cols = (
-        np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) for lo, hi in groups
+        np.ravel_multi_index(tuple(idx[:, lo:hi].T), dims[lo:hi]) if hi > lo
+        else np.zeros(2 * k, dtype=np.intp)
+        for lo, hi in groups
     )
-    pairs = mid[:k2] * (cols.max() + 1) + cols[:k2]
-    assert np.unique(pairs).size < k2
-    block_rows = (np.arange(r1)[None, :] * p2 + mid[:, None]).ravel()
-    block_vals = (yv[:, None] * z1[pref]).ravel()
-    block_cols = np.repeat(cols, r1)
-    shape = (r1 * p2, cols.max() + 1)
-    half = k2 * r1
+    pairs = mid[:k] * (cols.max() + 1) + cols[:k]
+    assert np.unique(pairs).size < k
+    block_rows = (np.arange(r_prev)[None, :] * p + mid[:, None]).ravel()
+    block_vals = (yv[:, None] * z[pref]).ravel()
+    block_cols = np.repeat(cols, r_prev)
+    shape = (r_prev * p, cols.max() + 1)
+    half = k * r_prev
     a = sp.coo_matrix(
         (block_vals[:half], (block_rows[:half], block_cols[:half])), shape=shape
     ).tocsr()
@@ -611,7 +626,7 @@ def test_stage_two_moment_bit_equal_to_one_block_matrix(r1):
         (block_vals[half:], (block_rows[half:], block_cols[half:])), shape=shape
     ).tocsr()
     cross = (a @ b.T).toarray()
-    assert got.tobytes() == ((cross + cross.T) / (2.0 * k2 * k2)).tobytes()
+    assert got.tobytes() == ((cross + cross.T) / (2.0 * k * k)).tobytes()
 
 
 def _peak_mib(fn):
@@ -694,6 +709,27 @@ def test_config_validation():
         solvers.SolverConfig(ranks=(2,), max_iters=-1, alpha=1e-3)
     cfg = solvers.SolverConfig(ranks=(2,), max_iters=1, alpha=2e-3, batch_size=10)
     assert abs(cfg.resolve_eta(4) - 2e-3 * 10 / 16) < 1e-18
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("eta", np.nan), ("eta", np.inf), ("alpha", np.nan), ("alpha", -1.0),
+     ("trim_nu", np.nan), ("trim_nu", 0.0), ("trim_nu", np.inf), ("trim_nu", -1.0),
+     ("epoch_decay", np.nan), ("stop_rel_error", np.nan), ("stop_move_tol", np.inf)],
+)
+def test_solver_config_rejects_non_finite_settings(key, value):
+    # Each check is a comparison that NaN fails.
+    settings = {"alpha": 1e-3, key: value}
+    with pytest.raises(solvers.SolverError, match=f"^{key} must be finite"):
+        solvers.SolverConfig(ranks=(2,), max_iters=1, **settings)
+
+
+@pytest.mark.parametrize("key", ["mu", "nu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_init_config_rejects_non_finite_or_non_positive(key, value):
+    settings = {"mu": 2.0, "nu": 2.0, key: value}
+    with pytest.raises(solvers.SolverError, match=f"^{key} must be finite and positive"):
+        solvers.InitConfig(k1=10, k2=10, k3=10, **settings)
 
 
 def test_divergent_online_run_raises_located_step_error():
