@@ -17,19 +17,22 @@ through which the one-hot scatter writes too.  Every 2-D product is
 ``np.dot``, as in ``tt``: the same GEMM as ``@`` without the matmul ufunc's
 dispatch.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
 retracted by one sweep of the projector-splitting (KSL) integrator
-(``ksl_retract``): r-wide unchecked QRs, no rank-2r core and no SVD, and one
-finiteness check after the sweep.  ``retract`` is the trimmed truncation
-``H_r(Trim_xi(.))`` of trimmed steps (``trimmed_retract``) and the spectral
-initializer.  When no entry exceeds ``xi`` the trim is the identity, and
-``retract`` truncates its TT input by the TT-path TTSVD, with no dense SVD;
-only a trim that clips takes the dense TTSVD.
+(``ksl_retract``): r-wide unchecked QRs that form only their ``q``, no
+rank-2r core and no SVD, and one finiteness check after the sweep.
+``retract`` is the trimmed truncation ``H_r(Trim_xi(.))`` of trimmed steps
+(``trimmed_retract``) and the spectral initializer.  When no entry exceeds
+``xi`` the trim is the identity, and ``retract`` truncates its TT input by
+the TT-path TTSVD, with no dense SVD; only a trim that clips takes the dense
+TTSVD.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from . import tt
 from .tt import TtTensor
@@ -37,6 +40,17 @@ from .tt import TtTensor
 # Rank-deficiency rejection threshold: smallest/largest separation singular
 # value below this ratio at any cut means the foot point is off-manifold.
 DEGENERATE_TOL = 1e-12
+
+# A cut factor is certified well conditioned, with no SVD, when a lower bound
+# on its sigma_r is at least CERT_MARGIN * DEGENERATE_TOL times its Frobenius
+# norm.  The margin absorbs the rounding of the triangular inverse (relative
+# error up to about kappa * r * eps, below 1e-3 for r <= 16 wherever a factor
+# is certified) and of the SVD's own values.  CERT_SLACK * r * eps * |R|_F bounds the strictly
+# lower part of a computed factor ``q.T @ a``, measured at most 0.6 r eps |R|_F
+# over graded test spectra; the slack covers its growth with the row count.
+CERT_MARGIN = 10.0
+CERT_SLACK = 256.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class ManifoldError(ValueError):
@@ -86,6 +100,25 @@ def _require_left_orthogonal(base: TtTensor):
             )
 
 
+def _certified(r: np.ndarray) -> bool:
+    """True when the r x r cut factor ``r`` provably passes the ``DEGENERATE_TOL`` test.
+
+    ``r`` is upper triangular up to rounding.  One LAPACK ``dtrtri`` gives
+    ``triu(r)^-1``, and with ``|r|_F >= sigma_1`` and
+    ``sigma_r >= 1 / |triu(r)^-1|_F - CERT_SLACK * r * eps * |r|_F`` a
+    factor whose bound reaches ``CERT_MARGIN * DEGENERATE_TOL * |r|_F`` is one
+    whose computed ratio ``sigma_r / sigma_1`` passes too.  False, which
+    only defers to the SVD, on a zero pivot, on a bound short of the margin,
+    or when a norm is not finite.
+    """
+    inv, info = lapack.dtrtri(r)
+    if info != 0:
+        return False
+    norm = blas.dnrm2(r.ravel())
+    bound = 1.0 / blas.dnrm2(inv.T.ravel()) - CERT_SLACK * r.shape[0] * _EPS * norm
+    return bool(bound >= CERT_MARGIN * DEGENERATE_TOL * norm)
+
+
 class TangentGeometry:
     """Mixed-canonical form of a foot point, for tangent projection.
 
@@ -94,25 +127,31 @@ class TangentGeometry:
     (``tt.right_qr_sweep``), so ``T = U^{<=k} R_k^T V^{>k}`` at every cut k
     and projection needs no solve.  Any rotation of the ``V_k`` would serve:
     projection and ``ksl_retract`` are gauge-invariant.  With ``U`` and ``V``
-    orthonormal, ``singular_values[k-1]``, those of the r x r factor ``R_k``,
-    are the separation singular values of cut k; sigma_r / sigma_1 below
+    orthonormal, the singular values of the r x r factor ``R_k`` are the
+    separation singular values of cut k; sigma_r / sigma_1 below
     ``DEGENERATE_TOL`` rejects the foot point as off-manifold, and so does a
-    rank r above the width of the right side, where ``R_k`` has fewer than r.
+    rank r above the width of the right side, where ``R_k`` has fewer than r
+    rows.  Each cut is first certified by ``_certified``, which takes no SVD;
+    only a cut it cannot certify takes the values-only SVD and its ratio
+    test.  ``singular_values[k-1]``, cut k's spectrum, is computed from the
+    factors the first time it is read.
     """
 
     def __init__(self, base: TtTensor):
         _require_left_orthogonal(base)
         self.base = base
-        right, factors = tt.right_qr_sweep(base.cores)
-        self.singular_values = [tt._svd(r, compute_uv=False) for r in factors]
+        right, self._factors = tt.right_qr_sweep(base.cores)
         for k in range(base.n - 1, 0, -1):
-            s = self.singular_values[k - 1]
-            if s.shape[0] < base.ranks[k - 1]:
+            r = self._factors[k - 1]
+            if r.shape[0] < base.ranks[k - 1]:
                 raise ManifoldError(
                     f"rank-deficient foot point: rank {base.ranks[k - 1]} at cut {k} "
-                    f"exceeds the bound {s.shape[0]} of the right side",
+                    f"exceeds the bound {r.shape[0]} of the right side",
                     cut=k,
                 )
+            if _certified(r):
+                continue
+            s = tt._svd(r, compute_uv=False)
             ratio = s[-1] / s[0] if s[0] > 0.0 else 0.0
             if not ratio >= DEGENERATE_TOL:
                 raise ManifoldError(
@@ -128,12 +167,19 @@ class TangentGeometry:
             np.ascontiguousarray(c.transpose(2, 1, 0)) for c in right[1:]
         ]
 
-    def left_chain(self, idx: np.ndarray) -> list:
-        """Rows ``U^{<=k}[idx_1..idx_k, :]``, k = 0..n, each of shape (B, r_k).
+    @functools.cached_property
+    def singular_values(self) -> list:
+        """Separation singular values of cuts 1..n-1, by values-only SVDs of the factors."""
+        return [tt._svd(r, compute_uv=False) for r in self._factors]
 
-        The last one, of shape (B, 1), holds the foot point's entries at idx.
-        ``idx`` is (B, n), of any integer dtype; an index outside its mode
-        raises ``TtError``.
+    def left_chain(self, idx: np.ndarray):
+        """``(sel, lefts)``: the batch's selector and its rows of the left parts.
+
+        ``sel`` is ``tt._flat_rows(idx, mode_dims)``, and ``lefts[k]`` holds
+        the rows ``U^{<=k}[idx_1..idx_k, :]``, k = 0..n, each of shape
+        (B, r_k).  The last one, of shape (B, 1), holds the foot point's
+        entries at idx.  ``idx`` is (B, n), of any integer dtype; an index
+        outside its mode raises ``TtError``.
         """
         idx = np.asarray(idx)
         sel = tt._flat_rows(idx, self.base.mode_dims)
@@ -141,21 +187,21 @@ class TangentGeometry:
         lefts = [np.ones((idx.shape[0], 1)), cores[0][0].take(idx[:, 0], axis=0)]
         for k in range(1, self.base.n):
             lefts.append(tt._chain_rows(lefts[k], cores[k], sel[k]))
-        return lefts
+        return sel, lefts
 
-    def project_batch(self, idx: np.ndarray, values: np.ndarray, lefts=None) -> TangentVector:
-        """Project ``sum_b values[b] * e_{idx[b]}``; ``lefts`` is ``left_chain(idx)``.
+    def project_batch(self, idx: np.ndarray, values: np.ndarray, chain=None) -> TangentVector:
+        """Project ``sum_b values[b] * e_{idx[b]}``; ``chain`` is ``left_chain(idx)``.
 
-        Repeated rows of ``idx`` add up, as in the sum.
+        The projection reads the batch through the chain's selector and rows;
+        without ``chain`` it runs ``left_chain`` itself, so a batch's
+        selector is built once either way.  Repeated rows of ``idx`` add up,
+        as in the sum.
         """
         base = self.base
         n = base.n
-        idx = np.asarray(idx)
-        sel = tt._flat_rows(idx, base.mode_dims)
+        sel, lefts = self.left_chain(idx) if chain is None else chain
         values = np.asarray(values, dtype=np.float64)
-        bsz = idx.shape[0]
-        if lefts is None:
-            lefts = self.left_chain(idx)
+        bsz = sel.shape[1]
         # right = values times the rows V^{>k}[:, idx_{k+1}..idx_n] of the
         # right parts, (B, r_k).
         right = values[:, None]
@@ -251,11 +297,11 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     # chains with X̂ before cut k, so K_k = (p U_k) env + p X̂_k + q V_k; at
     # the first core p = 1 and there is no q.  C-order unfoldings, as in the
     # TT-path TTSVD: QR is invariant under row permutations, and the C-order
-    # fold undoes the permutation.  Each K_k and its QR factor are kept for
-    # one finiteness check after the sweep; only a failed check scans them.
+    # fold undoes the permutation.  Only the QR's q is formed.  Each K_k and
+    # its new core are kept for one finiteness check after the sweep; only a
+    # failed check scans them.
     out = []
     kks = []
-    factors = []
     for k in range(n - 1):
         r0, m, r1 = ucores[k].shape
         if k:
@@ -266,19 +312,18 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
             pu = ucores[0].reshape(-1, r1)
             w = xhat[0].reshape(-1, r1)
         kk = np.dot(pu, env[k]) + w
-        u, r = tt._householder(kk)
+        u = tt._householder_q(kk)
         kks.append(kk)
-        factors.append(r)
         out.append(u.reshape(-1, m, u.shape[1]))
         p = np.dot(u.T, pu)
         q = np.dot(u.T, w)
     r0, m, _ = ucores[-1].shape
     last = np.dot(p, xhat[-1].reshape(r0, m)) + np.dot(q, vcores[-1].reshape(r0, m))
-    if not np.isfinite(np.concatenate([*kks, *factors, last], axis=None)).all():
-        for k, (kk, r) in enumerate(zip(kks, factors)):
+    if not np.isfinite(np.concatenate([*kks, *out, last], axis=None)).all():
+        for k, (kk, u) in enumerate(zip(kks, out)):
             if not np.isfinite(kk).all():
                 raise _non_finite(k)
-            if not np.isfinite(r).all():
+            if not np.isfinite(u).all():
                 # K_k is finite, so its QR overflowed.
                 raise tt._qr_error(finite_input=True)
         raise _non_finite(n - 1)

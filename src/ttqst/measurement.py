@@ -85,11 +85,14 @@ class MeasurementStream:
                     "shot source is defined for qubits only; use GaussianSource "
                     "for qudit targets"
                 )
-            if source.shots < 1:
-                raise MeasurementError("need at least one shot")
+            shots = source.shots
+            if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+                raise MeasurementError(f"shots must be an integer of at least 1, got {shots!r}")
         elif isinstance(source, GaussianSource):
-            if source.sigma < 0:
-                raise MeasurementError("sigma must be nonnegative")
+            if not 0 <= source.sigma < np.inf:
+                raise MeasurementError(
+                    f"sigma must be finite and nonnegative, got {source.sigma!r}"
+                )
         elif not isinstance(source, ExactSource):
             raise MeasurementError(f"unknown source {source!r}")
         self.target = t_star

@@ -234,26 +234,28 @@ class _IterateState:
 
     __slots__ = ("t", "geom", "scale", "iteration")
 
-    def __init__(self, t: TtTensor, iteration: int = 0):
+    def __init__(self, t: TtTensor, iteration: int = 0, scale: float | None = None):
         self.t = t
         self.geom = TangentGeometry(t)
-        self.scale = float(np.sqrt(t.size))
+        # sqrt of the entry count; a step keeps the mode sizes, so carries it.
+        self.scale = float(np.sqrt(t.size)) if scale is None else scale
         self.iteration = iteration
 
     def gradient(self, idx, y):
         """Projected gradient of the residuals on ``(idx, y)``, averaged over its rows.
 
         ``y`` holds raw observed values; the iterate's entries come off the
-        projection's own left chain.  Rows are projected ``tt.CHUNK_ROWS`` at
-        a time and the variation cores summed.
+        projection's own left chain, which also hands the projection its
+        flat-row selector.  Rows are projected ``tt.CHUNK_ROWS`` at a time and
+        the variation cores summed.
         """
         total = idx.shape[0]
         grad = None
         for lo in range(0, total, tt.CHUNK_ROWS):
             rows = slice(lo, lo + tt.CHUNK_ROWS)
-            lefts = self.geom.left_chain(idx[rows])
+            sel, lefts = self.geom.left_chain(idx[rows])
             values = (self.scale * lefts[-1][:, 0] - self.scale * y[rows]) * (self.scale / total)
-            part = self.geom.project_batch(idx[rows], values, lefts)
+            part = self.geom.project_batch(idx[rows], values, (sel, lefts))
             if grad is not None:
                 part.variation_cores = [
                     a + b for a, b in zip(grad.variation_cores, part.variation_cores)
@@ -286,7 +288,7 @@ class _IterateState:
                     it,
                     self.t,
                 )
-            return _IterateState(t, it)
+            return _IterateState(t, it, self.scale)
         except manifold.ManifoldError as exc:
             if exc.core is not None:
                 raise NonFiniteError(exc.core, it, self.t) from exc
@@ -316,7 +318,8 @@ class _TraceLogger:
         if self.c_psi is not None:
             fid = abs(tt.tt_inner(state.t, self.c_psi))
         wall = (time.perf_counter() - self.t0) * 1e3
-        # The geometry's sweep already holds every cut's separation spectrum.
+        # The geometry's sweep already holds every cut's factor, whose values
+        # are the cut's separation spectrum.
         lam = float(min(s[-1] for s in state.geom.singular_values))
         self.trace.append(state.iteration, samples, rel, fid, wall, lam)
         return rel

@@ -21,8 +21,13 @@ DENSE_CAP = 2**20
 PART_CAP = 2**22
 
 # Rows of a batch that one pass of a batched chain handles: bounds the memory
-# of evaluating or projecting arbitrarily many sampled entries.
+# of projecting arbitrarily many sampled entries, and groups a draw's numbers.
 CHUNK_ROWS = 65536
+
+# Bytes of the widest chain step's (rows, m * r) GEMM product in one block of
+# ``tt_entries``: the block's row count is derived from it, so evaluating any
+# batch holds a bounded transient whatever the mode sizes and ranks.
+ENTRY_BLOCK_BYTES = 2**20
 
 ORTHO_TOL = 1e-12
 
@@ -38,19 +43,30 @@ class TtError(ValueError):
     """Raised for invalid tensor-train inputs (shapes, ranks, indices)."""
 
 
-def _householder(a: np.ndarray):
-    """Thin QR ``a = q @ r`` by LAPACK ``dgeqrf`` + ``dorgqr``, with ``r = q.T @ a``.
+def _householder_q(a: np.ndarray) -> np.ndarray:
+    """The ``q`` of the thin QR of ``a`` by LAPACK ``dgeqrf`` + ``dorgqr``.
 
-    ``q`` has ``min(a.shape)`` orthonormal columns and ``r`` is upper
-    triangular up to rounding.  Raises ``LinAlgError`` on a LAPACK error.
-    Nothing checks finiteness here: ``dgeqrf`` passes NaN through silently,
-    so callers check ``r``, which picks it up from any non-finite entry.
+    ``q`` has ``min(a.shape)`` orthonormal columns.  ``dorgqr`` overwrites
+    ``dgeqrf``'s reflectors, a temporary, in place.  Raises ``LinAlgError``
+    on a LAPACK error.  Nothing checks finiteness here: ``dgeqrf`` passes
+    NaN through silently, and an overflow inside it turns ``q`` NaN.
     """
     qr, tau, _, info = lapack.dgeqrf(a)
     if info == 0:
-        q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau)
+        q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR failed (LAPACK info {info})")
+    return q
+
+
+def _householder(a: np.ndarray):
+    """Thin QR ``a = q @ r``: ``q`` by ``_householder_q``, and ``r = q.T @ a``.
+
+    ``r`` is upper triangular up to rounding.  Raises ``LinAlgError`` on a
+    LAPACK error.  Nothing checks finiteness here, so callers check ``r``,
+    which picks it up from any non-finite entry.
+    """
+    q = _householder_q(a)
     return q, np.dot(q.T, a)
 
 
@@ -169,21 +185,24 @@ def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
     (B * m_k, r) unfolding is row b's mode ``idx[b, k]``, so one ``take``
     selects a chain step's rows.  Built in place, in one ``intp`` array.
     A flat row would read an index outside ``[0, m_k)`` from a neighbouring
-    row, so such an index raises ``TtError`` naming its site; the check is
-    one reduction over the batch.
+    row, so such an index raises ``TtError`` naming its site.  The check is
+    one comparison of the batch against ``dims`` (and one against 0 for a
+    signed dtype); only a batch that fails it is scanned site by site.
     """
     if idx.ndim != 2 or idx.shape[1] != len(dims) or idx.dtype.kind not in "iu":
         raise TtError(f"need integer indices of shape (B, {len(dims)}), got {idx.dtype} "
                       f"{idx.shape}")
-    if idx.shape[0]:
+    width = np.array(dims, dtype=np.intp)
+    if (idx >= width).any() or (idx.dtype.kind == "i" and (idx < 0).any()):
         hi = idx.max(axis=0).tolist()
-        lo = idx.min(axis=0).tolist() if idx.dtype.kind == "i" else [0] * len(dims)
+        lo = idx.min(axis=0).tolist()
         for k, m in enumerate(dims):
             if lo[k] < 0 or hi[k] >= m:
                 i = lo[k] if lo[k] < 0 else hi[k]
                 raise TtError(f"index {i} at site {k} outside [0, {m})")
-    sel = np.multiply.outer(np.array(dims, dtype=np.intp), np.arange(idx.shape[0]))
-    sel += idx.T
+    sel = np.multiply.outer(width, np.arange(idx.shape[0]))
+    # Checked indices fit in intp, so even a uint64 batch adds in place.
+    np.add(sel, idx.T, out=sel, casting="unsafe")
     return sel
 
 
@@ -211,9 +230,10 @@ def _chain_entries(cores, idx: np.ndarray) -> np.ndarray:
 def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """Evaluate a batch of entries.
 
-    The chain runs over blocks of ``CHUNK_ROWS`` rows, so its transient
-    products stay bounded whatever the batch size; a row's value does not
-    depend on the block it falls in.
+    The chain runs over blocks of rows whose widest step product,
+    ``(rows, m_k * r_k)`` float64, fits in ``ENTRY_BLOCK_BYTES`` (8192 rows
+    at m=4, r=4), so its transient products stay bounded in bytes whatever
+    the batch size; a row's value does not depend on the block it falls in.
 
     Parameters
     ----------
@@ -225,9 +245,11 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """
     idx = np.asarray(idx)
     total = idx.shape[0]
+    width = max(c.shape[1] * c.shape[2] for c in t.cores)
+    block = max(1, ENTRY_BLOCK_BYTES // (8 * width))
     out = np.empty(total)
-    for lo in range(0, total, CHUNK_ROWS):
-        out[lo : lo + CHUNK_ROWS] = _chain_entries(t.cores, idx[lo : lo + CHUNK_ROWS])
+    for lo in range(0, total, block):
+        out[lo : lo + block] = _chain_entries(t.cores, idx[lo : lo + block])
     return out
 
 

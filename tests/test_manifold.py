@@ -209,6 +209,38 @@ def test_degenerate_interior_cut_named():
         manifold.TangentGeometry(base)
 
 
+def separated(c1, c2):
+    """A (4, 4, 4) tensor whose cut spectra are both ``(1, c1)`` and ``(1, c2)``, as TT."""
+    e = np.eye(4)
+    x = np.einsum("i,j,k->ijk", e[0], e[0], e[0]) + c1 * np.einsum("i,j,k->ijk", e[1], e[1], e[1])
+    x += c2 * np.einsum("i,j,k->ijk", e[2], e[2], e[2])
+    return tt.ttsvd(x / np.linalg.norm(x), (2, 2))
+
+
+@pytest.mark.parametrize("small, fails", [(5e-12, False), (5e-13, True)])
+def test_uncertified_cut_takes_the_svd_ratio_test(monkeypatch, small, fails):
+    # Cut spectra (1, small): below the certificate's margin, so each cut
+    # takes the values-only SVD, and only a ratio below DEGENERATE_TOL fails,
+    # with the SVD's ratio in its message.  Cut 2 is checked first.
+    base = separated(small, 0.0)
+    factors = tt.right_qr_sweep(base.cores)[1]
+    assert not any(manifold._certified(f) for f in factors)
+    calls = []
+    svd = tt._svd
+    monkeypatch.setattr(tt, "_svd", lambda a, *a2, **kw: calls.append(a.shape) or svd(a, *a2, **kw))
+    if not fails:
+        manifold.TangentGeometry(base)
+        assert calls == [(2, 2), (2, 2)]
+        return
+    s = svd(factors[1], compute_uv=False)
+    want = ("rank-deficient foot point: separation at cut 2 is singular "
+            f"(sigma_r/sigma_1 = {s[-1] / s[0]:.3g})")
+    with pytest.raises(manifold.ManifoldError) as e:
+        manifold.TangentGeometry(base)
+    assert str(e.value) == want and e.value.cut == 2
+    assert calls == [(2, 2)]
+
+
 def test_rank_above_right_side_bound_named():
     # Rank 16 at cut 2 of dims (4, 4, 4) exceeds the 4 columns of the right
     # side: the cut's factor has 4 singular values, and the error says so.
@@ -262,7 +294,7 @@ def test_foot_point_entries_from_left_chain():
     base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     geom = manifold.TangentGeometry(base)
     idx = rng.integers(0, 4, size=(9, 4))
-    got = geom.left_chain(idx)[-1][:, 0]
+    got = geom.left_chain(idx)[1][-1][:, 0]
     np.testing.assert_allclose(got, tt.tt_entries(base, idx), atol=1e-13)
 
 
@@ -494,9 +526,9 @@ def test_ksl_retract_names_non_finite_core():
 @pytest.mark.parametrize("site", [1, 2])
 def test_ksl_retract_names_interior_core_of_first_non_finite_k(monkeypatch, site):
     # A huge finite step at one interior core overflows that core's K_k
-    # while every earlier K_k and QR factor stays finite, as the spy's record
-    # shows.  The one check after the sweep names the core a check of each
-    # K_k would have named.
+    # while every earlier K_k and its q-only QR stay finite, as the spy's
+    # record shows.  The one check after the sweep names the core a check of
+    # each K_k would have named.
     rng = np.random.default_rng(3)
     base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     geom = manifold.TangentGeometry(base)
@@ -504,19 +536,19 @@ def test_ksl_retract_names_interior_core_of_first_non_finite_k(monkeypatch, site
     xcores[site] = rng.standard_normal(base.cores[site].shape)
     xcores[site] *= -0.9 * np.finfo(float).max / np.abs(xcores[site]).max()
     kernels = []
-    householder = tt._householder
+    householder_q = tt._householder_q
 
     def spy(a):
-        q, r = householder(a)
-        kernels.append((a, r))
-        return q, r
+        q = householder_q(a)
+        kernels.append((a, q))
+        return q
 
-    monkeypatch.setattr(tt, "_householder", spy)
+    monkeypatch.setattr(tt, "_householder_q", spy)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(manifold.ManifoldError, match=f"core {site}") as info:
             manifold.ksl_retract(manifold.TangentVector(geom, xcores), 1.0)
     assert info.value.core == site
-    assert all(np.isfinite(k).all() and np.isfinite(r).all() for k, r in kernels[:site])
+    assert all(np.isfinite(k).all() and np.isfinite(q).all() for k, q in kernels[:site])
     assert not np.isfinite(kernels[site][0]).all()
 
 
@@ -562,7 +594,8 @@ def test_chain_kernels_match_dense_oracle(case):
     entries = dense[tuple(idx.T)]
     np.testing.assert_allclose(tt.tt_entries(base, idx), entries, rtol=0, atol=1e-12)
     geom = manifold.TangentGeometry(base)
-    lefts = geom.left_chain(idx)
+    sel, lefts = geom.left_chain(idx)
+    np.testing.assert_array_equal(sel, tt._flat_rows(idx, dims))
     assert [l.shape for l in lefts] == [(idx.shape[0], r) for r in (1, *ranks, 1)]
     for k in range(1, base.n):
         rows = np.ravel_multi_index(tuple(idx[:, :k].T), dims[:k], order="F")
@@ -578,7 +611,9 @@ RANGE_DIMS = (4, 9, 16, 4, 9)
 
 
 # An unsigned index cannot be negative; it can still run past its mode.
-RANGE_CASES = [(False, np.int64), (True, np.int64), (True, np.uint8), (True, np.uint16)]
+RANGE_CASES = [
+    (False, np.int64), (True, np.int64), (True, np.uint8), (True, np.uint16), (True, np.uint64)
+]
 
 
 @pytest.mark.parametrize("past_end, dtype", RANGE_CASES)

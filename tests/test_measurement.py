@@ -235,6 +235,33 @@ def test_shot_source_rejects_qudits():
         meas.make_stream(t, meas.ShotSource(10), seed=0)
 
 
+@pytest.mark.parametrize(
+    "source, field",
+    [
+        (meas.ShotSource(2.5), "shots"),
+        (meas.ShotSource(4.0), "shots"),
+        (meas.ShotSource(True), "shots"),
+        (meas.ShotSource(np.nan), "shots"),
+        (meas.ShotSource(0), "shots"),
+        (meas.GaussianSource(np.nan), "sigma"),
+        (meas.GaussianSource(np.inf), "sigma"),
+        (meas.GaussianSource(-1.0), "sigma"),
+    ],
+    ids=repr,
+)
+def test_stream_rejects_bad_source_parameters(source, field):
+    # A fractional shot count would put the means off the +-1/M grid, and a
+    # non-finite sigma would hand the solver non-finite observations.
+    with pytest.raises(meas.MeasurementError, match=f"^{field} must be "):
+        meas.make_stream(ghz_coeff(3), source, seed=0)
+
+
+@pytest.mark.parametrize("source", [meas.ShotSource(np.int64(7)), meas.GaussianSource(0)])
+def test_stream_accepts_numpy_integer_shots_and_zero_sigma(source):
+    y = meas.make_stream(ghz_coeff(3), source, seed=0).draw_batch(5)[1]
+    assert np.isfinite(y).all()
+
+
 def test_log_round_trip(tmp_path):
     t = ghz_coeff(3)
     s = meas.make_stream(t, meas.ShotSource(50), seed=1)

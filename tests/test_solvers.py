@@ -1,6 +1,8 @@
 """Solver tests: fixed points, dense one-step oracle, RSGD semantics, init."""
 
+import collections
 import dataclasses
+import sys
 import tracemalloc
 import warnings
 
@@ -167,9 +169,9 @@ def test_orgd_run_converges_and_reports():
         assert tt.is_left_orthogonal(out.cores[k])
 
 
-def test_untrimmed_round_takes_no_vector_svd(monkeypatch):
-    # At the ising-n6 iterate ranks an untrimmed round's only SVDs are the
-    # values of the geometry's square cut factors.
+def test_well_conditioned_untrimmed_round_takes_no_svd(monkeypatch):
+    # At the ising-n6 iterate ranks every cut of a well-conditioned iterate
+    # is certified without an SVD, so an untrimmed round takes none.
     rng = np.random.default_rng(27)
     t = tt.left_orthogonalize(tt.random_tt((4,) * 6, (4, 16, 16, 16, 4), rng))
     t = tt.tt_scale(1.0 / tt.tt_norm(t), t)
@@ -183,9 +185,59 @@ def test_untrimmed_round_takes_no_vector_svd(monkeypatch):
         return svd(a, full_matrices, compute_uv)
 
     monkeypatch.setattr(tt, "_svd", spy)
+    new = state.step(idx, rng.standard_normal(20), 1e-3, None, t.ranks, np.inf)
+    assert calls == []
+    # Reading the spectrum, as a logged round does, takes the values-only SVDs.
+    assert len(new.geom.singular_values) == t.n - 1
+    assert calls == [((r, r), False) for r in t.ranks]
+
+
+def test_untrimmed_round_call_counts(monkeypatch):
+    # One untrimmed round at the online-n16 shapes, each kernel call counted
+    # by its caller: one flat-row selector for the one gradient block, n - 1
+    # q-only QRs in the retraction's sweep, whose q.T @ K_k is never formed,
+    # the new geometry's n - 1 QRs with their factors, and no SVD.
+    n = 16
+    rng = np.random.default_rng(28)
+    t = tt.left_orthogonalize(tt.random_tt((4,) * n, (4,) * (n - 1), rng))
+    t = tt.tt_scale(1.0 / tt.tt_norm(t), t)
+    state = solvers._IterateState(t)
+    idx = rng.integers(0, 4, size=(20, n), dtype=np.uint8)
+    calls = collections.Counter()
+
+    def count(name):
+        kernel = getattr(tt, name)
+
+        def spy(*args, **kwargs):
+            calls[name, sys._getframe(1).f_code.co_name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(tt, name, spy)
+
+    for name in ("_flat_rows", "_householder_q", "_householder", "_qr", "_svd"):
+        count(name)
     state.step(idx, rng.standard_normal(20), 1e-3, None, t.ranks, np.inf)
-    assert len(calls) == t.n - 1
-    assert all(not uv and rows == cols for (rows, cols), uv in calls)
+    assert calls == {
+        ("_flat_rows", "left_chain"): 1,
+        ("_householder_q", "ksl_retract"): n - 1,
+        ("_householder_q", "_householder"): n - 1,
+        ("_householder", "right_qr_sweep"): n - 1,
+    }
+
+
+@pytest.mark.parametrize("rows", [20, tt.CHUNK_ROWS + 5])
+def test_gradient_builds_one_selector_per_block(monkeypatch, rows):
+    # The left chain's selector is handed to the projection, so a gradient
+    # builds one per block of CHUNK_ROWS rows.
+    tstar = states.pure_state_coeff(states.random_mps(4, 2, 2, seed=9))
+    state = solvers._IterateState(warm_start(tstar, tstar.ranks, 0.3, 19))
+    idx = np.random.default_rng(19).integers(0, 4, size=(rows, 4), dtype=np.uint8)
+    y = tt.tt_entries(tstar, idx)
+    calls = []
+    flat_rows = tt._flat_rows
+    monkeypatch.setattr(tt, "_flat_rows", lambda i, d: calls.append(i.shape[0]) or flat_rows(i, d))
+    state.gradient(idx, y)
+    assert calls == [min(tt.CHUNK_ROWS, rows - lo) for lo in range(0, rows, tt.CHUNK_ROWS)]
 
 
 def test_trace_lambda_min_matches_separation_spectra():
@@ -654,14 +706,16 @@ def test_sampling_and_spectral_init_memory_bounded():
     # arrays alive during later draws, at 125 MiB.  Blocked, they peaked at
     # 34 and 52 MiB, of which the draw's int64 indices were 18 MiB and stage
     # two's 2*k2*r1 block arrays 12 MiB each.  With one-byte indices and
-    # stage two built one rank slice at a time, both peak at about 21 MiB.
+    # stage two built one rank slice at a time, both peaked at about 21 MiB.
+    # Entry blocks bounded in bytes, 8192 rows here, take the draw to 10 MiB,
+    # set by its shot blocks, and the initializer to stage two's 18 MiB.
     tstar = states.pure_state_coeff(states.random_mps(6, 2, 2, seed=1))
     rep = tt.coherence_report(tstar)
     k = 200_000
     cfg = solvers.InitConfig(k1=k, k2=k, k3=k, mu=rep.incoherence**2, nu=rep.spikiness)
     source = meas.ShotSource(4000)
     draw = _peak_mib(lambda: meas.make_stream(tstar, source, seed=5).draw_batch(2 * k))
-    assert draw <= 30
+    assert draw <= 12
     init = _peak_mib(
         lambda: solvers.spectral_init(meas.make_stream(tstar, source, seed=5), cfg, tstar.ranks)
     )

@@ -232,6 +232,73 @@ def test_geometry_spectra_match_svd_sweep(n, ranks):
         np.testing.assert_allclose(got, s, rtol=0, atol=1e-12 * s[0])
 
 
+@pytest.mark.parametrize(
+    "n, ranks", [(6, (4, 16, 16, 16, 4)), (16, (4,) * 15)], ids=["ising-n6", "online-n16"]
+)
+def test_lazy_singular_values_bit_equal_to_eager_list(monkeypatch, n, ranks):
+    # The spectra are computed on first read, by the values-only SVDs of the
+    # sweep's factors that an eager list would hold, and kept.
+    base = tt.left_orthogonalize(tt.random_tt((4,) * n, ranks, np.random.default_rng(n)))
+    calls = []
+    svd = tt._svd
+    monkeypatch.setattr(tt, "_svd", lambda a, *a2, **kw: calls.append(a.shape) or svd(a, *a2, **kw))
+    geom = manifold.TangentGeometry(base)
+    assert calls == []
+    got = geom.singular_values
+    assert geom.singular_values is got and calls == [(r, r) for r in ranks]
+    want = [svd(r, compute_uv=False) for r in tt.right_qr_sweep(base.cores)[1]]
+    assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(1, 16),
+    tall=st.integers(1, 4),
+    decades=st.floats(0.0, 15.0),
+    grading=st.sampled_from(["geometric", "one small", "random"]),
+    lower=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(r=16, tall=4, decades=11.0, grading="one small", lower=1.0, seed=0)
+@example(r=2, tall=1, decades=11.9, grading="geometric", lower=1.0, seed=1)
+@example(r=1, tall=1, decades=15.0, grading="one small", lower=0.0, seed=2)
+def test_certificate_never_certifies_what_the_svd_rejects(r, tall, decades, grading, lower, seed):
+    # Factors of graded spectra from 1 down to 10^-decades, by the QR of a
+    # tall matrix, plus a strictly lower part of up to r eps |R|_F: whatever
+    # the certificate certifies, the SVD's ratio test passes.
+    rng = np.random.default_rng(seed)
+    if grading == "geometric":
+        s = np.logspace(0.0, -decades, r)
+    elif grading == "one small":
+        s = np.ones(r)
+        s[-1] = 10.0**-decades
+    else:
+        s = 10.0 ** -(decades * np.sort(rng.uniform(size=r)))
+    u = np.linalg.qr(rng.standard_normal((tall * r, r)))[0]
+    v = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    f = tt._householder(np.dot(u * s, v.T))[1]
+    noise = np.tril(rng.uniform(-1.0, 1.0, size=(r, r)), -1)
+    noise *= lower * r * np.finfo(float).eps * np.linalg.norm(f) / max(np.linalg.norm(noise), 1.0)
+    f += noise
+    if manifold._certified(f):
+        got = tt._svd(f, compute_uv=False)
+        assert got[-1] / got[0] >= manifold.DEGENERATE_TOL
+
+
+@pytest.mark.parametrize("r", [2, 4, 16])
+def test_certificate_certifies_well_conditioned_factors(r):
+    # Not vacuous: a factor whose smallest singular value is 1e-10 of its
+    # others is certified, one at 1e-12 is not; a 1 x 1 factor unless zero.
+    assert manifold._certified(np.array([[1e-300]]))
+    rng = np.random.default_rng(r)
+    u = np.linalg.qr(rng.standard_normal((4 * r, r)))[0]
+    for small, want in ((1e-10, True), (1e-12, False)):
+        s = np.ones(r)
+        s[-1] = small
+        assert manifold._certified(tt._householder(u * s)[1]) is want
+    assert not manifold._certified(np.zeros((r, r)))
+
+
 def test_ttsvd_rejects_inf_input():
     # With vectors, dgesdd never returns on a matrix holding inf.
     x = np.random.default_rng(0).standard_normal((4, 4, 4))
