@@ -13,9 +13,11 @@ With orthonormal right parts, projecting a sparse ambient tensor costs
 The batched left and right chains of a projection step site by site with
 ``tt._chain_rows``: one GEMM against all mode slices of a core, then a
 ``take`` of the batch's flat rows ``b * m_k + idx[b, k]`` (``tt._flat_rows``),
-through which the one-hot scatter writes too.  Every 2-D product is
-``np.dot``, as in ``tt``: the same GEMM as ``@`` without the matmul ufunc's
-dispatch.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
+through which the one-hot scatter writes too.  Every 2-D product is the
+``ndarray.dot`` method, as in ``tt``: the same GEMM as ``np.dot`` and ``@``
+without their dispatch.  The geometry unfolds each core of the foot point
+once, and the projection, the left chain and the retraction read those
+unfoldings.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
 retracted by one sweep of the projector-splitting (KSL) integrator
 (``ksl_retract``): r-wide unchecked QRs that form only their ``q``, no
 rank-2r core and no SVD, and one finiteness check after the sweep.
@@ -29,6 +31,7 @@ TTSVD.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -161,11 +164,15 @@ class TangentGeometry:
                 )
         # right_cores = [U_1 R_1^T, V_2, ..., V_n] is the foot point right-orthogonalized.
         self.right_cores = tuple(right)
-        # V_k transposed to (r_k, m, r_{k-1}), so the right chain steps by
+        # The C-order unfoldings that every round reads, made once per foot
+        # point: U_k as (r0 * m, r1) rows and (r0, m * r1) columns, V_k as
+        # (r0, m * r1) columns, and V_k transposed to (r_k, m, r_{k-1}) and
+        # unfolded to (r_k, m * r_{k-1}), so the right chain steps by
         # tt._chain_rows as the left chain does.
-        self._right_transposed = [None] + [
-            np.ascontiguousarray(c.transpose(2, 1, 0)) for c in right[1:]
-        ]
+        self._urows = [c.reshape(-1, c.shape[2]) for c in base.cores]
+        self._ucols = [c.reshape(c.shape[0], -1) for c in base.cores]
+        self._vcols = [None] + [c.reshape(c.shape[0], -1) for c in right[1:]]
+        self._vtcols = [None] + [c.transpose(2, 1, 0).reshape(c.shape[2], -1) for c in right[1:]]
 
     @functools.cached_property
     def singular_values(self) -> list:
@@ -183,10 +190,9 @@ class TangentGeometry:
         """
         idx = np.asarray(idx)
         sel = tt._flat_rows(idx, self.base.mode_dims)
-        cores = self.base.cores
-        lefts = [np.ones((idx.shape[0], 1)), cores[0][0].take(idx[:, 0], axis=0)]
+        lefts = [np.ones((idx.shape[0], 1)), self._urows[0].take(idx[:, 0], axis=0)]
         for k in range(1, self.base.n):
-            lefts.append(tt._chain_rows(lefts[k], cores[k], sel[k]))
+            lefts.append(tt._chain_rows(lefts[k], self._ucols[k], self._urows[k].shape[1], sel[k]))
         return sel, lefts
 
     def project_batch(self, idx: np.ndarray, values: np.ndarray, chain=None) -> TangentVector:
@@ -212,17 +218,17 @@ class TangentGeometry:
             # row b's terms land in its own m rows of the (B * m, r1) unfolding.
             onehot = np.zeros((bsz * m, r1))
             onehot[sel[k]] = right
-            xk = np.dot(lefts[k].T, onehot.reshape(bsz, m * r1))
+            xk = lefts[k].T.dot(onehot.reshape(bsz, m * r1))
             if k < n - 1:
                 # Gauge projection X -= L(U_k) (L(U_k)^T X) on C-order
                 # unfoldings, which are views: the projector is invariant
                 # under the same row permutation of U_k and X.
                 xk = xk.reshape(r0 * m, r1)
-                u = base.cores[k].reshape(r0 * m, r1)
-                xk = xk - np.dot(u, np.dot(u.T, xk))
+                u = self._urows[k]
+                xk = xk - u.dot(u.T.dot(xk))
             vcores[k] = xk.reshape(r0, m, r1)
             if k:
-                right = tt._chain_rows(right, self._right_transposed[k], sel[k])
+                right = tt._chain_rows(right, self._vtcols[k], r0, sel[k])
         return TangentVector(self, vcores)
 
 
@@ -279,20 +285,20 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     once, after the sweep; the error names what a check of each ``K_k`` in
     turn would name.
     """
-    ucores = v.geom.base.cores
-    vcores = v.geom.right_cores
+    geom = v.geom
+    ucores, urows, ucols, vcols = geom.base.cores, geom._urows, geom._ucols, geom._vcols
     n = len(ucores)
     xhat = _step_cores(v, eta)
     require_finite(xhat)
+    # Each step core unfolded once, to (r0, m * r1): both sweeps read it.
+    xcols = [c.reshape(c.shape[0], -1) for c in xhat]
     # Right sweep: env[k] = <U_{k+1} env[k+1] + X̂_{k+1}, V_{k+1}> over (mode,
     # right bond) is A's chains with X̂ after cut k, projected on V^{>k}.
     env = [None] * (n - 1)
-    r0 = xhat[-1].shape[0]
-    env[-1] = np.dot(xhat[-1].reshape(r0, -1), vcores[-1].reshape(r0, -1).T)
+    env[-1] = xcols[-1].dot(vcols[-1].T)
     for k in range(n - 2, 0, -1):
-        r0, _, r1 = ucores[k].shape
-        w = np.dot(ucores[k].reshape(-1, r1), env[k]).reshape(r0, -1) + xhat[k].reshape(r0, -1)
-        env[k - 1] = np.dot(w, vcores[k].reshape(r0, -1).T)
+        w = urows[k].dot(env[k]).reshape(xcols[k].shape) + xcols[k]
+        env[k - 1] = w.dot(vcols[k].T)
     # Left sweep: p = Ũ^{<=k-1 T} U^{<=k-1}, and q is Ũ^{<=k-1 T} times A's
     # chains with X̂ before cut k, so K_k = (p U_k) env + p X̂_k + q V_k; at
     # the first core p = 1 and there is no q.  C-order unfoldings, as in the
@@ -305,20 +311,20 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     for k in range(n - 1):
         r0, m, r1 = ucores[k].shape
         if k:
-            pu = np.dot(p, ucores[k].reshape(r0, -1)).reshape(-1, r1)
-            w = np.dot(p, xhat[k].reshape(r0, -1)) + np.dot(q, vcores[k].reshape(r0, -1))
-            w = w.reshape(-1, r1)
+            pu = p.dot(ucols[k]).reshape(-1, r1)
+            w = (p.dot(xcols[k]) + q.dot(vcols[k])).reshape(-1, r1)
         else:
-            pu = ucores[0].reshape(-1, r1)
-            w = xhat[0].reshape(-1, r1)
-        kk = np.dot(pu, env[k]) + w
+            pu = urows[0]
+            w = xcols[0].reshape(-1, r1)
+        kk = pu.dot(env[k]) + w
         u = tt._householder_q(kk)
         kks.append(kk)
         out.append(u.reshape(-1, m, u.shape[1]))
-        p = np.dot(u.T, pu)
-        q = np.dot(u.T, w)
-    r0, m, _ = ucores[-1].shape
-    last = np.dot(p, xhat[-1].reshape(r0, m)) + np.dot(q, vcores[-1].reshape(r0, m))
+        ut = u.T
+        p = ut.dot(pu)
+        q = ut.dot(w)
+    m = ucores[-1].shape[1]
+    last = p.dot(xcols[-1]) + q.dot(vcols[-1])
     if not np.isfinite(np.concatenate([*kks, *out, last], axis=None)).all():
         for k, (kk, u) in enumerate(zip(kks, out)):
             if not np.isfinite(kk).all():
@@ -337,7 +343,7 @@ def trim_level(norm: float, size: int, nu: float) -> float:
     ``norm`` is the Frobenius norm of the tensor to trim and ``size`` its
     entry count.
     """
-    return (10.0 * norm / (9.0 * float(np.sqrt(size)))) * nu
+    return (10.0 * norm / (9.0 * math.sqrt(size))) * nu
 
 
 def retract(z: TtTensor, ranks, xi: float) -> TtTensor:

@@ -15,6 +15,7 @@ from (seed, order).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class MeasurementStream:
         self.rng = make_rng(seed)
         self.n = t_star.n
         self.mode_dims = t_star.mode_dims
-        self.scale = float(np.sqrt(t_star.size))  # d^n for d^2-sized modes
+        self.scale = math.sqrt(t_star.size)  # d^n for d^2-sized modes
         self.consumed = 0
         # Index bounds: one per mode, or one scalar when all modes are equal,
         # which numpy draws in half the time and to the same numbers.

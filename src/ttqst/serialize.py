@@ -14,6 +14,8 @@ TTC1 (complex chain)
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mpo import Mpo, Mps
@@ -125,7 +127,7 @@ def read_ttc1(path):
                 shape = (bonds[k], d, bonds[k + 1])
             else:
                 shape = (bonds[k], d, d, bonds[k + 1])
-            cnt = int(np.prod(shape))
+            cnt = math.prod(shape)
             cores.append(_read_complex(fh, cnt).reshape(shape, order="F"))
         if fh.read(1):
             raise SerializationError("trailing bytes")

@@ -14,6 +14,7 @@ passes ``DIVERGED_FACTOR`` times that of its start has diverged.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,12 @@ from .tt import TtTensor
 
 # Rounds between the iterate snapshots that the ``stop_move_tol`` rule compares.
 STOP_MOVE_WINDOW = 50
+
+# Bytes that one block of a gradient holds: per row its selector, its rows of
+# every left part and, while a site is projected, the widest (rows, m * r)
+# chain product and the (rows * m, r) one-hot.  The block's row count is
+# derived from it, so a gradient over any dataset holds a bounded transient.
+GRADIENT_BLOCK_BYTES = 2**23
 
 # A run has diverged once its iterate's norm exceeds this factor times
 # max(1, norm of the start).  A density operator's coefficient tensor has
@@ -232,13 +239,20 @@ class RunTrace:
 class _IterateState:
     """Left-orthogonal iterate after ``iteration`` steps, plus its tangent geometry."""
 
-    __slots__ = ("t", "geom", "scale", "iteration")
+    __slots__ = ("t", "geom", "scale", "block", "iteration")
 
-    def __init__(self, t: TtTensor, iteration: int = 0, scale: float | None = None):
+    def __init__(self, t: TtTensor, iteration: int = 0, prev: _IterateState | None = None):
         self.t = t
         self.geom = TangentGeometry(t)
-        # sqrt of the entry count; a step keeps the mode sizes, so carries it.
-        self.scale = float(np.sqrt(t.size)) if scale is None else scale
+        # sqrt of the entry count, and the rows of a gradient block.  A step
+        # keeps the mode sizes and ranks, so the next state carries both.
+        if prev is None:
+            self.scale = math.sqrt(t.size)
+            widest = max(c.shape[1] * max(c.shape[0], c.shape[2]) for c in t.cores)
+            per_row = 8 * (t.n + sum(t.ranks) + 2 + 2 * widest)
+            self.block = max(1, GRADIENT_BLOCK_BYTES // per_row)
+        else:
+            self.scale, self.block = prev.scale, prev.block
         self.iteration = iteration
 
     def gradient(self, idx, y):
@@ -246,13 +260,14 @@ class _IterateState:
 
         ``y`` holds raw observed values; the iterate's entries come off the
         projection's own left chain, which also hands the projection its
-        flat-row selector.  Rows are projected ``tt.CHUNK_ROWS`` at a time and
-        the variation cores summed.
+        flat-row selector.  Rows are projected ``block`` at a time, so the
+        transient stays near ``GRADIENT_BLOCK_BYTES``, and the blocks'
+        variation cores are summed.
         """
         total = idx.shape[0]
         grad = None
-        for lo in range(0, total, tt.CHUNK_ROWS):
-            rows = slice(lo, lo + tt.CHUNK_ROWS)
+        for lo in range(0, total, self.block):
+            rows = slice(lo, lo + self.block)
             sel, lefts = self.geom.left_chain(idx[rows])
             values = (self.scale * lefts[-1][:, 0] - self.scale * y[rows]) * (self.scale / total)
             part = self.geom.project_batch(idx[rows], values, (sel, lefts))
@@ -288,7 +303,7 @@ class _IterateState:
                     it,
                     self.t,
                 )
-            return _IterateState(t, it, self.scale)
+            return _IterateState(t, it, self)
         except manifold.ManifoldError as exc:
             if exc.core is not None:
                 raise NonFiniteError(exc.core, it, self.t) from exc
@@ -567,9 +582,9 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     m1, m2, m3 = cfg.split(n)
     if m3 < 1:
         raise InitError("mode count too small for a three-way split")
-    p1 = int(np.prod(dims[:m1]))
-    p2 = int(np.prod(dims[m1 : m1 + m2]))
-    p3 = int(np.prod(dims[m1 + m2 :]))
+    p1 = math.prod(dims[:m1])
+    p2 = math.prod(dims[m1 : m1 + m2])
+    p3 = math.prod(dims[m1 + m2 :])
     if p1 * p1 > tt.DENSE_CAP:
         raise InitError(
             f"stage-one moment matrix needs {p1}^2 entries, above the dense cap"

@@ -5,12 +5,16 @@ Cores unfold in C order (last index fastest), on views: core ``A`` of shape
 ``(r0, m, r1)`` unfolds to ``A.reshape(r0 * m, r1)`` or ``A.reshape(r0, m * r1)``,
 and a dense tensor is the C-order array ``X[i_1, ..., i_n]``.  The other
 modules follow the same order; Fortran order remains only in the TTR1/TTC1
-byte layout of ``serialize``.  Every 2-D product is ``np.dot``: for float64
-matrices it runs the same GEMM as ``@``, to the same bytes, without the
-matmul ufunc's dispatch, about 0.25 us a call.
+byte layout of ``serialize``.  Every 2-D product is the ``ndarray.dot``
+method: for float64 matrices it runs the same GEMM as ``np.dot`` and ``@``,
+to the same bytes, without ``np.dot``'s ``__array_function__`` dispatch
+(about 0.12 us a call) or the matmul ufunc's (about 0.25 us).  Sizes are
+Python integers (``math.prod``), exact past 2^63 entries.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import lapack
@@ -20,8 +24,8 @@ from scipy.linalg import lapack
 DENSE_CAP = 2**20
 PART_CAP = 2**22
 
-# Rows of a batch that one pass of a batched chain handles: bounds the memory
-# of projecting arbitrarily many sampled entries, and groups a draw's numbers.
+# Rows of a draw handled at a time: groups its random numbers and bounds its
+# noise blocks.
 CHUNK_ROWS = 65536
 
 # Bytes of the widest chain step's (rows, m * r) GEMM product in one block of
@@ -67,7 +71,7 @@ def _householder(a: np.ndarray):
     which picks it up from any non-finite entry.
     """
     q = _householder_q(a)
-    return q, np.dot(q.T, a)
+    return q, q.T.dot(a)
 
 
 def _qr_error(finite_input: bool) -> np.linalg.LinAlgError:
@@ -172,7 +176,7 @@ class TtTensor:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.mode_dims))
+        return math.prod(self.mode_dims)
 
     def __repr__(self):
         return f"TtTensor(dims={self.mode_dims}, ranks={self.ranks})"
@@ -206,24 +210,27 @@ def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
     return sel
 
 
-def _chain_rows(v: np.ndarray, core: np.ndarray, sel: np.ndarray) -> np.ndarray:
+def _chain_rows(v: np.ndarray, mat: np.ndarray, r1: int, sel: np.ndarray) -> np.ndarray:
     """One step of a batched chain: row ``b`` is ``v[b] @ core[:, idx[b, k], :]``.
 
-    ``v`` is ``(B, r0)``, ``core`` is ``(r0, m, r1)`` and ``sel`` is row k of
-    ``_flat_rows(idx, dims)``.  One GEMM against every mode slice, then a
-    flat-row ``take``: at core-sized ranks this is cheaper than gathering B
-    slices and running B one-row products, or than a two-array index.
+    ``v`` is ``(B, r0)``, ``mat`` is the core's ``(r0, m * r1)`` unfolding
+    and ``sel`` is row k of ``_flat_rows(idx, dims)``.  One GEMM against
+    every mode slice, then a flat-row ``take``: at core-sized ranks this is
+    cheaper than gathering B slices and running B one-row products, or than
+    a two-array index.  It takes the unfolding, not the core, so the
+    geometry's chains step on the unfoldings it keeps.
     """
-    r0, m, r1 = core.shape
-    return np.dot(v, core.reshape(r0, m * r1)).reshape(-1, r1).take(sel, axis=0)
+    return v.dot(mat).reshape(-1, r1).take(sel, axis=0)
 
 
-def _chain_entries(cores, idx: np.ndarray) -> np.ndarray:
-    """Entries at the rows of ``idx`` by one pass of the batched chain."""
-    sel = _flat_rows(idx, [c.shape[1] for c in cores])
+def _chain_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
+    """Entries of ``t`` at the rows of ``idx`` by one pass of the batched chain."""
+    sel = _flat_rows(idx, t.mode_dims)
+    cores = t.cores
     v = cores[0][0].take(idx[:, 0], axis=0)  # (B, r1)
     for k in range(1, len(cores)):
-        v = _chain_rows(v, cores[k], sel[k])
+        r0, _, r1 = cores[k].shape
+        v = _chain_rows(v, cores[k].reshape(r0, -1), r1, sel[k])
     return v[:, 0]
 
 
@@ -249,7 +256,7 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     block = max(1, ENTRY_BLOCK_BYTES // (8 * width))
     out = np.empty(total)
     for lo in range(0, total, block):
-        out[lo : lo + block] = _chain_entries(t.cores, idx[lo : lo + block])
+        out[lo : lo + block] = _chain_entries(t, idx[lo : lo + block])
     return out
 
 
@@ -264,7 +271,7 @@ def _left_parts(cores):
     yield x
     for core in cores[1:]:
         r0, m, r1 = core.shape
-        x = np.dot(x, core.reshape(r0, m * r1)).reshape(-1, r1)
+        x = x.dot(core.reshape(r0, m * r1)).reshape(-1, r1)
         yield x
 
 
@@ -283,8 +290,8 @@ def tt_inner(a: TtTensor, b: TtTensor) -> float:
         raise TtError(f"mode dims differ: {a.mode_dims} vs {b.mode_dims}")
     env = np.ones((1, 1))
     for ca, cb in zip(a.cores, b.cores):
-        half = np.dot(env.T, ca.reshape(ca.shape[0], -1))  # (rb, m * rc)
-        env = np.dot(half.reshape(-1, ca.shape[2]).T, cb.reshape(-1, cb.shape[2]))
+        half = env.T.dot(ca.reshape(ca.shape[0], -1))  # (rb, m * rc)
+        env = half.reshape(-1, ca.shape[2]).T.dot(cb.reshape(-1, cb.shape[2]))
     return float(env[0, 0])
 
 
@@ -358,7 +365,7 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
         factors.append(r)
         cores[k] = q.reshape(r0, m, -1)
         nxt = cores[k + 1]
-        cores[k + 1] = np.dot(r, nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
+        cores[k + 1] = r.dot(nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     if not np.isfinite(np.concatenate([cores[-1], *factors], axis=None)).all():
         raise _qr_error(bool(np.isfinite(np.concatenate(t.cores, axis=None)).all()))
     return TtTensor(cores, [LEFT] * (t.n - 1) + [UNKNOWN])
@@ -366,7 +373,7 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
 
 def is_left_orthogonal(core: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     l = core.reshape(-1, core.shape[2])
-    g = np.dot(l.T, l)
+    g = l.T.dot(l)
     return bool(np.max(np.abs(g - np.eye(g.shape[0]))) <= tol)
 
 
@@ -395,7 +402,7 @@ def right_qr_sweep(cores):
         factors[k - 1] = r
         right[k] = q.T.reshape(-1, m, r1)
         prev = right[k - 1]
-        right[k - 1] = np.dot(prev.reshape(-1, prev.shape[2]), r.T).reshape(prev.shape[:2] + (-1,))
+        right[k - 1] = prev.reshape(-1, prev.shape[2]).dot(r.T).reshape(prev.shape[:2] + (-1,))
     if not np.isfinite(np.concatenate([right[0], *factors], axis=None)).all():
         raise _qr_error(bool(np.isfinite(np.concatenate(cores, axis=None)).all()))
     return right, factors
@@ -405,7 +412,7 @@ def _check_ranks_feasible(dims, ranks):
     if len(ranks) != len(dims) - 1:
         raise TtError(f"need {len(dims) - 1} ranks, got {len(ranks)}")
     prev = 1
-    right = int(np.prod(dims))
+    right = math.prod(dims)
     for k, r in enumerate(ranks):
         right //= dims[k]
         if r < 1:
@@ -430,7 +437,9 @@ def _truncate_factor(mat: np.ndarray, r: int):
     """
     width = min(mat.shape)
     u, s, vh = _svd(mat, full_matrices=r > width)
-    s[s < RANK_TOL * s[0]] = 0.0
+    # s is descending: only a smallest value below the floor needs the mask.
+    if s[-1] < RANK_TOL * s[0]:
+        s[s < RANK_TOL * s[0]] = 0.0
     if r <= width:
         return u[:, :r], s[:r, None] * vh[:r]
     c = np.zeros((r, mat.shape[1]))
@@ -475,7 +484,7 @@ def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
         u, c = _truncate_factor(cur.reshape(r0 * m, -1), ranks[k])
         out.append(u.reshape(r0, m, -1))
         nxt = cores[k + 1]
-        cur = np.dot(c, nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
+        cur = c.dot(nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     out.append(cur)
     return TtTensor(out, [LEFT] * (n - 1) + [UNKNOWN])
 
@@ -558,7 +567,7 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
         tl = _ttsvd_tt(t, ranks)
         right = right_qr_sweep(tl.cores)[0]
     total = t.size
-    dl = [int(np.prod(t.mode_dims[:k])) for k in range(1, t.n)]
+    dl = [math.prod(t.mode_dims[:k]) for k in range(1, t.n)]
     dr = [total // a for a in dl]
     within = [max(a, b) * r <= PART_CAP for a, b, r in zip(dl, dr, ranks)]
     # Row norms of the orthonormal left parts off the chain over the
@@ -582,7 +591,7 @@ def coherence_report(t: TtTensor) -> CoherenceReport:
         linf = float(best) if np.isfinite(best) else nrm
         linf_is_bound = True
 
-    spiki = np.sqrt(total) * linf / nrm
+    spiki = math.sqrt(total) * linf / nrm
     return CoherenceReport(
         spikiness=float(spiki),
         incoherence=(float(max(max(c) for c in per_cut)) if all(within) else None),

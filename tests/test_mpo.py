@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttqst import mpo, solvers, states, tt
+from ttqst import manifold, mpo, solvers, states, tt
 
 
 def random_mps(rng, n=3, d=2, r=2):
@@ -572,4 +572,38 @@ def test_tt_unfolds_in_c_order_only():
     assert f_order == {"serialize"}
     assert not hasattr(solvers, "_ravel_f")
     assert "tensordot" not in Path(tt.__file__).read_text()
+
+
+def _np_attr(node, name):
+    """Whether ``node`` is the attribute ``np.<name>``."""
+    return (isinstance(node, ast.Attribute) and node.attr == name
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def test_tt_and_manifold_products_skip_the_dispatcher():
+    """Every product in the function bodies of ``tt`` and ``manifold`` is an
+    ``ndarray.dot`` method call: no ``np.dot``, whose ``__array_function__``
+    wrapper reaches the same C routine a call later, and no ``@``."""
+    found = []
+    for mod in (tt, manifold):
+        for fn in ast.walk(ast.parse(Path(mod.__file__).read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.append((mod.__name__, fn.name, node.lineno, "@"))
+                elif isinstance(node, ast.Call) and _np_attr(node.func, "dot"):
+                    found.append((mod.__name__, fn.name, node.lineno, "np.dot"))
+    assert found == []
+
+
+def test_no_numpy_product_of_sizes():
+    """``np.prod`` multiplies in int64, which wraps past 2^63 entries (4^32
+    reads 0), so the library takes every product of sizes with ``math.prod``."""
+    found = []
+    for path in sorted(Path(tt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _np_attr(node, "prod"):
+                found.append((path.stem, node.lineno))
+    assert found == []
 

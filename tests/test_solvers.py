@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import math
 import sys
 import tracemalloc
 import warnings
@@ -228,7 +229,7 @@ def test_untrimmed_round_call_counts(monkeypatch):
 @pytest.mark.parametrize("rows", [20, tt.CHUNK_ROWS + 5])
 def test_gradient_builds_one_selector_per_block(monkeypatch, rows):
     # The left chain's selector is handed to the projection, so a gradient
-    # builds one per block of CHUNK_ROWS rows.
+    # builds one per block of ``state.block`` rows (20971 here).
     tstar = states.pure_state_coeff(states.random_mps(4, 2, 2, seed=9))
     state = solvers._IterateState(warm_start(tstar, tstar.ranks, 0.3, 19))
     idx = np.random.default_rng(19).integers(0, 4, size=(rows, 4), dtype=np.uint8)
@@ -237,7 +238,57 @@ def test_gradient_builds_one_selector_per_block(monkeypatch, rows):
     flat_rows = tt._flat_rows
     monkeypatch.setattr(tt, "_flat_rows", lambda i, d: calls.append(i.shape[0]) or flat_rows(i, d))
     state.gradient(idx, y)
-    assert calls == [min(tt.CHUNK_ROWS, rows - lo) for lo in range(0, rows, tt.CHUNK_ROWS)]
+    assert calls == [min(state.block, rows - lo) for lo in range(0, rows, state.block)]
+
+
+def ising_shaped_state(rows):
+    """A state at the ising-n6 iterate ranks and a batch of ``rows`` rows for it."""
+    rng = np.random.default_rng(27)
+    t = tt.left_orthogonalize(tt.random_tt((4,) * 6, (4, 16, 16, 16, 4), rng))
+    t = tt.tt_scale(1.0 / tt.tt_norm(t), t)
+    idx = rng.integers(0, 4, size=(rows, 6), dtype=np.uint8)
+    return solvers._IterateState(t), idx, rng.standard_normal(rows)
+
+
+def test_gradient_memory_bounded_in_bytes():
+    # One CHUNK_ROWS batch at the ising-n6 ranks.  Projected CHUNK_ROWS rows
+    # at a time it peaked at 112.5 MiB traced: the kept left-chain rows, the
+    # widest chain product and the one-hot.  In blocks derived from
+    # GRADIENT_BLOCK_BYTES (5461 rows here) it peaked at 9.4 MiB.
+    state, idx, y = ising_shaped_state(tt.CHUNK_ROWS)
+    assert _peak_mib(lambda: state.gradient(idx, y)) <= 16
+
+
+def test_blocked_gradient_matches_one_block():
+    state, idx, y = ising_shaped_state(3 * 5461 + 17)
+    whole = solvers._IterateState(state.t)
+    whole.block = idx.shape[0]
+    assert state.block < idx.shape[0]
+    got = np.concatenate(state.gradient(idx, y).variation_cores, axis=None)
+    want = np.concatenate(whole.gradient(idx, y).variation_cores, axis=None)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m, n, r", [(4, 32, 2), (4, 64, 2), (9, 20, 3)],
+                         ids=["qubits-32", "qubits-64", "qutrits-20"])
+def test_online_rounds_move_past_int64_sizes(m, n, r):
+    # With the entry count wrapped in int64 the scale read sqrt(0), so every
+    # gradient was zero and 20 rounds moved the iterate by 1e-14 (qubits), or
+    # NaN, which failed the first step (qutrits).
+    dims, ranks = (m,) * n, (r,) * (n - 1)
+    rng = meas.make_rng(n)
+    target = tt.random_tt(dims, ranks, rng)
+    target = tt.tt_scale(1.0 / tt.tt_norm(target), target)
+    t0 = tt.left_orthogonalize(tt.random_tt(dims, ranks, rng))
+    t0 = tt.tt_scale(1.0 / tt.tt_norm(t0), t0)
+    stream = meas.make_stream(target, meas.ExactSource(), seed=n)
+    cfg = solvers.SolverConfig(ranks=ranks, max_iters=20, batch_size=20, alpha=1e-2,
+                               log_every=20)
+    out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target)
+    assert trace.iters == [0, 20]
+    assert np.isfinite(trace.rel_error).all()
+    assert tt.tt_distance(out, t0) > 1e-9
+    assert solvers._IterateState(t0).scale == math.sqrt(m**n)
 
 
 def test_trace_lambda_min_matches_separation_spectra():

@@ -185,7 +185,7 @@ def test_flat_row_chain_bit_equal_to_einsum_chain(case, rows, dtype):
     for k, core in enumerate(t.cores[1:], start=1):
         # Each step from its own rows, so a wrong select cannot cancel out.
         w = rng.integers(-3, 4, size=(rows, core.shape[0])).astype(float)
-        got = tt._chain_rows(w, core, sel[k])
+        got = tt._chain_rows(w, core.reshape(core.shape[0], -1), core.shape[2], sel[k])
         assert got.tobytes() == einsum_chain_step(w, core, idx[:, k]).tobytes()
         v = einsum_chain_step(v, core, idx[:, k])
     assert tt.tt_entries(t, idx).tobytes() == v[:, 0].tobytes()
@@ -613,6 +613,24 @@ def test_coherence_zero_tensor_raises():
     cores = [np.zeros((1, 4, 1)), np.zeros((1, 4, 1))]
     with pytest.raises(tt.TtError):
         tt.coherence_report(tt.TtTensor(cores))
+
+
+# (mode size, mode count, rank) of tensors whose entry count is above 2^63.
+BIG_SHAPES = {"qubits-32": (4, 32, 2), "qubits-64": (4, 64, 2), "qutrits-20": (9, 20, 3)}
+
+
+@pytest.mark.parametrize("case", list(BIG_SHAPES))
+def test_sizes_exact_past_int64(case):
+    # An int64 product of the mode sizes wraps here: 4^32 reads 0 and 9^20
+    # reads negative, and the rank bound of a cut reads 0.
+    m, n, r = BIG_SHAPES[case]
+    ranks = (r,) * (n - 1)
+    t = tt.random_tt((m,) * n, ranks, np.random.default_rng(n))
+    assert t.size == m**n
+    assert tt.ttsvd(t, ranks).ranks == ranks
+    rep = tt.coherence_report(t)
+    assert rep.linf_is_bound and rep.incoherence is None
+    assert 1.0 <= rep.spikiness < np.inf
 
 
 def test_dense_cap_enforced():
