@@ -17,10 +17,12 @@ through which the one-hot scatter writes too.  Every 2-D product is the
 ``ndarray.dot`` method, as in ``tt``: the same GEMM as ``np.dot`` and ``@``
 without their dispatch.  The geometry unfolds each core of the foot point
 once, and the projection, the left chain and the retraction read those
-unfoldings.  A tangent vector holds its ``TangentGeometry``.  A tangent step is
-retracted by one sweep of the projector-splitting (KSL) integrator
-(``ksl_retract``): r-wide unchecked QRs that form only their ``q``, no
-rank-2r core and no SVD, and one finiteness check after the sweep.
+unfoldings.  A tangent vector holds its ``TangentGeometry`` and its
+variation cores as the ``(r0, m * r1)`` unfoldings that the projection forms
+and the retraction reads; ``variation_cores`` are order-3 views of them.  A
+tangent step is retracted by one sweep of the projector-splitting (KSL)
+integrator (``ksl_retract``): r-wide unchecked QRs that form only their
+``q``, no rank-2r core and no SVD, and one finiteness check after the sweep.
 ``retract`` is the trimmed truncation ``H_r(Trim_xi(.))`` of trimmed steps
 (``trimmed_retract``) and the spectral initializer.  When no entry exceeds
 ``xi`` the trim is the identity, and ``retract`` truncates its TT input by
@@ -74,22 +76,38 @@ class TangentVector:
 
     ``X_k`` enters the chain ``[U_1, ..., X_k, V_{k+1}, ..., V_n]`` of the
     geometry's left-orthogonal cores ``U`` and right-orthogonal cores ``V``.
+    The vector holds each ``X_k`` as its ``(r0, m * r1)`` unfolding, the
+    layout the projection forms and both sweeps of ``ksl_retract`` read;
+    ``variation_cores`` are order-3 views of them.
     """
 
-    __slots__ = ("geom", "variation_cores")
+    __slots__ = ("geom", "_cols")
 
     def __init__(self, geom: TangentGeometry, variation_cores):
         base = geom.base
         if len(variation_cores) != base.n:
             raise ManifoldError("need one variation core per site")
-        vcs = []
+        cols = []
         for c, bc in zip(variation_cores, base.cores):
             c = np.asarray(c, dtype=np.float64)
             if c.shape != bc.shape:
                 raise ManifoldError(f"variation core shape {c.shape} != base {bc.shape}")
-            vcs.append(c)
+            cols.append(c.reshape(c.shape[0], -1))
         self.geom = geom
-        self.variation_cores = vcs
+        self._cols = cols
+
+    @classmethod
+    def _from_cols(cls, geom: TangentGeometry, cols) -> TangentVector:
+        """The vector of the unfoldings ``cols``, float64 and of the base's shapes, unchecked."""
+        v = cls.__new__(cls)
+        v.geom = geom
+        v._cols = cols
+        return v
+
+    @property
+    def variation_cores(self) -> list:
+        """The ``X_k`` as order-3 views of the kept unfoldings."""
+        return [c.reshape(bc.shape) for c, bc in zip(self._cols, self.geom.base.cores)]
 
 
 def _require_left_orthogonal(base: TtTensor):
@@ -211,7 +229,7 @@ class TangentGeometry:
         # right = values times the rows V^{>k}[:, idx_{k+1}..idx_n] of the
         # right parts, (B, r_k).
         right = values[:, None]
-        vcores = [None] * n
+        xcols = [None] * n
         for k in range(n - 1, -1, -1):
             r0, m, r1 = base.cores[k].shape
             # One GEMM scatters every rank-one term l_b (x) e_{idx_k[b]} (x) w_b;
@@ -225,11 +243,11 @@ class TangentGeometry:
                 # under the same row permutation of U_k and X.
                 xk = xk.reshape(r0 * m, r1)
                 u = self._urows[k]
-                xk = xk - u.dot(u.T.dot(xk))
-            vcores[k] = xk.reshape(r0, m, r1)
+                xk = (xk - u.dot(u.T.dot(xk))).reshape(r0, m * r1)
+            xcols[k] = xk
             if k:
                 right = tt._chain_rows(right, self._vtcols[k], r0, sel[k])
-        return TangentVector(self, vcores)
+        return TangentVector._from_cols(self, xcols)
 
 
 def _chain_sum_cores(geom: TangentGeometry, xcores) -> list:
@@ -288,10 +306,11 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
     geom = v.geom
     ucores, urows, ucols, vcols = geom.base.cores, geom._urows, geom._ucols, geom._vcols
     n = len(ucores)
-    xhat = _step_cores(v, eta)
-    require_finite(xhat)
-    # Each step core unfolded once, to (r0, m * r1): both sweeps read it.
-    xcols = [c.reshape(c.shape[0], -1) for c in xhat]
+    # The step's variation cores -eta X_k, with U_n added to the last, in the
+    # vector's (r0, m * r1) unfoldings: both sweeps read them.
+    xcols = [-eta * c for c in v._cols]
+    xcols[-1] = xcols[-1] + ucols[-1]
+    require_finite(xcols)
     # Right sweep: env[k] = <U_{k+1} env[k+1] + X̂_{k+1}, V_{k+1}> over (mode,
     # right bond) is A's chains with X̂ after cut k, projected on V^{>k}.
     env = [None] * (n - 1)

@@ -9,7 +9,9 @@ tensor alone would determine their outcome distributions).
 
 Streams draw indices uniformly with replacement from a counter-based
 generator (numpy Philox, identifier "philox4x64") so runs replay exactly
-from (seed, order).
+from (seed, order).  A draw evaluates the target by ``tt.tt_entries``, which
+builds the fixed target's entry plan on the first draw and reads it on every
+later one.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ TTC1 (complex chain)
 from __future__ import annotations
 
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -30,6 +32,16 @@ class SerializationError(ValueError):
 
 
 def _read_exact(fh, count):
+    """``count`` bytes of ``fh``, else ``SerializationError("truncated file")``.
+
+    ``count`` is an exact Python int.  In a regular file it is compared with
+    the bytes left before the read, so a corrupt header that declares more
+    than the file holds fails as a truncated file instead of sizing a huge
+    read.
+    """
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode) and count > st.st_size - fh.tell():
+        raise SerializationError("truncated file")
     buf = fh.read(count)
     if len(buf) != count:
         raise SerializationError("truncated file")
@@ -37,7 +49,8 @@ def _read_exact(fh, count):
 
 
 def _read_u32(fh, count):
-    return np.frombuffer(_read_exact(fh, 4 * count), dtype=_U32).astype(np.int64)
+    """``count`` header integers, as Python ints so that sizes made of them are exact."""
+    return np.frombuffer(_read_exact(fh, 4 * count), dtype=_U32).tolist()
 
 
 def _require_positive(dims, ranks):
@@ -58,7 +71,7 @@ def read_ttr1(path) -> TtTensor:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != b"TTR1":
             raise SerializationError("not a TTR1 file")
-        n = int(_read_u32(fh, 1)[0])
+        (n,) = _read_u32(fh, 1)
         if n < 2:
             raise SerializationError("invalid mode count")
         dims = _read_u32(fh, n)
@@ -67,9 +80,9 @@ def read_ttr1(path) -> TtTensor:
         bonds = [1, *ranks, 1]
         cores = []
         for k in range(n):
-            cnt = bonds[k] * int(dims[k]) * bonds[k + 1]
-            flat = np.frombuffer(_read_exact(fh, 8 * cnt), dtype=_F64)
-            cores.append(flat.reshape(bonds[k], int(dims[k]), bonds[k + 1], order="F"))
+            shape = (bonds[k], dims[k], bonds[k + 1])
+            flat = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype=_F64)
+            cores.append(flat.reshape(shape, order="F"))
         if fh.read(1):
             raise SerializationError("trailing bytes")
     return TtTensor(cores)
@@ -111,12 +124,12 @@ def read_ttc1(path):
         order = _read_exact(fh, 1)[0]
         if order not in (3, 4):
             raise SerializationError(f"unknown core order tag {order}")
-        n = int(_read_u32(fh, 1)[0])
+        (n,) = _read_u32(fh, 1)
         if n < 2:
             raise SerializationError("invalid site count")
         dims = _read_u32(fh, n)
-        d = int(dims[0])
-        if any(int(x) != d for x in dims):
+        d = dims[0]
+        if any(x != d for x in dims):
             raise SerializationError("local dimensions must match")
         ranks = _read_u32(fh, n - 1)
         _require_positive(dims, ranks)

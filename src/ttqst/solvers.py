@@ -262,7 +262,7 @@ class _IterateState:
         projection's own left chain, which also hands the projection its
         flat-row selector.  Rows are projected ``block`` at a time, so the
         transient stays near ``GRADIENT_BLOCK_BYTES``, and the blocks'
-        variation cores are summed.
+        variation cores are summed in their kept unfoldings.
         """
         total = idx.shape[0]
         grad = None
@@ -272,9 +272,7 @@ class _IterateState:
             values = (self.scale * lefts[-1][:, 0] - self.scale * y[rows]) * (self.scale / total)
             part = self.geom.project_batch(idx[rows], values, (sel, lefts))
             if grad is not None:
-                part.variation_cores = [
-                    a + b for a, b in zip(grad.variation_cores, part.variation_cores)
-                ]
+                part._cols = [a + b for a, b in zip(grad._cols, part._cols)]
             grad = part
         return grad
 

@@ -10,11 +10,19 @@ method: for float64 matrices it runs the same GEMM as ``np.dot`` and ``@``,
 to the same bytes, without ``np.dot``'s ``__array_function__`` dispatch
 (about 0.12 us a call) or the matmul ufunc's (about 0.25 us).  Sizes are
 Python integers (``math.prod``), exact past 2^63 entries.
+
+Batched entries step a chain of GEMMs and flat-row selects.  What depends
+only on the tensor or the batch shape is made once: ``tt_entries`` keeps a
+tensor's entry plan (its cores' unfoldings and block size) on the tensor,
+and ``_flat_rows`` keeps the read-only selector base of each (mode sizes,
+row count) within ``SELECTOR_CACHE_BYTES``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 
 import numpy as np
 from scipy.linalg import lapack
@@ -32,6 +40,11 @@ CHUNK_ROWS = 65536
 # ``tt_entries``: the block's row count is derived from it, so evaluating any
 # batch holds a bounded transient whatever the mode sizes and ranks.
 ENTRY_BLOCK_BYTES = 2**20
+
+# Bytes of the flat-row selector bases that ``_flat_rows`` keeps between calls.
+SELECTOR_CACHE_BYTES = 2**16
+_SELECTOR_BASES = {}  # (mode dims, rows) -> read-only base, oldest first
+_SELECTOR_LOCK = threading.Lock()
 
 ORTHO_TOL = 1e-12
 
@@ -135,10 +148,12 @@ class TtTensor:
         never guessed.
 
     Core arrays are frozen (non-writeable views); instances are immutable and
-    safe to share between threads.
+    safe to share between threads.  ``tt_entries`` keeps the tensor's entry
+    plan in a private slot the first time it evaluates it; two threads that
+    race to build it build equal plans.
     """
 
-    __slots__ = ("cores", "mode_dims", "ranks", "ortho")
+    __slots__ = ("cores", "mode_dims", "ranks", "ortho", "_plan")
 
     def __init__(self, cores, ortho=None):
         cores = [_as_core(c) for c in cores]
@@ -169,6 +184,7 @@ class TtTensor:
             if len(ortho) != len(cores):
                 raise TtError("ortho flags must match core count")
         self.ortho = ortho
+        self._plan = None
 
     @property
     def n(self) -> int:
@@ -182,12 +198,39 @@ class TtTensor:
         return f"TtTensor(dims={self.mode_dims}, ranks={self.ranks})"
 
 
+@functools.lru_cache(maxsize=64)
+def _mode_widths(dims) -> np.ndarray:
+    """The mode sizes ``dims`` as a read-only ``intp`` array, made once per ``dims``."""
+    width = np.array(dims, dtype=np.intp)
+    width.setflags(write=False)
+    return width
+
+
+def _selector_base(width: np.ndarray, dims, rows: int) -> np.ndarray:
+    """``width ⊗ arange(rows)``, kept read-only while the kept bases fit in bytes.
+
+    A base of at most ``SELECTOR_CACHE_BYTES`` is kept under ``(dims, rows)``,
+    and the oldest kept bases are dropped until all of them fit that budget:
+    a round's (n, B) base stays, a large block's base is rebuilt per call.
+    """
+    base = np.multiply.outer(width, np.arange(rows))
+    if base.nbytes <= SELECTOR_CACHE_BYTES:
+        base.setflags(write=False)
+        with _SELECTOR_LOCK:
+            _SELECTOR_BASES[dims, rows] = base
+            while sum(b.nbytes for b in _SELECTOR_BASES.values()) > SELECTOR_CACHE_BYTES:
+                del _SELECTOR_BASES[next(iter(_SELECTOR_BASES))]
+    return base
+
+
 def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
     """Flat-row selector of a batch: ``sel[k, b] = b * m_k + idx[b, k]``, shape (n, B).
 
-    ``idx`` is a (B, n) array of any integer dtype.  Row ``sel[k, b]`` of a
-    (B * m_k, r) unfolding is row b's mode ``idx[b, k]``, so one ``take``
-    selects a chain step's rows.  Built in place, in one ``intp`` array.
+    ``idx`` is a (B, n) array of any integer dtype and ``dims`` the tuple of
+    mode sizes.  Row ``sel[k, b]`` of a (B * m_k, r) unfolding is row b's
+    mode ``idx[b, k]``, so one ``take`` selects a chain step's rows.  The
+    selector is a fresh ``intp`` array, ``base + idx.T``, over the read-only
+    base ``dims ⊗ arange(B)`` that ``_selector_base`` keeps between calls.
     A flat row would read an index outside ``[0, m_k)`` from a neighbouring
     row, so such an index raises ``TtError`` naming its site.  The check is
     one comparison of the batch against ``dims`` (and one against 0 for a
@@ -196,7 +239,7 @@ def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
     if idx.ndim != 2 or idx.shape[1] != len(dims) or idx.dtype.kind not in "iu":
         raise TtError(f"need integer indices of shape (B, {len(dims)}), got {idx.dtype} "
                       f"{idx.shape}")
-    width = np.array(dims, dtype=np.intp)
+    width = _mode_widths(dims)
     if (idx >= width).any() or (idx.dtype.kind == "i" and (idx < 0).any()):
         hi = idx.max(axis=0).tolist()
         lo = idx.min(axis=0).tolist()
@@ -204,10 +247,12 @@ def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
             if lo[k] < 0 or hi[k] >= m:
                 i = lo[k] if lo[k] < 0 else hi[k]
                 raise TtError(f"index {i} at site {k} outside [0, {m})")
-    sel = np.multiply.outer(width, np.arange(idx.shape[0]))
-    # Checked indices fit in intp, so even a uint64 batch adds in place.
-    np.add(sel, idx.T, out=sel, casting="unsafe")
-    return sel
+    rows = idx.shape[0]
+    base = _SELECTOR_BASES.get((dims, rows))
+    if base is None:
+        base = _selector_base(width, dims, rows)
+    # Checked indices fit in intp, so even a uint64 batch adds in intp.
+    return np.add(base, idx.T, dtype=np.intp, casting="unsafe")
 
 
 def _chain_rows(v: np.ndarray, mat: np.ndarray, r1: int, sel: np.ndarray) -> np.ndarray:
@@ -223,14 +268,31 @@ def _chain_rows(v: np.ndarray, mat: np.ndarray, r1: int, sel: np.ndarray) -> np.
     return v.dot(mat).reshape(-1, r1).take(sel, axis=0)
 
 
+def _entry_plan(t: TtTensor):
+    """``(first, steps, block)``: what ``tt_entries`` reads of ``t``, built once.
+
+    ``first`` holds the rows ``(m_1, r_1)`` of the first core, ``steps`` each
+    later core's ``(r0, m * r1)`` unfolding with its ``r1``, and ``block``
+    the rows whose widest step product, ``(rows, m_k * r_k)`` float64, fits
+    in ``ENTRY_BLOCK_BYTES``.  The plan is kept on ``t``; its arrays are
+    views of the read-only cores, so it never goes stale.
+    """
+    plan = t._plan
+    if plan is None:
+        cores = t.cores
+        steps = tuple((c.reshape(c.shape[0], -1), c.shape[2]) for c in cores[1:])
+        width = max(c.shape[1] * c.shape[2] for c in cores)
+        plan = t._plan = (cores[0][0], steps, max(1, ENTRY_BLOCK_BYTES // (8 * width)))
+    return plan
+
+
 def _chain_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     """Entries of ``t`` at the rows of ``idx`` by one pass of the batched chain."""
+    first, steps, _ = _entry_plan(t)
     sel = _flat_rows(idx, t.mode_dims)
-    cores = t.cores
-    v = cores[0][0].take(idx[:, 0], axis=0)  # (B, r1)
-    for k in range(1, len(cores)):
-        r0, _, r1 = cores[k].shape
-        v = _chain_rows(v, cores[k].reshape(r0, -1), r1, sel[k])
+    v = first.take(idx[:, 0], axis=0)  # (B, r1)
+    for k, (mat, r1) in enumerate(steps, start=1):
+        v = _chain_rows(v, mat, r1, sel[k])
     return v[:, 0]
 
 
@@ -241,6 +303,9 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
     ``(rows, m_k * r_k)`` float64, fits in ``ENTRY_BLOCK_BYTES`` (8192 rows
     at m=4, r=4), so its transient products stay bounded in bytes whatever
     the batch size; a row's value does not depend on the block it falls in.
+    The cores' unfoldings and the block size are ``t``'s entry plan
+    (``_entry_plan``), made on the first call and kept; a batch of one block
+    returns the chain's output as it is.
 
     Parameters
     ----------
@@ -251,9 +316,10 @@ def tt_entries(t: TtTensor, idx: np.ndarray) -> np.ndarray:
         copied whole.
     """
     idx = np.asarray(idx)
+    block = _entry_plan(t)[2]
     total = idx.shape[0]
-    width = max(c.shape[1] * c.shape[2] for c in t.cores)
-    block = max(1, ENTRY_BLOCK_BYTES // (8 * width))
+    if total <= block:
+        return _chain_entries(t, idx)
     out = np.empty(total)
     for lo in range(0, total, block):
         out[lo : lo + block] = _chain_entries(t, idx[lo : lo + block])
@@ -396,13 +462,17 @@ def right_qr_sweep(cores):
     """
     right = list(cores)
     factors = [None] * (len(right) - 1)
+    # The current core as its (r0 * m, r1) rows, 2-D from cut to cut.
+    rows = cores[-1].reshape(-1, 1)
     for k in range(len(right) - 1, 0, -1):
-        r0, m, r1 = right[k].shape
-        q, r = _householder(right[k].reshape(r0, m * r1).T)
+        r0, m, _ = cores[k].shape
+        r1 = rows.shape[1]
+        q, r = _householder(rows.reshape(r0, m * r1).T)
         factors[k - 1] = r
         right[k] = q.T.reshape(-1, m, r1)
-        prev = right[k - 1]
-        right[k - 1] = prev.reshape(-1, prev.shape[2]).dot(r.T).reshape(prev.shape[:2] + (-1,))
+        prev = cores[k - 1]
+        rows = prev.reshape(-1, prev.shape[2]).dot(r.T)
+    right[0] = rows.reshape(cores[0].shape[:2] + (-1,))
     if not np.isfinite(np.concatenate([right[0], *factors], axis=None)).all():
         raise _qr_error(bool(np.isfinite(np.concatenate(cores, axis=None)).all()))
     return right, factors

@@ -371,6 +371,26 @@ def test_evaluate_corrupt_reconstruction_exits_data(tmp_path, capsys, how):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["state", "reconstruction"])
+def test_evaluate_oversized_header_exits_data(tmp_path, capsys, which):
+    # A header whose core count wraps in int64 reads as a truncated file.
+    state_file = tmp_path / "s.ttc"
+    cli.main(["generate-state", "--family", "ghz", "--n", "4", "--out", str(state_file)])
+    capsys.readouterr()
+    big = 2**32 - 1
+    if which == "state":
+        header = b"TTC1" + bytes([3]) + np.array([3, big, big, big, big, big], dtype="<u4").tobytes()
+    else:
+        header = b"TTR1" + np.array([2, big, 4, big], dtype="<u4").tobytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(header + bytes(64))
+    files = {"state": state_file, "reconstruction": state_file, which: bad}
+    rc = cli.main(["evaluate", "--state", str(files["state"]),
+                   "--reconstruction", str(files["reconstruction"])])
+    assert rc == cli.EXIT_DATA
+    assert "truncated file" in capsys.readouterr().err
+
+
 def test_evaluate_closes_the_reconstruction_file(tmp_path, capsys):
     state_file = tmp_path / "s.ttc"
     cli.main(["generate-state", "--family", "ghz", "--n", "4", "--out", str(state_file)])

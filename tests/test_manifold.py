@@ -671,3 +671,19 @@ def test_ksl_retract_second_order_for_vector_built_from_geometry():
         for eta in (1e-2, 1e-3)
     ]
     assert gaps[1] <= gaps[0] / 300.0
+
+
+def test_ksl_retract_same_bytes_for_constructed_and_projected_vectors():
+    # The public constructor folds 3-D cores into the unfoldings that the
+    # projection hands over, so the retraction cannot tell them apart.
+    rng = np.random.default_rng(41)
+    dims = (4, 9, 4, 4)
+    geom = manifold.TangentGeometry(left_orth_base(rng, dims, (3, 4, 2)))
+    idx = batch_with_repeats(rng, dims, 20, np.uint8)
+    v = geom.project_batch(idx, rng.standard_normal(20))
+    w = manifold.TangentVector(geom, [c.copy() for c in v.variation_cores])
+    for got, want in zip(w.variation_cores, v.variation_cores):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for eta in (1e-3, 0.5):
+        a, b = manifold.ksl_retract(v, eta), manifold.ksl_retract(w, eta)
+        assert [c.tobytes() for c in a.cores] == [c.tobytes() for c in b.cores]

@@ -298,3 +298,43 @@ def test_log_with_mixed_shot_counts_rejected(tmp_path):
     path.write_text("step,omega_1,omega_2,value,shots\n0,1,2,0.5,50\n1,3,4,0.25,60\n")
     with pytest.raises(meas.MeasurementError, match="shot count"):
         meas.read_log(path)
+
+
+def copy_tt(t):
+    """``t`` rebuilt from copies of its cores: equal entries, no kept entry plan."""
+    return tt.TtTensor([c.copy() for c in t.cores])
+
+
+DRAW_TARGETS = {"qubits-6": ((4,) * 6, (2, 4, 4, 4, 2)), "qutrits-4": ((9,) * 4, (3, 3, 3))}
+
+
+@pytest.mark.parametrize("source", [meas.ExactSource(), meas.GaussianSource(0.01)],
+                         ids=["exact", "gaussian"])
+@pytest.mark.parametrize("case", list(DRAW_TARGETS))
+def test_draws_byte_equal_to_entries_of_a_fresh_copy(case, source):
+    # The target's entry plan, made on the first draw and kept, gives the
+    # bytes a plan made afresh gives, for batches below, at and above the
+    # entry block.
+    dims, ranks = DRAW_TARGETS[case]
+    target = tt.random_tt(dims, ranks, np.random.default_rng(11))
+    meas.make_stream(target, source, 3).draw_batch(20)
+    block = tt.ENTRY_BLOCK_BYTES // (8 * max(c.shape[1] * c.shape[2] for c in target.cores))
+    for rows in (1, block - 1, block, block + 1):
+        idx, y = meas.make_stream(target, source, rows).draw_batch(rows)
+        idx_ref, y_ref = meas.make_stream(copy_tt(target), source, rows).draw_batch(rows)
+        assert idx.tobytes() == idx_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
+        if isinstance(source, meas.ExactSource):
+            assert y.tobytes() == tt.tt_entries(copy_tt(target), idx).tobytes()
+
+
+def test_draws_build_the_target_entry_plan_once():
+    target = tt.random_tt((4,) * 5, (2, 3, 3, 2), np.random.default_rng(12))
+    assert target._plan is None
+    stream = meas.make_stream(target, meas.ExactSource(), 4)
+    stream.draw_batch(20)
+    plan = target._plan
+    assert plan is not None
+    for _ in range(9):
+        stream.draw_batch(20)
+        assert target._plan is plan

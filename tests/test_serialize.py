@@ -1,5 +1,8 @@
 """Round-trip and corruption tests for the TTR1/TTC1 containers."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,21 @@ def test_ttr1_deterministic_bytes(tmp_path):
     serialize.write_ttr1(p1, t)
     serialize.write_ttr1(p2, t)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_ttr1_reads_from_a_pipe(tmp_path):
+    # A pipe has no size to check the header against; it is read as it comes.
+    t = tt.random_tt((4, 4, 4), (2, 2), np.random.default_rng(4))
+    path = tmp_path / "t.ttr"
+    serialize.write_ttr1(path, t)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    back = serialize.read_ttr1(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert [c.tobytes() for c in back.cores] == [c.tobytes() for c in t.cores]
 
 
 def test_ttr1_bad_magic(tmp_path):
@@ -110,3 +128,34 @@ def test_ttc1_rejects_zero_dim_or_rank(tmp_path, zeroed):
     path.write_bytes(bytes(raw))
     with pytest.raises(serialize.SerializationError, match="zero"):
         serialize.read_ttc1(path)
+
+
+def _header_ttr1(dims, ranks):
+    return b"TTR1" + np.array([len(dims), *dims, *ranks], dtype="<u4").tobytes()
+
+
+def _header_ttc1(order, dims, ranks):
+    return b"TTC1" + bytes([order]) + np.array([len(dims), *dims, *ranks], dtype="<u4").tobytes()
+
+
+U32_MAX = 2**32 - 1
+
+# Headers whose first core's entry count wraps in int64, or whose first core
+# declares more than sys.maxsize bytes; each file holds a few data bytes.
+OVERSIZED_HEADERS = {
+    "ttr1-count-wraps": _header_ttr1((U32_MAX, 4), (U32_MAX,)),
+    "ttr1-bytes-past-maxsize": _header_ttr1((2**31, 4, 4), (2**31, 1)),
+    "ttc1-count-wraps": _header_ttc1(3, (U32_MAX,) * 3, (U32_MAX, U32_MAX)),
+    "ttc1-bytes-past-maxsize": _header_ttc1(4, (2**15,) * 2, (2**31,)),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED_HEADERS))
+def test_oversized_header_reads_as_truncated(tmp_path, case):
+    # A core's byte count is an exact int, checked against the bytes left
+    # before any read: no wrapped or negative read length, no huge buffer.
+    path = tmp_path / "x.bin"
+    path.write_bytes(OVERSIZED_HEADERS[case] + bytes(64))
+    read = serialize.read_ttr1 if case.startswith("ttr1") else serialize.read_ttc1
+    with pytest.raises(serialize.SerializationError, match="truncated file"):
+        read(path)

@@ -1,5 +1,7 @@
 """Tests for the tensor-train kernel, checked against dense oracles."""
 
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -189,6 +191,117 @@ def test_flat_row_chain_bit_equal_to_einsum_chain(case, rows, dtype):
         assert got.tobytes() == einsum_chain_step(w, core, idx[:, k]).tobytes()
         v = einsum_chain_step(v, core, idx[:, k])
     assert tt.tt_entries(t, idx).tobytes() == v[:, 0].tobytes()
+
+
+SELECTOR_DIMS = (4, 9, 16, 4)
+
+
+def selector_batch(rows, dtype, seed=0):
+    return np.random.default_rng(seed).integers(0, SELECTOR_DIMS, size=(rows, 4)).astype(dtype)
+
+
+def test_kept_selector_base_is_read_only():
+    idx = selector_batch(20, np.uint8)
+    sel = tt._flat_rows(idx, SELECTOR_DIMS)
+    base = tt._SELECTOR_BASES[SELECTOR_DIMS, 20]
+    with pytest.raises(ValueError, match="read-only"):
+        base[0, 0] = 1
+    # The selector itself is a fresh, writeable array over the kept base.
+    assert sel.flags.writeable and not np.shares_memory(sel, base)
+    np.testing.assert_array_equal(base, np.multiply.outer(SELECTOR_DIMS, np.arange(20)))
+
+
+def test_selector_bases_differ_per_dims_and_rows():
+    other = (4, 9, 16, 5)
+    keys = [(SELECTOR_DIMS, 20), (SELECTOR_DIMS, 21), (other, 20)]
+    for dims, rows in keys:
+        idx = selector_batch(rows, np.int64)
+        want = np.arange(rows) * np.array(dims)[:, None] + idx.T
+        # Twice: the second call reads the kept base.
+        for _ in range(2):
+            np.testing.assert_array_equal(tt._flat_rows(idx, dims), want)
+    bases = [tt._SELECTOR_BASES[key] for key in keys]
+    assert len({id(b) for b in bases}) == len(keys)
+    assert not any(np.shares_memory(a, b) for a, b in zip(bases, bases[1:] + bases[:1]))
+
+
+def test_selector_equal_for_every_index_dtype():
+    want = tt._flat_rows(selector_batch(20, np.int64), SELECTOR_DIMS)
+    assert want.dtype == np.intp
+    for dtype in (np.uint8, np.int64, np.uint64):
+        got = tt._flat_rows(selector_batch(20, dtype), SELECTOR_DIMS)
+        assert got.dtype == np.intp and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_selector_range_check_with_kept_base(dtype):
+    idx = selector_batch(20, dtype)
+    # The first call keeps the base that the second reads.
+    tt._flat_rows(idx, SELECTOR_DIMS)
+    idx[7, 2] = 16
+    with pytest.raises(tt.TtError, match=r"index 16 at site 2 outside \[0, 16\)"):
+        tt._flat_rows(idx, SELECTOR_DIMS)
+
+
+def test_selector_bases_kept_within_byte_budget():
+    # A base above the budget is built per call and not kept; the kept ones
+    # never add up to more than the budget.
+    rows = tt.SELECTOR_CACHE_BYTES // (8 * len(SELECTOR_DIMS)) + 1
+    idx = selector_batch(rows, np.uint8)
+    np.testing.assert_array_equal(tt._flat_rows(idx, SELECTOR_DIMS),
+                                  np.arange(rows) * np.array(SELECTOR_DIMS)[:, None] + idx.T)
+    assert (SELECTOR_DIMS, rows) not in tt._SELECTOR_BASES
+    for b in range(rows // 4, rows, rows // 8):
+        tt._flat_rows(selector_batch(b, np.uint8), SELECTOR_DIMS)
+        assert (SELECTOR_DIMS, b) in tt._SELECTOR_BASES
+        assert sum(v.nbytes for v in tt._SELECTOR_BASES.values()) <= tt.SELECTOR_CACHE_BYTES
+
+
+def test_selector_bases_shared_between_threads():
+    # Threads that share the kept bases, evicting each other's, each get
+    # their own batch's selector, and the kept bases stay within the budget.
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(200):
+                rows = int(rng.integers(1, 600))
+                idx = selector_batch(rows, np.uint8, seed=int(rng.integers(1 << 30)))
+                want = np.arange(rows) * np.array(SELECTOR_DIMS)[:, None] + idx.T
+                if not np.array_equal(tt._flat_rows(idx, SELECTOR_DIMS), want):
+                    errors.append(f"wrong selector in thread {seed}")
+        except Exception as exc:  # reported below: a thread's error would be lost
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert sum(v.nbytes for v in tt._SELECTOR_BASES.values()) <= tt.SELECTOR_CACHE_BYTES
+
+
+def test_entry_plan_kept_on_the_tensor():
+    rng = np.random.default_rng(4)
+    t = random_tt(rng, dims=(4, 9, 4), ranks=(3, 2))
+    idx = rng.integers(0, (4, 9, 4), size=(30, 3))
+    want = tt.tt_entries(tt.TtTensor([c.copy() for c in t.cores]), idx)
+    first = tt.tt_entries(t, idx)
+    plan = t._plan
+    assert tt.tt_entries(t, idx).tobytes() == first.tobytes() == want.tobytes()
+    assert t._plan is plan
+    rows, steps, block = plan
+    assert rows.base is not None and not rows.flags.writeable
+    assert [(m.shape, r1) for m, r1 in steps] == [((3, 18), 2), ((2, 4), 1)]
+    assert block == tt.ENTRY_BLOCK_BYTES // (8 * 18)
 
 
 def test_tt_dense_matches_entrywise():
