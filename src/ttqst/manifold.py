@@ -10,19 +10,24 @@ sum over k of the chains ``[U_1, ..., U_{k-1}, X_k, V_{k+1}, ..., V_n]``.
 With orthonormal right parts, projecting a sparse ambient tensor costs
 ``O(n d^2 r^2)`` per entry and needs no linear solve.
 
-The batched left and right chains of a projection step site by site with
+The batched left chain of a projection steps site by site with
 ``tt._chain_rows``: one GEMM against all mode slices of a core, then a
-``take`` of the batch's flat rows ``b * m_k + idx[b, k]`` (``tt._flat_rows``),
-through which the one-hot scatter writes too.  Every 2-D product is the
-``ndarray.dot`` method, as in ``tt``: the same GEMM as ``np.dot`` and ``@``
-without their dispatch.  The geometry unfolds each core of the foot point
-once, and the projection, the left chain and the retraction read those
-unfoldings.  A tangent vector holds its ``TangentGeometry`` and its
-variation cores as the ``(r0, m * r1)`` unfoldings that the projection forms
-and the retraction reads; ``variation_cores`` are order-3 views of them.  A
-tangent step is retracted by one sweep of the projector-splitting (KSL)
-integrator (``ksl_retract``): r-wide unchecked QRs that form only their
-``q``, no rank-2r core and no SVD, and one finiteness check after the sweep.
+``take`` of the batch's flat rows ``b * m_k + idx[b, k]`` (``tt._flat_rows``).
+The one-hot scatter of the projection writes through the same flat rows, and
+the right chain steps through the one-hot: its row b holds the right part of
+row b at mode ``idx[b, k]`` and zeros elsewhere, so one GEMM against the
+transposed unfolding of ``V_k`` gives the next right parts, with no select.
+Every 2-D product is the ``ndarray.dot`` method, as in ``tt``: the same GEMM
+as ``np.dot`` and ``@`` without their dispatch.  The geometry unfolds each
+core of the foot point once, as views, and the projection, the left chain
+and the retraction read those unfoldings.  A tangent vector holds its
+``TangentGeometry`` and its variation cores as the ``(r0, m * r1)``
+unfoldings that the projection forms and the retraction reads;
+``variation_cores`` are order-3 views of them.  A tangent step is retracted
+by one sweep of the projector-splitting (KSL) integrator (``ksl_retract``):
+r-wide unchecked QRs that form only their ``q``, no rank-2r core and no SVD,
+and one finiteness check after the sweep; the new iterate's shapes come from
+the sweep, so it is built unchecked (``TtTensor._from_cores``).
 ``retract`` is the trimmed truncation ``H_r(Trim_xi(.))`` of trimmed steps
 (``trimmed_retract``) and the spectral initializer.  When no entry exceeds
 ``xi`` the trim is the identity, and ``retract`` truncates its TT input by
@@ -183,14 +188,11 @@ class TangentGeometry:
         # right_cores = [U_1 R_1^T, V_2, ..., V_n] is the foot point right-orthogonalized.
         self.right_cores = tuple(right)
         # The C-order unfoldings that every round reads, made once per foot
-        # point: U_k as (r0 * m, r1) rows and (r0, m * r1) columns, V_k as
-        # (r0, m * r1) columns, and V_k transposed to (r_k, m, r_{k-1}) and
-        # unfolded to (r_k, m * r_{k-1}), so the right chain steps by
-        # tt._chain_rows as the left chain does.
+        # point, all views: U_k as (r0 * m, r1) rows and (r0, m * r1)
+        # columns, and V_k as (r0, m * r1) columns.
         self._urows = [c.reshape(-1, c.shape[2]) for c in base.cores]
         self._ucols = [c.reshape(c.shape[0], -1) for c in base.cores]
         self._vcols = [None] + [c.reshape(c.shape[0], -1) for c in right[1:]]
-        self._vtcols = [None] + [c.transpose(2, 1, 0).reshape(c.shape[2], -1) for c in right[1:]]
 
     @functools.cached_property
     def singular_values(self) -> list:
@@ -219,13 +221,17 @@ class TangentGeometry:
         The projection reads the batch through the chain's selector and rows;
         without ``chain`` it runs ``left_chain`` itself, so a batch's
         selector is built once either way.  Repeated rows of ``idx`` add up,
-        as in the sum.
+        as in the sum.  ``values`` of a shape other than (B,) raise
+        ``ManifoldError``.
         """
         base = self.base
         n = base.n
         sel, lefts = self.left_chain(idx) if chain is None else chain
         values = np.asarray(values, dtype=np.float64)
         bsz = sel.shape[1]
+        if values.shape != (bsz,):
+            raise ManifoldError(f"values of shape {values.shape} for indices of shape "
+                                f"{np.shape(idx)}: need ({bsz},)")
         # right = values times the rows V^{>k}[:, idx_{k+1}..idx_n] of the
         # right parts, (B, r_k).
         right = values[:, None]
@@ -236,7 +242,8 @@ class TangentGeometry:
             # row b's terms land in its own m rows of the (B * m, r1) unfolding.
             onehot = np.zeros((bsz * m, r1))
             onehot[sel[k]] = right
-            xk = lefts[k].T.dot(onehot.reshape(bsz, m * r1))
+            onehot = onehot.reshape(bsz, m * r1)
+            xk = lefts[k].T.dot(onehot)
             if k < n - 1:
                 # Gauge projection X -= L(U_k) (L(U_k)^T X) on C-order
                 # unfoldings, which are views: the projector is invariant
@@ -246,7 +253,10 @@ class TangentGeometry:
                 xk = (xk - u.dot(u.T.dot(xk))).reshape(r0, m * r1)
             xcols[k] = xk
             if k:
-                right = tt._chain_rows(right, self._vtcols[k], r0, sel[k])
+                # Row b of the one-hot is w_b at mode idx_k[b] and zero at
+                # the other modes, so its product with L(V_k)^T is the next
+                # right row V_k[:, idx_k[b], :] w_b.
+                right = onehot.dot(self._vcols[k].T)
         return TangentVector._from_cols(self, xcols)
 
 
@@ -353,7 +363,7 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
                 raise tt._qr_error(finite_input=True)
         raise _non_finite(n - 1)
     out.append(last.reshape(-1, m, 1))
-    return TtTensor(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])
+    return TtTensor._from_cores(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])
 
 
 def trim_level(norm: float, size: int, nu: float) -> float:
@@ -400,5 +410,5 @@ def trimmed_retract(v: TangentVector, eta: float, ranks, nu: float) -> TtTensor:
     """
     xhat = _step_cores(v, eta)
     norm = float(np.linalg.norm(require_finite(xhat)))
-    z = TtTensor(_chain_sum_cores(v.geom, xhat))
+    z = TtTensor._from_cores(_chain_sum_cores(v.geom, xhat), (tt.UNKNOWN,) * len(xhat))
     return retract(z, ranks, trim_level(norm, z.size, nu))

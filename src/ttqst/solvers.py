@@ -407,6 +407,16 @@ def orgd_run(
     return _descend(t0, rounds, cfg, ground_truth, pure_target)
 
 
+def _dataset(dataset, n: int):
+    """``(idx, y)`` of ``dataset``; ``SolverError`` unless they are (N, n) and (N,)."""
+    idx, y = dataset
+    shape, yshape = np.shape(idx), np.shape(y)
+    if len(shape) != 2 or shape[1] != n or yshape != shape[:1]:
+        raise SolverError(f"dataset needs indices of shape (N, {n}) and values of shape "
+                          f"(N,), got {shape} and {yshape}")
+    return idx, y
+
+
 def rgd_offline_run(
     t0: TtTensor,
     dataset,
@@ -414,8 +424,11 @@ def rgd_offline_run(
     ground_truth: TtTensor | None = None,
     pure_target: mpo.Mps | None = None,
 ):
-    """Offline RGD baseline: each of up to ``max_iters`` rounds consumes the full dataset."""
-    idx, y = dataset
+    """Offline RGD baseline: each of up to ``max_iters`` rounds consumes the full dataset.
+
+    ``dataset`` is ``(idx, y)``: (N, n) indices and their (N,) observed values.
+    """
+    idx, y = _dataset(dataset, t0.n)
     if idx.shape[0] == 0:
         raise SolverError("offline RGD needs a non-empty dataset")
     rounds = itertools.repeat((idx, y, cfg.resolve_eta(t0.n), idx.shape[0]))
@@ -434,8 +447,9 @@ def rsgd_run(
     Each of ``epochs`` epochs reshuffles the dataset and sweeps it in
     minibatches (a final partial batch is dropped); epoch k (from 0) steps by
     ``cfg.resolve_eta(n) * epoch_decay**k``, for ``max_iters`` rounds at most.
+    ``dataset`` is ``(idx, y)``: (N, n) indices and their (N,) observed values.
     """
-    idx, y = dataset
+    idx, y = _dataset(dataset, t0.n)
     total = idx.shape[0]
     nbatches = total // cfg.batch_size
     if nbatches == 0:

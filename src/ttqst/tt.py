@@ -16,6 +16,11 @@ only on the tensor or the batch shape is made once: ``tt_entries`` keeps a
 tensor's entry plan (its cores' unfoldings and block size) on the tensor,
 and ``_flat_rows`` keeps the read-only selector base of each (mode sizes,
 row count) within ``SELECTOR_CACHE_BYTES``.
+
+The ``TtTensor`` constructor checks its cores: order 3, boundary ranks 1 and
+chained ranks.  A tensor whose cores an algorithm here has just shaped skips
+those checks through ``TtTensor._from_cores``, which only freezes the cores
+and reads the sizes off their shapes.
 """
 
 from __future__ import annotations
@@ -64,13 +69,16 @@ def _householder_q(a: np.ndarray) -> np.ndarray:
     """The ``q`` of the thin QR of ``a`` by LAPACK ``dgeqrf`` + ``dorgqr``.
 
     ``q`` has ``min(a.shape)`` orthonormal columns.  ``dorgqr`` overwrites
-    ``dgeqrf``'s reflectors, a temporary, in place.  Raises ``LinAlgError``
+    ``dgeqrf``'s reflectors, a temporary, in place; only a wide ``a`` has
+    columns past its reflectors to slice off first.  Raises ``LinAlgError``
     on a LAPACK error.  Nothing checks finiteness here: ``dgeqrf`` passes
     NaN through silently, and an overflow inside it turns ``q`` NaN.
     """
     qr, tau, _, info = lapack.dgeqrf(a)
     if info == 0:
-        q, _, info = lapack.dorgqr(qr[:, : tau.shape[0]], tau, overwrite_a=1)
+        if a.shape[0] < a.shape[1]:
+            qr = qr[:, : a.shape[0]]
+        q, _, info = lapack.dorgqr(qr, tau, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"QR failed (LAPACK info {info})")
     return q
@@ -186,6 +194,23 @@ class TtTensor:
         self.ortho = ortho
         self._plan = None
 
+    @classmethod
+    def _from_cores(cls, cores, ortho) -> TtTensor:
+        """The tensor of ``cores``, float64 and order 3 with chained ranks, unchecked.
+
+        For cores whose shapes the algorithm fixed: they are frozen as in the
+        constructor, and nothing else is checked or converted.
+        """
+        t = cls.__new__(cls)
+        for c in cores:
+            c.setflags(write=False)
+        t.cores = tuple(cores)
+        t.mode_dims = tuple(c.shape[1] for c in cores)
+        t.ranks = tuple(c.shape[2] for c in cores[:-1])
+        t.ortho = tuple(ortho)
+        t._plan = None
+        return t
+
     @property
     def n(self) -> int:
         return len(self.cores)
@@ -263,7 +288,7 @@ def _chain_rows(v: np.ndarray, mat: np.ndarray, r1: int, sel: np.ndarray) -> np.
     every mode slice, then a flat-row ``take``: at core-sized ranks this is
     cheaper than gathering B slices and running B one-row products, or than
     a two-array index.  It takes the unfolding, not the core, so the
-    geometry's chains step on the unfoldings it keeps.
+    geometry's left chain steps on the unfoldings it keeps.
     """
     return v.dot(mat).reshape(-1, r1).take(sel, axis=0)
 
@@ -556,7 +581,7 @@ def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
         nxt = cores[k + 1]
         cur = c.dot(nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     out.append(cur)
-    return TtTensor(out, [LEFT] * (n - 1) + [UNKNOWN])
+    return TtTensor._from_cores(out, [LEFT] * (n - 1) + [UNKNOWN])
 
 
 def random_tt(mode_dims, ranks, rng, kind: str = "gaussian") -> TtTensor:

@@ -6,6 +6,8 @@ foot point; the batch projection must reproduce it, for a few entries or,
 through ``project_all``, for a dense tensor.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -640,6 +642,77 @@ def test_out_of_range_index_raises_naming_its_site(site, past_end, dtype):
         call()
 
 
+def dense_projection(geom, x):
+    """Oracle: the tangent projection of the dense C-order ``x`` by the projector formula.
+
+    With the left parts ``A_k = U^{<=k}`` and the right parts ``B_k = V^{>k}``
+    of cut k, both orthonormal, the projection is
+    ``sum_k (A_{k-1} A_{k-1}^T (x) I (x) B_k^T B_k) x - sum_{k<n} (A_k A_k^T (x) B_k^T B_k) x``,
+    with ``A_0`` and ``B_n`` the 1 x 1 identity: ``lefts[k]`` is ``A_k`` and
+    ``rights[k]`` is ``B_{k+1}``, k from 0.  Each part is contracted
+    densely by ``einsum``, site by site.
+    """
+    n, dims = geom.base.n, geom.base.mode_dims
+    lefts = [np.ones((1, 1))]
+    for core in geom.base.cores[:-1]:
+        lefts.append(np.einsum("ia,ajb->ijb", lefts[-1], core).reshape(-1, core.shape[2]))
+    rights = [np.ones((1, 1))]
+    for core in reversed(geom.right_cores[1:]):
+        rights.insert(0, np.einsum("ajb,bJ->ajJ", core, rights[0]).reshape(core.shape[0], -1))
+    out = np.zeros(x.size)
+    for k in range(n):
+        a, b = lefts[k], rights[k]
+        x3 = x.reshape(a.shape[0], dims[k], b.shape[1])
+        out += np.einsum("ia,Ia,Ijk,bk,bK->ijK", a, a, x3, b, b, optimize=True).ravel()
+        if k < n - 1:
+            a = lefts[k + 1]
+            out -= (a @ (a.T @ x.reshape(a.shape[0], -1) @ b.T) @ b).ravel()
+    return out.reshape(dims)
+
+
+def test_dense_projection_oracle_matches_tangent_projector():
+    rng = np.random.default_rng(44)
+    base = left_orth_base(rng)
+    proj, _ = dense_tangent_projector(base)
+    x = rng.standard_normal(base.mode_dims)
+    got = dense_projection(manifold.TangentGeometry(base), x)
+    np.testing.assert_allclose(got.reshape(-1, order="F"), proj @ x.reshape(-1, order="F"),
+                               rtol=0, atol=1e-12)
+
+
+PROJECTION_CASES = {
+    # The ising-n6 iterate ranks, where the right chain's GEMMs are widest.
+    "ising ranks": ((4,) * 6, (4, 16, 16, 16, 4), 20),
+    "qutrits": ((9, 9, 9, 9), (3, 9, 3), 20),
+    "one row": ((4,) * 6, (4, 16, 16, 16, 4), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(PROJECTION_CASES))
+def test_project_batch_matches_dense_projection(case):
+    dims, ranks, rows = PROJECTION_CASES[case]
+    rng = np.random.default_rng(45)
+    geom = manifold.TangentGeometry(left_orth_base(rng, dims, ranks))
+    idx = batch_with_repeats(rng, dims, rows, np.uint8)
+    vals = rng.standard_normal(rows)
+    v = geom.project_batch(idx, vals)
+    want = dense_projection(geom, sparse_dense(dims, idx, vals))
+    np.testing.assert_allclose(tt.tt_dense(tangent_to_tt(v)), want, rtol=0, atol=1e-12)
+    assert gauge_residual(v) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (6,), (5, 1)])
+def test_project_batch_rejects_values_not_of_batch_shape(shape):
+    # The right chain's product broadcasts, so only this check stops a
+    # length-1 ``values`` from standing in for every row.
+    rng = np.random.default_rng(46)
+    geom = manifold.TangentGeometry(left_orth_base(rng))
+    idx = rng.integers(0, 4, size=(5, 3))
+    want = f"values of shape {shape} for indices of shape (5, 3): need (5,)"
+    with pytest.raises(manifold.ManifoldError, match=re.escape(want)):
+        geom.project_batch(idx, np.ones(shape))
+
+
 def test_project_batch_of_repeated_rows_is_sum_of_single_rows():
     dims = (9, 4, 16)
     rng = np.random.default_rng(31)
@@ -651,6 +724,39 @@ def test_project_batch_of_repeated_rows_is_sum_of_single_rows():
              for b in range(20)]
     for k, core in enumerate(got):
         np.testing.assert_allclose(core, sum(p[k] for p in parts), rtol=0, atol=1e-12)
+
+
+def unchecked_builds():
+    """``name -> (build, count)``: each site that builds by ``TtTensor._from_cores``,
+    and how many tensors it builds so."""
+    rng = np.random.default_rng(47)
+    dims = (4, 9, 4, 4)
+    base = left_orth_base(rng, dims, (3, 4, 2))
+    geom = manifold.TangentGeometry(base)
+    v = geom.project_batch(batch_with_repeats(rng, dims, 20, np.uint8), rng.standard_normal(20))
+    return {
+        "ksl_retract": (lambda: manifold.ksl_retract(v, 1e-2), 1),
+        "ttsvd of a TtTensor": (lambda: tt.ttsvd(tangent_step(v, 1e-2), base.ranks), 1),
+        # The stacked step and, as the trim clips nothing, its TT-path TTSVD.
+        "trimmed_retract": (lambda: manifold.trimmed_retract(v, 1e-2, base.ranks, 1e6), 2),
+    }
+
+
+@pytest.mark.parametrize("site", list(unchecked_builds()))
+def test_unchecked_builds_match_the_constructor(monkeypatch, site):
+    build, count = unchecked_builds()[site]
+    built = []
+    from_cores = tt.TtTensor._from_cores
+    monkeypatch.setattr(tt.TtTensor, "_from_cores",
+                        lambda *args: built.append(from_cores(*args)) or built[-1])
+    build()
+    assert len(built) == count
+    for t in built:
+        ref = tt.TtTensor(t.cores, t.ortho)
+        assert all(c.dtype == np.float64 and not c.flags.writeable for c in t.cores)
+        assert (t.mode_dims, t.ranks, t.ortho) == (ref.mode_dims, ref.ranks, ref.ortho)
+        idx = np.zeros((1, t.n), dtype=np.uint8)
+        assert tt.tt_entries(t, idx).tobytes() == tt.tt_entries(ref, idx).tobytes()
 
 
 def test_ksl_retract_second_order_for_vector_built_from_geometry():

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -196,8 +197,10 @@ def test_well_conditioned_untrimmed_round_takes_no_svd(monkeypatch):
 def test_untrimmed_round_call_counts(monkeypatch):
     # One untrimmed round at the online-n16 shapes, each kernel call counted
     # by its caller: one flat-row selector for the one gradient block, n - 1
-    # q-only QRs in the retraction's sweep, whose q.T @ K_k is never formed,
-    # the new geometry's n - 1 QRs with their factors, and no SVD.
+    # chain steps in its left chain and none in the projection, whose right
+    # chain steps through its one-hot, n - 1 q-only QRs in the retraction's
+    # sweep, whose q.T @ K_k is never formed, the new geometry's n - 1 QRs
+    # with their factors, and no SVD.
     n = 16
     rng = np.random.default_rng(28)
     t = tt.left_orthogonalize(tt.random_tt((4,) * n, (4,) * (n - 1), rng))
@@ -215,11 +218,12 @@ def test_untrimmed_round_call_counts(monkeypatch):
 
         monkeypatch.setattr(tt, name, spy)
 
-    for name in ("_flat_rows", "_householder_q", "_householder", "_qr", "_svd"):
+    for name in ("_flat_rows", "_chain_rows", "_householder_q", "_householder", "_qr", "_svd"):
         count(name)
     state.step(idx, rng.standard_normal(20), 1e-3, None, t.ranks, np.inf)
     assert calls == {
         ("_flat_rows", "left_chain"): 1,
+        ("_chain_rows", "left_chain"): n - 1,
         ("_householder_q", "ksl_retract"): n - 1,
         ("_householder_q", "_householder"): n - 1,
         ("_householder", "right_qr_sweep"): n - 1,
@@ -435,6 +439,34 @@ def test_offline_fixed_point_and_dense(small_target):
     assert tt_relative_error(out0, t0) < 1e-12
     with pytest.raises(solvers.SolverError):
         solvers.rgd_offline_run(t0, (idx[:0], y[:0]), cfg)
+
+
+DATASET_CASES = {
+    # A length-1 y was broadcast to every row, and 199 values ran until the
+    # shuffle reached row 199.
+    "1 value": (200, 1),
+    "199 values": (200, 199),
+    "201 values": (200, 201),
+    "values as a column": (200, (200, 1)),
+    "indices of another width": ((200, 3), 200),
+    "flat indices": ((200,), 200),
+}
+
+
+@pytest.mark.parametrize("run", [solvers.rgd_offline_run, solvers.rsgd_run])
+@pytest.mark.parametrize("case", list(DATASET_CASES))
+def test_dataset_shapes_checked_before_round_one(monkeypatch, run, case):
+    tstar = states.pure_state_coeff(states.random_mps(4, 2, 2, seed=3))
+    idx, y = meas.make_stream(tstar, meas.ExactSource(), seed=4).draw_batch(200)
+    rows, values = DATASET_CASES[case]
+    ishape = (rows, 4) if isinstance(rows, int) else rows
+    idx = np.resize(idx, ishape)
+    y = np.resize(y, values)
+    cfg = solvers.SolverConfig(ranks=tstar.ranks, max_iters=3, batch_size=20, alpha=1e-2)
+    monkeypatch.setattr(solvers._IterateState, "step", lambda *a: pytest.fail("a round ran"))
+    want = f"indices of shape (N, 4) and values of shape (N,), got {idx.shape} and {y.shape}"
+    with pytest.raises(solvers.SolverError, match=re.escape(want)):
+        run(tstar, (idx, y), cfg)
 
 
 def test_offline_matches_orgd_step_on_same_batch(small_target):

@@ -85,6 +85,14 @@ def test_truncate_factor_padding_keeps_u_orthonormal(a, data):
         assert np.linalg.norm(a - u @ c) <= 1e-12 * np.linalg.norm(a)
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (4, 4), (16, 4)])
+def test_householder_q_matches_numpy_q(shape):
+    # A wide input's reflectors are sliced off dgeqrf's output before dorgqr;
+    # a tall or square one goes to dorgqr as it is.
+    a = np.random.default_rng(shape[1]).standard_normal(shape)
+    np.testing.assert_allclose(tt._householder_q(a), np.linalg.qr(a)[0], rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("kernel", [tt._qr, tt._svd])
 def test_kernels_raise_on_nan(kernel):
     for shape in [(6, 3), (3, 6), (4, 4)]:
