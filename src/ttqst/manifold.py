@@ -116,14 +116,14 @@ class TangentVector:
 
 
 def _require_left_orthogonal(base: TtTensor):
-    for k in range(base.n - 1):
-        if base.ortho[k] == tt.LEFT:
-            continue
-        if not tt.is_left_orthogonal(base.cores[k], tol=1e-10):
-            raise ManifoldError(
-                "projection foot point must have left-orthogonal cores 1..n-1 "
-                "(run left_orthogonalize first)"
-            )
+    """Trust ``base.left_orthogonal``; check cores 1..n-1 of an unflagged base."""
+    if base.left_orthogonal:
+        return
+    if not all(tt.is_left_orthogonal(c, tol=1e-10) for c in base.cores[:-1]):
+        raise ManifoldError(
+            "projection foot point must have left-orthogonal cores 1..n-1 "
+            "(run left_orthogonalize first)"
+        )
 
 
 def _certified(r: np.ndarray) -> bool:
@@ -363,7 +363,7 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
                 raise tt._qr_error(finite_input=True)
         raise _non_finite(n - 1)
     out.append(last.reshape(-1, m, 1))
-    return TtTensor._from_cores(out, [tt.LEFT] * (n - 1) + [tt.UNKNOWN])
+    return TtTensor._from_cores(out, True)
 
 
 def trim_level(norm: float, size: int, nu: float) -> float:
@@ -410,5 +410,5 @@ def trimmed_retract(v: TangentVector, eta: float, ranks, nu: float) -> TtTensor:
     """
     xhat = _step_cores(v, eta)
     norm = float(np.linalg.norm(require_finite(xhat)))
-    z = TtTensor._from_cores(_chain_sum_cores(v.geom, xhat), (tt.UNKNOWN,) * len(xhat))
+    z = TtTensor._from_cores(_chain_sum_cores(v.geom, xhat), False)
     return retract(z, ranks, trim_level(norm, z.size, nu))

@@ -7,6 +7,11 @@ coefficient tensor in an orthonormal Hermitian product basis (Pauli matrices
 for qubits, generalized Gell-Mann matrices for qudits) is real with the same
 bond ranks, which is what links tomography to real TT completion.
 
+``Mps`` and ``Mpo`` are one complex chain (``_Chain``) of order-3 or order-4
+cores.  They keep the chain contract of ``tt.TtTensor``, checked by the same
+``tt._chain_ranks`` (at least 2 cores, boundary ranks 1, matching bonds), and
+one local dimension d on every physical axis; a violation raises ``MpoError``.
+
 Arrays unfold in C order, as in ``tt``: a core's ``(i, j)`` read as one
 index of size d^2 is ``i * d + j``, and a dense operator's site 1 is its
 slowest index.  Fortran order remains only in the TTR1/TTC1 byte layout.
@@ -72,66 +77,51 @@ def make_basis(d: int) -> np.ndarray:
     return mats
 
 
-def _as_mps_core(a):
-    c = np.asarray(a, dtype=np.complex128)
-    if c.ndim != 3:
-        raise MpoError(f"MPS core must be order 3, got shape {c.shape}")
-    return c
+class _Chain:
+    """A complex chain of order-``ORDER`` cores ``(r_{k-1}, d, ..., d, r_k)``.
 
-
-def _as_mpo_core(a):
-    c = np.asarray(a, dtype=np.complex128)
-    if c.ndim != 4:
-        raise MpoError(f"MPO core must be order 4, got shape {c.shape}")
-    if c.shape[1] != c.shape[2]:
-        raise MpoError("MPO core physical dimensions must match")
-    return c
-
-
-class Mps:
-    """Complex matrix product state: n order-3 cores ``(r_{k-1}, d, r_k)``."""
+    The cores are converted to complex128 and frozen.  They keep the chain
+    contract of ``tt._chain_ranks`` (at least 2 cores, boundary ranks 1,
+    matching bonds), and every physical axis of every core has the local
+    dimension d.  Any violation raises ``MpoError``.
+    """
 
     __slots__ = ("cores", "n", "d", "ranks")
+    ORDER = None
 
     def __init__(self, cores):
-        cores = [_as_mps_core(c) for c in cores]
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-            raise MpoError("boundary ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[2] != cores[k + 1].shape[0]:
-                raise MpoError(f"rank mismatch at bond {k + 1}")
+        cores = [np.asarray(c, dtype=np.complex128) for c in cores]
+        for c in cores:
+            if c.ndim != self.ORDER:
+                raise MpoError(f"{type(self).__name__} core must be order {self.ORDER}, "
+                               f"got shape {c.shape}")
+        try:
+            ranks = tt._chain_ranks(cores)
+        except tt.TtError as exc:
+            raise MpoError(str(exc)) from exc
         d = cores[0].shape[1]
-        if any(c.shape[1] != d for c in cores):
-            raise MpoError("all sites must share the local dimension")
+        if any(m != d for c in cores for m in c.shape[1:-1]):
+            raise MpoError(f"every physical axis must have the local dimension {d}")
         for c in cores:
             c.setflags(write=False)
         self.cores = tuple(cores)
         self.n = len(cores)
         self.d = d
-        self.ranks = tuple(c.shape[2] for c in cores[:-1])
+        self.ranks = ranks
 
 
-class Mpo:
-    """Complex matrix product operator: n order-4 cores ``(r_{k-1}, d, d, r_k)``."""
+class Mps(_Chain):
+    """Complex matrix product state: n >= 2 order-3 cores ``(r_{k-1}, d, r_k)``."""
 
-    __slots__ = ("cores", "n", "d", "ranks")
+    __slots__ = ()
+    ORDER = 3
 
-    def __init__(self, cores):
-        cores = [_as_mpo_core(c) for c in cores]
-        if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
-            raise MpoError("boundary ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[3] != cores[k + 1].shape[0]:
-                raise MpoError(f"rank mismatch at bond {k + 1}")
-        d = cores[0].shape[1]
-        if any(c.shape[1] != d for c in cores):
-            raise MpoError("all sites must share the local dimension")
-        for c in cores:
-            c.setflags(write=False)
-        self.cores = tuple(cores)
-        self.n = len(cores)
-        self.d = d
-        self.ranks = tuple(c.shape[3] for c in cores[:-1])
+
+class Mpo(_Chain):
+    """Complex matrix product operator: n >= 2 order-4 cores ``(r_{k-1}, d, d, r_k)``."""
+
+    __slots__ = ()
+    ORDER = 4
 
 
 def _chain_inner(acores, bcores) -> complex:
@@ -346,23 +336,20 @@ def mpo_to_coeff(m: Mpo) -> TtTensor:
     Core contraction ``T_k(l, s, m) = sum_{ij} U_k(l,i,j,m) conj(P_s(i,j))``
     (the per-site Hilbert-Schmidt inner product).  The imaginary residue is
     asserted below tolerance and dropped; bond ranks carry over, and
-    left-orthogonal MPO cores yield left-orthogonal TT cores.
+    left-orthogonal MPO cores yield left-orthogonal TT cores: the output is
+    flagged ``left_orthogonal`` when its cores 1..n-1 check so.
     """
     if not is_hermitian_cores(m):
         raise MpoError("mpo_to_coeff requires cores satisfying the Hermitian condition")
     cores = []
-    flags = []
     mats = make_basis(m.d).conj()
     for c in m.cores:
         t = np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1)  # (l, s, m)
         scale = max(float(np.max(np.abs(t))), 1.0)
         if float(np.max(np.abs(t.imag))) > 1e-12 * scale:
             raise MpoError("coefficient core has imaginary residue above tolerance")
-        real = t.real
-        cores.append(real)
-        flags.append(tt.LEFT if tt.is_left_orthogonal(real) else tt.UNKNOWN)
-    flags[-1] = tt.UNKNOWN
-    return TtTensor(cores, flags)
+        cores.append(t.real)
+    return TtTensor(cores, all(tt.is_left_orthogonal(c) for c in cores[:-1]))
 
 
 def coeff_to_mpo(t: TtTensor) -> Mpo:

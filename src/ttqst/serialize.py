@@ -9,7 +9,14 @@ TTC1 (complex chain)
     magic ``TTC1`` | u8 core order (3 = MPS, 4 = MPO) | u32 n |
     n x u32 local dims | (n-1) x u32 ranks | cores with interleaved
     (re, im) little-endian float64 pairs, first index fastest; MPO cores
-    are (r_{k-1}, d, d, r_k).
+    are (r_{k-1}, d, d, r_k).  The pairs are numpy's little-endian
+    ``complex128`` (``<c16``), read and written as such.
+
+Both formats share one header reader (``_read_shapes``: n >= 2, no zero
+dimension or rank), one core reader (``_read_cores``, which also rejects
+trailing bytes) and one writer.  Every failure to read raises
+``SerializationError``; a header that declares more bytes than the file
+holds reads as a truncated file.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from .tt import TtTensor
 
 _U32 = np.dtype("<u4")
 _F64 = np.dtype("<f8")
+# Little-endian complex128 is the (re, im) float64 pairs of the TTC1 layout.
+_C128 = np.dtype("<c16")
 
 
 class SerializationError(ValueError):
@@ -53,68 +62,56 @@ def _read_u32(fh, count):
     return np.frombuffer(_read_exact(fh, 4 * count), dtype=_U32).tolist()
 
 
-def _require_positive(dims, ranks):
+def _read_shapes(fh, order):
+    """Core shapes of a chain header: u32 n >= 2, n dims, n - 1 ranks.
+
+    A core of order 4 has its dimension on both physical axes.  A zero
+    dimension or rank raises ``SerializationError``.
+    """
+    (n,) = _read_u32(fh, 1)
+    if n < 2:
+        raise SerializationError(f"invalid core count {n}")
+    dims = _read_u32(fh, n)
+    ranks = _read_u32(fh, n - 1)
     if min(*dims, *ranks) < 1:
         raise SerializationError("zero mode dimension or rank")
+    bonds = [1, *ranks, 1]
+    return [(bonds[k],) + (dims[k],) * (order - 2) + (bonds[k + 1],) for k in range(n)]
+
+
+def _read_cores(fh, shapes, dtype):
+    """The cores of ``shapes``, first index fastest, then the end of the file."""
+    cores = [np.frombuffer(_read_exact(fh, dtype.itemsize * math.prod(shape)), dtype=dtype)
+             .reshape(shape, order="F") for shape in shapes]
+    if fh.read(1):
+        raise SerializationError("trailing bytes")
+    return cores
+
+
+def _write(path, head, dims, ranks, cores, dtype):
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(np.array([len(cores), *dims, *ranks], dtype=_U32).tobytes())
+        for c in cores:
+            fh.write(np.asarray(c, dtype=dtype).tobytes(order="F"))
 
 
 def write_ttr1(path, t: TtTensor):
-    with open(path, "wb") as fh:
-        fh.write(b"TTR1")
-        header = np.array([t.n, *t.mode_dims, *t.ranks], dtype=_U32)
-        fh.write(header.tobytes())
-        for c in t.cores:
-            fh.write(np.ascontiguousarray(c.ravel(order="F"), dtype=_F64).tobytes())
+    _write(path, b"TTR1", t.mode_dims, t.ranks, t.cores, _F64)
 
 
 def read_ttr1(path) -> TtTensor:
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != b"TTR1":
             raise SerializationError("not a TTR1 file")
-        (n,) = _read_u32(fh, 1)
-        if n < 2:
-            raise SerializationError("invalid mode count")
-        dims = _read_u32(fh, n)
-        ranks = _read_u32(fh, n - 1)
-        _require_positive(dims, ranks)
-        bonds = [1, *ranks, 1]
-        cores = []
-        for k in range(n):
-            shape = (bonds[k], dims[k], bonds[k + 1])
-            flat = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype=_F64)
-            cores.append(flat.reshape(shape, order="F"))
-        if fh.read(1):
-            raise SerializationError("trailing bytes")
+        cores = _read_cores(fh, _read_shapes(fh, 3), _F64)
     return TtTensor(cores)
 
 
-def _write_complex(fh, arr):
-    flat = np.ascontiguousarray(arr.ravel(order="F"), dtype=np.complex128)
-    inter = np.empty(2 * flat.size, dtype=_F64)
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    fh.write(inter.tobytes())
-
-
-def _read_complex(fh, count):
-    inter = np.frombuffer(_read_exact(fh, 16 * count), dtype=_F64)
-    return inter[0::2] + 1j * inter[1::2]
-
-
 def write_ttc1(path, obj):
-    if isinstance(obj, Mps):
-        order = 3
-    elif isinstance(obj, Mpo):
-        order = 4
-    else:
+    if not isinstance(obj, (Mps, Mpo)):
         raise SerializationError(f"cannot serialize {type(obj).__name__}")
-    with open(path, "wb") as fh:
-        fh.write(b"TTC1")
-        fh.write(bytes([order]))
-        header = np.array([obj.n, *([obj.d] * obj.n), *obj.ranks], dtype=_U32)
-        fh.write(header.tobytes())
-        for c in obj.cores:
-            _write_complex(fh, c)
+    _write(path, b"TTC1" + bytes([obj.ORDER]), [obj.d] * obj.n, obj.ranks, obj.cores, _C128)
 
 
 def read_ttc1(path):
@@ -124,24 +121,8 @@ def read_ttc1(path):
         order = _read_exact(fh, 1)[0]
         if order not in (3, 4):
             raise SerializationError(f"unknown core order tag {order}")
-        (n,) = _read_u32(fh, 1)
-        if n < 2:
-            raise SerializationError("invalid site count")
-        dims = _read_u32(fh, n)
-        d = dims[0]
-        if any(x != d for x in dims):
+        shapes = _read_shapes(fh, order)
+        if any(shape[1] != shapes[0][1] for shape in shapes):
             raise SerializationError("local dimensions must match")
-        ranks = _read_u32(fh, n - 1)
-        _require_positive(dims, ranks)
-        bonds = [1, *ranks, 1]
-        cores = []
-        for k in range(n):
-            if order == 3:
-                shape = (bonds[k], d, bonds[k + 1])
-            else:
-                shape = (bonds[k], d, d, bonds[k + 1])
-            cnt = math.prod(shape)
-            cores.append(_read_complex(fh, cnt).reshape(shape, order="F"))
-        if fh.read(1):
-            raise SerializationError("trailing bytes")
+        cores = _read_cores(fh, shapes, _C128)
     return Mps(cores) if order == 3 else Mpo(cores)

@@ -359,7 +359,7 @@ def _descend(t0, rounds, cfg, ground_truth, pure_target):
         msg = f"trim skipped in every step: {t0.size} entries above the dense cap"
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
         trim_nu = None
-    if any(f != tt.LEFT for f in t0.ortho[:-1]):
+    if not t0.left_orthogonal:
         t0 = tt.left_orthogonalize(t0)
     max_norm = DIVERGED_FACTOR * max(1.0, float(blas.dnrm2(t0.cores[-1].ravel())))
     state = _IterateState(t0)
@@ -519,12 +519,20 @@ def _renormalize_columns(z: np.ndarray, what: str) -> np.ndarray:
 
 
 def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
-    """Exact QR split of a wide core ``(R1, prod(dims), R2)`` into a chain."""
+    """Exact QR split of a wide core ``(R1, prod(dims), R2)`` into a chain.
+
+    Raises ``LinAlgError`` as ``tt.left_orthogonalize`` does, checked once on
+    every factor after the split.
+    """
     out = []
+    factors = []
     m = core  # (bond, remaining modes and R2), unfolded in C order at each mode
     for d in dims[:-1]:
-        q, m = tt._qr(m.reshape(m.shape[0] * d, -1))
+        q, m = tt._householder(m.reshape(m.shape[0] * d, -1))
+        factors.append(m)
         out.append(q.reshape(-1, d, q.shape[1]))
+    if factors and not np.isfinite(np.concatenate(factors, axis=None)).all():
+        raise tt._qr_error(bool(np.isfinite(core).all()))
     out.append(m.reshape(m.shape[0], dims[-1], core.shape[2]))
     return out
 

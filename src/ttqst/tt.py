@@ -17,10 +17,14 @@ tensor's entry plan (its cores' unfoldings and block size) on the tensor,
 and ``_flat_rows`` keeps the read-only selector base of each (mode sizes,
 row count) within ``SELECTOR_CACHE_BYTES``.
 
-The ``TtTensor`` constructor checks its cores: order 3, boundary ranks 1 and
-chained ranks.  A tensor whose cores an algorithm here has just shaped skips
-those checks through ``TtTensor._from_cores``, which only freezes the cores
-and reads the sizes off their shapes.
+A chain of cores, real or complex and of any order, keeps one contract,
+checked by ``_chain_ranks``: at least 2 cores, boundary ranks 1, and each
+core's last axis equal to the next core's first.  The ``TtTensor``
+constructor checks it and that every core is order 3; ``mpo.Mps`` and
+``mpo.Mpo`` check it too.  A tensor whose cores an algorithm here has just
+shaped skips those checks through ``TtTensor._from_cores``, which only
+freezes the cores and reads the sizes off their shapes.  The gauge is one
+flag, ``TtTensor.left_orthogonal``: cores 1..n-1 are left-orthogonal.
 """
 
 from __future__ import annotations
@@ -52,9 +56,6 @@ _SELECTOR_BASES = {}  # (mode dims, rows) -> read-only base, oldest first
 _SELECTOR_LOCK = threading.Lock()
 
 ORTHO_TOL = 1e-12
-
-LEFT = "left"
-UNKNOWN = "unknown"
 
 # Singular values below RANK_TOL * sigma_1 are treated as exact zeros when a
 # truncation rank exceeds the numerical rank.
@@ -105,19 +106,6 @@ def _qr_error(finite_input: bool) -> np.linalg.LinAlgError:
     return np.linalg.LinAlgError("QR of a matrix with non-finite entries")
 
 
-def _qr(a: np.ndarray):
-    """Thin QR of a real matrix by ``_householder``, checked for finiteness.
-
-    The factorizations on the TT hot path are of core-sized matrices, where
-    numpy's wrapper costs several times the LAPACK call itself.  Raises
-    ``LinAlgError`` on a LAPACK error, a non-finite ``a`` or an overflow.
-    """
-    q, r = _householder(a)
-    if not np.isfinite(r).all():
-        raise _qr_error(bool(np.isfinite(a).all()))
-    return q, r
-
-
 def _svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
     """SVD by LAPACK ``dgesdd``; returns ``(u, s, vh)``, or ``s`` alone.
 
@@ -135,11 +123,22 @@ def _svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
     return (u, s, vh) if compute_uv else s
 
 
-def _as_core(a) -> np.ndarray:
-    c = np.asarray(a, dtype=np.float64)
-    if c.ndim != 3:
-        raise TtError(f"core must be order 3, got shape {c.shape}")
-    return c
+def _chain_ranks(cores) -> tuple:
+    """The bond ranks ``r_1..r_{n-1}`` of a chain of cores, checked.
+
+    Core k's first axis is ``r_{k-1}`` and its last ``r_k``, whatever its
+    order.  Raises ``TtError`` unless there are at least 2 cores,
+    ``r_0 = r_n = 1`` and each core's last axis matches the next core's first.
+    """
+    if len(cores) < 2:
+        raise TtError(f"a chain needs at least 2 cores, got {len(cores)}")
+    if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
+        raise TtError("boundary ranks must be 1")
+    for k in range(len(cores) - 1):
+        if cores[k].shape[-1] != cores[k + 1].shape[0]:
+            raise TtError(f"rank mismatch at bond {k + 1}: "
+                          f"{cores[k].shape[-1]} vs {cores[k + 1].shape[0]}")
+    return tuple([c.shape[-1] for c in cores[:-1]])
 
 
 class TtTensor:
@@ -148,12 +147,12 @@ class TtTensor:
     Parameters
     ----------
     cores : sequence of ndarray
-        n order-3 arrays; core k has shape ``(r_{k-1}, mode_dims[k], r_k)``
+        n >= 2 order-3 arrays; core k has shape ``(r_{k-1}, mode_dims[k], r_k)``
         with ``r_0 = r_n = 1``.
-    ortho : sequence of str, optional
-        Per-core orthogonality flag, ``"left"`` or ``"unknown"``.  Flags are
-        trusted metadata; they are set by the operations in this module and
-        never guessed.
+    left_orthogonal : bool, optional
+        Whether cores 1..n-1 are left-orthogonal.  The flag is trusted
+        metadata; it is set by the operations in this library and never
+        guessed.
 
     Core arrays are frozen (non-writeable views); instances are immutable and
     safe to share between threads.  ``tt_entries`` keeps the tensor's entry
@@ -161,55 +160,40 @@ class TtTensor:
     race to build it build equal plans.
     """
 
-    __slots__ = ("cores", "mode_dims", "ranks", "ortho", "_plan")
+    __slots__ = ("cores", "mode_dims", "ranks", "left_orthogonal", "_plan")
 
-    def __init__(self, cores, ortho=None):
-        cores = [_as_core(c) for c in cores]
-        if len(cores) < 2:
-            raise TtError("a tensor train needs at least 2 cores")
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-            raise TtError("boundary ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[2] != cores[k + 1].shape[0]:
-                raise TtError(
-                    f"rank mismatch between cores {k} and {k + 1}: "
-                    f"{cores[k].shape[2]} vs {cores[k + 1].shape[0]}"
-                )
-        mode_dims = tuple(c.shape[1] for c in cores)
-        ranks = tuple(c.shape[2] for c in cores[:-1])
+    def __init__(self, cores, left_orthogonal=False):
+        cores = [np.asarray(c, dtype=np.float64) for c in cores]
+        for c in cores:
+            if c.ndim != 3:
+                raise TtError(f"core must be order 3, got shape {c.shape}")
+        _chain_ranks(cores)
         # Representation ranks may exceed the separation-rank bounds for
         # transient stacked forms (sums, tangent steps); minimal-form
         # feasibility is checked by ttsvd instead.
-        for c in cores:
-            c.setflags(write=False)
-        self.cores = tuple(cores)
-        self.mode_dims = mode_dims
-        self.ranks = ranks
-        if ortho is None:
-            ortho = (UNKNOWN,) * len(cores)
-        else:
-            ortho = tuple(ortho)
-            if len(ortho) != len(cores):
-                raise TtError("ortho flags must match core count")
-        self.ortho = ortho
-        self._plan = None
+        self._freeze(cores, left_orthogonal)
 
     @classmethod
-    def _from_cores(cls, cores, ortho) -> TtTensor:
+    def _from_cores(cls, cores, left_orthogonal) -> TtTensor:
         """The tensor of ``cores``, float64 and order 3 with chained ranks, unchecked.
 
         For cores whose shapes the algorithm fixed: they are frozen as in the
         constructor, and nothing else is checked or converted.
         """
         t = cls.__new__(cls)
+        t._freeze(cores, left_orthogonal)
+        return t
+
+    def _freeze(self, cores, left_orthogonal):
+        """Fill the slots: ``cores`` frozen, and the sizes read off their shapes."""
         for c in cores:
             c.setflags(write=False)
-        t.cores = tuple(cores)
-        t.mode_dims = tuple(c.shape[1] for c in cores)
-        t.ranks = tuple(c.shape[2] for c in cores[:-1])
-        t.ortho = tuple(ortho)
-        t._plan = None
-        return t
+        self.cores = tuple(cores)
+        # tuple() of a list is faster than of a generator; this runs every round.
+        self.mode_dims = tuple([c.shape[1] for c in cores])
+        self.ranks = tuple([c.shape[2] for c in cores[:-1]])
+        self.left_orthogonal = bool(left_orthogonal)
+        self._plan = None
 
     @property
     def n(self) -> int:
@@ -393,9 +377,7 @@ def tt_norm(t: TtTensor) -> float:
 def tt_scale(alpha: float, t: TtTensor) -> TtTensor:
     cores = list(t.cores)
     cores[-1] = cores[-1] * float(alpha)
-    ortho = list(t.ortho)
-    ortho[-1] = UNKNOWN
-    return TtTensor(cores, ortho)
+    return TtTensor(cores, t.left_orthogonal)
 
 
 def tt_axpy(alpha: float, a: TtTensor, b: TtTensor) -> TtTensor:
@@ -459,7 +441,7 @@ def left_orthogonalize(t: TtTensor) -> TtTensor:
         cores[k + 1] = r.dot(nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     if not np.isfinite(np.concatenate([cores[-1], *factors], axis=None)).all():
         raise _qr_error(bool(np.isfinite(np.concatenate(t.cores, axis=None)).all()))
-    return TtTensor(cores, [LEFT] * (t.n - 1) + [UNKNOWN])
+    return TtTensor(cores, left_orthogonal=True)
 
 
 def is_left_orthogonal(core: np.ndarray, tol: float = ORTHO_TOL) -> bool:
@@ -563,7 +545,7 @@ def ttsvd(x, ranks) -> TtTensor:
         u, c = _truncate_factor(c.reshape(c.shape[0] * dims[k], -1), r)
         cores.append(u.reshape(-1, dims[k], r))
     cores.append(c.reshape(-1, dims[-1], 1))
-    return TtTensor(cores, [LEFT] * len(ranks) + [UNKNOWN])
+    return TtTensor(cores, left_orthogonal=True)
 
 
 def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
@@ -581,23 +563,19 @@ def _ttsvd_tt(t: TtTensor, ranks) -> TtTensor:
         nxt = cores[k + 1]
         cur = c.dot(nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
     out.append(cur)
-    return TtTensor._from_cores(out, [LEFT] * (n - 1) + [UNKNOWN])
+    return TtTensor._from_cores(out, True)
 
 
 def random_tt(mode_dims, ranks, rng, kind: str = "gaussian") -> TtTensor:
-    """Random TT tensor with the given ranks (gaussian or uniform cores)."""
+    """Random TT tensor with the given ranks and standard normal cores.
+
+    ``kind`` names the core distribution; ``"gaussian"`` is the only one.
+    """
+    if kind != "gaussian":
+        raise TtError(f"unknown core distribution {kind!r}")
     dims = tuple(int(m) for m in mode_dims)
     rk = (1,) + tuple(int(r) for r in ranks) + (1,)
-    cores = []
-    for k in range(len(dims)):
-        shape = (rk[k], dims[k], rk[k + 1])
-        if kind == "gaussian":
-            cores.append(rng.standard_normal(shape))
-        elif kind == "uniform":
-            cores.append(rng.uniform(0.0, 1.0, size=shape))
-        else:
-            raise TtError(f"unknown core distribution {kind!r}")
-    return TtTensor(cores)
+    return TtTensor([rng.standard_normal((rk[k], m, rk[k + 1])) for k, m in enumerate(dims)])
 
 
 class CoherenceReport:

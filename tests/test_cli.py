@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ttqst import cli, measurement, serialize, solvers, states
+from ttqst import cli, measurement, mpo, serialize, solvers, states
 from ttqst.mpo import Mps
 
 
@@ -477,9 +477,10 @@ def test_infeasible_list_ranks_exit_config(tmp_path, capsys):
         ("solver.ranks=0", "solver.ranks cap must be at least 1, got 0"),
         ("solver.ranks=-2", "solver.ranks cap must be at least 1, got -2"),
         ("solver.ranks=true", "solver.ranks must be 'target', an integer cap, or a list"),
+        ("solver.ranks=[4, 4]", "need 4 ranks, got 2"),
     ],
     ids=["max_iter", "stop_rel_eror", "bond", "detla", "measurment", "solver=3",
-         "ranks=0", "ranks=-2", "ranks=true"],
+         "ranks=0", "ranks=-2", "ranks=true", "ranks-length"],
 )
 def test_plan_keys_and_rank_cap_checked(tmp_path, capsys, override, named):
     # A key the plan schema does not list, a section that is not an object and
@@ -506,3 +507,61 @@ def test_unknown_source_rejected(tmp_path):
     plan["measurement"] = {"source": "telepathy"}
     plan_path.write_text(json.dumps(plan))
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_CONFIG
+
+
+def test_random_mpo_init_plan_runs(tmp_path):
+    # The random-MPO start is an unflagged coefficient tensor, which the
+    # descent left-orthogonalizes before round 1.
+    plan_path, _ = base_plan(tmp_path, max_iters=200, stop_rel_error=None)
+    args = ["reconstruct", "--plan", str(plan_path),
+            "--set", "init.mode=random_mpo", "--set", "init.rank=2"]
+    assert cli.main(args) == cli.EXIT_OK
+    meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
+    init = meta["repetitions"][0]["init"]
+    assert (init["mode"], init["rank"]) == ("random_mpo", 2)
+    rows = (tmp_path / "run" / "trace_rep000.csv").read_text().splitlines()
+    assert rows[-1].startswith("200,")
+
+
+def test_integer_rank_cap_caps_every_cut(tmp_path):
+    # Target ranks (4, 4, 4, 4) under a cap of 2.
+    plan_path, _ = base_plan(tmp_path, max_iters=50, stop_rel_error=None)
+    assert cli.main(["reconstruct", "--plan", str(plan_path),
+                     "--set", "solver.ranks=2"]) == cli.EXIT_OK
+    back = serialize.read_ttr1(tmp_path / "run" / "reconstruction_rep000.ttr")
+    assert back.ranks == (2, 2, 2, 2)
+
+
+def test_mpo_state_file_reconstructs_and_evaluates(tmp_path, capsys):
+    # An MPO state file maps through mpo_to_coeff: it has no pure state, so
+    # evaluate prints the distance and no fidelity.
+    state_file = tmp_path / "rho.ttc"
+    serialize.write_ttc1(state_file, mpo.mps_to_mpo(states.ghz(4)))
+    plan_path, plan = base_plan(tmp_path)
+    plan["state_file"] = str(state_file)
+    del plan["state"]
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_OK
+    rec = tmp_path / "run" / "reconstruction_rep000.ttr"
+    for other, bound in ((state_file, 1e-12), (rec, 1.2e-4)):
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--state", str(state_file),
+                         "--reconstruction", str(other)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.split()
+        assert len(out) == 2 and out[0] == "D" and float(out[1]) <= bound
+
+
+def test_non_hermitian_core_mpo_state_file_exits_data(tmp_path, capsys):
+    # i * rho is a valid MPO whose cores fail the Hermitian core form.
+    rho = mpo.mps_to_mpo(states.ghz(4))
+    state_file = tmp_path / "bad.ttc"
+    serialize.write_ttc1(state_file, mpo.Mpo([1j * rho.cores[0], *rho.cores[1:]]))
+    plan_path, plan = base_plan(tmp_path)
+    plan["state_file"] = str(state_file)
+    del plan["state"]
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_DATA
+    assert cli.main(["evaluate", "--state", str(state_file),
+                     "--reconstruction", str(state_file)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("does not satisfy the Hermitian core form") == 2

@@ -315,7 +315,36 @@ def test_non_finite_base_rejected(value, core):
     cores = [c.copy() for c in base.cores]
     cores[core][0, 1, 0] = value
     with pytest.raises((np.linalg.LinAlgError, manifold.ManifoldError)):
-        manifold.TangentGeometry(tt.TtTensor(cores, base.ortho))
+        manifold.TangentGeometry(tt.TtTensor(cores, base.left_orthogonal))
+
+
+@pytest.mark.parametrize(
+    "cores, message",
+    [
+        (lambda b: b.cores[:-1], "need one variation core per site"),
+        (lambda b: [*b.cores[:-1], np.zeros((2, 4, 2))],
+         r"variation core shape \(2, 4, 2\) != base \(2, 4, 1\)"),
+    ],
+    ids=["count", "shape"],
+)
+def test_tangent_vector_checks_its_cores(cores, message):
+    geom = manifold.TangentGeometry(left_orth_base(np.random.default_rng(12)))
+    with pytest.raises(manifold.ManifoldError, match=message):
+        manifold.TangentVector(geom, cores(geom.base))
+
+
+def test_left_orthogonal_flag_trusted_else_every_core_checked():
+    # A flagged foot point is trusted as it is; an unflagged one passes when
+    # all of its cores 1..n-1 are left-orthogonal.
+    base = left_orth_base(np.random.default_rng(13), dims=(4, 4, 4, 4), ranks=(2, 3, 2))
+    assert not tt.TtTensor(base.cores).left_orthogonal
+    manifold.TangentGeometry(tt.TtTensor(base.cores))
+    for k in range(base.n - 1):
+        cores = list(base.cores)
+        cores[k] = 2.0 * cores[k]
+        manifold.TangentGeometry(tt.TtTensor(cores, left_orthogonal=True))
+        with pytest.raises(manifold.ManifoldError, match="left-orthogonal cores 1..n-1"):
+            manifold.TangentGeometry(tt.TtTensor(cores))
 
 
 def test_tangent_to_tt_zero_variation():
@@ -555,20 +584,21 @@ def test_ksl_retract_names_interior_core_of_first_non_finite_k(monkeypatch, site
 
 
 def test_finite_ksl_retract_takes_no_checked_qr(monkeypatch):
-    # The sweep's QRs are unchecked; a finite step is checked once, after
-    # the sweep, and never through tt._qr.
+    # The sweep's QRs form only their q, unchecked; a finite step is checked
+    # once, after the sweep, and never through the r-forming tt._householder
+    # of the checked QR sweeps.
     rng = np.random.default_rng(26)
     base = left_orth_base(rng, dims=(4, 4, 4, 4), ranks=(2, 3, 2))
     geom = manifold.TangentGeometry(base)
     v = project_all(geom, rng.standard_normal(base.mode_dims))
     calls = []
-    qr = tt._qr
+    qr = tt._householder
 
     def spy(a):
         calls.append(a.shape)
         return qr(a)
 
-    monkeypatch.setattr(tt, "_qr", spy)
+    monkeypatch.setattr(tt, "_householder", spy)
     out = manifold.ksl_retract(v, 1e-2)
     assert calls == []
     assert out.ranks == base.ranks
@@ -752,9 +782,10 @@ def test_unchecked_builds_match_the_constructor(monkeypatch, site):
     build()
     assert len(built) == count
     for t in built:
-        ref = tt.TtTensor(t.cores, t.ortho)
+        ref = tt.TtTensor(t.cores, t.left_orthogonal)
         assert all(c.dtype == np.float64 and not c.flags.writeable for c in t.cores)
-        assert (t.mode_dims, t.ranks, t.ortho) == (ref.mode_dims, ref.ranks, ref.ortho)
+        assert (t.mode_dims, t.ranks, t.left_orthogonal) == (
+            ref.mode_dims, ref.ranks, ref.left_orthogonal)
         idx = np.zeros((1, t.n), dtype=np.uint8)
         assert tt.tt_entries(t, idx).tobytes() == tt.tt_entries(ref, idx).tobytes()
 

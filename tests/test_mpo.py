@@ -100,6 +100,65 @@ def test_basis_d1_rejected():
         mpo.make_basis(1)
 
 
+# ---------------------------------------------------------------- chain contract
+
+# The three chains: constructor, its error, and a core at bond ranks (r0, r1)
+# with local dimension 2 (mode size 4 for the real tensor train).
+CHAINS = {
+    "TtTensor": (tt.TtTensor, tt.TtError, lambda r0, r1: np.ones((r0, 4, r1))),
+    "Mps": (mpo.Mps, mpo.MpoError, lambda r0, r1: np.ones((r0, 2, r1))),
+    "Mpo": (mpo.Mpo, mpo.MpoError, lambda r0, r1: np.ones((r0, 2, 2, r1))),
+}
+
+# Bond ranks (r0, r1) of each core of a chain that breaks the contract, and
+# the message every chain type raises for it.
+BROKEN_CHAINS = {
+    "empty": ([], "a chain needs at least 2 cores, got 0"),
+    "one core": ([(1, 1)], "a chain needs at least 2 cores, got 1"),
+    "left boundary": ([(2, 2), (2, 1)], "boundary ranks must be 1"),
+    "right boundary": ([(1, 2), (2, 2)], "boundary ranks must be 1"),
+    "bond mismatch": ([(1, 2), (3, 3), (3, 1)], "rank mismatch at bond 1: 2 vs 3"),
+}
+
+
+@pytest.mark.parametrize("broken", list(BROKEN_CHAINS))
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_chain_contract_checked_once_for_every_chain(chain, broken):
+    # TtTensor, Mps and Mpo share one bond check; an empty Mps or Mpo used to
+    # fail with an IndexError, and a one-core one was accepted.
+    make, error, core = CHAINS[chain]
+    bonds, message = BROKEN_CHAINS[broken]
+    with pytest.raises(error, match=f"^{message}$"):
+        make([core(*b) for b in bonds])
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_chain_keeps_its_ranks_and_freezes_its_cores(chain):
+    make, _, core = CHAINS[chain]
+    built = make([core(1, 2), core(2, 3), core(3, 1)])
+    assert built.ranks == (2, 3)
+    assert all(not c.flags.writeable for c in built.cores)
+
+
+@pytest.mark.parametrize(
+    "chain, cores, message",
+    [
+        ("TtTensor", [np.ones((1, 4, 4, 2)), np.ones((2, 4, 1))], "core must be order 3"),
+        ("Mps", [np.ones((1, 2, 2, 2)), np.ones((2, 2, 1))], "Mps core must be order 3"),
+        ("Mpo", [np.ones((1, 2, 2)), np.ones((2, 2, 2, 1))], "Mpo core must be order 4"),
+        ("Mps", [np.ones((1, 2, 2)), np.ones((2, 3, 1))], "local dimension 2"),
+        ("Mpo", [np.ones((1, 2, 2, 2)), np.ones((2, 3, 3, 1))], "local dimension 2"),
+        ("Mpo", [np.ones((1, 2, 2, 2)), np.ones((2, 2, 3, 1))], "local dimension 2"),
+    ],
+    ids=["TtTensor order", "Mps order", "Mpo order", "Mps sites", "Mpo sites",
+         "Mpo bra and ket"],
+)
+def test_chain_core_orders_and_local_dimensions_checked(chain, cores, message):
+    make, error, _ = CHAINS[chain]
+    with pytest.raises(error, match=message):
+        make(cores)
+
+
 # ---------------------------------------------------------------- hermitian cores
 
 
@@ -370,8 +429,8 @@ def test_left_orthogonality_transfer():
     src = random_hermitian_mpo(rng, n=4, r=3)
     m = mpo.hermitian_decompose(src, src.ranks)
     t = mpo.mpo_to_coeff(m)
+    assert t.left_orthogonal
     for k in range(t.n - 1):
-        assert t.ortho[k] == tt.LEFT
         assert tt.is_left_orthogonal(t.cores[k], tol=1e-12)
 
 
@@ -528,7 +587,7 @@ def test_fixed_contractions_match_einsum(n, d, r):
 def test_no_einsum_path_search_in_library():
     """Library contractions use fixed tensordot/matmul forms, never einsum path search.
 
-    Real QR and SVD go through the direct LAPACK kernels ``tt._qr`` and
+    Real QR and SVD go through the direct LAPACK kernels ``tt._householder`` and
     ``tt._svd``; numpy's wrappers remain only for the complex QR of
     ``mpo._stacked_chain_norm``.
     """

@@ -159,3 +159,79 @@ def test_oversized_header_reads_as_truncated(tmp_path, case):
     read = serialize.read_ttr1 if case.startswith("ttr1") else serialize.read_ttc1
     with pytest.raises(serialize.SerializationError, match="truncated file"):
         read(path)
+
+
+def _mps_file(tmp_path):
+    path = tmp_path / "x.ttc"
+    serialize.write_ttc1(path, states.random_mps(3, 2, 2, seed=10))
+    return path.read_bytes()
+
+
+def _one_core(order):
+    # n = 1, d = 2 and no ranks, then the 2 or 4 entries of a (1, 2, 1) or
+    # (1, 2, 2, 1) core.
+    if order is None:
+        return _header_ttr1((2,), ()) + bytes(16)
+    return _header_ttc1(order, (2,), ()) + bytes(16 * 2 ** (order - 2))
+
+
+# Files each reader rejects, and the message it names: a foreign magic, a
+# one-core chain, local dimensions that differ from site to site and data
+# after the last core.  TTR1's foreign magic and trailing bytes are tested
+# above and in test_cli.
+CORRUPT_FILES = {
+    "ttc1-magic": (serialize.read_ttc1, lambda p: b"TTR1" + _mps_file(p)[4:], "not a TTC1 file"),
+    "ttr1-one-core": (serialize.read_ttr1, lambda p: _one_core(None), "invalid core count 1"),
+    "ttc1-one-mps-core": (serialize.read_ttc1, lambda p: _one_core(3), "invalid core count 1"),
+    "ttc1-one-mpo-core": (serialize.read_ttc1, lambda p: _one_core(4), "invalid core count 1"),
+    "ttc1-dims-differ": (
+        serialize.read_ttc1,
+        lambda p: _header_ttc1(3, (2, 3), (1,)) + bytes(16 * (2 + 3)),
+        "local dimensions must match",
+    ),
+    "ttc1-trailing": (serialize.read_ttc1, lambda p: _mps_file(p) + bytes(16), "trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT_FILES))
+def test_corrupt_file_rejected(tmp_path, case):
+    read, build, message = CORRUPT_FILES[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(build(tmp_path))
+    with pytest.raises(serialize.SerializationError, match=f"^{message}$"):
+        read(path)
+
+
+def test_ttc1_writes_only_mps_and_mpo(tmp_path):
+    t = tt.random_tt((4, 4), (2,), np.random.default_rng(6))
+    with pytest.raises(serialize.SerializationError, match="^cannot serialize TtTensor$"):
+        serialize.write_ttc1(tmp_path / "t.ttc", t)
+    assert not (tmp_path / "t.ttc").exists()
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_ttc1_stores_complex128_little_endian(tmp_path, order):
+    # The TTC1 values are the interleaved (re, im) float64 pairs of numpy's
+    # "<c16", first index fastest.
+    psi = states.random_mps(3, 3, 2, seed=12)
+    chain = psi if order == 3 else mpo.mps_to_mpo(psi)
+    path = tmp_path / "x.ttc"
+    serialize.write_ttc1(path, chain)
+    flat = np.concatenate([c.ravel(order="F") for c in chain.cores])
+    pairs = np.empty(2 * flat.size, dtype="<f8")
+    pairs[0::2], pairs[1::2] = flat.real, flat.imag
+    assert path.read_bytes()[9 + 4 * (2 * chain.n - 1):] == pairs.tobytes()
+
+
+def test_ttc1_reads_back_every_bit(tmp_path):
+    # The values read back are the stored pairs: a real part of -0.0 keeps
+    # its sign, and an infinite imaginary part leaves its real part alone
+    # (re + 1j * im read them as +0.0 and NaN).
+    core = np.zeros((1, 2, 1), dtype=np.complex128)
+    core[0, 0, 0] = complex(-0.0, 1.0)
+    core[0, 1, 0] = complex(2.0, np.inf)
+    psi = mpo.Mps([core, np.ones((1, 2, 1))])
+    path = tmp_path / "x.ttc"
+    serialize.write_ttc1(path, psi)
+    back = serialize.read_ttc1(path)
+    assert [c.tobytes() for c in back.cores] == [c.tobytes() for c in psi.cores]

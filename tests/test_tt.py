@@ -374,7 +374,7 @@ def test_left_orthogonalize_preserves_tensor():
         np.testing.assert_allclose(tt.tt_dense(tl), tt.tt_dense(t), atol=1e-10 * tt.tt_norm(t))
         for k in range(t.n - 1):
             assert tt.is_left_orthogonal(tl.cores[k])
-            assert tl.ortho[k] == tt.LEFT
+        assert tl.left_orthogonal
 
 
 def test_left_orthogonal_norm_is_last_core():
@@ -388,7 +388,7 @@ def test_left_orthogonalize_zero():
     t = tt.TtTensor(cores)
     tl = tt.left_orthogonalize(t)
     assert tt.tt_norm(tl) == 0.0
-    assert tl.ortho[0] == tt.LEFT
+    assert tl.left_orthogonal
 
 
 @pytest.mark.parametrize("site", [0, 1, 2])

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_manifold import project_all, tangent_step, tangent_to_tt
-from ttqst import manifold, tt
+from ttqst import manifold, solvers, tt
 
 PROPS = settings(max_examples=80, deadline=None)
 
@@ -45,7 +45,7 @@ def orthonormality_error(q):
 @example(np.arange(1.0, 8.0).reshape(7, 1))
 @example(np.zeros((3, 5)))
 def test_qr_orthonormal_and_reproduces(a):
-    q, r = tt._qr(a)
+    q, r = tt._householder(a)
     assert q.shape == (a.shape[0], min(a.shape))
     assert r.shape == (min(a.shape), a.shape[1])
     assert orthonormality_error(q) <= 1e-13
@@ -93,7 +93,16 @@ def test_householder_q_matches_numpy_q(shape):
     np.testing.assert_allclose(tt._householder_q(a), np.linalg.qr(a)[0], rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("kernel", [tt._qr, tt._svd])
+def split_qr(a):
+    """The QR of ``a`` by the checked split of ``solvers._split_block_core``.
+
+    ``a`` is the core ``(1, rows, cols)`` split over the modes ``(rows, 1)``,
+    so the split takes exactly one QR, of ``a``, and checks its factor.
+    """
+    return solvers._split_block_core(a[None], (a.shape[0], 1))
+
+
+@pytest.mark.parametrize("kernel", [split_qr, tt._svd])
 def test_kernels_raise_on_nan(kernel):
     for shape in [(6, 3), (3, 6), (4, 4)]:
         a = np.ones(shape)
@@ -112,7 +121,7 @@ def test_qr_kernels_tell_overflow_from_non_finite_input():
     bad_cores = [c.copy() for c in cores[:2]] + [bad.T.reshape(2, 4, 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         for run, finite, broken in (
-            (tt._qr, huge, bad),
+            (split_qr, huge, bad),
             (tt.right_qr_sweep, cores, bad_cores),
         ):
             with pytest.raises(np.linalg.LinAlgError, match="^QR overflowed on finite input$"):
@@ -399,7 +408,7 @@ def test_ksl_retract_left_orthogonal_exact_ranks_identity_at_zero(eta, n, m, cap
     base, v = unit_step(n, m, cap, seed)
     out = manifold.ksl_retract(v, eta)
     assert out.ranks == base.ranks
-    assert out.ortho == (tt.LEFT,) * (n - 1) + (tt.UNKNOWN,)
+    assert out.left_orthogonal
     for c in out.cores[:-1]:
         assert orthonormality_error(c.reshape(-1, c.shape[2])) <= 1e-12
     assert dense_distance(manifold.ksl_retract(v, 0.0), base) <= 1e-14
