@@ -358,9 +358,7 @@ def ksl_retract(v: TangentVector, eta: float) -> TtTensor:
         for k, (kk, u) in enumerate(zip(kks, out)):
             if not np.isfinite(kk).all():
                 raise _non_finite(k)
-            if not np.isfinite(u).all():
-                # K_k is finite, so its QR overflowed.
-                raise tt._qr_error(finite_input=True)
+            tt._check_factors([u], [kk])
         raise _non_finite(n - 1)
     out.append(last.reshape(-1, m, 1))
     return TtTensor._from_cores(out, True)

@@ -521,7 +521,7 @@ def _renormalize_columns(z: np.ndarray, what: str) -> np.ndarray:
 def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
     """Exact QR split of a wide core ``(R1, prod(dims), R2)`` into a chain.
 
-    Raises ``LinAlgError`` as ``tt.left_orthogonalize`` does, checked once on
+    Raises ``LinAlgError`` as ``tt.right_qr_sweep`` does, checked once on
     every factor after the split.
     """
     out = []
@@ -531,8 +531,8 @@ def _split_block_core(core: np.ndarray, dims) -> list[np.ndarray]:
         q, m = tt._householder(m.reshape(m.shape[0] * d, -1))
         factors.append(m)
         out.append(q.reshape(-1, d, q.shape[1]))
-    if factors and not np.isfinite(np.concatenate(factors, axis=None)).all():
-        raise tt._qr_error(bool(np.isfinite(core).all()))
+    if factors:
+        tt._check_factors(factors, [core])
     out.append(m.reshape(m.shape[0], dims[-1], core.shape[2]))
     return out
 

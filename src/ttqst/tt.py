@@ -14,8 +14,8 @@ Python integers (``math.prod``), exact past 2^63 entries.
 Batched entries step a chain of GEMMs and flat-row selects.  What depends
 only on the tensor or the batch shape is made once: ``tt_entries`` keeps a
 tensor's entry plan (its cores' unfoldings and block size) on the tensor,
-and ``_flat_rows`` keeps the read-only selector base of each (mode sizes,
-row count) within ``SELECTOR_CACHE_BYTES``.
+and ``_flat_rows`` keeps the last read-only selector base of at most
+``SELECTOR_CACHE_BYTES``.
 
 A chain of cores, real or complex and of any order, keeps one contract,
 checked by ``_chain_ranks``: at least 2 cores, boundary ranks 1, and each
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -50,10 +50,8 @@ CHUNK_ROWS = 65536
 # batch holds a bounded transient whatever the mode sizes and ranks.
 ENTRY_BLOCK_BYTES = 2**20
 
-# Bytes of the flat-row selector bases that ``_flat_rows`` keeps between calls.
+# Bytes of the flat-row selector base that ``_flat_rows`` keeps between calls.
 SELECTOR_CACHE_BYTES = 2**16
-_SELECTOR_BASES = {}  # (mode dims, rows) -> read-only base, oldest first
-_SELECTOR_LOCK = threading.Lock()
 
 ORTHO_TOL = 1e-12
 
@@ -96,14 +94,17 @@ def _householder(a: np.ndarray):
     return q, q.T.dot(a)
 
 
-def _qr_error(finite_input: bool) -> np.linalg.LinAlgError:
-    """The error of a QR whose factor came out non-finite.
+def _check_factors(factors, inputs):
+    """Raise ``LinAlgError`` unless every QR factor in ``factors`` is finite.
 
-    On finite input only an overflow inside the factorization gets there.
+    One check per sweep.  A non-finite factor comes from a non-finite entry
+    of ``inputs``, the arrays the sweep factorized, or else from an overflow
+    inside the factorization; the message says which.
     """
-    if finite_input:
-        return np.linalg.LinAlgError("QR overflowed on finite input")
-    return np.linalg.LinAlgError("QR of a matrix with non-finite entries")
+    if not np.isfinite(np.concatenate(factors, axis=None)).all():
+        if np.isfinite(np.concatenate(inputs, axis=None)).all():
+            raise np.linalg.LinAlgError("QR overflowed on finite input")
+        raise np.linalg.LinAlgError("QR of a matrix with non-finite entries")
 
 
 def _svd(a: np.ndarray, full_matrices: bool = False, compute_uv: bool = True):
@@ -215,20 +216,16 @@ def _mode_widths(dims) -> np.ndarray:
     return width
 
 
-def _selector_base(width: np.ndarray, dims, rows: int) -> np.ndarray:
-    """``width ⊗ arange(rows)``, kept read-only while the kept bases fit in bytes.
+@functools.lru_cache(maxsize=1)
+def _selector_base(dims, rows: int) -> np.ndarray:
+    """``dims ⊗ arange(rows)``, read-only; the last base asked for is kept.
 
-    A base of at most ``SELECTOR_CACHE_BYTES`` is kept under ``(dims, rows)``,
-    and the oldest kept bases are dropped until all of them fit that budget:
-    a round's (n, B) base stays, a large block's base is rebuilt per call.
+    ``_flat_rows`` asks the cache only for a base of at most
+    ``SELECTOR_CACHE_BYTES``, which a round's draw and left chain share, and
+    builds a larger one per call through ``_selector_base.__wrapped__``.
     """
-    base = np.multiply.outer(width, np.arange(rows))
-    if base.nbytes <= SELECTOR_CACHE_BYTES:
-        base.setflags(write=False)
-        with _SELECTOR_LOCK:
-            _SELECTOR_BASES[dims, rows] = base
-            while sum(b.nbytes for b in _SELECTOR_BASES.values()) > SELECTOR_CACHE_BYTES:
-                del _SELECTOR_BASES[next(iter(_SELECTOR_BASES))]
+    base = np.multiply.outer(_mode_widths(dims), np.arange(rows))
+    base.setflags(write=False)
     return base
 
 
@@ -239,7 +236,7 @@ def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
     mode sizes.  Row ``sel[k, b]`` of a (B * m_k, r) unfolding is row b's
     mode ``idx[b, k]``, so one ``take`` selects a chain step's rows.  The
     selector is a fresh ``intp`` array, ``base + idx.T``, over the read-only
-    base ``dims ⊗ arange(B)`` that ``_selector_base`` keeps between calls.
+    base ``dims ⊗ arange(B)`` of ``_selector_base``.
     A flat row would read an index outside ``[0, m_k)`` from a neighbouring
     row, so such an index raises ``TtError`` naming its site.  The check is
     one comparison of the batch against ``dims`` (and one against 0 for a
@@ -257,9 +254,8 @@ def _flat_rows(idx: np.ndarray, dims) -> np.ndarray:
                 i = lo[k] if lo[k] < 0 else hi[k]
                 raise TtError(f"index {i} at site {k} outside [0, {m})")
     rows = idx.shape[0]
-    base = _SELECTOR_BASES.get((dims, rows))
-    if base is None:
-        base = _selector_base(width, dims, rows)
+    kept = width.nbytes * rows <= SELECTOR_CACHE_BYTES
+    base = (_selector_base if kept else _selector_base.__wrapped__)(dims, rows)
     # Checked indices fit in intp, so even a uint64 batch adds in intp.
     return np.add(base, idx.T, dtype=np.intp, casting="unsafe")
 
@@ -412,36 +408,31 @@ def _stack_chains(a, b, c=None) -> list:
 def tt_distance(a: TtTensor, b: TtTensor) -> float:
     """Frobenius distance between two TT tensors.
 
-    Left-orthogonalizing the stacked difference ``tt_axpy(-1, a, b)`` performs
-    the cancellation inside backward-stable QR sweeps; the norm is then read
-    off the last core with absolute error O(eps * (|a| + |b|)), so distances
-    far below ``sqrt(eps) * |a|`` are resolved.
+    Right-orthogonalizing the stacked difference ``b - a`` by
+    ``right_qr_sweep`` performs the cancellation inside backward-stable QR;
+    the norm is then read off the first core with absolute error
+    O(eps * (|a| + |b|)), so distances far below ``sqrt(eps) * |a|`` are
+    resolved.
     """
-    d = left_orthogonalize(tt_axpy(-1.0, a, b))
-    return float(np.linalg.norm(d.cores[-1]))
+    if a.mode_dims != b.mode_dims:
+        raise TtError(f"mode dims differ: {a.mode_dims} vs {b.mode_dims}")
+    first = right_qr_sweep(_stack_chains((-a.cores[0],) + a.cores[1:], b.cores))[0][0]
+    return float(np.linalg.norm(first))
 
 
 def left_orthogonalize(t: TtTensor) -> TtTensor:
-    """Left-to-right thin-QR sweep, the mirror of ``right_qr_sweep``.
+    """Left-to-right thin-QR sweep: ``right_qr_sweep`` over the mirrored chain.
 
-    At cut k the QR ``q r`` of the current core's left unfolding gives the
-    left-orthogonal core and ``r`` moves into the next one; the tensor is
-    unchanged up to rounding.  Ranks are kept whenever ``r_k <= r_{k-1} * m_k``,
-    else shrink to the QR width.  Raises ``LinAlgError`` as ``right_qr_sweep``
-    does, checked once per sweep.
+    The mirror ``[c.transpose(2, 1, 0) for c in reversed(cores)]`` turns left
+    unfoldings into transposed right ones, so its right-orthogonal cores,
+    mirrored back, are left-orthogonal; they are copied C-contiguous, so each
+    reshape of them stays a view.  The tensor is unchanged up to rounding.
+    Ranks are kept whenever ``r_k <= r_{k-1} * m_k``, else shrink to the QR
+    width.  Raises ``LinAlgError`` as ``right_qr_sweep`` does.
     """
-    cores = list(t.cores)
-    factors = []
-    for k in range(t.n - 1):
-        r0, m, r1 = cores[k].shape
-        q, r = _householder(cores[k].reshape(r0 * m, r1))
-        factors.append(r)
-        cores[k] = q.reshape(r0, m, -1)
-        nxt = cores[k + 1]
-        cores[k + 1] = r.dot(nxt.reshape(nxt.shape[0], -1)).reshape((-1,) + nxt.shape[1:])
-    if not np.isfinite(np.concatenate([cores[-1], *factors], axis=None)).all():
-        raise _qr_error(bool(np.isfinite(np.concatenate(t.cores, axis=None)).all()))
-    return TtTensor(cores, left_orthogonal=True)
+    right = right_qr_sweep([c.transpose(2, 1, 0) for c in reversed(t.cores)])[0]
+    return TtTensor._from_cores(
+        [np.ascontiguousarray(c.transpose(2, 1, 0)) for c in reversed(right)], True)
 
 
 def is_left_orthogonal(core: np.ndarray, tol: float = ORTHO_TOL) -> bool:
@@ -463,9 +454,9 @@ def right_qr_sweep(cores):
 
     QR is invariant under row permutations, so each core is unfolded in C
     order: the reshape is a view and its transpose is F-contiguous, as
-    LAPACK takes it.  Raises ``LinAlgError`` on a LAPACK error, or, checked
-    once per sweep, when a non-finite core or an overflow has reached a
-    factor or the first core; the message says which of the two it was.
+    LAPACK takes it.  Raises ``LinAlgError`` on a LAPACK error, or, through
+    ``_check_factors``, when a non-finite core or an overflow has reached a
+    factor or the first core.
     """
     right = list(cores)
     factors = [None] * (len(right) - 1)
@@ -480,8 +471,7 @@ def right_qr_sweep(cores):
         prev = cores[k - 1]
         rows = prev.reshape(-1, prev.shape[2]).dot(r.T)
     right[0] = rows.reshape(cores[0].shape[:2] + (-1,))
-    if not np.isfinite(np.concatenate([right[0], *factors], axis=None)).all():
-        raise _qr_error(bool(np.isfinite(np.concatenate(cores, axis=None)).all()))
+    _check_factors([right[0], *factors], cores)
     return right, factors
 
 
@@ -578,6 +568,7 @@ def random_tt(mode_dims, ranks, rng, kind: str = "gaussian") -> TtTensor:
     return TtTensor([rng.standard_normal((rk[k], m, rk[k + 1])) for k, m in enumerate(dims)])
 
 
+@dataclass(frozen=True, slots=True)
 class CoherenceReport:
     """Spikiness and incoherence diagnostics of a TT tensor.
 
@@ -595,19 +586,10 @@ class CoherenceReport:
         The two quantities per cut (left, right), where available.
     """
 
-    __slots__ = ("spikiness", "incoherence", "per_cut", "linf_is_bound")
-
-    def __init__(self, spikiness, incoherence, per_cut, linf_is_bound):
-        self.spikiness = spikiness
-        self.incoherence = incoherence
-        self.per_cut = per_cut
-        self.linf_is_bound = linf_is_bound
-
-    def __repr__(self):
-        return (
-            f"CoherenceReport(spikiness={self.spikiness:.4g}, "
-            f"incoherence={self.incoherence}, linf_is_bound={self.linf_is_bound})"
-        )
+    spikiness: float
+    incoherence: float | None
+    per_cut: list
+    linf_is_bound: bool
 
 
 def _max_row_norms(cores, wanted) -> list:

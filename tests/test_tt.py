@@ -200,10 +200,18 @@ def selector_batch(rows, dtype, seed=0):
     return np.random.default_rng(seed).integers(0, SELECTOR_DIMS, size=(rows, 4)).astype(dtype)
 
 
+def kept_selector_base(dims, rows):
+    """The base ``tt._selector_base`` keeps for ``(dims, rows)``, or None."""
+    hits = tt._selector_base.cache_info().hits
+    base = tt._selector_base(dims, rows)
+    return base if tt._selector_base.cache_info().hits > hits else None
+
+
 def test_kept_selector_base_is_read_only():
     idx = selector_batch(20, np.uint8)
     sel = tt._flat_rows(idx, SELECTOR_DIMS)
-    base = tt._SELECTOR_BASES[SELECTOR_DIMS, 20]
+    base = kept_selector_base(SELECTOR_DIMS, 20)
+    assert base is not None
     with pytest.raises(ValueError, match="read-only"):
         base[0, 0] = 1
     # The selector itself is a fresh, writeable array over the kept base.
@@ -214,15 +222,21 @@ def test_kept_selector_base_is_read_only():
 def test_selector_bases_differ_per_dims_and_rows():
     other = (4, 9, 16, 5)
     keys = [(SELECTOR_DIMS, 20), (SELECTOR_DIMS, 21), (other, 20)]
+    bases = []
     for dims, rows in keys:
         idx = selector_batch(rows, np.int64)
         want = np.arange(rows) * np.array(dims)[:, None] + idx.T
         # Twice: the second call reads the kept base.
         for _ in range(2):
             np.testing.assert_array_equal(tt._flat_rows(idx, dims), want)
-    bases = [tt._SELECTOR_BASES[key] for key in keys]
+        base = kept_selector_base(dims, rows)
+        np.testing.assert_array_equal(base, np.multiply.outer(dims, np.arange(rows)))
+        bases.append(base)
     assert len({id(b) for b in bases}) == len(keys)
     assert not any(np.shares_memory(a, b) for a, b in zip(bases, bases[1:] + bases[:1]))
+    # Only the last base asked for is kept.
+    assert tt._selector_base.cache_info().currsize == 1
+    assert kept_selector_base(SELECTOR_DIMS, 20) is None
 
 
 def test_selector_equal_for_every_index_dtype():
@@ -244,36 +258,46 @@ def test_selector_range_check_with_kept_base(dtype):
 
 
 def test_selector_bases_kept_within_byte_budget():
-    # A base above the budget is built per call and not kept; the kept ones
-    # never add up to more than the budget.
+    # A base above the budget is built per call and not kept; the one kept
+    # base never holds more than the budget.
     rows = tt.SELECTOR_CACHE_BYTES // (8 * len(SELECTOR_DIMS)) + 1
+    tt._flat_rows(selector_batch(20, np.uint8), SELECTOR_DIMS)
+    info = tt._selector_base.cache_info()
     idx = selector_batch(rows, np.uint8)
     np.testing.assert_array_equal(tt._flat_rows(idx, SELECTOR_DIMS),
                                   np.arange(rows) * np.array(SELECTOR_DIMS)[:, None] + idx.T)
-    assert (SELECTOR_DIMS, rows) not in tt._SELECTOR_BASES
+    assert tt._selector_base.cache_info() == info
+    assert kept_selector_base(SELECTOR_DIMS, 20) is not None
     for b in range(rows // 4, rows, rows // 8):
         tt._flat_rows(selector_batch(b, np.uint8), SELECTOR_DIMS)
-        assert (SELECTOR_DIMS, b) in tt._SELECTOR_BASES
-        assert sum(v.nbytes for v in tt._SELECTOR_BASES.values()) <= tt.SELECTOR_CACHE_BYTES
+        base = kept_selector_base(SELECTOR_DIMS, b)
+        assert base is not None and base.nbytes <= tt.SELECTOR_CACHE_BYTES
 
 
 def test_selector_bases_shared_between_threads():
-    # Threads that share the kept bases, evicting each other's, each get
-    # their own batch's selector, and the kept bases stay within the budget.
+    # Threads that share the kept base, replacing each other's, each get
+    # their own batch's selector, and only bases within the budget reach
+    # the cache, which keeps one.
     errors = []
+    within = []
+    limit = tt.SELECTOR_CACHE_BYTES // (8 * len(SELECTOR_DIMS))
 
     def work(seed):
         rng = np.random.default_rng(seed)
         try:
+            count = 0
             for _ in range(200):
-                rows = int(rng.integers(1, 600))
+                rows = int(rng.integers(1, 2 * limit))
+                count += rows <= limit
                 idx = selector_batch(rows, np.uint8, seed=int(rng.integers(1 << 30)))
                 want = np.arange(rows) * np.array(SELECTOR_DIMS)[:, None] + idx.T
                 if not np.array_equal(tt._flat_rows(idx, SELECTOR_DIMS), want):
                     errors.append(f"wrong selector in thread {seed}")
+            within.append(count)
         except Exception as exc:  # reported below: a thread's error would be lost
             errors.append(repr(exc))
 
+    before = tt._selector_base.cache_info()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -286,7 +310,9 @@ def test_selector_bases_shared_between_threads():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert sum(v.nbytes for v in tt._SELECTOR_BASES.values()) <= tt.SELECTOR_CACHE_BYTES
+    after = tt._selector_base.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == sum(within)
+    assert after.currsize == 1
 
 
 def test_entry_plan_kept_on_the_tensor():
@@ -389,6 +415,27 @@ def test_left_orthogonalize_zero():
     tl = tt.left_orthogonalize(t)
     assert tt.tt_norm(tl) == 0.0
     assert tl.left_orthogonal
+
+
+@pytest.mark.parametrize("dims, ranks, kept", [
+    ((4, 4, 4), (2, 3), (2, 3)),
+    # Over-full ranks shrink to the QR width, min(r_{k-1} * m_k, r_k).
+    ((2, 3, 2), (5, 4), (2, 4)),
+    ((4, 4, 4), (1, 1), (1, 1)),
+    ((4, 4), (3,), (3,)),
+    # Qutrit coefficient modes, d^2 = 9.
+    ((9, 9, 9), (4, 3), (4, 3)),
+])
+def test_left_orthogonalize_by_mirrored_sweep(dims, ranks, kept):
+    t = random_tt(np.random.default_rng(9), dims=dims, ranks=ranks)
+    tl = tt.left_orthogonalize(t)
+    assert tl.left_orthogonal and tl.ranks == kept and tl.mode_dims == t.mode_dims
+    # C-contiguous cores, so every unfolding is a view.
+    assert all(c.flags.c_contiguous for c in tl.cores)
+    for c in tl.cores[:-1]:
+        assert tt.is_left_orthogonal(c)
+    np.testing.assert_allclose(tt.tt_dense(tl), tt.tt_dense(t), rtol=0,
+                               atol=1e-12 * tt.tt_norm(t))
 
 
 @pytest.mark.parametrize("site", [0, 1, 2])
@@ -605,6 +652,22 @@ def test_distance_resolves_tiny_separation_at_large_ranks():
     c = tt.tt_axpy(1e-10 / tt.tt_norm(b), b, a)
     d = np.linalg.norm(tt.tt_dense(a) - tt.tt_dense(c))
     assert abs(tt.tt_distance(a, c) - d) <= 1e-6 * d
+
+
+@pytest.mark.parametrize("dims, ranks", [
+    ((4, 4, 4), (2, 3)), ((4, 4), (3,)), ((9, 9, 9), (3, 2)), ((4,) * 6, (2, 3, 4, 3, 2)),
+])
+def test_distance_matches_dense_and_resolves_tiny_differences(dims, ranks):
+    rng = np.random.default_rng(26)
+    a, b = (random_tt(rng, dims=dims, ranks=ranks) for _ in range(2))
+    d = np.linalg.norm(tt.tt_dense(a) - tt.tt_dense(b))
+    assert abs(tt.tt_distance(a, b) - d) <= 1e-12 * d
+    # c = a + s * b, with |c - a| = 1e-12 * |a| up to the rounding of s * b's
+    # first core: far below what the norm identity could tell from 0.
+    gap = 1e-12 * tt.tt_norm(a)
+    c = tt.tt_axpy(gap / tt.tt_norm(b), b, a)
+    assert abs(tt.tt_distance(a, c) - gap) <= 1e-3 * gap
+    assert abs(tt.tt_distance(c, a) - gap) <= 1e-3 * gap
 
 
 def test_shape_mismatch_raises():
