@@ -44,8 +44,15 @@ class DataError(Exception):
 
 
 def _plan_value(kind, value, what):
-    """``kind(value)`` for the plan entry ``what``; ``ConfigError`` when it does not convert."""
+    """``kind(value)`` for the plan entry ``what``; ``ConfigError`` when it does not convert.
+
+    A bool is refused, and an ``int`` entry must be integral: an integer, an
+    integral float or a digit string, never a fractional float rounded down.
+    """
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError("not a number the entry can hold")
         return kind(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from exc
@@ -135,25 +142,32 @@ def _state_spec(plan):
         raise ConfigError(f"invalid state spec: {exc}") from exc
 
 
-def _load_state_file(path):
+def _read_chain(read, path, what):
+    """``read(path)``, whose cores must all be finite; ``DataError`` naming the file else."""
     try:
-        return serialize.read_ttc1(path)
+        obj = read(path)
     except (OSError, serialize.SerializationError) as exc:
-        raise DataError(f"cannot read state file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    if not np.isfinite(np.concatenate(obj.cores, axis=None)).all():
+        raise DataError(f"{what} {path} holds non-finite entries")
+    return obj
 
 
 def _load_coeff(path):
     """Coefficient tensor of a TTC1 state file, and its pure ``Mps`` or None.
 
     An ``Mps`` maps through ``pure_state_coeff``; an MPO must satisfy the
-    Hermitian core form and maps through ``mpo_to_coeff``.
+    Hermitian core form and maps through ``mpo_to_coeff``.  A file with a
+    non-finite entry or of the zero state is a ``DataError``.
     """
-    obj = _load_state_file(path)
-    if isinstance(obj, mpo.Mps):
-        return states.pure_state_coeff(obj), obj
-    if not mpo.is_hermitian_cores(obj):
+    obj = _read_chain(serialize.read_ttc1, path, "state file")
+    psi = obj if isinstance(obj, mpo.Mps) else None
+    if psi is None and not mpo.is_hermitian_cores(obj):
         raise DataError(f"MPO in {path} does not satisfy the Hermitian core form")
-    return mpo.mpo_to_coeff(obj), None
+    coeff = mpo.mpo_to_coeff(obj) if psi is None else states.pure_state_coeff(psi)
+    if tt.tt_norm(coeff) == 0.0:
+        raise DataError(f"state file {path} holds the zero state")
+    return coeff, psi
 
 
 def _target_from_plan(plan):
@@ -174,18 +188,21 @@ def _measurement_source(plan):
     if kind == "shot":
         if "shots" not in m:
             raise ConfigError("shot source needs 'shots'")
-        shots = _plan_value(int, m["shots"], "measurement.shots")
-        if shots < 1:
-            raise ConfigError(f"measurement.shots must be at least 1, got {shots}")
-        return measurement.ShotSource(shots)
+        return measurement.ShotSource(_plan_value(int, m["shots"], "measurement.shots"))
     if kind == "gaussian":
         if "sigma" not in m:
             raise ConfigError("gaussian source needs 'sigma'")
-        sigma = _plan_value(float, m["sigma"], "measurement.sigma")
-        if not 0 <= sigma < np.inf:
-            raise ConfigError(f"measurement.sigma must be finite and nonnegative, got {sigma}")
-        return measurement.GaussianSource(sigma)
+        return measurement.GaussianSource(_plan_value(float, m["sigma"], "measurement.sigma"))
     raise ConfigError(f"unknown measurement source {kind!r}")
+
+
+def _make_stream(plan, target, seed):
+    """The plan's measurement stream; ``ConfigError`` when the stream refuses its source."""
+    source = _measurement_source(plan)
+    try:
+        return measurement.make_stream(target, source, seed ^ _STREAM_SALT)
+    except measurement.MeasurementError as exc:
+        raise ConfigError(f"invalid measurement plan: {exc}") from exc
 
 
 def _solver_ranks(plan_solver, target):
@@ -312,8 +329,7 @@ class _RecordingStream:
 
 def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
     seed = _seed(plan.get("seed", 0), "seed") ^ rep_index
-    source = _measurement_source(plan)
-    stream = measurement.make_stream(target, source, seed ^ _STREAM_SALT)
+    stream = _make_stream(plan, target, seed)
     if plan.get("log_measurements"):
         stream = _RecordingStream(stream)
     t0, init_meta = _initial_iterate(plan, target, cfg.ranks, stream, seed)
@@ -433,8 +449,7 @@ def cmd_init(args):
     target, psi, _ = _target_from_plan(plan)
     ranks = _solver_ranks(dict(plan.get("solver", {})), target)
     seed = _seed(plan.get("seed", 0), "seed")
-    source = _measurement_source(plan)
-    stream = measurement.make_stream(target, source, seed ^ _STREAM_SALT)
+    stream = _make_stream(plan, target, seed)
     t0, info = _initial_iterate(plan, target, ranks, stream, seed)
     outdir = Path(args.out or plan.get("output_dir", "run"))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -453,10 +468,10 @@ def _coeff_from_any(path):
     try:
         with open(path, "rb") as fh:
             head = fh.read(4)
-        if head == b"TTR1":
-            return serialize.read_ttr1(path)
-    except (OSError, serialize.SerializationError) as exc:
+    except OSError as exc:
         raise DataError(f"cannot read reconstruction {path}: {exc}") from exc
+    if head == b"TTR1":
+        return _read_chain(serialize.read_ttr1, path, "reconstruction")
     return _load_coeff(path)[0]
 
 
@@ -478,8 +493,8 @@ def cmd_evaluate(args):
 def cmd_benchmark_scaling(args):
     plan = _load_plan(args.plan, args.set)
     ns = [_plan_value(int, x, "--ns entry") for x in args.ns.split(",")]
-    if len(ns) < 2:
-        raise ConfigError("need at least two n values to fit a scaling exponent")
+    if len(set(ns)) < 2:
+        raise ConfigError("need at least two distinct n values to fit a scaling exponent")
     if (args.target_error is None) == (args.target_fidelity is None):
         raise ConfigError("set exactly one of --target-error / --target-fidelity")
     repetitions = args.repetitions

@@ -25,6 +25,8 @@ constructor checks it and that every core is order 3; ``mpo.Mps`` and
 shaped skips those checks through ``TtTensor._from_cores``, which only
 freezes the cores and reads the sizes off their shapes.  The gauge is one
 flag, ``TtTensor.left_orthogonal``: cores 1..n-1 are left-orthogonal.
+One thin-QR sweep, ``right_qr_sweep``, runs over a chain; its mirror is
+``left_orthogonalize``, and ``_check_factors`` checks every sweep's factors.
 """
 
 from __future__ import annotations

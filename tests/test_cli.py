@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ttqst import cli, measurement, mpo, serialize, solvers, states
+from ttqst import cli, measurement, mpo, serialize, solvers, states, tt
 from ttqst.mpo import Mps
 
 
@@ -239,6 +239,16 @@ def test_benchmark_scaling_bad_ns_exits_config(tmp_path, capsys):
     assert "config error: --ns entry must be int, got 'x'" in capsys.readouterr().err
 
 
+def test_benchmark_scaling_needs_two_distinct_ns(tmp_path, capsys):
+    plan_path, _ = base_plan(tmp_path)
+    rc = cli.main([
+        "benchmark-scaling", "--plan", str(plan_path), "--ns", "4,4", "--target-error", "1e-3",
+        "--repetitions", "1",
+    ])
+    assert rc == cli.EXIT_CONFIG
+    assert "need at least two distinct n values" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     # 2: config error (bad JSON)
     bad = tmp_path / "bad.json"
@@ -281,9 +291,19 @@ def test_exit_codes(tmp_path):
         ["init.delta=x"],
         ["init.mode=random_mpo", "init.rank=x"],
         ['solver.ranks=["x", 4, 4, 2]'],
+        ["solver.batch_size=20.7"],
+        ["measurement.source=shot", "measurement.shots=2.5"],
+        ["solver.max_iters=true"],
+        ["repetitions=1.9"],
+        ["state.n=4.5"],
+        ["solver.alpha=true"],
+        # The stream refuses shots for qudits: the plan asked for them.
+        ["state.d=3", "state.n=3", "measurement.source=shot", "measurement.shots=100"],
     ],
     ids=["log_every=0", "log_every=-5", "k1=0", "k2=0", "k3=0", "repetitions=x", "seed=x",
-         "shots=x", "sigma=x", "shots=0", "sigma=-1", "delta=x", "rank=x", "ranks=x"],
+         "shots=x", "sigma=x", "shots=0", "sigma=-1", "delta=x", "rank=x", "ranks=x",
+         "batch_size=20.7", "shots=2.5", "max_iters=true", "repetitions=1.9", "n=4.5",
+         "alpha=true", "qutrit-shots"],
 )
 def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
     plan_path, _ = base_plan(tmp_path)
@@ -292,6 +312,14 @@ def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
         args += ["--set", item]
     assert cli.main(args) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_integer_settings_take_integral_floats_and_digit_strings():
+    assert cli._plan_value(int, 1e5, "init.k1") == 100000
+    assert cli._plan_value(int, "4", "--ns entry") == 4
+    for value in (True, 2.5, float("inf"), float("nan"), "4.5"):
+        with pytest.raises(cli.ConfigError, match="^state.n must be int, got "):
+            cli._plan_value(int, value, "state.n")
 
 
 _SPECTRAL = ["init.mode=spectral", "init.k1=100", "init.k2=100", "init.k3=100"]
@@ -565,3 +593,51 @@ def test_non_hermitian_core_mpo_state_file_exits_data(tmp_path, capsys):
                      "--reconstruction", str(state_file)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("does not satisfy the Hermitian core form") == 2
+
+
+def _state_file_plan(tmp_path, state_file):
+    plan_path, plan = base_plan(tmp_path)
+    plan["state_file"] = str(state_file)
+    del plan["state"]
+    plan_path.write_text(json.dumps(plan))
+    return plan_path
+
+
+def test_zero_state_file_exits_data(tmp_path, capsys):
+    ghz = states.ghz(4)
+    state_file = tmp_path / "zero.ttc"
+    serialize.write_ttc1(state_file, Mps([np.zeros_like(c) for c in ghz.cores]))
+    other = tmp_path / "ghz.ttc"
+    serialize.write_ttc1(other, ghz)
+    plan_path = _state_file_plan(tmp_path, state_file)
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_DATA
+    assert cli.main(["evaluate", "--state", str(state_file),
+                     "--reconstruction", str(other)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count(f"data error: state file {state_file} holds the zero state") == 2
+
+
+def test_non_finite_state_file_exits_data(tmp_path, capsys):
+    cores = [c.copy() for c in states.ghz(4).cores]
+    cores[1][0, 0, 0] = np.inf
+    state_file = tmp_path / "inf.ttc"
+    serialize.write_ttc1(state_file, Mps(cores))
+    plan_path = _state_file_plan(tmp_path, state_file)
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_DATA
+    assert cli.main(["evaluate", "--state", str(state_file),
+                     "--reconstruction", str(state_file)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count(f"data error: state file {state_file} holds non-finite entries") == 2
+
+
+def test_non_finite_reconstruction_exits_data(tmp_path, capsys):
+    state_file = tmp_path / "ghz.ttc"
+    serialize.write_ttc1(state_file, states.ghz(4))
+    t = states.pure_state_coeff(states.ghz(4))
+    cores = [c.copy() for c in t.cores]
+    cores[2][0, 1, 0] = np.nan
+    rec = tmp_path / "nan.ttr"
+    serialize.write_ttr1(rec, tt.TtTensor(cores))
+    assert cli.main(["evaluate", "--state", str(state_file),
+                     "--reconstruction", str(rec)]) == cli.EXIT_DATA
+    assert f"data error: reconstruction {rec} holds non-finite entries" in capsys.readouterr().err
