@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,6 +34,22 @@ EXIT_NUMERIC = 4
 
 _STREAM_SALT = 0x53544D  # distinct rng lanes within one repetition
 _INIT_SALT = 0x494E49
+
+# The plan keys that no library record owns, with their defaults; a section
+# (a dict here) also takes the fields of its records in _RECORDS.
+_CLI_KEYS = {
+    "seed": 0, "output_dir": "run", "repetitions": 1, "log_measurements": False,
+    "state_file": None,
+    "state": {},
+    "measurement": {"source": "exact"},
+    "solver": {"algorithm": "orgd", "ranks": "target", "dataset_size": 0},
+    "init": {"mode": "perturbed_truth", "delta": 0.1, "rank": 2},
+}
+_SOURCES = {"exact": measurement.ExactSource, "shot": measurement.ShotSource,
+            "gaussian": measurement.GaussianSource}
+_RECORDS = {"state": (states.StateSpec,), "measurement": tuple(_SOURCES.values()),
+            "solver": (solvers.SolverConfig,), "init": (solvers.InitConfig,)}
+_KINDS = {"int": int, "float": float, "float | None": float, "str": str}
 
 
 class ConfigError(Exception):
@@ -66,16 +83,42 @@ def _seed(value, what):
     return seed
 
 
-# The keys a plan may hold: a section's keys, or None for a plain value.
-_PLAN_KEYS = {
-    "state": {"family", "n", "d", "rank", "max_bond", "coupling", "seed"},
-    "measurement": {"source", "shots", "sigma"},
-    "solver": {"algorithm", "ranks", "max_iters", "batch_size", "eta", "alpha", "trim_nu",
-               "stop_rel_error", "stop_move_tol", "log_every", "epochs", "epoch_decay",
-               "shuffle_seed", "dataset_size"},
-    "init": {"mode", "delta", "rank", "k1", "k2", "k3", "mu", "nu"},
-    **dict.fromkeys(("seed", "output_dir", "repetitions", "log_measurements", "state_file")),
-}
+def _section_keys(name):
+    """The keys plan section ``name`` accepts: its CLI keys and its records' fields."""
+    return {*_CLI_KEYS[name], *(f.name for cls in _RECORDS[name] for f in dataclasses.fields(cls))}
+
+
+def _section(plan, name):
+    """Plan section ``name`` over the defaults of its CLI keys."""
+    return {**_CLI_KEYS[name], **plan.get(name, {})}
+
+
+def _record(cls, section, name, **given):
+    """The record ``cls`` with the ``given`` fields, and every other read from ``section``.
+
+    A field takes the key of its name, or the record's default when the key
+    is absent.  Its annotation picks the conversion: ``_plan_value`` to int,
+    float or str, None kept for an optional float, ``_seed`` for a seed.
+    The record checks the values, and it names the field at fault first, so
+    its error reads as one about the plan key ``name.field``.
+    """
+    for f in dataclasses.fields(cls):
+        if f.name in given:
+            continue
+        value = section.get(f.name, f.default)
+        if value is dataclasses.MISSING:
+            raise ConfigError(f"plan.{name} needs {f.name!r}")
+        key = f"{name}.{f.name}"
+        if f.name in ("seed", "shuffle_seed"):
+            given[f.name] = _seed(value, key)
+        elif value is None and f.type.endswith("| None"):
+            given[f.name] = None
+        else:
+            given[f.name] = _plan_value(_KINDS[f.type], value, key)
+    try:
+        return cls(**given)
+    except (states.StateError, solvers.SolverError) as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def _load_plan(path, overrides):
@@ -112,34 +155,16 @@ def _checked_plan(plan, overrides=None):
                 raise ConfigError(f"override path {key!r} crosses a non-object")
         node[parts[-1]] = value
     for key, value in plan.items():
-        if key not in _PLAN_KEYS:
+        if key not in _CLI_KEYS:
             raise ConfigError(f"unknown plan key {key!r}")
-        if _PLAN_KEYS[key] is None:
+        if key not in _RECORDS:
             continue
         if not isinstance(value, dict):
             raise ConfigError(f"plan.{key} must be an object")
-        unknown = sorted(set(value) - _PLAN_KEYS[key])
+        unknown = sorted(set(value) - _section_keys(key))
         if unknown:
             raise ConfigError(f"unknown plan key '{key}.{unknown[0]}'")
     return plan
-
-
-def _state_spec(plan):
-    s = plan.get("state")
-    if not isinstance(s, dict) or "family" not in s:
-        raise ConfigError("plan.state must be an object with a 'family'")
-    spec = {
-        key: _plan_value(kind, s.get(key, default), f"state.{key}")
-        for key, kind, default in (
-            ("n", int, 0), ("d", int, 2), ("rank", int, 2), ("max_bond", int, 16),
-            ("coupling", float, 1.0),
-        )
-    }
-    spec["seed"] = _seed(s.get("seed", 0), "state.seed")
-    try:
-        return states.StateSpec(family=s["family"], **spec)
-    except states.StateError as exc:
-        raise ConfigError(f"invalid state spec: {exc}") from exc
 
 
 def _read_chain(read, path, what):
@@ -171,50 +196,39 @@ def _load_coeff(path):
 
 
 def _target_from_plan(plan):
-    """Returns (coefficient tensor, pure Mps or None, metadata)."""
+    """Returns (coefficient tensor, pure Mps or None, metadata, resolved state entry)."""
     if "state_file" in plan:
         target, psi = _load_coeff(plan["state_file"])
-        return target, psi, {"source": plan["state_file"]}
-    spec = _state_spec(plan)
+        return target, psi, {"source": plan["state_file"]}, {"state_file": plan["state_file"]}
+    spec = _record(states.StateSpec, _section(plan, "state"), "state")
     psi, meta = states.make_state(spec)
-    return states.pure_state_coeff(psi), psi, meta
+    return states.pure_state_coeff(psi), psi, meta, {"state": dataclasses.asdict(spec)}
 
 
 def _measurement_source(plan):
-    m = plan.get("measurement", {"source": "exact"})
-    kind = m.get("source", "exact")
-    if kind == "exact":
-        return measurement.ExactSource()
-    if kind == "shot":
-        if "shots" not in m:
-            raise ConfigError("shot source needs 'shots'")
-        return measurement.ShotSource(_plan_value(int, m["shots"], "measurement.shots"))
-    if kind == "gaussian":
-        if "sigma" not in m:
-            raise ConfigError("gaussian source needs 'sigma'")
-        return measurement.GaussianSource(_plan_value(float, m["sigma"], "measurement.sigma"))
-    raise ConfigError(f"unknown measurement source {kind!r}")
+    """The plan's measurement source record and its resolved section."""
+    m = _section(plan, "measurement")
+    kind = m["source"]
+    if not isinstance(kind, str) or kind not in _SOURCES:
+        raise ConfigError(f"unknown measurement source {kind!r}")
+    source = _record(_SOURCES[kind], m, "measurement")
+    return source, {"source": kind, **dataclasses.asdict(source)}
 
 
-def _make_stream(plan, target, seed):
-    """The plan's measurement stream; ``ConfigError`` when the stream refuses its source."""
-    source = _measurement_source(plan)
+def _make_stream(source, target, seed):
+    """The stream of ``source``; ``ConfigError`` when the stream refuses the source."""
     try:
         return measurement.make_stream(target, source, seed ^ _STREAM_SALT)
     except measurement.MeasurementError as exc:
         raise ConfigError(f"invalid measurement plan: {exc}") from exc
 
 
-def _solver_ranks(plan_solver, target):
-    ranks = plan_solver.get("ranks", "target")
+def _solver_ranks(ranks, target):
+    """The ranks of the plan entry ``solver.ranks`` for ``target``."""
     n = target.n
     d2 = target.mode_dims[0]
     if ranks == "target":
         return target.ranks
-    if isinstance(ranks, int) and not isinstance(ranks, bool):
-        if ranks < 1:
-            raise ConfigError(f"solver.ranks cap must be at least 1, got {ranks}")
-        return tuple(min(d2**k, d2 ** (n - k), ranks) for k in range(1, n))
     if isinstance(ranks, list):
         if len(ranks) != n - 1:
             raise ConfigError(f"need {n - 1} ranks, got {len(ranks)}")
@@ -224,81 +238,60 @@ def _solver_ranks(plan_solver, target):
         except tt.TtError as exc:
             raise ConfigError(f"solver.ranks: {exc}") from exc
         return ranks
-    raise ConfigError("solver.ranks must be 'target', an integer cap, or a list")
+    try:
+        cap = _plan_value(int, ranks, "solver.ranks")
+    except ConfigError:
+        raise ConfigError("solver.ranks must be 'target', an integer cap, or a list") from None
+    if cap < 1:
+        raise ConfigError(f"solver.ranks cap must be at least 1, got {cap}")
+    return tuple(min(d2**k, d2 ** (n - k), cap) for k in range(1, n))
 
 
 def _solver_config(plan, target):
-    s = dict(plan.get("solver", {}))
-    algorithm = s.pop("algorithm", "orgd")
+    """The plan's algorithm, ``SolverConfig`` and dataset size."""
+    s = _section(plan, "solver")
+    algorithm = s["algorithm"]
     if algorithm not in ("orgd", "rgd", "rsgd"):
         raise ConfigError(f"unknown solver algorithm {algorithm!r}")
-    ranks = _solver_ranks(s, target)
-
-    def get(kind, key, default):
-        return _plan_value(kind, s.get(key, default), f"solver.{key}")
-
-    def optional(key):
-        return None if s.get(key) is None else get(float, key, None)
-
-    try:
-        cfg = solvers.SolverConfig(
-            ranks=ranks,
-            max_iters=get(int, "max_iters", 10000),
-            batch_size=get(int, "batch_size", 1),
-            eta=optional("eta"),
-            alpha=optional("alpha"),
-            trim_nu=optional("trim_nu"),
-            stop_rel_error=optional("stop_rel_error"),
-            stop_move_tol=optional("stop_move_tol"),
-            log_every=get(int, "log_every", 50),
-            epochs=get(int, "epochs", 1),
-            epoch_decay=get(float, "epoch_decay", 0.9),
-            shuffle_seed=_seed(s.get("shuffle_seed", 0), "solver.shuffle_seed"),
-        )
-    except solvers.SolverError as exc:
-        raise ConfigError(f"invalid solver config: {exc}") from exc
-    dataset_size = get(int, "dataset_size", 0)
+    cfg = _record(solvers.SolverConfig, s, "solver", ranks=_solver_ranks(s["ranks"], target))
+    dataset_size = _plan_value(int, s["dataset_size"], "solver.dataset_size")
     if algorithm in ("rgd", "rsgd") and dataset_size < 1:
         raise ConfigError(f"{algorithm} needs solver.dataset_size >= 1")
     return algorithm, cfg, dataset_size
 
 
 def _initial_iterate(plan, target, ranks, stream, rep_seed):
-    init = plan.get("init", {"mode": "perturbed_truth", "delta": 0.1})
-    mode = init.get("mode", "perturbed_truth")
+    """The start iterate of the plan's init section, that section resolved, and run info.
+
+    A spectral init without ``mu`` or ``nu`` takes it from the target's coherence report.
+    """
+    init = _section(plan, "init")
+    mode = init["mode"]
     if mode == "perturbed_truth":
-        delta = _plan_value(float, init.get("delta", 0.1), "init.delta")
+        delta = _plan_value(float, init["delta"], "init.delta")
         if not 0 <= delta < np.inf:
             raise ConfigError(f"init.delta must be finite and nonnegative, got {delta}")
         rng = measurement.make_rng(rep_seed ^ _INIT_SALT)
         pert = tt.random_tt(target.mode_dims, ranks, rng, kind="gaussian")
         pert = tt.tt_scale(delta / tt.tt_norm(pert), pert)
         base = tt.ttsvd(target, ranks) if target.ranks != ranks else target
-        return tt.ttsvd(tt.tt_axpy(1.0, pert, base), ranks), {"mode": mode, "delta": delta}
+        return tt.ttsvd(tt.tt_axpy(1.0, pert, base), ranks), {"mode": mode, "delta": delta}, {}
     if mode == "random_mpo":
-        rank = _plan_value(int, init.get("rank", 2), "init.rank")
+        rank = _plan_value(int, init["rank"], "init.rank")
         psi = states.random_mps(target.n, int(np.sqrt(target.mode_dims[0])), rank,
                                 seed=rep_seed ^ _INIT_SALT)
         t0 = states.pure_state_coeff(psi)
         if t0.ranks != ranks:
             t0 = tt.ttsvd(t0, ranks)
-        return t0, {"mode": mode, "rank": rank}
+        return t0, {"mode": mode, "rank": rank}, {}
     if mode == "spectral":
-        if any(k not in init for k in ("k1", "k2", "k3")):
-            raise ConfigError("spectral init needs k1, k2, k3")
-        mu, nu = init.get("mu"), init.get("nu")
-        if mu is None or nu is None:
+        if init.get("mu") is None or init.get("nu") is None:
             rep = tt.coherence_report(target)
-            mu = rep.incoherence**2 if mu is None else mu
-            nu = rep.spikiness if nu is None else nu
-        ks = {k: _plan_value(int, init[k], f"init.{k}") for k in ("k1", "k2", "k3")}
-        mu, nu = _plan_value(float, mu, "init.mu"), _plan_value(float, nu, "init.nu")
-        try:
-            icfg = solvers.InitConfig(**ks, mu=mu, nu=nu)
-        except solvers.SolverError as exc:
-            raise ConfigError(f"invalid spectral init: {exc}") from exc
+            coherence = {"mu": rep.incoherence**2, "nu": rep.spikiness}
+            init.update((k, v) for k, v in coherence.items() if init.get(k) is None)
+        icfg = _record(solvers.InitConfig, init, "init")
         t0, info = solvers.spectral_init(stream, icfg, ranks)
-        return t0, {"mode": mode, **ks, "mu": mu, "nu": nu, **info}
+        return t0, {"mode": mode, **dataclasses.asdict(icfg)}, info
     raise ConfigError(f"unknown init mode {mode!r}")
 
 
@@ -327,34 +320,13 @@ class _RecordingStream:
         return getattr(self._inner, name)
 
 
-def _run_repetition(plan, target, psi, cfg, algorithm, dataset_size, rep_index):
-    seed = _seed(plan.get("seed", 0), "seed") ^ rep_index
-    stream = _make_stream(plan, target, seed)
-    if plan.get("log_measurements"):
-        stream = _RecordingStream(stream)
-    t0, init_meta = _initial_iterate(plan, target, cfg.ranks, stream, seed)
-    if algorithm == "orgd":
-        out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target, pure_target=psi)
-    else:
-        idx, y = stream.draw_batch(dataset_size)
-        if algorithm == "rgd":
-            out, trace = solvers.rgd_offline_run(t0, (idx, y), cfg, ground_truth=target,
-                                                 pure_target=psi)
-        else:
-            out, trace = solvers.rsgd_run(t0, (idx, y), cfg, ground_truth=target,
-                                          pure_target=psi)
-    log = stream.log() if isinstance(stream, _RecordingStream) else None
-    init_meta["noise_proxy_variance"] = stream.noise_proxy_variance
-    return out, trace, init_meta, log, seed
-
-
 def cmd_generate_state(args):
     # The flags fill the plan's state section; --set overrides both.
     plan = _load_plan(args.plan, None)
-    flags = {k: getattr(args, k) for k in _PLAN_KEYS["state"]}
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(states.StateSpec)}
     plan.setdefault("state", {}).update({k: v for k, v in flags.items() if v is not None})
-    spec = _state_spec(_checked_plan(plan, args.set))
-    psi, meta = states.make_state(spec)
+    plan = _checked_plan(plan, args.set)
+    psi, meta = states.make_state(_record(states.StateSpec, _section(plan, "state"), "state"))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     serialize.write_ttc1(out, psi)
@@ -376,7 +348,7 @@ def _versions():
     return {"ttqst": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs):
+def _write_run_outputs(outdir, plan, resolved, traces, iterates, logs, reps_meta):
     outdir.mkdir(parents=True, exist_ok=True)
     for i, (trace, it) in enumerate(zip(traces, iterates)):
         trace.to_csv(outdir / f"trace_rep{i:03d}.csv")
@@ -386,6 +358,7 @@ def _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs):
             measurement.write_log(outdir / f"measurements_rep{i:03d}.csv", *log)
     metadata = {
         "plan": plan,
+        "resolved_plan": {**resolved, "output_dir": str(outdir)},
         "rng": measurement.RNG_ALGORITHM,
         "versions": _versions(),
         "repetitions": reps_meta,
@@ -395,24 +368,44 @@ def _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs):
 
 
 def _execute_plan(plan):
-    target, psi, state_meta = _target_from_plan(plan)
+    """Runs every repetition of ``plan``.
+
+    Returns the plan resolved, with every setting as the run used it, then
+    the traces, iterates, measurement logs and per-repetition metadata.
+    """
+    target, psi, state_meta, resolved = _target_from_plan(plan)
     algorithm, cfg, dataset_size = _solver_config(plan, target)
-    repetitions = _plan_value(int, plan.get("repetitions", 1), "repetitions")
+    source, resolved["measurement"] = _measurement_source(plan)
+    top = {**_CLI_KEYS, **plan}
+    repetitions = _plan_value(int, top["repetitions"], "repetitions")
     if repetitions < 1:
         raise ConfigError("repetitions must be at least 1")
+    resolved.update(seed=_seed(top["seed"], "seed"), repetitions=repetitions,
+                    log_measurements=top["log_measurements"],
+                    solver={"algorithm": algorithm, "dataset_size": dataset_size,
+                            **dataclasses.asdict(cfg)})
     traces, iterates, logs, reps_meta = [], [], [], []
     for rep in range(repetitions):
-        out, trace, init_meta, log, seed = _run_repetition(
-            plan, target, psi, cfg, algorithm, dataset_size, rep
-        )
+        seed = resolved["seed"] ^ rep
+        stream = _make_stream(source, target, seed)
+        if top["log_measurements"]:
+            stream = _RecordingStream(stream)
+        t0, resolved["init"], info = _initial_iterate(plan, target, cfg.ranks, stream, seed)
+        if algorithm == "orgd":
+            out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target, pure_target=psi)
+        else:
+            run = solvers.rgd_offline_run if algorithm == "rgd" else solvers.rsgd_run
+            out, trace = run(t0, stream.draw_batch(dataset_size), cfg, ground_truth=target,
+                             pure_target=psi)
         traces.append(trace)
         iterates.append(out)
-        logs.append(log)
+        logs.append(stream.log() if top["log_measurements"] else None)
         reps_meta.append(
             {
                 "repetition": rep,
                 "seed": seed,
-                "init": init_meta,
+                "init": {**resolved["init"], **info,
+                         "noise_proxy_variance": stream.noise_proxy_variance},
                 "state": state_meta,
                 "iterations": trace.iters[-1],
                 "samples": trace.samples[-1],
@@ -420,15 +413,15 @@ def _execute_plan(plan):
                 "final_fidelity": trace.fidelity[-1],
             }
         )
-    return traces, iterates, logs, reps_meta
+    return resolved, traces, iterates, logs, reps_meta
 
 
 def cmd_reconstruct(args):
     plan = _load_plan(args.plan, args.set)
-    outdir = Path(args.out or plan.get("output_dir", "run"))
-    traces, iterates, logs, reps_meta = _execute_plan(plan)
-    _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs)
-    for meta in reps_meta:
+    outdir = Path(args.out or plan.get("output_dir", _CLI_KEYS["output_dir"]))
+    run = _execute_plan(plan)
+    _write_run_outputs(outdir, plan, *run)
+    for meta in run[-1]:
         rel = meta["final_rel_error"]
         fid = meta["final_fidelity"]
         print(
@@ -443,19 +436,18 @@ def cmd_reconstruct(args):
 
 def cmd_init(args):
     plan = _load_plan(args.plan, args.set)
-    init = plan.get("init", {})
-    if init.get("mode") != "spectral":
+    if _section(plan, "init")["mode"] != "spectral":
         raise ConfigError("the init subcommand requires init.mode = 'spectral'")
-    target, psi, _ = _target_from_plan(plan)
-    ranks = _solver_ranks(dict(plan.get("solver", {})), target)
-    seed = _seed(plan.get("seed", 0), "seed")
-    stream = _make_stream(plan, target, seed)
-    t0, info = _initial_iterate(plan, target, ranks, stream, seed)
-    outdir = Path(args.out or plan.get("output_dir", "run"))
+    target, psi, _, _ = _target_from_plan(plan)
+    ranks = _solver_ranks(_section(plan, "solver")["ranks"], target)
+    seed = _seed({**_CLI_KEYS, **plan}["seed"], "seed")
+    stream = _make_stream(_measurement_source(plan)[0], target, seed)
+    t0, init, info = _initial_iterate(plan, target, ranks, stream, seed)
+    outdir = Path(args.out or plan.get("output_dir", _CLI_KEYS["output_dir"]))
     outdir.mkdir(parents=True, exist_ok=True)
     serialize.write_ttr1(outdir / "t0.ttr", t0)
     rel = tt.tt_distance(t0, target) / tt.tt_norm(target)
-    report = {"rel_error": rel, "samples": stream.consumed, "init": info,
+    report = {"rel_error": rel, "samples": stream.consumed, "init": {**init, **info},
               "rng": measurement.RNG_ALGORITHM, "versions": _versions()}
     with open(outdir / "init_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -492,6 +484,8 @@ def cmd_evaluate(args):
 
 def cmd_benchmark_scaling(args):
     plan = _load_plan(args.plan, args.set)
+    if "state_file" in plan:
+        raise ConfigError("benchmark-scaling sets state.n, which a state_file plan does not read")
     ns = [_plan_value(int, x, "--ns entry") for x in args.ns.split(",")]
     if len(set(ns)) < 2:
         raise ConfigError("need at least two distinct n values to fit a scaling exponent")
@@ -499,7 +493,6 @@ def cmd_benchmark_scaling(args):
         raise ConfigError("set exactly one of --target-error / --target-fidelity")
     repetitions = args.repetitions
     rows = []
-    mean_iters = []
     for n in ns:
         plan_n = copy.deepcopy(plan)
         plan_n.setdefault("state", {})["n"] = n
@@ -507,7 +500,7 @@ def cmd_benchmark_scaling(args):
         plan_n.setdefault("solver", {})
         if args.target_error is not None:
             plan_n["solver"]["stop_rel_error"] = args.target_error
-        traces, _, _, _ = _execute_plan(plan_n)
+        traces = _execute_plan(plan_n)[1]
         counts = []
         for trace in traces:
             if args.target_error is not None:
@@ -520,10 +513,9 @@ def cmd_benchmark_scaling(args):
                 )
             counts.append(trace.iters[-1])
         rows.append((n, float(np.mean(counts)), counts))
-        mean_iters.append(float(np.mean(counts)))
         print(f"n={n}: iterations {counts} mean {np.mean(counts):.1f}")
     logn = np.log(np.asarray(ns, dtype=float))
-    logi = np.log(np.asarray(mean_iters))
+    logi = np.log([mean for _, mean, _ in rows])
     exponent, intercept = np.polyfit(logn, logi, 1)
     print(f"fitted iterations ~ {np.exp(intercept):.3g} * n^{exponent:.3f}")
     if args.out:
@@ -548,15 +540,15 @@ def cmd_replay(args):
         raise DataError(f"no metadata.json in {rundir}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt metadata.json: {exc}") from exc
-    plan = metadata.get("plan")
-    if plan is None:
+    # Older run directories echo only the plan as given.
+    plans = [_checked_plan(metadata[k]) for k in ("plan", "resolved_plan") if k in metadata]
+    if not plans:
         raise DataError("metadata.json carries no plan echo")
-    _checked_plan(plan)
     outdir = Path(args.out) if args.out else rundir / "replay"
-    traces, iterates, logs, reps_meta = _execute_plan(plan)
-    _write_run_outputs(outdir, plan, reps_meta, traces, iterates, logs)
+    run = _execute_plan(plans[-1])
+    _write_run_outputs(outdir, plans[0], *run)
     ok = True
-    for i in range(len(traces)):
+    for i in range(len(run[1])):
         orig = rundir / f"trace_rep{i:03d}.csv"
         new = outdir / f"trace_rep{i:03d}.csv"
         if not orig.exists():
@@ -581,13 +573,8 @@ def _build_parser():
     g = sub.add_parser("generate-state", help="write a target state as TTC1")
     g.add_argument("--plan", help="optional plan JSON carrying a state section")
     g.add_argument("--set", action="append", help="override plan entries")
-    g.add_argument("--family", choices=["random_mps", "ghz", "ising_ground"])
-    g.add_argument("--n", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--rank", type=int)
-    g.add_argument("--max-bond", dest="max_bond", type=int)
-    g.add_argument("--coupling", type=float)
-    g.add_argument("--seed", type=int)
+    for f in dataclasses.fields(states.StateSpec):  # one flag per state key
+        g.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_KINDS[f.type])
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate_state)
 

@@ -116,7 +116,7 @@ class SolverConfig:
     """
 
     ranks: tuple
-    max_iters: int
+    max_iters: int = 10000
     batch_size: int = 1
     eta: float | None = None
     alpha: float | None = None
@@ -131,23 +131,20 @@ class SolverConfig:
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
         if self.eta is None and self.alpha is None:
-            raise SolverError("one of eta / alpha must be set")
+            raise SolverError("eta must be set when alpha is not")
         for key in ("eta", "alpha"):
             value = getattr(self, key)
             if value is not None and not 0 <= value < np.inf:
                 raise SolverError(f"{key} must be finite and nonnegative, got {value}")
-        if self.batch_size < 1:
-            raise SolverError("batch size must be at least 1")
-        if self.max_iters < 0:
-            raise SolverError("max_iters must be nonnegative")
+        for key, low in (("batch_size", 1), ("max_iters", 0), ("log_every", 1), ("epochs", 1)):
+            if getattr(self, key) < low:
+                raise SolverError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.trim_nu is not None and not 0 < self.trim_nu < np.inf:
             raise SolverError(f"trim_nu must be finite and positive, got {self.trim_nu}")
         for key in ("epoch_decay", "stop_rel_error", "stop_move_tol"):
             value = getattr(self, key)
             if value is not None and not np.isfinite(value):
                 raise SolverError(f"{key} must be finite, got {value}")
-        if self.log_every < 1:
-            raise SolverError("log_every must be at least 1")
 
     def resolve_eta(self, n: int) -> float:
         if self.eta is not None:
@@ -171,8 +168,9 @@ class InitConfig:
     nu: float
 
     def __post_init__(self):
-        if min(self.k1, self.k2, self.k3) < 1:
-            raise SolverError("stage sample counts k1, k2, k3 must be at least 1")
+        for key in ("k1", "k2", "k3"):
+            if getattr(self, key) < 1:
+                raise SolverError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("mu", "nu"):
             value = getattr(self, key)
             if not 0 < value < np.inf:

@@ -48,14 +48,16 @@ class StateSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise StateError("need at least two sites")
+        # Each message names the field at fault first.
         if self.family not in ("random_mps", "ghz", "ising_ground"):
-            raise StateError(f"unknown state family {self.family!r}")
-        if self.family in ("ghz", "ising_ground") and self.d != 2:
-            raise StateError(f"{self.family} is defined for qubits")
-        if self.rank < 1 or self.max_bond < 2:
-            raise StateError("bond caps must be positive (max_bond >= 2)")
+            raise StateError(f"family must be random_mps, ghz or ising_ground, got {self.family!r}")
+        for key, low in (("n", 2), ("d", 2), ("rank", 1), ("max_bond", 2)):
+            if getattr(self, key) < low:
+                raise StateError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        if self.family != "random_mps" and self.d != 2:
+            raise StateError(f"d must be 2 for {self.family}, got {self.d}")
+        if not np.isfinite(self.coupling):
+            raise StateError(f"coupling must be finite, got {self.coupling}")
 
 
 def make_state(spec: StateSpec):

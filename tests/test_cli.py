@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, artifacts, determinism."""
 
+import dataclasses
 import gc
 import json
 import warnings
@@ -506,13 +507,21 @@ def test_infeasible_list_ranks_exit_config(tmp_path, capsys):
         ("solver.ranks=-2", "solver.ranks cap must be at least 1, got -2"),
         ("solver.ranks=true", "solver.ranks must be 'target', an integer cap, or a list"),
         ("solver.ranks=[4, 4]", "need 4 ranks, got 2"),
+        ("state.d=0", "state.d must be at least 2, got 0"),
+        ("state.d=1", "state.d must be at least 2, got 1"),
+        ("state.coupling=Infinity", "state.coupling must be finite, got inf"),
+        ("state.coupling=NaN", "state.coupling must be finite, got nan"),
+        ("solver.epochs=0", "solver.epochs must be at least 1, got 0"),
+        ("solver.epochs=-1", "solver.epochs must be at least 1, got -1"),
     ],
     ids=["max_iter", "stop_rel_eror", "bond", "detla", "measurment", "solver=3",
-         "ranks=0", "ranks=-2", "ranks=true", "ranks-length"],
+         "ranks=0", "ranks=-2", "ranks=true", "ranks-length", "d=0", "d=1", "coupling=inf",
+         "coupling=NaN", "epochs=0", "epochs=-1"],
 )
 def test_plan_keys_and_rank_cap_checked(tmp_path, capsys, override, named):
-    # A key the plan schema does not list, a section that is not an object and
-    # an integer rank cap below 1 or given as a bool exit 2 and name the entry.
+    # A key the plan schema does not list, a section that is not an object, an
+    # integer rank cap below 1 or given as a bool, and a value its library
+    # record refuses exit 2 and name the entry.
     plan_path, _ = base_plan(tmp_path)
     args = ["reconstruct", "--plan", str(plan_path), "--set", override]
     assert cli.main(args) == cli.EXIT_CONFIG
@@ -641,3 +650,91 @@ def test_non_finite_reconstruction_exits_data(tmp_path, capsys):
     assert cli.main(["evaluate", "--state", str(state_file),
                      "--reconstruction", str(rec)]) == cli.EXIT_DATA
     assert f"data error: reconstruction {rec} holds non-finite entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--family", "random_mps", "--n", "4", "--d", "0"], "state.d must be at least 2, got 0"),
+        (["--family", "random_mps", "--n", "4", "--d", "1"], "state.d must be at least 2, got 1"),
+        (["--family", "ising_ground", "--n", "4", "--coupling", "inf"],
+         "state.coupling must be finite, got inf"),
+        (["--family", "ising_ground", "--n", "4", "--coupling", "NaN"],
+         "state.coupling must be finite, got nan"),
+        (["--family", "ising_ground", "--n", "4", "--set", "state.coupling=-Infinity"],
+         "state.coupling must be finite, got -inf"),
+    ],
+    ids=["d=0", "d=1", "coupling=inf", "coupling=NaN", "set-coupling=-inf"],
+)
+def test_generate_state_checks_exit_config(tmp_path, capsys, flags, named):
+    out = tmp_path / "s.ttc"
+    assert cli.main(["generate-state", *flags, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"config error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["2.0", '"2"'])
+def test_integral_rank_cap_is_an_integer_cap(tmp_path, cap):
+    plan_path, _ = base_plan(tmp_path, max_iters=20, stop_rel_error=None)
+    assert cli.main(["reconstruct", "--plan", str(plan_path),
+                     "--set", f"solver.ranks={cap}"]) == cli.EXIT_OK
+    back = serialize.read_ttr1(tmp_path / "run" / "reconstruction_rep000.ttr")
+    assert back.ranks == (2, 2, 2, 2)
+
+
+def test_metadata_records_the_resolved_plan(tmp_path):
+    # Every default is filled in: the records', the CLI's and the ranks.
+    plan_path, plan = base_plan(tmp_path, max_iters=20, stop_rel_error=None)
+    del plan["solver"]["log_every"], plan["init"], plan["repetitions"]
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_OK
+    meta = json.loads((tmp_path / "run" / "metadata.json").read_text())
+    assert meta["plan"] == plan
+    resolved = meta["resolved_plan"]
+    assert resolved["state"] == {"family": "random_mps", "n": 5, "d": 2, "rank": 2,
+                                 "max_bond": 16, "coupling": 1.0, "seed": 3}
+    assert resolved["measurement"] == {"source": "exact"}
+    assert resolved["init"] == {"mode": "perturbed_truth", "delta": 0.1}
+    assert (resolved["seed"], resolved["repetitions"]) == (7, 1)
+    solver = resolved["solver"]
+    assert solver["ranks"] == [4, 4, 4, 4] and solver["log_every"] == 50
+    assert set(solver) == cli._section_keys("solver")
+
+
+def test_replay_runs_the_resolved_plan(tmp_path, monkeypatch, capsys):
+    # A changed record default would change a run of the plan as given; the
+    # replay of a finished run keeps the default it used.
+    plan_path, plan = base_plan(tmp_path, max_iters=60, stop_rel_error=None)
+    del plan["solver"]["log_every"]
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_OK
+    log_every = next(f for f in dataclasses.fields(solvers.SolverConfig) if f.name == "log_every")
+    monkeypatch.setattr(log_every, "default", 7)
+    assert cli._execute_plan(plan)[1][0].iters[:3] == [0, 7, 14]
+    assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert "trace_rep000: identical" in capsys.readouterr().out
+
+
+def test_replay_falls_back_to_the_plan_as_given(tmp_path, capsys):
+    # Run directories written before the resolved plan existed still replay.
+    plan_path, _ = base_plan(tmp_path, max_iters=60, stop_rel_error=None)
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_OK
+    meta_path = tmp_path / "run" / "metadata.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["resolved_plan"]
+    meta_path.write_text(json.dumps(meta))
+    assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert "trace_rep000: identical" in capsys.readouterr().out
+
+
+def test_benchmark_scaling_refuses_state_file_plan(tmp_path, capsys):
+    # The scan sets state.n, which a state file does not read.
+    state_file = tmp_path / "ghz.ttc"
+    serialize.write_ttc1(state_file, states.ghz(4))
+    plan_path = _state_file_plan(tmp_path, state_file)
+    rc = cli.main(["benchmark-scaling", "--plan", str(plan_path), "--ns", "4,6",
+                   "--target-error", "5e-2", "--repetitions", "1"])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error: benchmark-scaling" in captured.err and "state_file" in captured.err
+    assert "fitted" not in captured.out

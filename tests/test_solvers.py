@@ -1002,3 +1002,14 @@ def test_trimmed_run_above_dense_cap_is_untrimmed_run(monkeypatch):
     assert [w.category for w in caught] == [RuntimeWarning]
     assert calls == []
     assert all(np.array_equal(a, b) for a, b in zip(got.cores, want.cores))
+
+
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_solver_config_rejects_epochs_below_one(epochs):
+    # RSGD would return after no round at all.
+    with pytest.raises(solvers.SolverError, match=f"^epochs must be at least 1, got {epochs}$"):
+        solvers.SolverConfig(ranks=(2,), alpha=1e-3, epochs=epochs)
+
+
+def test_solver_config_max_iters_default():
+    assert solvers.SolverConfig(ranks=(2,), alpha=1e-3).max_iters == 10000

@@ -154,6 +154,20 @@ def test_state_spec_validation():
         states.StateSpec(family="ising_ground", n=4, d=3)
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"d": 0}, "d must be at least 2, got 0"),
+        ({"d": 1}, "d must be at least 2, got 1"),
+        ({"family": "ising_ground", "coupling": float("inf")}, "coupling must be finite, got inf"),
+        ({"family": "ising_ground", "coupling": float("nan")}, "coupling must be finite, got nan"),
+    ],
+)
+def test_state_spec_names_the_field_at_fault(settings, message):
+    with pytest.raises(states.StateError, match=f"^{message}$"):
+        states.StateSpec(**{"family": "random_mps", "n": 4, **settings})
+
+
 def test_make_state_metadata():
     psi, meta = states.make_state(states.StateSpec(family="ising_ground", n=4, coupling=1.0, max_bond=8))
     assert meta["family"] == "ising_ground"
