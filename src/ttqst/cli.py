@@ -50,6 +50,8 @@ _SOURCES = {"exact": measurement.ExactSource, "shot": measurement.ShotSource,
 _RECORDS = {"state": (states.StateSpec,), "measurement": tuple(_SOURCES.values()),
             "solver": (solvers.SolverConfig,), "init": (solvers.InitConfig,)}
 _KINDS = {"int": int, "float": float, "float | None": float, "str": str}
+# The type of each top-level plan key that no record or conversion checks.
+_KEY_TYPES = {"log_measurements": bool, "output_dir": str, "state_file": str}
 
 
 class ConfigError(Exception):
@@ -157,6 +159,9 @@ def _checked_plan(plan, overrides=None):
     for key, value in plan.items():
         if key not in _CLI_KEYS:
             raise ConfigError(f"unknown plan key {key!r}")
+        kind = _KEY_TYPES.get(key)
+        if kind is not None and not isinstance(value, kind):
+            raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
         if key not in _RECORDS:
             continue
         if not isinstance(value, dict):
@@ -263,7 +268,8 @@ def _solver_config(plan, target):
 def _initial_iterate(plan, target, ranks, stream, rep_seed):
     """The start iterate of the plan's init section, that section resolved, and run info.
 
-    A spectral init without ``mu`` or ``nu`` takes it from the target's coherence report.
+    A spectral init without ``mu`` or ``nu`` takes it from the target's coherence report;
+    a target too large for the report's incoherence needs ``init.mu`` in the plan.
     """
     init = _section(plan, "init")
     mode = init["mode"]
@@ -287,8 +293,12 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
     if mode == "spectral":
         if init.get("mu") is None or init.get("nu") is None:
             rep = tt.coherence_report(target)
-            coherence = {"mu": rep.incoherence**2, "nu": rep.spikiness}
-            init.update((k, v) for k, v in coherence.items() if init.get(k) is None)
+            mu = None if rep.incoherence is None else rep.incoherence**2
+            init.update((k, v) for k, v in {"mu": mu, "nu": rep.spikiness}.items()
+                        if init.get(k) is None)
+            if init["mu"] is None:
+                raise ConfigError("spectral init needs init.mu: the target is too large "
+                                  "for its coherence report to give the incoherence")
         icfg = _record(solvers.InitConfig, init, "init")
         t0, info = solvers.spectral_init(stream, icfg, ranks)
         return t0, {"mode": mode, **dataclasses.asdict(icfg)}, info

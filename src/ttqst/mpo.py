@@ -5,7 +5,10 @@ An MPO stores a ``d^n x d^n`` operator as a chain of order-4 cores
 ``U_k(l, i, j, m) = conj(U_k(l, j, i, m))`` for every k.  For such cores the
 coefficient tensor in an orthonormal Hermitian product basis (Pauli matrices
 for qubits, generalized Gell-Mann matrices for qudits) is real with the same
-bond ranks, which is what links tomography to real TT completion.
+bond ranks, which is what links tomography to real TT completion.  So
+``hermitian_decompose`` truncates an operator as ``tt.ttsvd`` of that real
+tensor, mapped back by ``coeff_to_mpo``, whose real cores always meet the
+Hermitian condition.
 
 ``Mps`` and ``Mpo`` are one complex chain (``_Chain``) of order-3 or order-4
 cores.  They keep the chain contract of ``tt.TtTensor``, checked by the same
@@ -170,102 +173,92 @@ def is_hermitian_cores(m: Mpo, tol: float = HERMITIAN_CORE_TOL) -> bool:
     return True
 
 
-def _hermitian_eigvec_select(v: np.ndarray, eigvals: np.ndarray, r_prev: int, d: int):
-    """Real-combination step: build F-fixed orthonormal eigenvectors.
+def _check_hermitian(scale: float, defect: float):
+    """``MpoError`` for a zero operator, or one whose anti-Hermitian part
+    ``defect`` exceeds ``1e-10 * scale``."""
+    if scale == 0.0:
+        raise MpoError("zero operator")
+    if defect > 1e-10 * scale:
+        raise MpoError("input operator is not Hermitian")
 
-    ``v`` holds the selected eigenvector columns of ``M M^dagger`` (rows are
-    bond x (i, j) in C order, j fastest); F is the conjugate-linear
-    swap-conjugation involution.  Within each eigenvalue cluster the columns
-    are replaced by real linear combinations of ``(v + Fv)/2`` and
-    ``(v - Fv)/2i``, which are F-fixed and span the same eigenspace.
+
+def _dense_coeff(rho: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Complex coefficient tensor, shape ``(d^2,) * n``, of a dense operator.
+
+    The row and column indices are interleaved site by site into
+    ``Y((i1, j1), ..., (in, jn))``; each step contracts the slowest site with
+    the conjugate basis and moves its coefficient index last, so after n steps
+    the sites are back in order.  The real part is the coefficient tensor of
+    ``(rho + rho^dagger) / 2`` and ``i`` times the imaginary part that of
+    ``(rho - rho^dagger) / 2``; the basis is orthonormal, so their norms are
+    the Frobenius norms of those parts.
     """
-    r = v.shape[1]
-    lam_max = float(np.max(np.abs(eigvals))) if r else 0.0
-    cluster_tol = 1e-10 * max(lam_max, 1.0)
+    q = d * d
+    y = rho.reshape((d,) * (2 * n)).transpose([a for k in range(n) for a in (k, n + k)])
+    conj_basis = make_basis(d).reshape(q, q).conj()  # (s, (i, j))
+    for _ in range(n):
+        y = y.reshape(q, -1).T.dot(conj_basis.T)
+    return y.reshape((q,) * n)
+
+
+def _real_part_tt(cores) -> TtTensor:
+    """The real part of the chain of complex order-3 ``cores``, as a real TT.
+
+    Core ``C`` becomes ``[[Re C, -Im C], [Im C, Re C]]``, the real form of a
+    complex bond matrix, at twice the ranks; the first core keeps its first
+    block row and the last its first block column, so the chain's product is
+    exactly the real part of the complex chain's.
+    """
     out = []
-    start = 0
-    while start < r:
-        stop = start + 1
-        while stop < r and abs(eigvals[stop] - eigvals[stop - 1]) <= cluster_tol:
-            stop += 1
-        vc = v[:, start:stop]
-        v4 = vc.reshape(r_prev, d, d, stop - start)
-        vhat = np.conj(v4.transpose(0, 2, 1, 3)).reshape(vc.shape)
-        w = np.concatenate([(vc + vhat) / 2.0, (vc - vhat) / 2j], axis=1)
-        gram = w.conj().T @ w
-        if float(np.max(np.abs(gram.imag))) > 1e-8 * max(1.0, float(np.max(np.abs(gram)))):
-            raise MpoError("inner products of symmetrized eigenvectors are not real")
-        gr = gram.real
-        evals, evecs = np.linalg.eigh(gr)
-        keep = evals > 1e-12 * max(evals[-1], 1e-300)
-        if int(np.sum(keep)) < stop - start:
-            raise MpoError("eigenvector symmetrization lost rank; input not Hermitian?")
-        order = np.argsort(evals)[::-1][: stop - start]
-        coeff = evecs[:, order] / np.sqrt(evals[order])
-        out.append(w @ coeff)
-        start = stop
-    return np.concatenate(out, axis=1) if out else v
-
-
-def _feasible_mpo_ranks(n: int, d: int, ranks):
-    """``ranks`` as ints, checked by the TT rule for n modes of size d^2."""
-    ranks = tuple(int(r) for r in ranks)
-    try:
-        tt._check_ranks_feasible((d * d,) * n, ranks)
-    except tt.TtError as exc:
-        raise MpoError(str(exc)) from exc
-    return ranks
+    for c in cores:
+        top = np.concatenate([c.real, -c.imag], axis=2)
+        out.append(np.concatenate([top, np.concatenate([c.imag, c.real], axis=2)], axis=0))
+    out[0] = out[0][:1]
+    out[-1] = out[-1][:, :, :1]
+    return TtTensor(out)
 
 
 def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
-    """Decompose a Hermitian operator into cores satisfying the swap-conjugation
-    condition (sweep of bond-space eigenproblems with F-fixed eigenvector
-    selection).
+    """Truncate a Hermitian operator to the given bond ranks as Hermitian cores.
 
-    ``rho`` is either a dense ``d^n x d^n`` matrix or an Mpo (the MPO path
-    contracts right Gram environments and never densifies).  A dense row or
-    column index is C order over the sites, site 1 slowest, as in ``np.kron``:
-    ``np.kron(A_1, ..., A_n)`` puts ``A_k`` on site k.
+    The operator's real coefficient tensor in ``make_basis(d)`` is truncated
+    by ``tt.ttsvd`` and mapped back by ``coeff_to_mpo``, so the cores meet the
+    Hermitian condition by construction and cores 1..n-1 are left-orthogonal.
+    The basis change is unitary per site, so this is TT-SVD of the operator.
+
+    ``rho`` is either a dense ``d^n x d^n`` matrix or an Mpo in any gauge.  A
+    dense row or column index is C order over the sites, site 1 slowest, as
+    in ``np.kron``: ``np.kron(A_1, ..., A_n)`` puts ``A_k`` on site k.  An Mpo
+    is never densified: its complex coefficient cores are taken to the real
+    TT of their chain's real part, which ``tt.ttsvd`` truncates on its cores.
+    A non-finite entry, a zero or non-Hermitian operator and infeasible ranks
+    raise ``MpoError``.
     """
     if isinstance(rho, Mpo):
-        return _hermitian_decompose_mpo(rho, ranks)
-    rho = np.asarray(rho, dtype=np.complex128)
-    given = d is not None
-    d = d if given else 2
-    n = int(round(np.log(rho.shape[0]) / np.log(d)))
-    if rho.shape != (d**n, d**n) or d**n > 2**10:
-        which = f"d={d}" if given else f"d={d} assumed; pass d= for other local dimensions"
-        raise MpoError(
-            f"dense input must be d^n x d^n with d^n <= 1024 ({which}), got {rho.shape}"
-        )
-    scale = np.linalg.norm(rho)
-    if scale == 0.0:
-        raise MpoError("zero operator")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10 * scale:
-        raise MpoError("input operator is not Hermitian")
-    ranks = _feasible_mpo_ranks(n, d, ranks)
-
-    # Interleave row/column site indices: Y((i1,j1), ..., (in,jn)).
-    a = rho.reshape((d,) * (2 * n))
-    perm = [None] * (2 * n)
-    perm[0::2] = range(n)
-    perm[1::2] = range(n, 2 * n)
-    y = a.transpose(perm).reshape((d * d,) * n)
-
-    cores = []
-    m = y.reshape(d * d, -1)
-    prev = 1
-    for k in range(n - 1):
-        mmh = m @ m.conj().T
-        w, vecs = np.linalg.eigh(mmh)
-        order = np.argsort(w)[::-1][: ranks[k]]
-        u = _hermitian_eigvec_select(vecs[:, order], w[order], prev, d)
-        cores.append(u.reshape(prev, d, d, ranks[k]))
-        m = u.conj().T @ m
-        prev = ranks[k]
-        m = m.reshape(prev * d * d, -1)
-    cores.append(m.reshape(prev, d, d, 1))
-    return Mpo(cores)
+        if not all(np.isfinite(c).all() for c in rho.cores):
+            raise MpoError("input MPO has a non-finite core entry")
+        _check_hermitian(mpo_frobenius(rho), _hermitian_defect(rho))
+        coeff = _real_part_tt(_coeff_cores(rho))
+    else:
+        rho = np.asarray(rho, dtype=np.complex128)
+        given = d is not None
+        d = d if given else 2
+        n = int(round(np.log(rho.shape[0]) / np.log(d)))
+        if rho.shape != (d**n, d**n) or d**n > 2**10:
+            which = f"d={d}" if given else f"d={d} assumed; pass d= for other local dimensions"
+            raise MpoError(
+                f"dense input must be d^n x d^n with d^n <= 1024 ({which}), got {rho.shape}"
+            )
+        if not np.isfinite(rho).all():
+            raise MpoError("input operator has a non-finite entry")
+        coeff = _dense_coeff(rho, n, d)
+        _check_hermitian(np.linalg.norm(coeff), 2.0 * np.linalg.norm(coeff.imag))
+        coeff = coeff.real
+    try:
+        t = tt.ttsvd(coeff, ranks)
+    except tt.TtError as exc:
+        raise MpoError(str(exc)) from exc
+    return coeff_to_mpo(t)
 
 
 def _stacked_chain_norm(a, b) -> float:
@@ -293,58 +286,28 @@ def _hermitian_defect(m: Mpo) -> float:
     return _stacked_chain_norm(flat, adj)
 
 
-def _hermitian_decompose_mpo(m: Mpo, ranks) -> Mpo:
-    n, d = m.n, m.d
-    ranks = _feasible_mpo_ranks(n, d, ranks)
-    nrm = mpo_frobenius(m)
-    if nrm == 0.0:
-        raise MpoError("zero operator")
-    if _hermitian_defect(m) > 1e-10 * nrm:
-        raise MpoError("input operator is not Hermitian")
+def _coeff_cores(m: Mpo) -> list:
+    """Complex coefficient cores ``C_k(l, s, m) = sum_{ij} U_k(l,i,j,m) conj(P_s(i,j))``.
 
-    # Combine (i, j) into one physical index of size d^2 (C order, j fastest).
-    work = [c.reshape(c.shape[0], d * d, c.shape[3]) for c in m.cores]
-    # Right Gram environments of the untouched tail cores.
-    envs = [None] * (n + 1)
-    envs[n] = np.ones((1, 1), dtype=np.complex128)
-    for k in range(n - 1, -1, -1):
-        c = work[k]
-        t = np.tensordot(c, envs[k + 1], axes=(2, 0))  # (a, s, c)
-        envs[k] = t.reshape(t.shape[0], -1) @ c.reshape(c.shape[0], -1).conj().T
-
-    cores = []
-    cur = work[0]
-    prev = 1
-    for k in range(n - 1):
-        l = cur.reshape(prev * d * d, cur.shape[2])
-        mmh = l @ envs[k + 1] @ l.conj().T
-        mmh = (mmh + mmh.conj().T) / 2.0
-        w, vecs = np.linalg.eigh(mmh)
-        order = np.argsort(w)[::-1][: ranks[k]]
-        u = _hermitian_eigvec_select(vecs[:, order], w[order], prev, d)
-        cores.append(u.reshape(prev, d, d, ranks[k]))
-        carry = u.conj().T @ l  # (r_k, old_rank)
-        cur = np.tensordot(carry, work[k + 1], axes=(1, 0))
-        prev = ranks[k]
-    cores.append(cur.reshape(prev, d, d, 1))
-    return Mpo(cores)
+    The per-site Hilbert-Schmidt inner products with ``make_basis(m.d)``; the
+    chain of the ``C_k`` is the coefficient tensor of the MPO in any gauge.
+    """
+    mats = make_basis(m.d).conj()
+    return [np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1) for c in m.cores]
 
 
 def mpo_to_coeff(m: Mpo) -> TtTensor:
     """Real coefficient tensor of a Hermitian-core MPO in ``make_basis(m.d)``.
 
-    Core contraction ``T_k(l, s, m) = sum_{ij} U_k(l,i,j,m) conj(P_s(i,j))``
-    (the per-site Hilbert-Schmidt inner product).  The imaginary residue is
-    asserted below tolerance and dropped; bond ranks carry over, and
+    The cores are ``_coeff_cores(m)``; for Hermitian cores their imaginary
+    residue is asserted below tolerance and dropped; bond ranks carry over, and
     left-orthogonal MPO cores yield left-orthogonal TT cores: the output is
     flagged ``left_orthogonal`` when its cores 1..n-1 check so.
     """
     if not is_hermitian_cores(m):
         raise MpoError("mpo_to_coeff requires cores satisfying the Hermitian condition")
     cores = []
-    mats = make_basis(m.d).conj()
-    for c in m.cores:
-        t = np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1)  # (l, s, m)
+    for t in _coeff_cores(m):
         scale = max(float(np.max(np.abs(t))), 1.0)
         if float(np.max(np.abs(t.imag))) > 1e-12 * scale:
             raise MpoError("coefficient core has imaginary residue above tolerance")

@@ -202,6 +202,25 @@ def test_init_subcommand(tmp_path, capsys):
     serialize.read_ttr1(tmp_path / "ini" / "t0.ttr")
 
 
+@pytest.mark.parametrize("command", ["init", "reconstruct"])
+def test_spectral_init_without_mu_needs_it_when_no_incoherence(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # A part above tt.PART_CAP leaves the report without incoherence (random
+    # MPS qubit targets from n=12 on); a patched report stands in for one.
+    def report(t):
+        return tt.CoherenceReport(spikiness=2.0, incoherence=None, per_cut=[],
+                                  linf_is_bound=True)
+
+    monkeypatch.setattr(tt, "coherence_report", report)
+    plan_path, _ = base_plan(tmp_path)
+    args = [command, "--plan", str(plan_path), "--out", str(tmp_path / "out"), *(
+        a for item in _SPECTRAL for a in ("--set", item))]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "config error: spectral init needs init.mu" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli.main([*args, "--set", "init.mu=4.0", "--set", "solver.max_iters=1"]) == cli.EXIT_OK
+
+
 def test_rsgd_and_rgd_algorithms(tmp_path):
     plan_path, plan = base_plan(
         tmp_path, algorithm="rsgd", dataset_size=2000, epochs=2,
@@ -313,6 +332,28 @@ def test_plan_values_out_of_range_exit_config(tmp_path, capsys, overrides):
         args += ["--set", item]
     assert cli.main(args) == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("log_measurements", "no", "bool"), ("output_dir", 5, "str"), ("state_file", True, "str"),
+])
+def test_top_level_keys_of_the_wrong_type_exit_config(tmp_path, capsys, key, value, kind):
+    # Each ran before: a measurement log written for "no", a TypeError
+    # traceback for 5, and file descriptor 1 opened for true.
+    plan_path, plan = base_plan(tmp_path)
+    plan[key] = value
+    plan_path.write_text(json.dumps(plan))
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {key} must be {kind}, got {value!r}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [0, None, ["s.ttc"]])
+def test_state_file_must_be_a_path_string(value):
+    # open() reads an int as a file descriptor: 0 would read stdin.
+    with pytest.raises(cli.ConfigError, match="^state_file must be str, got "):
+        cli._checked_plan({"state_file": value})
 
 
 def test_integer_settings_take_integral_floats_and_digit_strings():

@@ -337,6 +337,46 @@ def test_hermitian_decompose_orthonormal_cores():
         np.testing.assert_allclose(l.conj().T @ l, np.eye(c.shape[3]), atol=1e-12)
 
 
+@pytest.mark.parametrize("n,r,cap", [(4, 3, 2), (5, 4, 2), (4, 4, 3)])
+def test_hermitian_decompose_truncates_gauged_mpo_and_dense_alike(n, r, cap):
+    # Below the true ranks, a complex-gauged MPO and its dense operator give
+    # the same Hermitian-core operator, whose error is the TT-SVD error of
+    # the dense coefficient tensor.
+    rng = np.random.default_rng(50 + n + r)
+    src = random_hermitian_mpo(rng, n=n, r=r)
+    gs = [np.eye(b) + 0.5j * rng.standard_normal((b, b)) + 0.3 * rng.standard_normal((b, b))
+          for b in src.ranks]
+    gauged = gauge_transform(src, gs)
+    assert not mpo.is_hermitian_cores(gauged)
+    rho = mpo_dense(src)
+    ranks = tuple(min(b, cap) for b in src.ranks)
+    assert ranks != src.ranks
+    coeff = tt.tt_dense(mpo.mpo_to_coeff(src))
+    want = np.linalg.norm(tt.tt_dense(tt.ttsvd(coeff, ranks)) - coeff) / np.linalg.norm(coeff)
+    outs = [mpo.hermitian_decompose(x, ranks) for x in (gauged, rho)]
+    a, b = (mpo_dense(m) for m in outs)
+    assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
+    for m, dense in zip(outs, (a, b)):
+        assert mpo.is_hermitian_cores(m) and m.ranks == ranks
+        err = np.linalg.norm(dense - rho) / np.linalg.norm(rho)
+        assert err == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermitian_decompose_rejects_non_finite_input(bad):
+    # The Hermitian check reads NaN as passing, so both input kinds are
+    # checked for finite entries before anything is factorized.
+    rho = np.eye(8, dtype=np.complex128)
+    rho[2, 3] = rho[3, 2] = bad
+    with pytest.raises(mpo.MpoError, match="^input operator has a non-finite entry$"):
+        mpo.hermitian_decompose(rho, (2, 2))
+    cores = list(random_hermitian_mpo(np.random.default_rng(42), n=3).cores)
+    cores[1] = cores[1].copy()
+    cores[1][0, 1, 1, 0] = bad
+    with pytest.raises(mpo.MpoError, match="^input MPO has a non-finite core entry$"):
+        mpo.hermitian_decompose(mpo.Mpo(cores), (2, 2))
+
+
 # ---------------------------------------------------------------- gauges
 
 
