@@ -186,15 +186,19 @@ def _read_chain(read, path, what):
 def _load_coeff(path):
     """Coefficient tensor of a TTC1 state file, and its pure ``Mps`` or None.
 
-    An ``Mps`` maps through ``pure_state_coeff``; an MPO must satisfy the
-    Hermitian core form and maps through ``mpo_to_coeff``.  A file with a
-    non-finite entry or of the zero state is a ``DataError``.
+    An ``Mps`` maps through ``pure_state_coeff``; an MPO maps through
+    ``mpo_to_coeff``, which checks the Hermitian core form.  A file with a
+    non-finite entry, of the zero state or of an MPO without that form is a
+    ``DataError``.
     """
     obj = _read_chain(serialize.read_ttc1, path, "state file")
-    psi = obj if isinstance(obj, mpo.Mps) else None
-    if psi is None and not mpo.is_hermitian_cores(obj):
-        raise DataError(f"MPO in {path} does not satisfy the Hermitian core form")
-    coeff = mpo.mpo_to_coeff(obj) if psi is None else states.pure_state_coeff(psi)
+    if isinstance(obj, mpo.Mps):
+        coeff, psi = states.pure_state_coeff(obj), obj
+    else:
+        try:
+            coeff, psi = mpo.mpo_to_coeff(obj), None
+        except mpo.MpoError as exc:
+            raise DataError(f"MPO in {path} does not satisfy the Hermitian core form") from exc
     if tt.tt_norm(coeff) == 0.0:
         raise DataError(f"state file {path} holds the zero state")
     return coeff, psi
@@ -265,11 +269,13 @@ def _solver_config(plan, target):
     return algorithm, cfg, dataset_size
 
 
-def _initial_iterate(plan, target, ranks, stream, rep_seed):
-    """The start iterate of the plan's init section, that section resolved, and run info.
+def _init_section(plan, target, ranks):
+    """The plan's init section resolved for ``target`` at ``ranks``, every setting checked.
 
-    A spectral init without ``mu`` or ``nu`` takes it from the target's coherence report;
-    a target too large for the report's incoherence needs ``init.mu`` in the plan.
+    A spectral init is first checked against the initializer's size caps,
+    then takes a missing ``mu`` or ``nu`` from the target's coherence report;
+    a target too large for the report's incoherence needs ``init.mu`` in the
+    plan.
     """
     init = _section(plan, "init")
     mode = init["mode"]
@@ -277,20 +283,14 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
         delta = _plan_value(float, init["delta"], "init.delta")
         if not 0 <= delta < np.inf:
             raise ConfigError(f"init.delta must be finite and nonnegative, got {delta}")
-        rng = measurement.make_rng(rep_seed ^ _INIT_SALT)
-        pert = tt.random_tt(target.mode_dims, ranks, rng, kind="gaussian")
-        pert = tt.tt_scale(delta / tt.tt_norm(pert), pert)
-        base = tt.ttsvd(target, ranks) if target.ranks != ranks else target
-        return tt.ttsvd(tt.tt_axpy(1.0, pert, base), ranks), {"mode": mode, "delta": delta}, {}
+        return {"mode": mode, "delta": delta}
     if mode == "random_mpo":
-        rank = _plan_value(int, init["rank"], "init.rank")
-        psi = states.random_mps(target.n, int(np.sqrt(target.mode_dims[0])), rank,
-                                seed=rep_seed ^ _INIT_SALT)
-        t0 = states.pure_state_coeff(psi)
-        if t0.ranks != ranks:
-            t0 = tt.ttsvd(t0, ranks)
-        return t0, {"mode": mode, "rank": rank}, {}
+        return {"mode": mode, "rank": _plan_value(int, init["rank"], "init.rank")}
     if mode == "spectral":
+        try:
+            solvers._init_sizes(target.mode_dims, ranks)
+        except solvers.InitError as exc:
+            raise ConfigError(f"spectral init: {exc}") from exc
         if init.get("mu") is None or init.get("nu") is None:
             rep = tt.coherence_report(target)
             mu = None if rep.incoherence is None else rep.incoherence**2
@@ -299,10 +299,28 @@ def _initial_iterate(plan, target, ranks, stream, rep_seed):
             if init["mu"] is None:
                 raise ConfigError("spectral init needs init.mu: the target is too large "
                                   "for its coherence report to give the incoherence")
-        icfg = _record(solvers.InitConfig, init, "init")
-        t0, info = solvers.spectral_init(stream, icfg, ranks)
-        return t0, {"mode": mode, **dataclasses.asdict(icfg)}, info
+        return {"mode": mode, **dataclasses.asdict(_record(solvers.InitConfig, init, "init"))}
     raise ConfigError(f"unknown init mode {mode!r}")
+
+
+def _initial_iterate(init, target, ranks, stream, rep_seed):
+    """The start iterate of the resolved init section ``init``, and run info."""
+    mode = init["mode"]
+    if mode == "perturbed_truth":
+        rng = measurement.make_rng(rep_seed ^ _INIT_SALT)
+        pert = tt.random_tt(target.mode_dims, ranks, rng, kind="gaussian")
+        pert = tt.tt_scale(init["delta"] / tt.tt_norm(pert), pert)
+        base = tt.ttsvd(target, ranks) if target.ranks != ranks else target
+        return tt.ttsvd(tt.tt_axpy(1.0, pert, base), ranks), {}
+    if mode == "random_mpo":
+        psi = states.random_mps(target.n, int(np.sqrt(target.mode_dims[0])), init["rank"],
+                                seed=rep_seed ^ _INIT_SALT)
+        t0 = states.pure_state_coeff(psi)
+        if t0.ranks != ranks:
+            t0 = tt.ttsvd(t0, ranks)
+        return t0, {}
+    icfg = solvers.InitConfig(**{k: v for k, v in init.items() if k != "mode"})
+    return solvers.spectral_init(stream, icfg, ranks)
 
 
 class _RecordingStream:
@@ -359,7 +377,6 @@ def _versions():
 
 
 def _write_run_outputs(outdir, plan, resolved, traces, iterates, logs, reps_meta):
-    outdir.mkdir(parents=True, exist_ok=True)
     for i, (trace, it) in enumerate(zip(traces, iterates)):
         trace.to_csv(outdir / f"trace_rep{i:03d}.csv")
         serialize.write_ttr1(outdir / f"reconstruction_rep{i:03d}.ttr", it)
@@ -377,11 +394,14 @@ def _write_run_outputs(outdir, plan, resolved, traces, iterates, logs, reps_meta
         json.dump(metadata, fh, indent=2, sort_keys=True)
 
 
-def _execute_plan(plan):
+def _execute_plan(plan, outdir=None):
     """Runs every repetition of ``plan``.
 
-    Returns the plan resolved, with every setting as the run used it, then
-    the traces, iterates, measurement logs and per-repetition metadata.
+    The plan is resolved first, so a configuration error stops the run
+    before ``outdir``, when given, is made; the directory is made before the
+    initializer or the solver runs.  Returns the plan resolved, with every
+    setting as the run used it, then the traces, iterates, measurement logs
+    and per-repetition metadata.
     """
     target, psi, state_meta, resolved = _target_from_plan(plan)
     algorithm, cfg, dataset_size = _solver_config(plan, target)
@@ -393,14 +413,17 @@ def _execute_plan(plan):
     resolved.update(seed=_seed(top["seed"], "seed"), repetitions=repetitions,
                     log_measurements=top["log_measurements"],
                     solver={"algorithm": algorithm, "dataset_size": dataset_size,
-                            **dataclasses.asdict(cfg)})
+                            **dataclasses.asdict(cfg)},
+                    init=_init_section(plan, target, cfg.ranks))
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
     traces, iterates, logs, reps_meta = [], [], [], []
     for rep in range(repetitions):
         seed = resolved["seed"] ^ rep
         stream = _make_stream(source, target, seed)
         if top["log_measurements"]:
             stream = _RecordingStream(stream)
-        t0, resolved["init"], info = _initial_iterate(plan, target, cfg.ranks, stream, seed)
+        t0, info = _initial_iterate(resolved["init"], target, cfg.ranks, stream, seed)
         if algorithm == "orgd":
             out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target, pure_target=psi)
         else:
@@ -429,7 +452,7 @@ def _execute_plan(plan):
 def cmd_reconstruct(args):
     plan = _load_plan(args.plan, args.set)
     outdir = Path(args.out or plan.get("output_dir", _CLI_KEYS["output_dir"]))
-    run = _execute_plan(plan)
+    run = _execute_plan(plan, outdir)
     _write_run_outputs(outdir, plan, *run)
     for meta in run[-1]:
         rel = meta["final_rel_error"]
@@ -452,9 +475,10 @@ def cmd_init(args):
     ranks = _solver_ranks(_section(plan, "solver")["ranks"], target)
     seed = _seed({**_CLI_KEYS, **plan}["seed"], "seed")
     stream = _make_stream(_measurement_source(plan)[0], target, seed)
-    t0, init, info = _initial_iterate(plan, target, ranks, stream, seed)
+    init = _init_section(plan, target, ranks)
     outdir = Path(args.out or plan.get("output_dir", _CLI_KEYS["output_dir"]))
     outdir.mkdir(parents=True, exist_ok=True)
+    t0, info = _initial_iterate(init, target, ranks, stream, seed)
     serialize.write_ttr1(outdir / "t0.ttr", t0)
     rel = tt.tt_distance(t0, target) / tt.tt_norm(target)
     report = {"rel_error": rel, "samples": stream.consumed, "init": {**init, **info},
@@ -501,6 +525,8 @@ def cmd_benchmark_scaling(args):
         raise ConfigError("need at least two distinct n values to fit a scaling exponent")
     if (args.target_error is None) == (args.target_fidelity is None):
         raise ConfigError("set exactly one of --target-error / --target-fidelity")
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     repetitions = args.repetitions
     rows = []
     for n in ns:
@@ -529,15 +555,45 @@ def cmd_benchmark_scaling(args):
     exponent, intercept = np.polyfit(logn, logi, 1)
     print(f"fitted iterations ~ {np.exp(intercept):.3g} * n^{exponent:.3f}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write("n,mean_iterations," +
                      ",".join(f"rep{i}" for i in range(repetitions)) + "\n")
             for n, mean, counts in rows:
                 fh.write(f"{n},{mean}," + ",".join(str(c) for c in counts) + "\n")
             fh.write(f"# exponent,{exponent}\n")
     return EXIT_OK
+
+
+def _relative_gap(a, b):
+    """The relative difference of two trace fields; inf when either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return np.inf
+    if x == y:
+        return 0.0
+    gap = abs(x - y) / max(abs(x), abs(y))
+    return gap if gap == gap else np.inf  # NaN on one side, or inf against inf
+
+
+def _trace_mismatch(orig, new):
+    """How two traces' rows, as ``RunTrace.rows_excluding_wall`` reads them, differ.
+
+    Each differing column with its largest relative difference, or the
+    headers or row counts when those differ.
+    """
+    if orig[:1] != new[:1]:
+        return f"headers {orig[:1]} and {new[:1]}"
+    if len(orig) != len(new):
+        return f"row counts {len(orig) - 1} and {len(new) - 1}"
+    gaps = {}
+    for row, other in zip(orig[1:], new[1:]):
+        for name, a, b in zip(orig[0].split(","), row.split(","), other.split(",")):
+            if a != b:
+                gaps[name] = max(gaps.get(name, 0.0), _relative_gap(a, b))
+    if not gaps:
+        return "field counts"
+    return "largest relative differences " + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items())
 
 
 def cmd_replay(args):
@@ -555,7 +611,7 @@ def cmd_replay(args):
     if not plans:
         raise DataError("metadata.json carries no plan echo")
     outdir = Path(args.out) if args.out else rundir / "replay"
-    run = _execute_plan(plans[-1])
+    run = _execute_plan(plans[-1], outdir)
     _write_run_outputs(outdir, plans[0], *run)
     ok = True
     for i in range(len(run[1])):
@@ -563,11 +619,12 @@ def cmd_replay(args):
         new = outdir / f"trace_rep{i:03d}.csv"
         if not orig.exists():
             raise DataError(f"missing original trace {orig}")
-        same = (
-            solvers.RunTrace.rows_excluding_wall(orig)
-            == solvers.RunTrace.rows_excluding_wall(new)
-        )
-        print(f"trace_rep{i:03d}: {'identical' if same else 'MISMATCH'} (wall-time excluded)")
+        rows = [solvers.RunTrace.rows_excluding_wall(path) for path in (orig, new)]
+        same = rows[0] == rows[1]
+        line = f"trace_rep{i:03d}: {'identical' if same else 'MISMATCH'} (wall-time excluded)"
+        if not same:
+            line += ": " + _trace_mismatch(*rows)
+        print(line)
         ok = ok and same
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -634,7 +691,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # An OSError is a path that cannot be read or written; its message names it.
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (

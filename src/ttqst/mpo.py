@@ -10,6 +10,12 @@ bond ranks, which is what links tomography to real TT completion.  So
 tensor, mapped back by ``coeff_to_mpo``, whose real cores always meet the
 Hermitian condition.
 
+An operator is tested for Hermiticity once, in its coefficient tensor ``T``:
+by Parseval ``|rho|_F = |T|`` and ``|rho - rho^dagger|_F = 2 |Im T|``, and
+``hermitian_decompose`` refuses ``2 |Im T| > 1e-10 |T|`` for dense and MPO
+input alike.  Cores are tested by ``is_hermitian_cores``, the one check of
+``mpo_to_coeff``.
+
 ``Mps`` and ``Mpo`` are one complex chain (``_Chain``) of order-3 or order-4
 cores.  They keep the chain contract of ``tt.TtTensor``, checked by the same
 ``tt._chain_ranks`` (at least 2 cores, boundary ranks 1, matching bonds), and
@@ -127,20 +133,15 @@ class Mpo(_Chain):
     ORDER = 4
 
 
-def _chain_inner(acores, bcores) -> complex:
-    """``sum conj(a) b`` over two chains of order-3 cores, by transfer matrices."""
-    env = np.ones((1, 1), dtype=np.complex128)
-    for ca, cb in zip(acores, bcores):
-        t = np.tensordot(env, cb, axes=(1, 0))  # (a, i, d)
-        env = ca.reshape(-1, ca.shape[2]).conj().T @ t.reshape(-1, t.shape[2])
-    return complex(env[0, 0])
-
-
 def mps_inner(a: Mps, b: Mps) -> complex:
     """``<a|b>`` via transfer contraction."""
     if a.n != b.n or a.d != b.d:
         raise MpoError("MPS shape mismatch")
-    return _chain_inner(a.cores, b.cores)
+    env = np.ones((1, 1), dtype=np.complex128)
+    for ca, cb in zip(a.cores, b.cores):
+        t = np.tensordot(env, cb, axes=(1, 0))  # (a, i, d)
+        env = ca.reshape(-1, ca.shape[2]).conj().T @ t.reshape(-1, t.shape[2])
+    return complex(env[0, 0])
 
 
 def mps_norm(psi: Mps) -> float:
@@ -155,20 +156,11 @@ def mps_normalize(psi: Mps) -> Mps:
     return Mps([scale * c for c in psi.cores])
 
 
-def mpo_frobenius(m: Mpo) -> float:
-    flat = [c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores]
-    return float(np.sqrt(max(_chain_inner(flat, flat).real, 0.0)))
-
-
-def _swap_conj(core: np.ndarray) -> np.ndarray:
-    return np.conj(core.transpose(0, 2, 1, 3))
-
-
 def is_hermitian_cores(m: Mpo, tol: float = HERMITIAN_CORE_TOL) -> bool:
     """Whether every core satisfies ``U(l,i,j,m) = conj(U(l,j,i,m))``."""
     for c in m.cores:
         scale = max(float(np.max(np.abs(c))), 1.0)
-        if float(np.max(np.abs(c - _swap_conj(c)))) > tol * scale:
+        if float(np.max(np.abs(c - c.transpose(0, 2, 1, 3).conj()))) > tol * scale:
             return False
     return True
 
@@ -201,21 +193,26 @@ def _dense_coeff(rho: np.ndarray, n: int, d: int) -> np.ndarray:
     return y.reshape((q,) * n)
 
 
-def _real_part_tt(cores) -> TtTensor:
-    """The real part of the chain of complex order-3 ``cores``, as a real TT.
+def _coeff_parts(m: Mpo):
+    """``(Re T as a real TT, |Re T|, |Im T|)`` for the coefficient tensor ``T`` of ``m``.
 
-    Core ``C`` becomes ``[[Re C, -Im C], [Im C, Re C]]``, the real form of a
-    complex bond matrix, at twice the ranks; the first core keeps its first
-    block row and the last its first block column, so the chain's product is
-    exactly the real part of the complex chain's.
+    Each complex coefficient core ``C`` (``_coeff_cores``) becomes
+    ``[[Re C, -Im C], [Im C, Re C]]``, the real form of a complex bond matrix,
+    at twice the ranks; the product of such forms is the form of the product,
+    so with the last core's first block column the first core's two block
+    rows give ``Re T`` and ``Im T``.  Their norms are read off the first core
+    of ``tt.right_qr_sweep`` over the chain with those rows as one mode, as
+    ``tt.tt_distance`` reads its norm: to absolute O(eps * |T|) even when tiny.
     """
-    out = []
-    for c in cores:
+    cores = []
+    for c in _coeff_cores(m):
         top = np.concatenate([c.real, -c.imag], axis=2)
-        out.append(np.concatenate([top, np.concatenate([c.imag, c.real], axis=2)], axis=0))
-    out[0] = out[0][:1]
-    out[-1] = out[-1][:, :, :1]
-    return TtTensor(out)
+        cores.append(np.concatenate([top, np.concatenate([c.imag, c.real], axis=2)], axis=0))
+    cores[-1] = cores[-1][:, :, :1]
+    first = cores[0].reshape(1, -1, cores[0].shape[2])
+    re, im = np.linalg.norm(tt.right_qr_sweep([first, *cores[1:]])[0][0].reshape(2, -1), axis=1)
+    cores[0] = cores[0][:1]
+    return TtTensor(cores), float(re), float(im)
 
 
 def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
@@ -230,15 +227,16 @@ def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
     dense row or column index is C order over the sites, site 1 slowest, as
     in ``np.kron``: ``np.kron(A_1, ..., A_n)`` puts ``A_k`` on site k.  An Mpo
     is never densified: its complex coefficient cores are taken to the real
-    TT of their chain's real part, which ``tt.ttsvd`` truncates on its cores.
+    TT of their chain's real part, which ``tt.ttsvd`` truncates on its cores,
+    and ``|Im T|`` and ``|T|`` are read off one ``tt.right_qr_sweep``.
     A non-finite entry, a zero or non-Hermitian operator and infeasible ranks
     raise ``MpoError``.
     """
     if isinstance(rho, Mpo):
         if not all(np.isfinite(c).all() for c in rho.cores):
             raise MpoError("input MPO has a non-finite core entry")
-        _check_hermitian(mpo_frobenius(rho), _hermitian_defect(rho))
-        coeff = _real_part_tt(_coeff_cores(rho))
+        coeff, re, im = _coeff_parts(rho)
+        _check_hermitian(math.hypot(re, im), 2.0 * im)
     else:
         rho = np.asarray(rho, dtype=np.complex128)
         given = d is not None
@@ -261,31 +259,6 @@ def hermitian_decompose(rho, ranks, d: int | None = None) -> Mpo:
     return coeff_to_mpo(t)
 
 
-def _stacked_chain_norm(a, b) -> float:
-    """Frobenius norm of the sum of two complex core chains, cancellation-safe.
-
-    The chains are stacked block-diagonally and left-orthogonalized; QR
-    performs the cancellation backward-stably, so tiny norms of differences
-    of near-equal chains are resolved to absolute accuracy O(eps * scale).
-    """
-    cores = tt._stack_chains(a, b)
-    n = len(cores)
-    cur = None
-    for k in range(n - 1):
-        c = cores[k] if cur is None else np.tensordot(cur, cores[k], axes=(1, 0))
-        cur = np.linalg.qr(c.reshape(-1, c.shape[-1]), mode="r")
-    last = np.tensordot(cur, cores[-1], axes=(1, 0))
-    return float(np.linalg.norm(last))
-
-
-def _hermitian_defect(m: Mpo) -> float:
-    """``|rho - rho^dagger|_F`` via the exact difference chain."""
-    flat = [c.reshape(c.shape[0], -1, c.shape[3]) for c in m.cores]
-    adj = [_swap_conj(c).reshape(c.shape[0], -1, c.shape[3]) for c in m.cores]
-    adj[-1] = -adj[-1]
-    return _stacked_chain_norm(flat, adj)
-
-
 def _coeff_cores(m: Mpo) -> list:
     """Complex coefficient cores ``C_k(l, s, m) = sum_{ij} U_k(l,i,j,m) conj(P_s(i,j))``.
 
@@ -299,19 +272,17 @@ def _coeff_cores(m: Mpo) -> list:
 def mpo_to_coeff(m: Mpo) -> TtTensor:
     """Real coefficient tensor of a Hermitian-core MPO in ``make_basis(m.d)``.
 
-    The cores are ``_coeff_cores(m)``; for Hermitian cores their imaginary
-    residue is asserted below tolerance and dropped; bond ranks carry over, and
-    left-orthogonal MPO cores yield left-orthogonal TT cores: the output is
-    flagged ``left_orthogonal`` when its cores 1..n-1 check so.
+    ``is_hermitian_cores`` is the one check.  A basis matrix is Hermitian, so
+    the imaginary part of a coefficient core ``_coeff_cores(m)`` is that of
+    half the core's defect ``U - conj(U^T)`` against it: Hermitian cores have
+    real coefficient cores, and the residue the check allows is dropped.
+    Bond ranks carry over, and left-orthogonal MPO cores yield left-orthogonal
+    TT cores: the output is flagged ``left_orthogonal`` when its cores 1..n-1
+    check so.
     """
     if not is_hermitian_cores(m):
         raise MpoError("mpo_to_coeff requires cores satisfying the Hermitian condition")
-    cores = []
-    for t in _coeff_cores(m):
-        scale = max(float(np.max(np.abs(t))), 1.0)
-        if float(np.max(np.abs(t.imag))) > 1e-12 * scale:
-            raise MpoError("coefficient core has imaginary residue above tolerance")
-        cores.append(t.real)
+    cores = [c.real for c in _coeff_cores(m)]
     return TtTensor(cores, all(tt.is_left_orthogonal(c) for c in cores[:-1]))
 
 

@@ -176,7 +176,8 @@ class InitConfig:
             if not 0 < value < np.inf:
                 raise SolverError(f"{key} must be finite and positive, got {value}")
 
-    def split(self, n: int):
+    @staticmethod
+    def split(n: int):
         m1 = -(-n // 3)
         m2 = n // 3
         return m1, m2, n - m1 - m2
@@ -579,6 +580,37 @@ def _stage_basis(stream, k, groups, z, p, r, mu, what):
     return _renormalize_columns(_truncate_rows(u, np.sqrt(mu * r) / np.sqrt(p)), what)
 
 
+def _init_sizes(dims, ranks):
+    """The split, group sizes and stage ranks of a spectral init over modes ``dims``.
+
+    Returns ``((m1, m2, m3), (p1, p2, p3), (r1, r2))``: the three mode
+    groups of ``InitConfig.split``, the product of each group's mode sizes,
+    and the ranks at the two cuts between them.  Raises ``InitError`` when
+    ``ranks`` has not one rank per cut, the split leaves the third group
+    empty, or a stage's moment matrix passes its cap: ``tt.DENSE_CAP``
+    entries for stage one's ``p1 x p1``, 2^26 for stage two's
+    ``r1 p2 x r1 p2``.
+    """
+    n = len(dims)
+    if len(ranks) != n - 1:
+        raise InitError(f"need {n - 1} ranks, got {len(ranks)}")
+    m1, m2, m3 = InitConfig.split(n)
+    if m3 < 1:
+        raise InitError("mode count too small for a three-way split")
+    p1 = math.prod(dims[:m1])
+    p2 = math.prod(dims[m1 : m1 + m2])
+    p3 = math.prod(dims[m1 + m2 :])
+    if p1 * p1 > tt.DENSE_CAP:
+        raise InitError(f"stage-one moment matrix needs {p1}^2 entries, above the dense "
+                        f"cap of {tt.DENSE_CAP} entries")
+    r1 = ranks[m1 - 1]
+    r2 = ranks[m1 + m2 - 1]
+    if (r1 * p2) ** 2 > 2**26:
+        raise InitError(f"stage-two projected moment matrix needs {r1 * p2}^2 entries, above "
+                        f"the size cap of {2**26} entries")
+    return (m1, m2, m3), (p1, p2, p3), (r1, r2)
+
+
 def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     """Warm start from sampled second moments of the coefficient tensor.
 
@@ -590,27 +622,13 @@ def spectral_init(stream: MeasurementStream, cfg: InitConfig, ranks):
     projected samples against stage two's basis.  One stage's samples are
     held at a time.  The assembled third-order tensor is split into a chain,
     trimmed and retracted to the full target ranks by ``manifold.retract``.
-    Returns ``(iterate, info)``.
+    The sizes are checked first, by ``_init_sizes``.  Returns
+    ``(iterate, info)``.
     """
     n = stream.n
     dims = stream.mode_dims
     ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != n - 1:
-        raise InitError(f"need {n - 1} ranks, got {len(ranks)}")
-    m1, m2, m3 = cfg.split(n)
-    if m3 < 1:
-        raise InitError("mode count too small for a three-way split")
-    p1 = math.prod(dims[:m1])
-    p2 = math.prod(dims[m1 : m1 + m2])
-    p3 = math.prod(dims[m1 + m2 :])
-    if p1 * p1 > tt.DENSE_CAP:
-        raise InitError(
-            f"stage-one moment matrix needs {p1}^2 entries, above the dense cap"
-        )
-    r1 = ranks[m1 - 1]
-    r2 = ranks[m1 + m2 - 1]
-    if (r1 * p2) ** 2 > 2**26:
-        raise InitError("stage-two projected moment matrix above the size cap")
+    (m1, m2, m3), (p1, p2, p3), (r1, r2) = _init_sizes(dims, ranks)
     groups = ((0, m1), (m1, m1 + m2), (m1 + m2, n))
 
     z1 = _stage_basis(stream, cfg.k1, ((0, 0), (0, m1), (m1, n)), np.ones((1, 1)),

@@ -120,7 +120,7 @@ def test_replay_determinism(tmp_path, capsys):
     assert "identical" in out
 
 
-def test_replay_detects_tampering(tmp_path):
+def test_replay_detects_tampering(tmp_path, capsys):
     plan_path, _ = base_plan(tmp_path, max_iters=200)
     cli.main(["reconstruct", "--plan", str(plan_path)])
     trace = tmp_path / "run" / "trace_rep000.csv"
@@ -129,8 +129,13 @@ def test_replay_detects_tampering(tmp_path):
     cols[2] = "0.123"
     lines[-1] = ",".join(cols)
     trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     rc = cli.main(["replay", "--run-dir", str(tmp_path / "run")])
     assert rc == cli.EXIT_NUMERIC
+    # The MISMATCH line says which column moved and how far.
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("trace_rep000: MISMATCH (wall-time excluded)")
+    assert "rel_error" in line and "fidelity" not in line
 
 
 def test_replay_rejects_unknown_plan_key(tmp_path, capsys):
@@ -779,3 +784,61 @@ def test_benchmark_scaling_refuses_state_file_plan(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "config error: benchmark-scaling" in captured.err and "state_file" in captured.err
     assert "fitted" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "orig, new, want",
+    [(["a,b", "1,2", "3,4"], ["a,b", "1,2.5", "3,5"], "largest relative differences b 2.0e-01"),
+     (["a,b", "1,2"], ["a,b", "1,2", "3,4"], "row counts 1 and 2"),
+     (["a,b", "0,nan"], ["a,b", "0.0,1"], "largest relative differences a 0.0e+00, b inf")],
+    ids=["columns", "rows", "nan"],
+)
+def test_trace_mismatch_names_columns_or_row_counts(orig, new, want):
+    assert cli._trace_mismatch(orig, new) == want
+
+
+@pytest.mark.parametrize("command", ["init", "reconstruct"])
+@pytest.mark.parametrize("mu", [[], ["--set", "init.mu=4"]], ids=["no-mu", "mu"])
+def test_spectral_init_past_the_dense_cap_exits_config(tmp_path, capsys, command, mu):
+    # n=16 qubits: stage one's moment matrix is (4^6)^2 entries, above
+    # tt.DENSE_CAP; that is a plan error, found before the coherence report.
+    plan_path, _ = base_plan(tmp_path)
+    args = [command, "--plan", str(plan_path), "--out", str(tmp_path / "out"), "--set",
+            "state.n=16", *(a for item in _SPECTRAL for a in ("--set", item)), *mu]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: spectral init: stage-one moment matrix needs 4096^2 entries" in err
+    assert f"dense cap of {tt.DENSE_CAP} entries" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the run computed before its output path was checked")
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [(["reconstruct", "--plan", "{dir}"], "{dir}"),
+     (["reconstruct", "--plan", "{plan}", "--out", "{file}"], "{file}"),
+     (["init", "--plan", "{plan}", "--out", "{file}", *(
+         a for item in _SPECTRAL for a in ("--set", item))], "{file}"),
+     (["benchmark-scaling", "--plan", "{plan}", "--ns", "4,5", "--target-error", "1e-2",
+       "--repetitions", "1", "--out", "{file}/s.csv"], "{file}"),
+     (["generate-state", "--family", "ghz", "--n", "4", "--out", "{file}/g.ttc"], "{file}"),
+     (["replay", "--run-dir", "{file}"], "{file}/metadata.json")],
+    ids=["plan-is-a-directory", "reconstruct-out-is-a-file", "init-out-is-a-file",
+         "scaling-out-under-a-file", "generate-out-under-a-file", "run-dir-is-a-file"],
+)
+def test_path_errors_exit_data_naming_the_path_before_computing(tmp_path, capsys, monkeypatch,
+                                                                args, named):
+    # An unusable path is a data error that names it, found before the
+    # initializer or the solver runs.
+    plan_path, _ = base_plan(tmp_path)
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(solvers, "orgd_run", _no_solve)
+    monkeypatch.setattr(solvers, "spectral_init", _no_solve)
+    paths = {"dir": tmp_path, "plan": plan_path, "file": tmp_path / "file"}
+    assert cli.main([a.format(**paths) for a in args]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert f"'{named.format(**paths)}'" in err
