@@ -21,7 +21,9 @@ cores.  They keep the chain contract of ``tt.TtTensor``, checked by the same
 ``tt._chain_ranks`` (at least 2 cores, boundary ranks 1, matching bonds), and
 one local dimension d on every physical axis; a violation raises ``MpoError``.
 
-Arrays unfold in C order, as in ``tt``: a core's ``(i, j)`` read as one
+Contractions are fixed transpose, reshape and ``ndarray.dot`` forms, the
+operations ``np.tensordot`` performs, so they are bit-equal to it.  Arrays
+unfold in C order, as in ``tt``: a core's ``(i, j)`` read as one
 index of size d^2 is ``i * d + j``, and a dense operator's site 1 is its
 slowest index.  Fortran order remains only in the TTR1/TTC1 byte layout.
 """
@@ -139,8 +141,8 @@ def mps_inner(a: Mps, b: Mps) -> complex:
         raise MpoError("MPS shape mismatch")
     env = np.ones((1, 1), dtype=np.complex128)
     for ca, cb in zip(a.cores, b.cores):
-        t = np.tensordot(env, cb, axes=(1, 0))  # (a, i, d)
-        env = ca.reshape(-1, ca.shape[2]).conj().T @ t.reshape(-1, t.shape[2])
+        t = env.dot(cb.reshape(cb.shape[0], -1))  # (a, (i, d))
+        env = ca.reshape(-1, ca.shape[2]).conj().T @ t.reshape(-1, cb.shape[2])
     return complex(env[0, 0])
 
 
@@ -157,9 +159,15 @@ def mps_normalize(psi: Mps) -> Mps:
 
 
 def is_hermitian_cores(m: Mpo, tol: float = HERMITIAN_CORE_TOL) -> bool:
-    """Whether every core satisfies ``U(l,i,j,m) = conj(U(l,j,i,m))``."""
+    """Whether every core satisfies ``U(l,i,j,m) = conj(U(l,j,i,m))``.
+
+    Each core is tested relative to itself: its defect ``max |U - conj(U^T)|``
+    must not exceed ``tol * max |U|``, two reductions per core.  The test is
+    thus blind to the gauge scaling of cores, and a core of tiny entries
+    gets no absolute allowance.
+    """
     for c in m.cores:
-        scale = max(float(np.max(np.abs(c))), 1.0)
+        scale = float(np.max(np.abs(c)))
         if float(np.max(np.abs(c - c.transpose(0, 2, 1, 3).conj()))) > tol * scale:
             return False
     return True
@@ -265,8 +273,13 @@ def _coeff_cores(m: Mpo) -> list:
     The per-site Hilbert-Schmidt inner products with ``make_basis(m.d)``; the
     chain of the ``C_k`` is the coefficient tensor of the MPO in any gauge.
     """
-    mats = make_basis(m.d).conj()
-    return [np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1) for c in m.cores]
+    q = m.d * m.d
+    mats = make_basis(m.d).conj().transpose(1, 2, 0).reshape(q, q)  # ((i, j), s)
+    return [
+        c.transpose(0, 3, 1, 2).reshape(-1, q).dot(mats).reshape(c.shape[0], c.shape[3], q)
+        .transpose(0, 2, 1)
+        for c in m.cores
+    ]
 
 
 def mpo_to_coeff(m: Mpo) -> TtTensor:
@@ -316,18 +329,20 @@ def mps_to_mpo(psi: Mps) -> Mpo:
     Bond pairs (l, l') are combined in C order, l' fastest; a Hermitian-basis
     unitary gauge at every bond restores the literal Hermitian core condition,
     so the output passes ``is_hermitian_cores`` directly.  Bond dimensions
-    square.
+    square.  The gauge is built once per distinct bond rank of the call, and
+    each is applied by the transpose, reshape and ``dot`` of ``np.tensordot``.
     """
-    gauges = [_herm_basis_gauge(r) for r in psi.ranks]
+    gauges = {r: _herm_basis_gauge(r) for r in set(psi.ranks)}
     out = []
     for k, c in enumerate(psi.cores):
         r0, d, r1 = c.shape
-        # w(l, p, i, j, m, q) = conj(c(p, j, q)) c(l, i, m)
-        w = c.conj()[None, :, None, :, None, :] * c[:, None, :, None, :, None]
-        w = w.reshape(r0 * r0, d, d, r1 * r1)
+        # w(l, p, i, j, m, q) = conj(c(p, j, q)) c(l, i, m), made in C order so
+        # that its unfolding is a view, not a second copy.
+        w = np.multiply(c.conj()[None, :, None, :, None, :], c[:, None, :, None, :, None],
+                        order="C").reshape(r0 * r0, -1)
         if k > 0:
-            w = np.tensordot(gauges[k - 1].conj().T, w, axes=(1, 0))
+            w = gauges[r0].conj().T.dot(w)
         if k < psi.n - 1:
-            w = np.tensordot(w, gauges[k], axes=(3, 0))
-        out.append(w)
+            w = w.reshape(-1, r1 * r1).dot(gauges[r1])
+        out.append(w.reshape(r0 * r0, d, d, r1 * r1))
     return Mpo(out)

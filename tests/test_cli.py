@@ -650,6 +650,21 @@ def test_non_hermitian_core_mpo_state_file_exits_data(tmp_path, capsys):
     assert err.count("does not satisfy the Hermitian core form") == 2
 
 
+def test_tiny_non_hermitian_mpo_state_file_exits_data(tmp_path, capsys):
+    # 1e-13 |0><1| (x) I (x) I: every entry is below the core tolerance, so
+    # only a test relative to each core's own size rejects it.
+    tiny = np.zeros((1, 2, 2, 1))
+    tiny[0, 0, 1, 0] = 1e-13
+    eye = np.eye(2).reshape(1, 2, 2, 1)
+    state_file = tmp_path / "tiny.ttc"
+    serialize.write_ttc1(state_file, mpo.Mpo([tiny, eye, eye]))
+    ghz = tmp_path / "ghz.ttc"
+    assert cli.main(["generate-state", "--family", "ghz", "--n", "3", "--out", str(ghz)]) == 0
+    assert cli.main(["evaluate", "--state", str(state_file),
+                     "--reconstruction", str(ghz)]) == cli.EXIT_DATA
+    assert "does not satisfy the Hermitian core form" in capsys.readouterr().err
+
+
 def _state_file_plan(tmp_path, state_file):
     plan_path, plan = base_plan(tmp_path)
     plan["state_file"] = str(state_file)

@@ -203,6 +203,34 @@ def test_hermitian_cores_materialize_hermitian():
         assert np.linalg.norm(rho - rho.conj().T) <= 1e-10 * np.linalg.norm(rho)
 
 
+def tiny_non_hermitian_mpo():
+    """``1e-13 |0><1|`` on site 1 and identities after it: every entry lies
+    below the core tolerance, yet the first core is wholly non-Hermitian."""
+    tiny = np.zeros((1, 2, 2, 1))
+    tiny[0, 0, 1, 0] = 1e-13
+    eye = np.eye(2).reshape(1, 2, 2, 1)
+    return mpo.Mpo([tiny, eye, eye])
+
+
+def test_hermitian_core_test_is_relative_per_core():
+    m = tiny_non_hermitian_mpo()
+    assert not mpo.is_hermitian_cores(m)
+    with pytest.raises(mpo.MpoError, match="Hermitian condition"):
+        mpo.mpo_to_coeff(m)
+
+
+def test_hermitian_core_test_ignores_gauge_scaling():
+    # |psi><psi| has Hermitian cores up to rounding; scaling one core by 1e-8
+    # and the next by 1e8 leaves the operator and each core's relative defect.
+    m = mpo.mps_to_mpo(states.random_mps(4, 2, 2, seed=5))
+    scaled = mpo.Mpo([1e-8 * m.cores[0], 1e8 * m.cores[1], *m.cores[2:]])
+    assert mpo.is_hermitian_cores(scaled)
+    np.testing.assert_allclose(
+        tt.tt_dense(mpo.mpo_to_coeff(scaled)), tt.tt_dense(mpo.mpo_to_coeff(m)),
+        rtol=0, atol=1e-13,
+    )
+
+
 # ---------------------------------------------------------------- decomposition
 
 
@@ -621,8 +649,70 @@ def test_fixed_contractions_match_einsum(n, d, r):
         np.testing.assert_allclose(got, c, **tol)
 
 
+# np.tensordot oracles: each library contraction spells out the transpose,
+# reshape and dot that np.tensordot performs, so it must agree to the bit.
+def tensordot_mps_inner(a, b):
+    env = np.ones((1, 1), dtype=np.complex128)
+    for ca, cb in zip(a.cores, b.cores):
+        t = np.tensordot(env, cb, axes=(1, 0))
+        env = ca.reshape(-1, ca.shape[2]).conj().T @ t.reshape(-1, t.shape[2])
+    return complex(env[0, 0])
+
+
+def tensordot_coeff_cores(m):
+    mats = mpo.make_basis(m.d).conj()
+    return [np.tensordot(c, mats, axes=([1, 2], [1, 2])).transpose(0, 2, 1) for c in m.cores]
+
+
+def tensordot_mps_to_mpo(psi):
+    gauges = [mpo._herm_basis_gauge(r) for r in psi.ranks]
+    out = []
+    for k, c in enumerate(psi.cores):
+        r0, d, r1 = c.shape
+        w = c.conj()[None, :, None, :, None, :] * c[:, None, :, None, :, None]
+        w = w.reshape(r0 * r0, d, d, r1 * r1)
+        if k > 0:
+            w = np.tensordot(gauges[k - 1].conj().T, w, axes=(1, 0))
+        if k < psi.n - 1:
+            w = np.tensordot(w, gauges[k], axes=(3, 0))
+        out.append(w)
+    return out
+
+
+# Real and complex states of the pure-state shapes: GHZ, the Ising ground
+# state (bond 8 at n=6), random MPS of bond 2 and 3, and a qutrit chain.
+_PURE_STATES = [
+    lambda: states.ghz(5),
+    lambda: states.ising_ground(6, 1.0, 16)[0],
+    lambda: states.random_mps(16, 2, 2, seed=1),
+    lambda: states.random_mps(5, 2, 3, seed=4),
+    lambda: states.random_mps(4, 3, 2, seed=2),
+]
+
+
+@pytest.mark.parametrize("make", _PURE_STATES)
+def test_pure_state_maps_bit_equal_to_tensordot(make):
+    psi = make()
+    phi = mpo.Mps([c[::-1] for c in psi.cores[:1]] + [c[:, ::-1] for c in psi.cores[1:]])
+    assert mpo.mps_inner(psi, phi) == tensordot_mps_inner(psi, phi)
+    m = mpo.mps_to_mpo(psi)
+    for got, want in zip(m.cores, tensordot_mps_to_mpo(psi)):
+        assert np.array_equal(got, want)
+    for got, want in zip(mpo._coeff_cores(m), tensordot_coeff_cores(m)):
+        assert np.array_equal(got, want)
+
+
+def test_mps_to_mpo_builds_one_gauge_per_distinct_rank(monkeypatch):
+    calls = []
+    build = mpo._herm_basis_gauge
+    monkeypatch.setattr(mpo, "_herm_basis_gauge", lambda r: calls.append(r) or build(r))
+    mpo.mps_to_mpo(states.random_mps(16, 2, 2, seed=1))
+    assert calls == [2]
+
+
 def test_no_einsum_path_search_in_library():
-    """Library contractions use fixed tensordot/matmul forms, never einsum path search.
+    """Library contractions use fixed transpose, reshape and dot/matmul forms,
+    never einsum path search.
 
     Every QR and SVD is real and goes through the direct LAPACK kernels
     ``tt._householder`` and ``tt._svd``: the library calls no numpy QR or SVD.
@@ -652,8 +742,9 @@ def test_no_einsum_path_search_in_library():
 
 def test_tt_unfolds_in_c_order_only():
     """The library reshapes and ravels in C order: an ``order="F"`` argument
-    appears only in ``serialize``, for the TTR1/TTC1 byte layout.  ``tt``
-    unfolds and folds cores on views, with no ``tensordot``."""
+    appears only in ``serialize``, for the TTR1/TTC1 byte layout.  No module
+    calls ``tensordot``: every contraction is a fixed transpose, reshape and
+    product on views."""
     f_order = set()
     for path in sorted(Path(tt.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -666,7 +757,14 @@ def test_tt_unfolds_in_c_order_only():
                 f_order.add(path.stem)
     assert f_order == {"serialize"}
     assert not hasattr(solvers, "_ravel_f")
-    assert "tensordot" not in Path(tt.__file__).read_text()
+    tensordot = {
+        path.stem
+        for path in sorted(Path(tt.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "tensordot"
+        or isinstance(node, ast.Name) and node.id == "tensordot"
+    }
+    assert tensordot == set()
 
 
 def _np_attr(node, name):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from test_mpo import mpo_dense, mps_dense
 from test_tt import dense_spectra
@@ -112,6 +113,118 @@ def test_two_site_operator_matches_einsum(r, bonds, d):
     np.testing.assert_allclose(
         states._two_site_dense(left, right, theta.shape), h, rtol=1e-12, atol=1e-12
     )
+
+
+# np.tensordot oracles: each library contraction spells out the transpose,
+# reshape and dot that np.tensordot performs, so it must agree to the bit.
+def tensordot_env_left(env, a, w):
+    t = np.tensordot(env, a, axes=(0, 0))
+    t = np.tensordot(t, w, axes=([0, 2], [0, 1]))
+    return np.tensordot(t, a, axes=([0, 2], [0, 1]))
+
+
+def tensordot_env_right(env, a, w):
+    t = np.tensordot(a, env, axes=(2, 0))
+    t = np.tensordot(t, w, axes=([1, 2], [1, 3]))
+    return np.tensordot(t, a, axes=([1, 3], [2, 1]))
+
+
+def tensordot_two_site_halves(le, w1, w2, re):
+    ra, rb, d, nu = le.shape[0], le.shape[2], w1.shape[1], w1.shape[3]
+    left = np.tensordot(le, w1, axes=(1, 0))
+    left = left.transpose(0, 2, 4, 1, 3).reshape(ra * d, nu * rb * d)
+    rx, rc = re.shape[0], re.shape[2]
+    right = np.tensordot(w2, re, axes=(3, 1))
+    right = right.transpose(0, 1, 3, 2, 4).reshape(nu * d * rx, d * rc)
+    return left, right
+
+
+def tensordot_two_site_dense(left, right, shape):
+    rb, d, _, rc = shape
+    nu = left.shape[1] // (rb * d)
+    h = np.tensordot(left.reshape(-1, nu, rb * d), right.reshape(nu, -1, d * rc), axes=(1, 0))
+    dim = rb * d * d * rc
+    return h.transpose(0, 2, 1, 3).reshape(dim, dim)
+
+
+def _draw(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal(shape)
+    return x
+
+
+# (bond, MPO bonds, local dimension) of the DMRG shapes above, plus the
+# n=6 Ising chain's widest site (bond 8, MPO bond 3).
+@pytest.mark.parametrize("r,bonds,d", _DMRG_SHAPES + [(8, (3, 3), 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_dmrg_contractions_bit_equal_to_tensordot(r, bonds, d, dtype):
+    rng = np.random.default_rng(33)
+    nw, nv = bonds
+    rc = r + 1
+    a = _draw(rng, (r, d, rc), dtype)
+    b = _draw(rng, (rc, d, r), dtype)
+    w1 = _draw(rng, (nw, d, d, nv), dtype)
+    w2 = _draw(rng, (nv, d, d, 2), dtype)
+    le = _draw(rng, (r, nw, r), dtype)
+    re = _draw(rng, (rc, nv, rc), dtype)
+    assert np.array_equal(states._env_left(le, a, w1), tensordot_env_left(le, a, w1))
+    assert np.array_equal(states._env_right(re, a, w1), tensordot_env_right(re, a, w1))
+    assert np.array_equal(states._two_site_theta(a, b), np.tensordot(a, b, axes=(2, 0)))
+    re2 = _draw(rng, (r, 2, r), dtype)
+    halves = states._two_site_halves(le, w1, w2, re2)
+    want = tensordot_two_site_halves(le, w1, w2, re2)
+    for got, oracle in zip(halves, want):
+        assert np.array_equal(got, oracle)
+    shape = (r, d, d, r)
+    assert np.array_equal(
+        states._two_site_dense(*halves, shape), tensordot_two_site_dense(*want, shape)
+    )
+
+
+def _ising_local_problems(monkeypatch, n, bond):
+    """The last local problem of each size that ``ising_ground(n, 1, bond)`` solves."""
+    seen = {}
+    solve = states._two_site_ground
+
+    def record(le, w1, w2, re, theta0):
+        seen[theta0.size] = (le, w1, w2, re, theta0)
+        return solve(le, w1, w2, re, theta0)
+
+    monkeypatch.setattr(states, "_two_site_ground", record)
+    states.ising_ground(n, 1.0, bond)
+    monkeypatch.setattr(states, "_two_site_ground", solve)
+    return seen
+
+
+def test_local_solve_agrees_with_lanczos(monkeypatch):
+    # n=7 at bond 16 solves problems of 16, 64 and 128 unknowns; 128 is the
+    # first size above the dense limit.
+    problems = _ising_local_problems(monkeypatch, 7, 16)
+    above = min(dim for dim in problems if dim > states.DENSE_LOCAL_MAX)
+    for dim in (16, 64, above):
+        le, w1, w2, re, theta0 = problems[dim]
+        e, theta = states._two_site_ground(le, w1, w2, re, theta0)
+        left, right = states._two_site_halves(le, w1, w2, re)
+        op = LinearOperator(
+            (dim, dim), dtype=np.float64,
+            matvec=lambda v: states._two_site_apply(left, right, v.reshape(theta0.shape)).ravel(),
+        )
+        vals, vecs = eigsh(op, k=1, which="SA", v0=theta0.ravel())
+        assert abs(e - vals[0]) <= 1e-12 * abs(vals[0])
+        v = theta.ravel()
+        sign = np.sign(v @ vecs[:, 0])
+        np.testing.assert_allclose(sign * v, vecs[:, 0], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "n,exact",
+    [(6, -7.296229810558749), (8, -9.837951447459385), (10, -12.381489999654752)],
+)
+def test_ising_ground_matches_exact_energy(n, exact):
+    # Exact-diagonalization ground energies of the g=1 chain.
+    _, energy = states.ising_ground(n, 1.0, 16)
+    assert abs(energy - exact) <= 1e-10
 
 
 def test_ising_ground_ferromagnetic_limit():
