@@ -1,15 +1,17 @@
-"""Experiment harness: state generation, reconstruction, evaluation, scaling.
+"""Experiment harness: state generation, reconstruction, evaluation, replay.
 
 Subcommands
     generate-state   write a target state as TTC1 plus a metadata record
     reconstruct      run a full plan: state -> measurements -> init -> solver
     init             run only the spectral initializer from a plan
     evaluate         relative Frobenius error / fidelity of a reconstruction
-    benchmark-scaling  iterations-to-target-error versus mode count
     replay           re-run a finished plan and compare traces byte-for-byte
 
 Plans are JSON files (see README for the schema); any entry can be
 overridden on the command line with ``--set path.to.key=value``.
+``reconstruct`` writes each repetition's files as the repetition ends.  A
+repetition whose step fails still writes its trace so far, the iterate the
+failed step started from and a ``failure`` record, and the run stops there.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
 """
@@ -17,7 +19,7 @@ Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import copy
+import collections
 import dataclasses
 import json
 import sys
@@ -376,32 +378,44 @@ def _versions():
     return {"ttqst": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _write_run_outputs(outdir, plan, resolved, traces, iterates, logs, reps_meta):
-    for i, (trace, it) in enumerate(zip(traces, iterates)):
-        trace.to_csv(outdir / f"trace_rep{i:03d}.csv")
-        serialize.write_ttr1(outdir / f"reconstruction_rep{i:03d}.ttr", it)
-    for i, log in enumerate(logs):
-        if log is not None:
-            measurement.write_log(outdir / f"measurements_rep{i:03d}.csv", *log)
+# One repetition of a run, as it ended: the plan as the run resolved it, the
+# iterate (the start of the failed step when ``error`` is set), the trace, the
+# measurement log or None, the metadata record and the ``StepError`` or None.
+_Repetition = collections.namedtuple("_Repetition", "resolved iterate trace log meta error")
+
+
+def _write_repetition(outdir, plan, rep, metas):
+    """Writes the files of ``rep`` into ``outdir``, then ``metadata.json``.
+
+    ``rep``'s metadata joins ``metas``, the records of the repetitions
+    written before it, and ``metadata.json`` lists them all.
+    """
+    i = rep.meta["repetition"]
+    rep.trace.to_csv(outdir / f"trace_rep{i:03d}.csv")
+    serialize.write_ttr1(outdir / f"reconstruction_rep{i:03d}.ttr", rep.iterate)
+    if rep.log is not None:
+        measurement.write_log(outdir / f"measurements_rep{i:03d}.csv", *rep.log)
+    metas.append(rep.meta)
     metadata = {
         "plan": plan,
-        "resolved_plan": {**resolved, "output_dir": str(outdir)},
+        "resolved_plan": {**rep.resolved, "output_dir": str(outdir)},
         "rng": measurement.RNG_ALGORITHM,
         "versions": _versions(),
-        "repetitions": reps_meta,
+        "repetitions": metas,
     }
     with open(outdir / "metadata.json", "w") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)
 
 
 def _execute_plan(plan, outdir=None):
-    """Runs every repetition of ``plan``.
+    """Runs every repetition of ``plan``, yielding a ``_Repetition`` as each ends.
 
     The plan is resolved first, so a configuration error stops the run
     before ``outdir``, when given, is made; the directory is made before the
-    initializer or the solver runs.  Returns the plan resolved, with every
-    setting as the run used it, then the traces, iterates, measurement logs
-    and per-repetition metadata.
+    initializer or the solver runs.  A repetition whose step raises
+    ``solvers.StepError`` yields its trace so far, the iterate the failed
+    step started from, a ``failure`` entry in its metadata and the error;
+    the run stops there.
     """
     target, psi, state_meta, resolved = _target_from_plan(plan)
     algorithm, cfg, dataset_size = _solver_config(plan, target)
@@ -417,44 +431,53 @@ def _execute_plan(plan, outdir=None):
                     init=_init_section(plan, target, cfg.ranks))
     if outdir is not None:
         outdir.mkdir(parents=True, exist_ok=True)
-    traces, iterates, logs, reps_meta = [], [], [], []
     for rep in range(repetitions):
         seed = resolved["seed"] ^ rep
         stream = _make_stream(source, target, seed)
         if top["log_measurements"]:
             stream = _RecordingStream(stream)
         t0, info = _initial_iterate(resolved["init"], target, cfg.ranks, stream, seed)
-        if algorithm == "orgd":
-            out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target, pure_target=psi)
-        else:
-            run = solvers.rgd_offline_run if algorithm == "rgd" else solvers.rsgd_run
-            out, trace = run(t0, stream.draw_batch(dataset_size), cfg, ground_truth=target,
-                             pure_target=psi)
-        traces.append(trace)
-        iterates.append(out)
-        logs.append(stream.log() if top["log_measurements"] else None)
-        reps_meta.append(
-            {
-                "repetition": rep,
-                "seed": seed,
-                "init": {**resolved["init"], **info,
-                         "noise_proxy_variance": stream.noise_proxy_variance},
-                "state": state_meta,
-                "iterations": trace.iters[-1],
-                "samples": trace.samples[-1],
-                "final_rel_error": trace.rel_error[-1],
-                "final_fidelity": trace.fidelity[-1],
-            }
-        )
-    return resolved, traces, iterates, logs, reps_meta
+        error = None
+        try:
+            if algorithm == "orgd":
+                out, trace = solvers.orgd_run(t0, stream, cfg, ground_truth=target,
+                                              pure_target=psi)
+            else:
+                run = solvers.rgd_offline_run if algorithm == "rgd" else solvers.rsgd_run
+                out, trace = run(t0, stream.draw_batch(dataset_size), cfg, ground_truth=target,
+                                 pure_target=psi)
+        except solvers.StepError as exc:
+            out, trace, error = exc.last_iterate, exc.trace, exc
+        meta = {
+            "repetition": rep,
+            "seed": seed,
+            "init": {**resolved["init"], **info,
+                     "noise_proxy_variance": stream.noise_proxy_variance},
+            "state": state_meta,
+            "iterations": trace.iters[-1],
+            "samples": trace.samples[-1],
+            "final_rel_error": trace.rel_error[-1],
+            "final_fidelity": trace.fidelity[-1],
+        }
+        if error is not None:
+            meta["failure"] = {"kind": type(error).__name__, "iteration": error.iteration,
+                               "cut": error.cut, "core": getattr(error, "core", None),
+                               "message": str(error)}
+        log = stream.log() if top["log_measurements"] else None
+        yield _Repetition(resolved, out, trace, log, meta, error)
+        if error is not None:
+            return
 
 
 def cmd_reconstruct(args):
     plan = _load_plan(args.plan, args.set)
     outdir = Path(args.out or plan.get("output_dir", _CLI_KEYS["output_dir"]))
-    run = _execute_plan(plan, outdir)
-    _write_run_outputs(outdir, plan, *run)
-    for meta in run[-1]:
+    metas = []
+    for rep in _execute_plan(plan, outdir):
+        _write_repetition(outdir, plan, rep, metas)
+        if rep.error is not None:
+            raise rep.error
+        meta = rep.meta
         rel = meta["final_rel_error"]
         fid = meta["final_fidelity"]
         print(
@@ -516,54 +539,6 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def cmd_benchmark_scaling(args):
-    plan = _load_plan(args.plan, args.set)
-    if "state_file" in plan:
-        raise ConfigError("benchmark-scaling sets state.n, which a state_file plan does not read")
-    ns = [_plan_value(int, x, "--ns entry") for x in args.ns.split(",")]
-    if len(set(ns)) < 2:
-        raise ConfigError("need at least two distinct n values to fit a scaling exponent")
-    if (args.target_error is None) == (args.target_fidelity is None):
-        raise ConfigError("set exactly one of --target-error / --target-fidelity")
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    repetitions = args.repetitions
-    rows = []
-    for n in ns:
-        plan_n = copy.deepcopy(plan)
-        plan_n.setdefault("state", {})["n"] = n
-        plan_n["repetitions"] = repetitions
-        plan_n.setdefault("solver", {})
-        if args.target_error is not None:
-            plan_n["solver"]["stop_rel_error"] = args.target_error
-        traces = _execute_plan(plan_n)[1]
-        counts = []
-        for trace in traces:
-            if args.target_error is not None:
-                ok = trace.rel_error[-1] is not None and trace.rel_error[-1] <= args.target_error
-            else:
-                ok = trace.fidelity[-1] is not None and trace.fidelity[-1] >= args.target_fidelity
-            if not ok:
-                raise solvers.SolverError(
-                    f"run at n={n} did not reach the target within max_iters"
-                )
-            counts.append(trace.iters[-1])
-        rows.append((n, float(np.mean(counts)), counts))
-        print(f"n={n}: iterations {counts} mean {np.mean(counts):.1f}")
-    logn = np.log(np.asarray(ns, dtype=float))
-    logi = np.log([mean for _, mean, _ in rows])
-    exponent, intercept = np.polyfit(logn, logi, 1)
-    print(f"fitted iterations ~ {np.exp(intercept):.3g} * n^{exponent:.3f}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("n,mean_iterations," +
-                     ",".join(f"rep{i}" for i in range(repetitions)) + "\n")
-            for n, mean, counts in rows:
-                fh.write(f"{n},{mean}," + ",".join(str(c) for c in counts) + "\n")
-            fh.write(f"# exponent,{exponent}\n")
-    return EXIT_OK
-
-
 def _relative_gap(a, b):
     """The relative difference of two trace fields; inf when either is not a number."""
     try:
@@ -596,6 +571,14 @@ def _trace_mismatch(orig, new):
     return "largest relative differences " + ", ".join(f"{k} {v:.1e}" for k, v in gaps.items())
 
 
+def _trace_rows(path):
+    """``RunTrace.rows_excluding_wall`` of ``path``; ``DataError`` naming it when it does not read."""
+    try:
+        return solvers.RunTrace.rows_excluding_wall(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read trace {path}: {exc}") from exc
+
+
 def cmd_replay(args):
     rundir = Path(args.run_dir)
     meta_path = rundir / "metadata.json"
@@ -604,28 +587,36 @@ def cmd_replay(args):
             metadata = json.load(fh)
     except FileNotFoundError as exc:
         raise DataError(f"no metadata.json in {rundir}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"corrupt metadata.json: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"corrupt {meta_path}: {exc}") from exc
+    reps = metadata.get("repetitions") if isinstance(metadata, dict) else None
+    if not reps or not isinstance(reps, list) or not all(isinstance(r, dict) for r in reps):
+        raise DataError(f"{meta_path} holds no list of repetition records")
     # Older run directories echo only the plan as given.
     plans = [_checked_plan(metadata[k]) for k in ("plan", "resolved_plan") if k in metadata]
     if not plans:
-        raise DataError("metadata.json carries no plan echo")
+        raise DataError(f"{meta_path} carries no plan echo")
+    # Every original trace is read before any repetition runs again.
+    origs = [_trace_rows(rundir / f"trace_rep{i:03d}.csv") for i in range(len(reps))]
     outdir = Path(args.out) if args.out else rundir / "replay"
-    run = _execute_plan(plans[-1], outdir)
-    _write_run_outputs(outdir, plans[0], *run)
-    ok = True
-    for i in range(len(run[1])):
-        orig = rundir / f"trace_rep{i:03d}.csv"
-        new = outdir / f"trace_rep{i:03d}.csv"
-        if not orig.exists():
-            raise DataError(f"missing original trace {orig}")
-        rows = [solvers.RunTrace.rows_excluding_wall(path) for path in (orig, new)]
-        same = rows[0] == rows[1]
+    ok, metas = True, []
+    # The replay stops where the original stopped: after its last repetition
+    # recorded, or at the failure that ended it.
+    for orig, orig_meta, rep in zip(origs, reps, _execute_plan(plans[-1], outdir)):
+        _write_repetition(outdir, plans[0], rep, metas)
+        i = rep.meta["repetition"]
+        rows = _trace_rows(outdir / f"trace_rep{i:03d}.csv")
+        failures = [m.get("failure") for m in (orig_meta, rep.meta)]
+        same = orig == rows and failures[0] == failures[1]
         line = f"trace_rep{i:03d}: {'identical' if same else 'MISMATCH'} (wall-time excluded)"
-        if not same:
-            line += ": " + _trace_mismatch(*rows)
+        if orig != rows:
+            line += ": " + _trace_mismatch(orig, rows)
+        elif not same:
+            line += f": failures {failures[0]} and {failures[1]}"
         print(line)
         ok = ok and same
+        if rep.error is not None:
+            raise rep.error
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
@@ -661,16 +652,6 @@ def _build_parser():
     e.add_argument("--state", required=True, help="TTC1 state file")
     e.add_argument("--reconstruction", required=True, help="TTR1 or TTC1 file")
     e.set_defaults(func=cmd_evaluate)
-
-    b = sub.add_parser("benchmark-scaling", help="iterations-to-target vs n")
-    b.add_argument("--plan", required=True)
-    b.add_argument("--set", action="append")
-    b.add_argument("--ns", required=True, help="comma-separated mode counts")
-    b.add_argument("--target-error", type=float)
-    b.add_argument("--target-fidelity", type=float)
-    b.add_argument("--repetitions", type=int, default=5)
-    b.add_argument("--out", help="scaling CSV path")
-    b.set_defaults(func=cmd_benchmark_scaling)
 
     p = sub.add_parser("replay", help="re-run a plan and compare traces")
     p.add_argument("--run-dir", required=True)

@@ -143,12 +143,15 @@ class MeasurementStream:
 
     @property
     def noise_proxy_variance(self) -> float:
-        """Variance of the scaled noise ``eps = d^n z`` for this source."""
+        """Variance of the scaled noise ``eps = d^n z`` for this source; inf past the float range."""
         if isinstance(self.source, ExactSource):
             return 0.0
         if isinstance(self.source, ShotSource):
             return self.scale**2 / (2**self.n * self.source.shots)
-        return self.scale**2 * self.source.sigma**2
+        try:
+            return self.scale**2 * self.source.sigma**2
+        except OverflowError:
+            return math.inf
 
 
 def make_stream(t_star: TtTensor, source, seed: int) -> MeasurementStream:

@@ -241,39 +241,6 @@ def test_rsgd_and_rgd_algorithms(tmp_path):
     assert rc == 0
 
 
-def test_benchmark_scaling_smoke(tmp_path, capsys):
-    plan_path, plan = base_plan(tmp_path, max_iters=4000, alpha=8e-3, batch_size=50)
-    rc = cli.main([
-        "benchmark-scaling", "--plan", str(plan_path), "--ns", "4,5",
-        "--target-error", "1e-2", "--repetitions", "2",
-        "--out", str(tmp_path / "scaling.csv"),
-    ])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "fitted iterations" in out
-    text = (tmp_path / "scaling.csv").read_text()
-    assert text.startswith("n,mean_iterations")
-
-
-def test_benchmark_scaling_bad_ns_exits_config(tmp_path, capsys):
-    plan_path, _ = base_plan(tmp_path)
-    rc = cli.main([
-        "benchmark-scaling", "--plan", str(plan_path), "--ns", "4,x", "--target-error", "1e-2",
-    ])
-    assert rc == cli.EXIT_CONFIG
-    assert "config error: --ns entry must be int, got 'x'" in capsys.readouterr().err
-
-
-def test_benchmark_scaling_needs_two_distinct_ns(tmp_path, capsys):
-    plan_path, _ = base_plan(tmp_path)
-    rc = cli.main([
-        "benchmark-scaling", "--plan", str(plan_path), "--ns", "4,4", "--target-error", "1e-3",
-        "--repetitions", "1",
-    ])
-    assert rc == cli.EXIT_CONFIG
-    assert "need at least two distinct n values" in capsys.readouterr().err
-
-
 def test_exit_codes(tmp_path):
     # 2: config error (bad JSON)
     bad = tmp_path / "bad.json"
@@ -478,17 +445,36 @@ def test_evaluate_closes_the_reconstruction_file(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+def _assert_failure_kept(rundir, error):
+    """``rundir`` holds the trace, last iterate and failure record of ``error``."""
+    meta = json.loads((rundir / "metadata.json").read_text())
+    assert meta["repetitions"][-1]["failure"] == {
+        "kind": type(error).__name__, "iteration": error.iteration, "cut": error.cut,
+        "core": getattr(error, "core", None), "message": str(error)}
+    i = meta["repetitions"][-1]["repetition"]
+    rows = solvers.RunTrace.rows_excluding_wall(rundir / f"trace_rep{i:03d}.csv")
+    assert int(rows[-1].split(",")[0]) == error.iteration - 1
+    back = serialize.read_ttr1(rundir / f"reconstruction_rep{i:03d}.ttr")
+    assert all(np.array_equal(a, b) for a, b in zip(back.cores, error.last_iterate.cores))
+
+
 def test_divergent_run_exits_numeric_with_iteration(tmp_path, capsys):
     # alpha=5 blows the iterate up within a few rounds; the run stops once its
     # norm passes DIVERGED_FACTOR times that of the start, and the CLI
-    # reports what the solver raises on the same plan.
+    # reports what the solver raises on the same plan.  The run directory
+    # keeps the work, and its replay hits the same failure.
     plan_path, plan = base_plan(tmp_path, alpha=5.0, stop_rel_error=None)
-    with pytest.raises(solvers.StepError) as info:
-        cli._execute_plan(plan)
+    (rep,) = cli._execute_plan(plan)
+    error = rep.error
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
-    assert type(info.value) is solvers.StepError and info.value.iteration == 4
-    assert str(info.value).startswith("step failed at iteration 4: iterate diverged: norm ")
-    assert f"numerical failure: {info.value}" in capsys.readouterr().err
+    assert type(error) is solvers.StepError and error.iteration == 4
+    assert str(error).startswith("step failed at iteration 4: iterate diverged: norm ")
+    assert f"numerical failure: {error}" in capsys.readouterr().err
+    _assert_failure_kept(tmp_path / "run", error)
+    assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == "trace_rep000: identical (wall-time excluded)\n"
+    assert f"numerical failure: {error}" in captured.err
 
 
 def test_finite_divergence_exits_numeric_within_1000_rounds(tmp_path, capsys):
@@ -512,7 +498,11 @@ def test_overflowing_step_exits_numeric_at_iteration_1(tmp_path, capsys):
     plan_path.write_text(json.dumps(plan))
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+        (rep,) = cli._execute_plan(plan)
     assert "non-finite values at iteration 1 in core 0" in capsys.readouterr().err
+    # The noise variance of sigma 1e308 is past the float range, not an error.
+    assert rep.meta["init"]["noise_proxy_variance"] == np.inf
+    _assert_failure_kept(tmp_path / "run", rep.error)
 
 
 def test_rank_collapse_exits_numeric_with_iteration(tmp_path, capsys):
@@ -528,6 +518,56 @@ def test_rank_collapse_exits_numeric_with_iteration(tmp_path, capsys):
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "step failed at iteration 58: " in err and "cut 1 is singular" in err
+    (rep,) = cli._execute_plan(plan)
+    assert rep.error.cut == 1
+    _assert_failure_kept(tmp_path / "run", rep.error)
+    assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_NUMERIC
+    assert "trace_rep000: identical" in capsys.readouterr().out
+
+
+def test_failed_repetition_keeps_the_earlier_ones(tmp_path, capsys, monkeypatch):
+    # The second repetition fails: the first one's files stay, and the
+    # second one's trace, iterate and failure record join them.
+    plan_path, plan = base_plan(tmp_path, max_iters=60, stop_rel_error=None)
+    plan["repetitions"] = 2
+    plan_path.write_text(json.dumps(plan))
+    orgd_run, errors = solvers.orgd_run, []
+
+    def fail_second(t0, stream, cfg, **kwargs):
+        out, trace = orgd_run(t0, stream, cfg, **kwargs)
+        errors.append(solvers.StepError("injected", trace.iters[-1] + 1, out, cut=2))
+        if len(errors) == 1:
+            return out, trace
+        errors[-1].trace = trace
+        raise errors[-1]
+
+    monkeypatch.setattr(solvers, "orgd_run", fail_second)
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_NUMERIC
+    assert f"numerical failure: {errors[-1]}" in capsys.readouterr().err
+    rundir = tmp_path / "run"
+    meta = json.loads((rundir / "metadata.json").read_text())
+    assert [r["repetition"] for r in meta["repetitions"]] == [0, 1]
+    assert "failure" not in meta["repetitions"][0]
+    assert (rundir / "trace_rep000.csv").exists() and (rundir / "reconstruction_rep000.ttr").exists()
+    _assert_failure_kept(rundir, errors[-1])
+
+
+@pytest.mark.parametrize(
+    "file, content",
+    [("metadata.json", b"5"), ("trace_rep000.csv", b"\xff\xfe\x00iter")],
+    ids=["metadata-not-an-object", "trace-not-utf8"],
+)
+def test_replay_of_a_corrupt_run_directory_exits_data(tmp_path, capsys, monkeypatch, file,
+                                                      content):
+    # Found before any repetition runs again.
+    plan_path, _ = base_plan(tmp_path, max_iters=20)
+    assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_OK
+    (tmp_path / "run" / file).write_bytes(content)
+    monkeypatch.setattr(solvers, "orgd_run", _no_solve)
+    capsys.readouterr()
+    assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(tmp_path / "run" / file) in err
 
 
 def test_infeasible_list_ranks_exit_config(tmp_path, capsys):
@@ -771,7 +811,7 @@ def test_replay_runs_the_resolved_plan(tmp_path, monkeypatch, capsys):
     assert cli.main(["reconstruct", "--plan", str(plan_path)]) == cli.EXIT_OK
     log_every = next(f for f in dataclasses.fields(solvers.SolverConfig) if f.name == "log_every")
     monkeypatch.setattr(log_every, "default", 7)
-    assert cli._execute_plan(plan)[1][0].iters[:3] == [0, 7, 14]
+    assert next(cli._execute_plan(plan)).trace.iters[:3] == [0, 7, 14]
     assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_OK
     assert "trace_rep000: identical" in capsys.readouterr().out
 
@@ -786,19 +826,6 @@ def test_replay_falls_back_to_the_plan_as_given(tmp_path, capsys):
     meta_path.write_text(json.dumps(meta))
     assert cli.main(["replay", "--run-dir", str(tmp_path / "run")]) == cli.EXIT_OK
     assert "trace_rep000: identical" in capsys.readouterr().out
-
-
-def test_benchmark_scaling_refuses_state_file_plan(tmp_path, capsys):
-    # The scan sets state.n, which a state file does not read.
-    state_file = tmp_path / "ghz.ttc"
-    serialize.write_ttc1(state_file, states.ghz(4))
-    plan_path = _state_file_plan(tmp_path, state_file)
-    rc = cli.main(["benchmark-scaling", "--plan", str(plan_path), "--ns", "4,6",
-                   "--target-error", "5e-2", "--repetitions", "1"])
-    assert rc == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "config error: benchmark-scaling" in captured.err and "state_file" in captured.err
-    assert "fitted" not in captured.out
 
 
 @pytest.mark.parametrize(
@@ -837,12 +864,10 @@ def _no_solve(*args, **kwargs):
      (["reconstruct", "--plan", "{plan}", "--out", "{file}"], "{file}"),
      (["init", "--plan", "{plan}", "--out", "{file}", *(
          a for item in _SPECTRAL for a in ("--set", item))], "{file}"),
-     (["benchmark-scaling", "--plan", "{plan}", "--ns", "4,5", "--target-error", "1e-2",
-       "--repetitions", "1", "--out", "{file}/s.csv"], "{file}"),
      (["generate-state", "--family", "ghz", "--n", "4", "--out", "{file}/g.ttc"], "{file}"),
      (["replay", "--run-dir", "{file}"], "{file}/metadata.json")],
     ids=["plan-is-a-directory", "reconstruct-out-is-a-file", "init-out-is-a-file",
-         "scaling-out-under-a-file", "generate-out-under-a-file", "run-dir-is-a-file"],
+         "generate-out-under-a-file", "run-dir-is-a-file"],
 )
 def test_path_errors_exit_data_naming_the_path_before_computing(tmp_path, capsys, monkeypatch,
                                                                 args, named):
